@@ -81,6 +81,7 @@ pub mod campaign;
 pub mod causality;
 pub mod enforce;
 pub mod exec;
+mod fxhash;
 pub mod journal;
 pub mod lifs;
 pub mod manager;

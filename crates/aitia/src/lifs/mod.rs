@@ -45,6 +45,7 @@ use crate::{
         ExecOutput,
         Executor, //
     },
+    fxhash::FxHashMap,
     race::{
         races_in_trace,
         ObservedRace,
@@ -365,7 +366,7 @@ struct Knowledge {
     /// Memory-access occurrence list per thread, front to back.
     mem_points: BTreeMap<ThreadSel, Vec<(InstrAddr, u32)>>,
     /// Addresses accessed at each occurrence.
-    point_addrs: HashMap<(ThreadSel, InstrAddr, u32), BTreeSet<Addr>>,
+    point_addrs: FxHashMap<(ThreadSel, InstrAddr, u32), BTreeSet<Addr>>,
     /// Address footprint per thread.
     footprints: BTreeMap<ThreadSel, BTreeSet<Addr>>,
     /// Racing instruction pairs (unordered, normalized) seen in any run.
@@ -402,36 +403,53 @@ impl Knowledge {
     /// Folds an executed run into the knowledge base. Returns whether the
     /// run's conflict signature was new.
     fn absorb(&mut self, run: &RunResult, sel_of: &HashMap<ThreadId, ThreadSel>) -> bool {
-        // Per-thread access sequences.
-        let mut per_thread: BTreeMap<ThreadSel, Vec<(InstrAddr, BTreeSet<Addr>)>> = BTreeMap::new();
-        for rec in &run.trace {
-            let sel = sel_of[&rec.tid];
+        // Group the steps per thread once, in first-seen order.
+        let mut groups: Vec<(ThreadSel, Vec<&StepRecord>)> = Vec::new();
+        let mut group_of_tid: Vec<Option<usize>> = Vec::new();
+        for rec in run.trace.iter() {
+            let t = rec.tid.0 as usize;
+            if group_of_tid.len() <= t {
+                group_of_tid.resize(t + 1, None);
+            }
+            let g = *group_of_tid[t].get_or_insert_with(|| {
+                let sel = sel_of[&rec.tid];
+                groups
+                    .iter()
+                    .position(|(s, _)| *s == sel)
+                    .unwrap_or_else(|| {
+                        groups.push((sel, Vec::new()));
+                        groups.len() - 1
+                    })
+            });
+            groups[g].1.push(rec);
+        }
+        for (sel, steps) in groups {
             self.note_sel(sel);
-            self.conflicts.add_steps(sel, std::iter::once(rec));
-            if rec.accesses.is_empty() {
+            self.conflicts.add_steps(sel, steps.iter().copied());
+            let mut counts: FxHashMap<InstrAddr, u32> = FxHashMap::default();
+            let mut points = Vec::new();
+            let mut footprint = Vec::new();
+            for rec in steps.iter().filter(|r| !r.accesses.is_empty()) {
+                let nth = *counts.entry(rec.at).and_modify(|c| *c += 1).or_insert(0);
+                points.push((rec.at, nth));
+                let addrs = self.point_addrs.entry((sel, rec.at, nth)).or_default();
+                for acc in &rec.accesses {
+                    addrs.insert(acc.addr);
+                    footprint.push(acc.addr);
+                }
+            }
+            if points.is_empty() {
                 continue;
             }
-            let addrs: BTreeSet<Addr> = rec.accesses.iter().map(|a| a.addr).collect();
-            per_thread.entry(sel).or_default().push((rec.at, addrs));
-        }
-        for (sel, seq) in per_thread {
-            let mut counts: HashMap<InstrAddr, u32> = HashMap::new();
-            let mut points = Vec::with_capacity(seq.len());
-            for (at, addrs) in seq {
-                let nth = *counts.entry(at).and_modify(|c| *c += 1).or_insert(0);
-                points.push((at, nth));
-                self.point_addrs
-                    .entry((sel, at, nth))
-                    .or_default()
-                    .extend(addrs.iter().copied());
-                self.footprints.entry(sel).or_default().extend(addrs);
-            }
+            footprint.sort_unstable();
+            footprint.dedup();
+            self.footprints.entry(sel).or_default().extend(footprint);
             // Keep the longest observed point list per thread (race-steered
             // flows can reveal longer paths).
             let entry = self.mem_points.entry(sel).or_default();
             if points.len() > entry.len() {
                 *entry = points;
-            } else {
+            } else if !entry.starts_with(&points) {
                 // Merge newly seen points at the tail.
                 let known: HashSet<(InstrAddr, u32)> = entry.iter().copied().collect();
                 for p in points {
@@ -442,19 +460,25 @@ impl Knowledge {
             }
         }
         // Racing pairs — including critical-section order pairs, which
-        // Causality Analysis tests as units (§3.4).
-        for r in races_in_trace(&run.trace) {
-            let (a, b) = r.unordered_key();
-            self.known_pairs.insert((a, b));
-        }
-        for r in crate::race::cs_order_races(&run.trace) {
-            let (a, b) = r.unordered_key();
-            self.known_pairs.insert((a, b));
-        }
-        // Signature: order of conflicting accesses.
+        // Causality Analysis tests as units (§3.4) — and the signature: the
+        // order of conflicting accesses (the Mazurkiewicz-trace equivalence
+        // class over conflicting operations), plus which thread programs
+        // participated (distinguishes serial orders that execute different
+        // race-steered paths).
+        let folded = crate::race::trace_conflicts(&run.trace);
+        self.known_pairs.extend(folded.pairs);
         self.version += 1;
-        let sig = conflict_signature(&run.trace, sel_of);
-        self.signatures.insert(sig)
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        for &(first, second, addr) in &folded.order {
+            (first, second, addr.0).hash(&mut h);
+        }
+        let mut sels: Vec<ThreadSel> = sel_of.values().copied().collect();
+        sels.sort();
+        for s in sels {
+            (s.prog.0, s.occurrence).hash(&mut h);
+        }
+        run.trace.len().hash(&mut h);
+        self.signatures.insert(h.finish())
     }
 
     /// Whether the occurrence's addresses conflict with any *other* thread's
@@ -759,50 +783,6 @@ impl<'a> DporCtx<'a> {
         }
         None
     }
-}
-
-/// Hashes the order of conflicting access pairs of a trace (the
-/// Mazurkiewicz-trace equivalence class over conflicting operations).
-fn conflict_signature(trace: &Trace, sel_of: &HashMap<ThreadId, ThreadSel>) -> u64 {
-    let evts = crate::race::accesses(trace);
-    let mut by_addr: HashMap<Addr, Vec<usize>> = HashMap::new();
-    for (i, e) in evts.iter().enumerate() {
-        by_addr.entry(e.addr).or_default().push(i);
-    }
-    let mut pairs: Vec<(InstrAddr, InstrAddr, Addr)> = Vec::new();
-    for (addr, idxs) in &by_addr {
-        // Thread-private or read-only locations contribute no conflicts.
-        let first_tid = evts[idxs[0]].tid;
-        if idxs.iter().all(|&i| evts[i].tid == first_tid) || idxs.iter().all(|&i| !evts[i].is_write)
-        {
-            continue;
-        }
-        for (pos, &i) in idxs.iter().enumerate() {
-            for &j in &idxs[pos + 1..] {
-                let (a, b) = (&evts[i], &evts[j]);
-                if a.tid == b.tid || !(a.is_write || b.is_write) {
-                    continue;
-                }
-                let (first, second) = if a.seq <= b.seq { (a, b) } else { (b, a) };
-                pairs.push((first.at, second.at, *addr));
-            }
-        }
-    }
-    pairs.sort();
-    pairs.dedup();
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for p in &pairs {
-        (p.0, p.1, p.2 .0).hash(&mut h);
-    }
-    // Include which thread programs participated (distinguishes serial
-    // orders that execute different race-steered paths).
-    let mut sels: Vec<ThreadSel> = sel_of.values().copied().collect();
-    sels.sort();
-    for s in sels {
-        (s.prog.0, s.occurrence).hash(&mut h);
-    }
-    trace.len().hash(&mut h);
-    h.finish()
 }
 
 /// The LIFS searcher for one program (slice).
@@ -1596,6 +1576,84 @@ mod tests {
             b.ret();
         }
         Arc::new(p.build().unwrap())
+    }
+
+    /// A run of hand-built steps: `(thread, instruction index, accesses
+    /// memory)` in trace order.
+    fn run_of(steps: &[(u32, usize, bool)]) -> RunResult {
+        let mut trace = Trace::new();
+        for (seq, &(tid, index, touches)) in steps.iter().enumerate() {
+            trace.push(Arc::new(StepRecord {
+                seq,
+                tid: ThreadId(tid),
+                at: InstrAddr {
+                    prog: ksim::ThreadProgId(tid as u16),
+                    index,
+                },
+                accesses: if touches {
+                    vec![ksim::MemAccess {
+                        addr: Addr(0x1000_0000 + 8 * index as u64),
+                        kind: ksim::AccessKind::Write,
+                    }]
+                } else {
+                    vec![]
+                },
+                branch_taken: None,
+                lock_event: None,
+                locks_held: vec![],
+                spawned: None,
+                next_pc: Some(index + 1),
+            }));
+        }
+        RunResult {
+            steps: trace.len(),
+            trace,
+            failure: None,
+            triggered: vec![],
+            forced: vec![],
+            budget_exhausted: false,
+            threads: vec![],
+        }
+    }
+
+    /// `absorb` keeps the longest point list per thread and merges unseen
+    /// points onto its tail, notes threads in first-seen order (a thread
+    /// without memory accesses gets no points), and keys the signature on
+    /// the trace length too.
+    #[test]
+    fn absorb_merges_point_lists_and_signs_runs() {
+        let sel = |p| ThreadSel::first(ksim::ThreadProgId(p));
+        let sel_of: HashMap<ThreadId, ThreadSel> =
+            [(ThreadId(0), sel(0)), (ThreadId(1), sel(1))].into();
+        let mut k = Knowledge::default();
+        let points = |k: &Knowledge| -> Vec<usize> {
+            k.mem_points[&sel(0)]
+                .iter()
+                .map(|(at, _)| at.index)
+                .collect()
+        };
+        let first = run_of(&[(1, 9, false), (0, 1, true), (0, 2, true)]);
+        assert!(k.absorb(&first, &sel_of));
+        assert_eq!(k.sels, vec![sel(1), sel(0)]);
+        assert!(!k.mem_points.contains_key(&sel(1)));
+        // No conflicts and the same threads: only the length tells the
+        // next run apart.
+        let longer = run_of(&[(0, 3, true), (0, 4, true), (0, 5, true), (0, 6, false)]);
+        assert!(k.absorb(&longer, &sel_of));
+        assert_eq!(points(&k), [3, 4, 5], "a longer list replaces");
+        assert!(!k.absorb(&first, &sel_of));
+        assert_eq!(
+            points(&k),
+            [3, 4, 5, 1, 2],
+            "unseen points merge at the tail"
+        );
+        k.absorb(&run_of(&[(0, 3, true), (0, 4, true)]), &sel_of);
+        assert_eq!(
+            points(&k),
+            [3, 4, 5, 1, 2],
+            "a stored prefix changes nothing"
+        );
+        assert_eq!(k.version, 4);
     }
 
     #[test]

@@ -14,12 +14,16 @@
 //! with a [`RaceEnd::Pending`] second end, ordered after the executed first
 //! end.
 
-use crate::schedule::ThreadSel;
+use crate::{
+    fxhash::FxHashMap,
+    schedule::ThreadSel, //
+};
 use ksim::{
     events::LockEvent,
     AccessKind,
     Addr,
     InstrAddr,
+    MemAccess,
     StepRecord,
     ThreadId,
     Trace, //
@@ -319,6 +323,149 @@ pub fn cs_order_races(trace: &Trace) -> Vec<ObservedRace> {
     out
 }
 
+/// What one executed trace adds to LIFS's knowledge base, from a single
+/// streaming pass ([`trace_conflicts`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TraceConflicts {
+    /// Normalized `(low, high)` instruction pairs that race or are ordered
+    /// only by a common lock: the unordered keys of [`races_in_trace`] ∪
+    /// [`cs_order_races`]. Sorted, deduplicated.
+    pub pairs: Vec<(InstrAddr, InstrAddr)>,
+    /// `(first, second, addr)` for every conflicting pair of accesses from
+    /// different threads, `first` earlier in the trace, ordered or not: the
+    /// conflict order LIFS's equivalence pruning hashes. Sorted,
+    /// deduplicated.
+    pub order: Vec<(InstrAddr, InstrAddr, Addr)>,
+}
+
+/// Every earlier access at one address with the same thread, instruction,
+/// access direction and held locks, summarized for [`trace_conflicts`].
+struct Shape<'a> {
+    tid: ThreadId,
+    at: InstrAddr,
+    is_write: bool,
+    locks: &'a [ksim::LockId],
+    /// The thread's own clock component at the latest such access.
+    last: u32,
+    /// Shapes `0..seen` of the address were already paired with this one
+    /// as the earlier end.
+    seen: usize,
+    /// Earlier shapes that conflict with this one, share no lock with it,
+    /// and have not yet been concurrent with one of its accesses.
+    pending: Vec<usize>,
+}
+
+/// Computes [`TraceConflicts`] in one pass over the trace, building the
+/// step clocks of [`step_clocks`] on the fly without storing them.
+///
+/// Each address keeps one [`Shape`] per distinct (thread, instruction,
+/// is-write, lockset). For an earlier access `i` and a later access `j`,
+/// `i ∥ j` exactly when `C_i[t_i] > C_j[t_i]`: clocks only grow (by tick or
+/// join), and trace order linearizes happens-before, so `j` can only have
+/// learned of `i` through `t_i`'s own component. Hence some earlier access
+/// of a shape races with `j` exactly when the shape's `last > C_j[t]`. With
+/// a common lock, every earlier access either races or is lock-ordered, so
+/// the pair is known as soon as both shapes have executed. The cost is
+/// O(accesses × shapes per address), where the reference sweeps are
+/// quadratic in accesses.
+#[must_use]
+pub fn trace_conflicts(trace: &Trace) -> TraceConflicts {
+    let mut threads: Vec<VClock> = Vec::new();
+    let mut lock_clocks: HashMap<ksim::LockId, VClock> = HashMap::new();
+    let mut sites: FxHashMap<Addr, Vec<Shape<'_>>> = FxHashMap::default();
+    let mut out = TraceConflicts::default();
+    for rec in trace.iter() {
+        let t = rec.tid.0 as usize;
+        if threads.len() <= t {
+            threads.resize_with(t + 1, VClock::default);
+        }
+        if let Some(LockEvent::Acquired(l)) = rec.lock_event {
+            if let Some(lc) = lock_clocks.get(&l) {
+                threads[t].join(lc);
+            }
+        }
+        threads[t].tick(rec.tid);
+        for acc in &rec.accesses {
+            let shapes = sites.entry(acc.addr).or_default();
+            fold_access(shapes, &threads[t], rec, acc, &mut out);
+        }
+        if let Some(LockEvent::Released(l)) = rec.lock_event {
+            lock_clocks.entry(l).or_default().clone_from(&threads[t]);
+        }
+        if let Some(child) = rec.spawned {
+            let mut child_clock = threads[t].clone();
+            child_clock.tick(child);
+            let c = child.0 as usize;
+            if threads.len() <= c {
+                threads.resize_with(c + 1, VClock::default);
+            }
+            threads[c] = child_clock;
+        }
+    }
+    out.pairs.sort_unstable();
+    out.pairs.dedup();
+    out.order.sort_unstable();
+    out.order.dedup();
+    out
+}
+
+/// Folds one access of `rec` into its address's shapes; `clock` is the
+/// step's vector clock.
+fn fold_access<'a>(
+    shapes: &mut Vec<Shape<'a>>,
+    clock: &VClock,
+    rec: &'a StepRecord,
+    acc: &MemAccess,
+    out: &mut TraceConflicts,
+) {
+    let is_write = acc.kind.is_write();
+    let component = |tid: ThreadId| clock.0.get(tid.0 as usize).copied().unwrap_or(0);
+    let unordered = |a: InstrAddr, b: InstrAddr| if a <= b { (a, b) } else { (b, a) };
+    let locks = rec.locks_held.as_slice();
+    let y = shapes
+        .iter()
+        .position(|s| {
+            s.tid == rec.tid && s.at == rec.at && s.is_write == is_write && s.locks == locks
+        })
+        .unwrap_or_else(|| {
+            shapes.push(Shape {
+                tid: rec.tid,
+                at: rec.at,
+                is_write,
+                locks,
+                last: 0,
+                seen: 0,
+                pending: Vec::new(),
+            });
+            shapes.len() - 1
+        });
+    let mut pending = std::mem::take(&mut shapes[y].pending);
+    for (x, s) in shapes.iter().enumerate().skip(shapes[y].seen) {
+        if s.tid == rec.tid || !(s.is_write || is_write) {
+            continue;
+        }
+        out.order.push((s.at, rec.at, acc.addr));
+        if s.locks.iter().any(|l| locks.contains(l)) {
+            out.pairs.push(unordered(s.at, rec.at));
+        } else {
+            pending.push(x);
+        }
+    }
+    pending.retain(|&x| {
+        let s = &shapes[x];
+        let concurrent = s.last > component(s.tid);
+        if concurrent {
+            out.pairs.push(unordered(s.at, rec.at));
+        }
+        !concurrent
+    });
+    let n = shapes.len();
+    let shape = &mut shapes[y];
+    shape.pending = pending;
+    shape.seen = n;
+    shape.last = component(rec.tid);
+}
+
 /// Whether race `outer` *surrounds* race `inner` (paper Figure 7): the
 /// outer's first access precedes the inner's first in the same thread, and
 /// the inner's second access precedes the outer's second in the other
@@ -461,19 +608,30 @@ impl ConflictIndex {
         sel: ThreadSel,
         steps: impl IntoIterator<Item = &'a StepRecord>,
     ) {
+        let (mut reads, mut writes, mut adds) = (Vec::new(), Vec::new(), Vec::new());
         for rec in steps {
             for acc in &rec.accesses {
-                let class = self.classify(rec.at, acc.kind);
-                let set = match class {
-                    AccessClass::Read => self.reads.entry(sel).or_default(),
-                    AccessClass::Write => self.writes.entry(sel).or_default(),
-                    AccessClass::Add => self.adds.entry(sel).or_default(),
-                };
-                set.insert(acc.addr);
+                match self.classify(rec.at, acc.kind) {
+                    AccessClass::Read => reads.push(acc.addr),
+                    AccessClass::Write => writes.push(acc.addr),
+                    AccessClass::Add => adds.push(acc.addr),
+                }
             }
         }
-        // A thread with an empty trace still counts as known.
+        // A thread with an empty trace still counts as known; the other two
+        // sets exist only once the thread has such an access.
         self.reads.entry(sel).or_default();
+        for (map, mut addrs) in [
+            (&mut self.reads, reads),
+            (&mut self.writes, writes),
+            (&mut self.adds, adds),
+        ] {
+            if !addrs.is_empty() {
+                addrs.sort_unstable();
+                addrs.dedup();
+                map.entry(sel).or_default().extend(addrs);
+            }
+        }
     }
 
     /// Whether the index has any observation for `sel`.

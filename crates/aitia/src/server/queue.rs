@@ -33,7 +33,11 @@
 //! writes (and write-side truncations) happen under an advisory lock file
 //! (`queue.lock`, containing the holder's PID). A lock whose holder is
 //! dead (no `/proc/<pid>`) or that has sat unchanged past a staleness
-//! timeout is broken — a SIGKILLed daemon must never wedge the queue.
+//! timeout is broken — a SIGKILLed daemon must never wedge the queue. A
+//! younger lock with no readable PID is held: its owner has created the
+//! file but not yet written the PID. A submit folds the queue, picks the
+//! next id and appends under one hold of the lock, so two submitters never
+//! claim the same id.
 //!
 //! # Admission control
 //!
@@ -392,14 +396,20 @@ impl JobQueue {
         Ok(jobs)
     }
 
-    /// Appends one record under the lock (repairing any torn tail first)
-    /// and fsyncs before returning — an acked append is durable.
+    /// Appends one record under the lock and fsyncs before returning — an
+    /// acked append is durable.
     fn append(&self, record: &QueueRecord) -> std::io::Result<()> {
+        let _lock = LockGuard::acquire(&self.dir)?;
+        self.append_locked(record)
+    }
+
+    /// [`JobQueue::append`] for a caller that already holds the lock:
+    /// repairs any torn tail, then writes and fsyncs one frame.
+    fn append_locked(&self, record: &QueueRecord) -> std::io::Result<()> {
         let payload = serde_json::to_string(record)
             .map_err(std::io::Error::other)?
             .into_bytes();
         let framed = frame_record(&payload);
-        let _lock = LockGuard::acquire(&self.dir)?;
         let mut file = self.open_file()?;
         let end = self.repair_locked(&mut file)?;
         file.seek(SeekFrom::Start(end))?;
@@ -413,14 +423,16 @@ impl JobQueue {
     /// client that lost its ack, or a restart script that replays its
     /// submit list, never duplicates work). Backpressure: rejected with
     /// [`SubmitError::Full`] once `max_queued` non-terminal jobs are
-    /// pending.
+    /// pending. The fold, the id choice and the append happen under one
+    /// hold of the lock, so concurrent submitters never pick the same id.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Full`] on backpressure, [`SubmitError::Io`] on file
     /// errors.
     pub fn submit(&self, payload: &str, max_queued: usize) -> Result<u64, SubmitError> {
-        let jobs = self.fold().map_err(SubmitError::Io)?;
+        let _lock = LockGuard::acquire(&self.dir)?;
+        let jobs = self.fold()?;
         if let Some(existing) = jobs.values().find(|j| j.payload == payload) {
             return Ok(existing.id);
         }
@@ -432,11 +444,10 @@ impl JobQueue {
             });
         }
         let id = jobs.keys().next_back().map_or(1, |last| last + 1);
-        self.append(&QueueRecord::Submit {
+        self.append_locked(&QueueRecord::Submit {
             id,
             payload: payload.to_string(),
-        })
-        .map_err(SubmitError::Io)?;
+        })?;
         Ok(id)
     }
 
@@ -553,8 +564,11 @@ impl Drop for LockGuard {
 }
 
 /// Whether the lock at `path` is stale: its owner is gone (no
-/// `/proc/<pid>`), its content is unreadable, or it has sat unchanged past
-/// [`LOCK_STALE`].
+/// `/proc/<pid>`) or it has sat unchanged past [`LOCK_STALE`].
+///
+/// A younger lock without a PID is held: `create_new` makes the file
+/// before its owner writes the PID, so an empty or half-written lock is the
+/// normal state of a fresh acquisition, not a dead one.
 fn lock_is_stale(path: &Path) -> bool {
     if let Ok(meta) = std::fs::metadata(path) {
         if let Ok(modified) = meta.modified() {
@@ -572,7 +586,7 @@ fn lock_is_stale(path: &Path) -> bool {
         return false;
     };
     let Ok(pid) = content.trim().parse::<u32>() else {
-        return true;
+        return false;
     };
     if pid == std::process::id() {
         // Our own PID in a lock we do not hold: a previous incarnation of
@@ -712,6 +726,59 @@ mod tests {
         // surviving ones — nothing collides, nothing is double-queued.
         assert_eq!(q.submit("gen:0", 16).unwrap(), 1);
         assert_eq!(q.submit("gen:2", 16).unwrap(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writers with their own handles on one directory submit and
+    /// transition concurrently, as `campaignd run` workers and `campaignd
+    /// submit` clients do: every acknowledged submit must fold with its
+    /// payload under a unique id, and no writer may mistake another's frame
+    /// for a torn tail.
+    #[test]
+    fn concurrent_writers_lose_no_acknowledged_record() {
+        const WRITERS: usize = 4;
+        const SUBMITS: usize = 60;
+        let dir = temp_dir("writers");
+        JobQueue::open(&dir).unwrap();
+        let start = std::sync::Barrier::new(WRITERS);
+        let acked: Vec<(u64, String)> = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (dir, start) = (&dir, &start);
+                    s.spawn(move || {
+                        let q = JobQueue::open(dir).unwrap();
+                        start.wait();
+                        let mut acked = Vec::new();
+                        for i in 0..SUBMITS {
+                            let payload = format!("gen:{w}-{i}");
+                            let id = q.submit(&payload, usize::MAX).unwrap();
+                            q.transition(id, JobState::Running, 1, None, None, None)
+                                .unwrap();
+                            acked.push((id, payload));
+                        }
+                        assert_eq!(q.truncations(), 0, "writer {w} truncated a frame");
+                        acked
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        let q = JobQueue::open(&dir).unwrap();
+        assert_eq!(q.truncations(), 0);
+        let jobs = q.fold().unwrap();
+        let mut ids = std::collections::HashSet::new();
+        for (id, payload) in &acked {
+            assert!(ids.insert(*id), "job id {id} acknowledged twice");
+            let job = jobs
+                .get(id)
+                .unwrap_or_else(|| panic!("acknowledged job {id} ({payload}) lost"));
+            assert_eq!(&job.payload, payload);
+            assert_eq!((job.state, job.attempt), (JobState::Running, 1));
+        }
+        assert_eq!(jobs.len(), WRITERS * SUBMITS);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -28,6 +28,14 @@ echo "==> cargo test"
 # (tests/backend_conformance.rs) against every available backend.
 cargo test --workspace -q
 
+echo "==> perfbench self-tests"
+# The wall-clock benchmark (perfbench/, its own workspace) checks every
+# diagnosis of its tiny-size runs against the report digests stored in
+# perfbench/digests.json. A library change that alters a benchmarked
+# diagnosis, or breaks the benchmark's use of the public API, fails here
+# instead of at the next bench run.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> bench smoke (reduced scale)"
 # The throughput cell runs in identity mode: at smoke scale the traces are
 # too short for structural sharing to clear the 2x speed gate, but the
