@@ -79,9 +79,6 @@ flags:
   --fault-rate <int>    injected VM fault rate in permille, 0..=1000
                         (default 0: off)
   --fault-seed <int>    VM fault injection seed (default 0)
-  --backend <name>      execution backend for every campaign: ksim
-                        (default) or kvm; kvm needs a build with
-                        --features kvm and /dev/kvm
   --drain               exit once every job is terminal (batch mode)
   -h | --help           this message
 
@@ -145,7 +142,6 @@ fn main() {
             }
             "--fault-rate" => fault_rate = flag_value(&args, &mut i, "--fault-rate"),
             "--fault-seed" => fault_seed = flag_value(&args, &mut i, "--fault-seed"),
-            "--backend" => config.backend = flag_value(&args, &mut i, "--backend"),
             "--drain" => config.drain = true,
             "--help" | "-h" => {
                 println!("{USAGE}");

@@ -47,8 +47,6 @@ flags:
   --report-only         print only the diagnosis report on stdout (no
                         input preamble), so the output diffs byte-for-byte
                         against a campaignd result file
-  --backend <name>      execution backend: ksim (default) or kvm; kvm
-                        needs a build with --features kvm and /dev/kvm
   -h | --help           this message
 
 exit status: 0 = diagnosed (complete or partial), 1 = did not reproduce,
@@ -80,7 +78,6 @@ fn main() {
     let mut journal: Option<String> = None;
     let mut deadline_s: Option<f64> = None;
     let mut report_only = false;
-    let mut backend = aitia::BackendKind::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -93,7 +90,6 @@ fn main() {
             "--journal" => journal = Some(flag_value(&args, &mut i, "--journal")),
             "--deadline-s" => deadline_s = Some(flag_value(&args, &mut i, "--deadline-s")),
             "--report-only" => report_only = true,
-            "--backend" => backend = flag_value(&args, &mut i, "--backend"),
             "--list" => {
                 for bug in corpus::all_bugs() {
                     println!("{:<18} {:<14} {}", bug.id, bug.subsystem, bug.bug_type);
@@ -127,9 +123,6 @@ fn main() {
             usage_exit("--deadline-s must be a finite number greater than 0");
         }
     }
-    if let Err(why) = backend.available() {
-        usage_exit(&format!("--backend {backend}: {why}"));
-    }
     let Some(id) = id else {
         usage_exit("a bug id is required");
     };
@@ -155,7 +148,6 @@ fn main() {
         vms,
         lifs,
         wall_deadline_s: deadline_s,
-        backend,
         ..ManagerConfig::default()
     };
     if let Some(level) = causality_level {

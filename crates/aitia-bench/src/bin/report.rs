@@ -6,9 +6,9 @@
 //! ```
 //!
 //! Subcommands: `table1`, `table2`, `table3`, `conciseness`, `comparison`,
-//! `ablations`, `fig5`, `fig6`, `fig7`, `fig9`, `bench-memo`,
-//! `bench-resume`, `bench-prune`, `bench-causality`, `bench-throughput`,
-//! `bench-server`, `all`.
+//! `ablations`, `fig5`, `fig6`, `fig7`, `fig9`, `extensions`,
+//! `bench-memo`, `bench-resume`, `bench-prune`, `bench-causality`,
+//! `bench-server`, `fuzz`, `all`.
 //!
 //! `--scale` multiplies every bug's calibrated benign-race noise (1.0 =
 //! full calibration, matching the magnitudes of the paper's tables; smaller
@@ -59,7 +59,6 @@ subcommands (default: all):
   bench-resume          kill-and-resume journal benchmark (JSON on stdout)
   bench-prune           prune-level ablation over Table 2 (JSON on stdout)
   bench-causality       causality-level A/B over Table 2 (JSON on stdout)
-  bench-throughput      substrate throughput A/B over Table 2 (JSON on stdout)
   bench-server          campaignd serial vs concurrent campaigns over
                         Table 2 (JSON on stdout)
   fuzz                  differential fuzz of generated bugs over the
@@ -67,7 +66,8 @@ subcommands (default: all):
   all                   everything above
 
 flags:
-  --scale <float>       benign-race noise scale (default 1.0)
+  --scale <float>       benign-race noise scale, finite and positive
+                        (default 1.0)
   --prune-level <level> LIFS pruning: off, conflict or dpor (default:
                         each bug's calibrated config, normally conflict)
   --causality-level <level>
@@ -76,8 +76,6 @@ flags:
                         flip ordering); identical diagnoses at both
                         levels (default exhaustive)
   --samples <int>       comparison sample count (default 400)
-  --repeats <int>       bench-throughput passes per cell, at least 1; the
-                        least-busy pass is reported (default 2)
   --vms <int>           VM-pool worker count, at least 1 (default 8)
   --snapshot-cache <n>  per-worker snapshot-prefix cache entries, at
                         least 1 (default 8)
@@ -85,9 +83,6 @@ flags:
                         snapshot forest (the A/B baseline)
   --fault-rate <int>    injected VM-fault rate in permille (default 0 = off)
   --fault-seed <int>    fault-injection seed (default 0)
-  --backend <name>      execution backend for the shared pool: ksim
-                        (default) or kvm; kvm needs a build with
-                        --features kvm and /dev/kvm
   --journal <path>      append conclusive runs to a durable journal and
                         replay nothing (tables build fresh programs); the
                         journal counter block prints at the end
@@ -121,13 +116,11 @@ fn main() {
     let mut prune: Option<aitia::lifs::PruneLevel> = None;
     let mut causality = aitia::CausalityLevel::default();
     let mut samples = 400usize;
-    let mut repeats = 2usize;
     let mut vms = 8usize;
     let mut snapshot_cache = ExecutorConfig::default().snapshot_cache;
     let mut memo = true;
     let mut fault_rate = 0u32;
     let mut fault_seed = 0u64;
-    let mut backend = aitia::BackendKind::default();
     let mut journal_path: Option<String> = None;
     let mut deadline_s: Option<f64> = None;
     let mut seeds = 200usize;
@@ -140,13 +133,11 @@ fn main() {
             "--prune-level" => prune = Some(flag_value(&args, &mut i, "--prune-level")),
             "--causality-level" => causality = flag_value(&args, &mut i, "--causality-level"),
             "--samples" => samples = flag_value(&args, &mut i, "--samples"),
-            "--repeats" => repeats = flag_value(&args, &mut i, "--repeats"),
             "--vms" => vms = flag_value(&args, &mut i, "--vms"),
             "--snapshot-cache" => snapshot_cache = flag_value(&args, &mut i, "--snapshot-cache"),
             "--no-memo" => memo = false,
             "--fault-rate" => fault_rate = flag_value(&args, &mut i, "--fault-rate"),
             "--fault-seed" => fault_seed = flag_value(&args, &mut i, "--fault-seed"),
-            "--backend" => backend = flag_value(&args, &mut i, "--backend"),
             "--journal" => journal_path = Some(flag_value(&args, &mut i, "--journal")),
             "--deadline-s" => deadline_s = Some(flag_value(&args, &mut i, "--deadline-s")),
             "--seeds" => seeds = flag_value(&args, &mut i, "--seeds"),
@@ -163,6 +154,9 @@ fn main() {
         }
         i += 1;
     }
+    if !(scale.is_finite() && scale > 0.0) {
+        usage_exit("--scale must be a finite number greater than 0");
+    }
     if vms == 0 {
         usage_exit("--vms must be at least 1 (there is no zero-VM pool)");
     }
@@ -173,9 +167,6 @@ fn main() {
         if !(d.is_finite() && d > 0.0) {
             usage_exit("--deadline-s must be a finite number greater than 0");
         }
-    }
-    if let Err(why) = backend.available() {
-        usage_exit(&format!("--backend {backend}: {why}"));
     }
     let fault = (fault_rate > 0).then(|| FaultInjection {
         seed: fault_seed,
@@ -206,7 +197,6 @@ fn main() {
         memo,
         journal: journal.clone(),
         deadline,
-        backend,
         ..ExecutorConfig::default()
     }));
     let model = experiments::cost_model_for(&exec);
@@ -299,32 +289,6 @@ fn main() {
                 b.static_disagreements,
                 b.diagnoses_identical,
                 b.meets_causality_gate
-            );
-            return;
-        }
-        "bench-throughput" => {
-            // Self-contained like bench-memo: each cell runs the corpus on
-            // fresh pools and fresh programs with memoization off, so
-            // every cell pays full VM execution. JSON goes to stdout for
-            // BENCH_throughput.json; the human summary goes to stderr.
-            let b = experiments::bench_throughput(scale, repeats);
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&b).expect("bench result serializes")
-            );
-            for (side, tag) in [(&b.before, "before"), (&b.after, "after")] {
-                for p in &side.points {
-                    eprintln!(
-                        "bench-throughput: {tag} ({}) @ {} workers -> \
-                         {:.0} schedules/s, {:.0} instrs/s ({:.2}s wall)",
-                        side.label, p.workers, p.schedules_per_sec, p.instrs_per_sec, p.wall_s
-                    );
-                }
-            }
-            eprintln!(
-                "bench-throughput: speedup at 8 workers: {:.2}x, \
-                 diagnoses identical: {}, gate met: {}",
-                b.speedup_at_8, b.diagnoses_identical, b.meets_throughput_gate
             );
             return;
         }

@@ -10,7 +10,6 @@ use aitia::{
         CausalityConfig, //
     },
     exec::{
-        ClaimMode,
         Executor,
         ExecutorConfig, //
     },
@@ -813,173 +812,6 @@ pub fn bench_resume(scale: f64) -> ResumeBench {
     }
 }
 
-/// One measured worker count of one throughput side.
-///
-/// The headline rates divide by *busy* time — the seconds workers spent
-/// inside `run_cached_shared` ([`aitia::ExecStats::busy_ns`]) — because
-/// that is the layer this A/B varies. Wall-clock seconds are reported
-/// alongside for context; wall time is dominated by analysis work (LIFS
-/// tree maintenance, race detection, chain construction) that is byte-for-
-/// byte identical on both sides and would dilute the substrate comparison.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct ThroughputPoint {
-    /// VM-pool worker count (`--vms`, with OS threads forced to match).
-    pub workers: usize,
-    /// Wall-clock seconds to diagnose the corpus.
-    pub wall_s: f64,
-    /// Seconds workers spent executing schedules (summed across workers).
-    pub busy_s: f64,
-    /// Schedules actually executed ([`aitia::ExecStats::runs`], summed
-    /// over per-bug pools). Can vary slightly across worker counts
-    /// (speculative execution past a stop bound is discarded work).
-    pub schedules_executed: u64,
-    /// Engine instructions executed ([`aitia::ExecStats::steps_executed`]).
-    pub instrs_executed: u64,
-    /// Schedules per busy-worker second.
-    pub schedules_per_sec: f64,
-    /// Engine instructions per busy-worker second.
-    pub instrs_per_sec: f64,
-}
-
-/// One side (substrate configuration) of the throughput A/B.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct ThroughputSide {
-    /// Human-readable configuration label.
-    pub label: String,
-    /// Measurements at 1, 2 and 8 workers.
-    pub points: Vec<ThroughputPoint>,
-}
-
-/// Result of `report bench-throughput`: the substrate-throughput A/B over
-/// Table 2 (`BENCH_throughput.json`).
-///
-/// The *before* side re-enacts the pre-refactor substrate — deep-clone
-/// snapshots ([`ksim::SnapshotMode::Deep`]) and shared-counter job
-/// claiming ([`ClaimMode::Counter`]); the *after* side is the shipped
-/// default — structurally-shared copy-on-write snapshots plus
-/// work-stealing claim deques. Both sides must produce bit-identical
-/// diagnoses at every worker count: the refactor moves wall-clock time
-/// only, never results.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct ThroughputBench {
-    /// Noise scale every cell ran at.
-    pub scale: f64,
-    /// Deep-clone snapshots + counter claiming (pre-refactor semantics).
-    pub before: ThroughputSide,
-    /// COW snapshots + work stealing (the shipped default).
-    pub after: ThroughputSide,
-    /// `after` schedules/sec over `before` schedules/sec at 8 workers.
-    pub speedup_at_8: f64,
-    /// Whether every diagnosis-facing output is bit-identical across all
-    /// six cells.
-    pub diagnoses_identical: bool,
-    /// The acceptance gate: ≥2× schedules/sec at 8 workers with
-    /// bit-identical diagnoses.
-    pub meets_throughput_gate: bool,
-}
-
-/// Runs the substrate-throughput A/B over Table 2.
-///
-/// Each of the six cells (two substrate configurations × three worker
-/// counts) diagnoses the whole corpus `repeats` times; the least-busy
-/// pass is reported, the noise-robust estimator for a shared host. Every
-/// pass's diagnosis digest feeds the bit-identity check, so extra repeats
-/// strengthen the differential guarantee rather than hiding flakes.
-#[must_use]
-pub fn bench_throughput(scale: f64, repeats: usize) -> ThroughputBench {
-    let repeats = repeats.max(1);
-    let measure = |claim: ClaimMode, deep: bool, workers: usize| {
-        let bugs = corpus::cves();
-        let mut schedules_executed = 0u64;
-        let mut instrs_executed = 0u64;
-        let mut busy_ns = 0u64;
-        let started = std::time::Instant::now();
-        let rows: Vec<BugOutcome> = bugs
-            .iter()
-            .map(|b| {
-                // Fresh program and pool per bug, memo off: every cell
-                // pays full VM execution, and the process-wide memo table
-                // (keyed on program identity) can never answer across
-                // cells — the honest A/B.
-                let exec = Arc::new(Executor::with_config(ExecutorConfig {
-                    vms: workers,
-                    os_threads: Some(workers),
-                    memo: false,
-                    claim,
-                    deep_snapshots: deep,
-                    ..ExecutorConfig::default()
-                }));
-                let row = diagnose_program_on(b, b.program_scaled(scale), &exec);
-                let stats = exec.stats();
-                schedules_executed += stats.runs;
-                instrs_executed += stats.steps_executed;
-                busy_ns += stats.busy_ns;
-                row
-            })
-            .collect();
-        let wall_s = started.elapsed().as_secs_f64();
-        let busy_s = busy_ns as f64 / 1e9;
-        let point = ThroughputPoint {
-            workers,
-            wall_s,
-            busy_s,
-            schedules_executed,
-            instrs_executed,
-            schedules_per_sec: schedules_executed as f64 / busy_s.max(1e-9),
-            instrs_per_sec: instrs_executed as f64 / busy_s.max(1e-9),
-        };
-        (diagnosis_digest(&rows), point)
-    };
-    let side = |label: &str, claim: ClaimMode, deep: bool| {
-        let mut digests = Vec::new();
-        let mut points = Vec::new();
-        for workers in [1usize, 2, 8] {
-            let mut best: Option<ThroughputPoint> = None;
-            for _ in 0..repeats {
-                let (digest, point) = measure(claim, deep, workers);
-                digests.push(digest);
-                if best.as_ref().is_none_or(|b| point.busy_s < b.busy_s) {
-                    best = Some(point);
-                }
-            }
-            points.push(best.expect("at least one repeat ran"));
-        }
-        (
-            digests,
-            ThroughputSide {
-                label: label.to_string(),
-                points,
-            },
-        )
-    };
-    let (before_digests, before) = side("deep-clone + counter", ClaimMode::Counter, true);
-    let (after_digests, after) = side("cow + steal", ClaimMode::Steal, false);
-    let diagnoses_identical = before_digests
-        .iter()
-        .chain(&after_digests)
-        .all(|d| *d == before_digests[0]);
-    let at8 = |s: &ThroughputSide| {
-        s.points
-            .iter()
-            .find(|p| p.workers == 8)
-            .map_or(0.0, |p| p.schedules_per_sec)
-    };
-    let speedup_at_8 = if at8(&before) > 0.0 {
-        at8(&after) / at8(&before)
-    } else {
-        0.0
-    };
-    let meets_throughput_gate = diagnoses_identical && speedup_at_8 >= 2.0;
-    ThroughputBench {
-        scale,
-        before,
-        after,
-        speedup_at_8,
-        diagnoses_identical,
-        meets_throughput_gate,
-    }
-}
-
 /// Table 2: the ten CVE bugs.
 #[must_use]
 pub fn table2(scale: f64) -> Vec<BugOutcome> {
@@ -1569,28 +1401,19 @@ pub struct MatrixCell {
     pub causality: aitia::CausalityLevel,
     /// Cross-run memoization + shared snapshot forest on/off.
     pub memo: bool,
-    /// Batch-claim strategy.
-    pub claim: ClaimMode,
-    /// Deep-clone snapshots instead of copy-on-write.
-    pub deep_snapshots: bool,
     /// Worker count.
     pub vms: usize,
-    /// Execution backend the cell's pool boots.
-    pub backend: aitia::BackendKind,
 }
 
 impl MatrixCell {
-    /// Short label, e.g. `dpor/memo/steal/cow/8vm/ksim/adaptive`.
+    /// Short label, e.g. `dpor/memo/8vm/adaptive`.
     #[must_use]
     pub fn label(&self) -> String {
         format!(
-            "{:?}/{}/{:?}/{}/{}vm/{}/{}",
+            "{:?}/{}/{}vm/{}",
             self.prune,
             if self.memo { "memo" } else { "nomemo" },
-            self.claim,
-            if self.deep_snapshots { "deep" } else { "cow" },
             self.vms,
-            self.backend,
             self.causality
         )
         .to_lowercase()
@@ -1602,63 +1425,30 @@ impl MatrixCell {
         Arc::new(Executor::with_config(ExecutorConfig {
             vms: self.vms,
             memo: self.memo,
-            claim: self.claim,
-            deep_snapshots: self.deep_snapshots,
-            backend: self.backend,
             ..ExecutorConfig::default()
         }))
     }
 }
 
 /// The full differential matrix: prune {off, conflict, dpor} × memo
-/// {on, off} × claim {counter, steal} × snapshots {cow, deep} × workers
-/// {1, 2, 8} at the exhaustive causality level — 72 cells — plus an
-/// adaptive-causality axis: prune {off, conflict, dpor} × workers {1, 8}
-/// with the default memo/claim/snapshot knobs — 6 more cells. Cell 0
-/// (off/memo/counter/cow/1vm/ksim/exhaustive) is the reference the recall
-/// gate is measured on; the first adaptive cell is the reference for the
-/// adaptive recall gate.
-///
-/// When this build carries the `kvm` backend and `/dev/kvm` is usable, a
-/// backend axis joins the matrix: prune {off, conflict, dpor} × workers
-/// {1, 2} on the KVM microVM substrate, which must reproduce the very
-/// same diagnosis digests as every ksim cell at the same causality level.
-/// Unavailable backends contribute no cells, so the matrix (and `report
-/// fuzz`) degrades to the pure-ksim matrix on machines without KVM.
+/// {on, off} × workers {1, 2, 8} at the exhaustive causality level — 18
+/// cells — plus an adaptive-causality axis: prune {off, conflict, dpor} ×
+/// workers {1, 8} with memo on — 6 more cells. Cell 0
+/// (off/memo/1vm/exhaustive) is the reference the recall gate is measured
+/// on; the first adaptive cell is the reference for the adaptive recall
+/// gate.
 #[must_use]
 pub fn corpus_matrix() -> Vec<MatrixCell> {
     use aitia::lifs::PruneLevel;
     let mut cells = Vec::new();
     for prune in [PruneLevel::Off, PruneLevel::Conflict, PruneLevel::Dpor] {
         for memo in [true, false] {
-            for claim in [ClaimMode::Counter, ClaimMode::Steal] {
-                for deep_snapshots in [false, true] {
-                    for vms in [1usize, 2, 8] {
-                        cells.push(MatrixCell {
-                            prune,
-                            causality: aitia::CausalityLevel::Exhaustive,
-                            memo,
-                            claim,
-                            deep_snapshots,
-                            vms,
-                            backend: aitia::BackendKind::Ksim,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    if aitia::BackendKind::Kvm.available().is_ok() {
-        for prune in [PruneLevel::Off, PruneLevel::Conflict, PruneLevel::Dpor] {
-            for vms in [1usize, 2] {
+            for vms in [1usize, 2, 8] {
                 cells.push(MatrixCell {
                     prune,
                     causality: aitia::CausalityLevel::Exhaustive,
-                    memo: true,
-                    claim: ClaimMode::Counter,
-                    deep_snapshots: false,
+                    memo,
                     vms,
-                    backend: aitia::BackendKind::Kvm,
                 });
             }
         }
@@ -1669,10 +1459,7 @@ pub fn corpus_matrix() -> Vec<MatrixCell> {
                 prune,
                 causality: aitia::CausalityLevel::Adaptive,
                 memo: true,
-                claim: ClaimMode::Counter,
-                deep_snapshots: false,
                 vms,
-                backend: aitia::BackendKind::Ksim,
             });
         }
     }
@@ -1911,8 +1698,7 @@ fn fuzz_mismatch(cells: &[MatrixCell], out: &FuzzOutcomes) -> Option<usize> {
 
 /// Differential fuzz over `seeds` consecutive generated programs starting
 /// at `seed_start`: every program runs through the full executor matrix
-/// (72 exhaustive cells, the adaptive-causality axis, and — when KVM is
-/// usable — the backend axis); cross-level
+/// (18 exhaustive cells and the adaptive-causality axis); cross-level
 /// digests must agree bit-for-bit, same-level digests must also agree on
 /// CA schedule counts, and both reference cells' chains must contain a
 /// planted racing pair. Divergences are shrunk (same seed, simpler

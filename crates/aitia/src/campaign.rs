@@ -161,11 +161,7 @@ impl Campaign {
                 // actually consult — a campaign isolated on a private
                 // substrate must not leak its journal into (or depend on)
                 // the process-global table.
-                journal.replay_into_substrate(
-                    program,
-                    self.manager.substrate(),
-                    self.manager.backend(),
-                );
+                journal.replay_into_substrate(program, self.manager.substrate());
             }
         }
         let diagnosis = self.manager.diagnose(slices);

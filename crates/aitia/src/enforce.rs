@@ -1,9 +1,7 @@
 //! Schedule enforcement — the AITIA-hypervisor equivalent (§4.4).
 //!
-//! The enforcer drives an execution backend (any
-//! [`crate::backend::ExecBackend`]; [`ksim::Engine`] is the default) so
-//! that the interleaving orders of
-//! a [`Schedule`] hold: it runs exactly one thread at a time, suspends it
+//! The enforcer drives a [`ksim::Engine`] so that the interleaving orders
+//! of a [`Schedule`] hold: it runs exactly one thread at a time, suspends it
 //! when it reaches a scheduling point (the breakpoint trap), and resumes the
 //! point's target. Suspension is purely external — a suspended thread keeps
 //! its kernel state consistent, mirroring the paper's trampoline.
@@ -19,23 +17,18 @@
 //!   (the §3.4 liveness rule that motivates flipping whole critical
 //!   sections).
 
-use crate::{
-    backend::{
-        BackendKind,
-        BackendSnapshot,
-        ExecBackend, //
-    },
-    schedule::{
-        Anchor,
-        SchedPoint,
-        Schedule,
-        ThreadSel, //
-    },
+use crate::schedule::{
+    Anchor,
+    SchedPoint,
+    Schedule,
+    ThreadSel, //
 };
 use ksim::{
+    Engine,
     Failure,
     InstrAddr,
     LockId,
+    Snapshot,
     StepOutcome,
     ThreadId,
     ThreadStatus,
@@ -227,7 +220,7 @@ struct LoopState {
 }
 
 impl LoopState {
-    fn fresh(engine: &dyn ExecBackend, schedule: &Schedule) -> LoopState {
+    fn fresh(engine: &Engine, schedule: &Schedule) -> LoopState {
         let current = schedule
             .start
             .and_then(|s| s.resolve(engine))
@@ -254,7 +247,7 @@ impl LoopState {
 #[derive(Clone)]
 struct SavedPrefix {
     consumed: usize,
-    snapshot: BackendSnapshot,
+    snapshot: Snapshot,
     triggered: Vec<bool>,
     forced: Vec<ForcedResume>,
     steps: usize,
@@ -442,9 +435,9 @@ pub(crate) fn schedule_fingerprint(schedule: &Schedule, cfg: &EnforceConfig) -> 
     h.finish()
 }
 
-/// One forest entry: prefix hash, backend kind, pinned program identity,
-/// and the checkpoint itself.
-type ForestEntry = (u64, BackendKind, Arc<ksim::Program>, SavedPrefix);
+/// One forest entry: prefix hash, pinned program identity, and the
+/// checkpoint itself.
+type ForestEntry = (u64, Arc<ksim::Program>, SavedPrefix);
 
 /// A process-wide, thread-safe store of engine checkpoints — the shared
 /// counterpart of the worker-local [`SnapshotCache`].
@@ -452,15 +445,13 @@ type ForestEntry = (u64, BackendKind, Arc<ksim::Program>, SavedPrefix);
 /// Workers publish every checkpoint they deposit locally, so any worker —
 /// in any executor — enforcing the same program can resume from the
 /// longest clean prefix *anyone* has built, not just its own recent
-/// history. [`BackendSnapshot`] handles are `Arc`-backed, so sharing is a
+/// history. [`ksim::Snapshot`] handles are `Arc`-backed, so sharing is a
 /// reference-count bump, never a deep copy.
 ///
-/// Entries are keyed by the prefix hash, program identity (`Arc::ptr_eq`),
-/// *and* backend kind: the held `Arc<Program>` pins the allocation, so a
-/// live entry's pointer can never alias a recycled address, and the
-/// backend key guarantees a worker never restores a foreign backend's
-/// opaque snapshot (the trait's snapshot-affinity invariant). Unlike the
-/// local cache, the forest never needs clearing when an engine switches
+/// Entries are keyed by the prefix hash and program identity
+/// (`Arc::ptr_eq`): the held `Arc<Program>` pins the allocation, so a live
+/// entry's pointer can never alias a recycled address. Unlike the local
+/// cache, the forest never needs clearing when an engine switches
 /// programs.
 pub struct SnapshotForest {
     cap: usize,
@@ -494,40 +485,29 @@ impl SnapshotForest {
         self.len() == 0
     }
 
-    fn get(
-        &self,
-        backend: BackendKind,
-        program: &Arc<ksim::Program>,
-        key: u64,
-    ) -> Option<SavedPrefix> {
+    fn get(&self, program: &Arc<ksim::Program>, key: u64) -> Option<SavedPrefix> {
         let mut entries = self.entries.lock().unwrap();
         let pos = entries
             .iter()
-            .position(|(k, b, p, _)| *k == key && *b == backend && Arc::ptr_eq(p, program))?;
+            .position(|(k, p, _)| *k == key && Arc::ptr_eq(p, program))?;
         let entry = entries.remove(pos);
-        let saved = entry.3.clone();
+        let saved = entry.2.clone();
         entries.push(entry);
         Some(saved)
     }
 
-    fn put(
-        &self,
-        key: u64,
-        backend: BackendKind,
-        program: &Arc<ksim::Program>,
-        saved: SavedPrefix,
-    ) {
+    fn put(&self, key: u64, program: &Arc<ksim::Program>, saved: SavedPrefix) {
         if self.cap == 0 {
             return;
         }
         let mut entries = self.entries.lock().unwrap();
         if let Some(pos) = entries
             .iter()
-            .position(|(k, b, p, _)| *k == key && *b == backend && Arc::ptr_eq(p, program))
+            .position(|(k, p, _)| *k == key && Arc::ptr_eq(p, program))
         {
             entries.remove(pos);
         }
-        entries.push((key, backend, Arc::clone(program), saved));
+        entries.push((key, Arc::clone(program), saved));
         while entries.len() > self.cap {
             entries.remove(0);
         }
@@ -543,7 +523,7 @@ struct CacheCtx<'a> {
 
 /// Deposits a checkpoint for the just-consumed point prefix, when eligible.
 fn maybe_checkpoint(
-    engine: &dyn ExecBackend,
+    engine: &Engine,
     schedule: &Schedule,
     cfg: &EnforceConfig,
     state: &mut LoopState,
@@ -568,7 +548,7 @@ fn maybe_checkpoint(
         forced_chain: state.forced_chain,
     };
     if let Some(forest) = sinks.forest {
-        forest.put(key, engine.kind(), engine.program(), saved.clone());
+        forest.put(key, engine.program(), saved.clone());
     }
     sinks.cache.put(key, saved);
     state.checkpointed = k;
@@ -579,7 +559,7 @@ fn maybe_checkpoint(
 /// The engine should be freshly booted (or restored); the run consumes it —
 /// inspect the returned [`RunResult`] and the engine afterwards.
 #[must_use]
-pub fn run(engine: &mut dyn ExecBackend, schedule: &Schedule, cfg: &EnforceConfig) -> RunResult {
+pub fn run(engine: &mut Engine, schedule: &Schedule, cfg: &EnforceConfig) -> RunResult {
     let mut state = LoopState::fresh(engine, schedule);
     drive(engine, schedule, cfg, &mut state, &mut None)
 }
@@ -599,7 +579,7 @@ pub fn run(engine: &mut dyn ExecBackend, schedule: &Schedule, cfg: &EnforceConfi
 /// point prefix, so such states are not reusable across schedules.
 #[must_use]
 pub fn run_cached(
-    engine: &mut dyn ExecBackend,
+    engine: &mut Engine,
     schedule: &Schedule,
     cfg: &EnforceConfig,
     cache: &mut SnapshotCache,
@@ -619,7 +599,7 @@ pub fn run_cached(
 /// engine would produce.
 #[must_use]
 pub fn run_cached_shared(
-    engine: &mut dyn ExecBackend,
+    engine: &mut Engine,
     schedule: &Schedule,
     cfg: &EnforceConfig,
     cache: &mut SnapshotCache,
@@ -635,7 +615,7 @@ pub fn run_cached_shared(
         let (saved, from_forest) = match cache.get(key) {
             Some(s) => (Some(s), false),
             None => (
-                forest.and_then(|f| f.get(engine.kind(), engine.program(), key)),
+                forest.and_then(|f| f.get(engine.program(), key)),
                 true, //
             ),
         };
@@ -660,7 +640,7 @@ pub fn run_cached_shared(
 }
 
 fn drive(
-    engine: &mut dyn ExecBackend,
+    engine: &mut Engine,
     schedule: &Schedule,
     cfg: &EnforceConfig,
     state: &mut LoopState,
@@ -873,12 +853,6 @@ fn drive(
         })
         .collect();
 
-    // The pre-refactor substrate materialized an owned Vec<StepRecord>
-    // here (one deep copy of every record per run); the Deep A/B baseline
-    // re-enacts that cost so bench-throughput measures the full delta.
-    if engine.deep_snapshots() {
-        std::hint::black_box(engine.trace().to_vec());
-    }
     RunResult {
         trace: engine.trace().clone(),
         failure: engine.failure().cloned().or(watchdog),
@@ -891,7 +865,7 @@ fn drive(
 }
 
 fn matches_point(
-    engine: &dyn ExecBackend,
+    engine: &Engine,
     exec_counts: &HashMap<(ThreadId, InstrAddr), u32>,
     cur: ThreadId,
     p: &SchedPoint,
@@ -902,7 +876,7 @@ fn matches_point(
 }
 
 fn switch_target(
-    engine: &mut dyn ExecBackend,
+    engine: &mut Engine,
     schedule: &Schedule,
     p: &SchedPoint,
     cur: ThreadId,
@@ -922,7 +896,7 @@ fn switch_target(
 /// Resolves a selector, *injecting* the hardware-IRQ handler it names when
 /// it has not fired yet — the hypervisor raising the interrupt at this
 /// scheduling point (the paper's §4.6 case).
-fn resolve_or_inject(engine: &mut dyn ExecBackend, sel: ThreadSel) -> Option<ThreadId> {
+fn resolve_or_inject(engine: &mut Engine, sel: ThreadSel) -> Option<ThreadId> {
     if let Some(t) = sel.resolve(engine) {
         return Some(t);
     }
@@ -951,7 +925,7 @@ fn advance_cursor_to(schedule: &Schedule, seg_cursor: &mut usize, sel: ThreadSel
 /// yields, the paper's serial search orders), then the flat fallback list,
 /// then any runnable thread.
 fn pick_next(
-    engine: &mut dyn ExecBackend,
+    engine: &mut Engine,
     schedule: &Schedule,
     seg_cursor: &mut usize,
     exclude: Option<ThreadId>,
@@ -976,7 +950,7 @@ fn pick_next(
 /// schedule ending in an IRQ selector runs the listed threads to completion
 /// and then fires the interrupt (LIFS's handler probe runs).
 fn pick_fallback_excluding(
-    engine: &mut dyn ExecBackend,
+    engine: &mut Engine,
     schedule: &Schedule,
     exclude: Option<ThreadId>,
 ) -> Option<ThreadId> {

@@ -2,17 +2,17 @@
 //!
 //! Every consumer of schedule execution — LIFS rounds, Causality Analysis
 //! flips, the manager's slice fan-out — goes through one executor that owns
-//! the worker "VMs" (per-worker [`crate::backend::ExecBackend`] instances,
-//! [`ksim::Engine`] by default, plus snapshot-prefix
-//! caches). Callers submit *batches* of `(program, schedule)` jobs and fold
-//! the results in canonical submission order, which keeps every consumer
-//! bit-for-bit deterministic at any worker count:
+//! the worker "VMs" (per-worker [`ksim::Engine`] instances plus
+//! snapshot-prefix caches). Callers submit *batches* of `(program,
+//! schedule)` jobs and fold the results in canonical submission order,
+//! which keeps every consumer bit-for-bit deterministic at any worker
+//! count:
 //!
 //! * each job is a pure function of its program and schedule (sequential
 //!   consistency of the engine), so *which* worker runs it cannot change
 //!   its result;
-//! * workers claim job indices from a single monotone counter, and an
-//!   early-stop request at index `i` only ever *lowers* the shared stop
+//! * workers claim job indices from per-worker work-stealing deques, and
+//!   an early-stop request at index `i` only ever *lowers* the shared stop
 //!   bound — so every index at or below the final bound is guaranteed to
 //!   have been executed, and the returned prefix is complete;
 //! * results beyond the final stop bound are discarded (speculative work),
@@ -23,10 +23,6 @@
 //! a contiguous prefix that callers can fold deterministically.
 
 use crate::{
-    backend::{
-        BackendKind,
-        ExecBackend, //
-    },
     enforce::{
         run_cached_shared,
         schedule_fingerprint,
@@ -44,6 +40,7 @@ use crate::{
     simtime::CostModel,
 };
 use ksim::{
+    Engine,
     Program,
     ThreadId, //
 };
@@ -490,8 +487,8 @@ pub struct ExecStats {
     /// accounts for slot idleness — a 3-job batch on an 8-wide pool pays
     /// one job's duration while 5 slots sit idle. Memo/journal hits cost
     /// nothing but their retries; fault placeholders cost their retry
-    /// backoff. Deterministic at any OS-thread count and claim mode (it is
-    /// computed from the canonical fold, not from which worker ran what).
+    /// backoff. Deterministic at any OS-thread count (it is computed from
+    /// the canonical fold, not from which worker ran what).
     pub sim_makespan_ns: u64,
     /// Engine steps executed across all workers (memo hits execute none).
     pub steps_executed: u64,
@@ -584,26 +581,6 @@ impl StatCells {
     }
 }
 
-/// How workers claim job indices inside a batch.
-///
-/// Either mode yields bit-identical batch results: jobs are pure functions
-/// of `(program, schedule, step budget)` and results are folded in
-/// submission order behind the canonical stop bound, so the claim order
-/// can only move wall-clock time around.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ClaimMode {
-    /// All workers pull from one monotone `fetch_add` counter — the
-    /// pre-refactor scheme, kept as the A/B throughput baseline. Every
-    /// claim is a contended RMW on one cache line.
-    Counter,
-    /// Work stealing: indices are strided across per-worker deques up
-    /// front; owners pop from the front, and a worker whose deque drains
-    /// steals from the back of a peer's. Claims are contention-free until
-    /// the tail of a batch.
-    #[default]
-    Steal,
-}
-
 /// Per-slot circuit-breaker state.
 #[derive(Debug, Default)]
 struct SlotHealth {
@@ -647,19 +624,6 @@ pub struct ExecutorConfig {
     /// Campaign deadline budget, checked at every job-claim boundary and
     /// charged by executed runs. `None` disables deadlines.
     pub deadline: Option<Arc<DeadlineBudget>>,
-    /// How workers claim batch indices (results are identical either way;
-    /// see [`ClaimMode`]).
-    pub claim: ClaimMode,
-    /// Force every worker engine into deep-clone snapshots (see
-    /// [`crate::backend::ExecBackend::set_deep_snapshots`]) — the
-    /// pre-refactor snapshot cost, kept as the A/B baseline for
-    /// `report bench-throughput`. Off, engines use structurally-shared
-    /// copy-on-write snapshots. Observable state is identical either way.
-    pub deep_snapshots: bool,
-    /// Which execution backend boots the worker VMs. Callers must validate
-    /// [`BackendKind::available`] up front: booting an unavailable backend
-    /// panics.
-    pub backend: BackendKind,
 }
 
 impl Default for ExecutorConfig {
@@ -673,9 +637,6 @@ impl Default for ExecutorConfig {
             substrate: Substrate::process_global(),
             journal: None,
             deadline: None,
-            claim: ClaimMode::default(),
-            deep_snapshots: false,
-            backend: BackendKind::default(),
         }
     }
 }
@@ -689,21 +650,14 @@ struct MemoEntry {
     program: Arc<Program>,
     schedule: Schedule,
     step_budget: usize,
-    /// The backend that produced the output. Part of the key: the table is
-    /// shared process-wide, and an executor on one backend must never serve
-    /// results recorded by another (identical by the conformance contract,
-    /// but only a matching key keeps a *broken* backend observable).
-    backend: BackendKind,
     output: ExecOutput,
 }
 
 impl MemoEntry {
-    /// Whether this entry's full key matches `job` run on `backend`
-    /// (fingerprint equality is only the bucket index; this is the
-    /// collision-proof comparison).
-    fn matches(&self, job: &ExecJob, backend: BackendKind) -> bool {
-        self.backend == backend
-            && Arc::ptr_eq(&self.program, &job.program)
+    /// Whether this entry's full key matches `job` (fingerprint equality
+    /// is only the bucket index; this is the collision-proof comparison).
+    fn matches(&self, job: &ExecJob) -> bool {
+        Arc::ptr_eq(&self.program, &job.program)
             && self.step_budget == job.enforce.step_budget
             && self.schedule == job.schedule
     }
@@ -812,7 +766,7 @@ impl MemoTable {
         &self.shards[(fp % MEMO_SHARDS as u64) as usize]
     }
 
-    fn get(&self, job: &ExecJob, fp: u64, backend: BackendKind) -> Option<ExecOutput> {
+    fn get(&self, job: &ExecJob, fp: u64) -> Option<ExecOutput> {
         // A 0-capacity table holds nothing (`put` refuses writes); skip the
         // shard lock and recency churn entirely to match.
         if self.shard_cap == 0 {
@@ -820,7 +774,7 @@ impl MemoTable {
         }
         let mut shard = self.shard(fp).lock().unwrap();
         let bucket = shard.entries.get(&fp)?;
-        let pos = bucket.iter().position(|(_, e)| e.matches(job, backend))?;
+        let pos = bucket.iter().position(|(_, e)| e.matches(job))?;
         let old_tick = bucket[pos].0;
         let tick = shard.touch(fp, old_tick);
         let bucket = shard.entries.get_mut(&fp).expect("bucket exists");
@@ -828,7 +782,7 @@ impl MemoTable {
         Some(bucket[pos].1.output.clone())
     }
 
-    fn put(&self, fp: u64, job: &ExecJob, output: &ExecOutput, backend: BackendKind) {
+    fn put(&self, fp: u64, job: &ExecJob, output: &ExecOutput) {
         if self.shard_cap == 0 {
             return;
         }
@@ -838,10 +792,9 @@ impl MemoTable {
             program: Arc::clone(&job.program),
             schedule: job.schedule.clone(),
             step_budget: job.enforce.step_budget,
-            backend,
             output: output.clone(),
         };
-        if let Some(pos) = bucket.iter().position(|(_, e)| e.matches(job, backend)) {
+        if let Some(pos) = bucket.iter().position(|(_, e)| e.matches(job)) {
             let old_tick = bucket[pos].0;
             bucket[pos].1 = entry;
             let tick = shard.touch(fp, old_tick);
@@ -949,14 +902,9 @@ impl Substrate {
 /// collisions and stale records alike: the memo lookup compares the full
 /// schedule, program identity, and step budget, so a mismatched preload
 /// degrades to a miss, never a wrong answer.
-pub(crate) fn memo_preload(
-    substrate: &Substrate,
-    job: &ExecJob,
-    output: &ExecOutput,
-    backend: BackendKind,
-) {
+pub(crate) fn memo_preload(substrate: &Substrate, job: &ExecJob, output: &ExecOutput) {
     let fp = schedule_fingerprint(&job.schedule, &job.enforce);
-    substrate.memo.put(fp, job, output, backend);
+    substrate.memo.put(fp, job, output);
 }
 
 /// A worker's persistent state: the engine it keeps booted and the
@@ -964,7 +912,7 @@ pub(crate) fn memo_preload(
 /// discarded when a batch hands the worker a different program.
 struct WorkerVm {
     prog: usize,
-    engine: Box<dyn ExecBackend>,
+    engine: Engine,
     cache: SnapshotCache,
 }
 
@@ -1135,7 +1083,7 @@ impl Executor {
             return out;
         }
 
-        let queue = ClaimQueue::new(self.config.claim, n, workers);
+        let queue = ClaimQueue::new(n, workers);
         let stop_at = AtomicUsize::new(usize::MAX);
         let results: Vec<Mutex<Option<ExecOutput>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
@@ -1152,7 +1100,7 @@ impl Executor {
                         // make us execute speculatively, never skip an index
                         // at or below the final bound.
                         let bound = stop_at.load(Ordering::SeqCst);
-                        let Some(i) = queue.claim(w, n, bound) else {
+                        let Some(i) = queue.claim(w, bound) else {
                             return;
                         };
                         let res = self.run_job_ft(si, &mut slot, &jobs[i]);
@@ -1186,7 +1134,7 @@ impl Executor {
     /// index), and the batch contributes the maximum slot load. Computed
     /// from the canonical fold only — speculative executions beyond a stop
     /// bound are never charged — so the value is identical at any OS-thread
-    /// count and claim mode for a given pool width.
+    /// count for a given pool width.
     fn charge_batch_makespan(&self, out: &[Option<ExecOutput>]) {
         let model = CostModel::default();
         let mut loads = vec![0f64; self.slots.len()];
@@ -1242,7 +1190,7 @@ impl Executor {
                     .then(|| self.config.substrate.memo.as_ref());
                 let fp = schedule_fingerprint(&job.schedule, &job.enforce);
                 if let Some(memo) = memo {
-                    if let Some(mut out) = memo.get(job, fp, self.config.backend) {
+                    if let Some(mut out) = memo.get(job, fp) {
                         self.stats.memo_hits.fetch_add(1, Ordering::SeqCst);
                         out.retries = retries;
                         out.memo_hit = true;
@@ -1262,16 +1210,7 @@ impl Executor {
                     .config
                     .memo
                     .then(|| self.config.substrate.forest.as_ref());
-                let out = run_job(
-                    slot,
-                    job,
-                    cache_cap,
-                    forest,
-                    &self.stats,
-                    retries,
-                    self.config.deep_snapshots,
-                    self.config.backend,
-                );
+                let out = run_job(slot, job, cache_cap, forest, &self.stats, retries);
                 if let Some(deadline) = &self.config.deadline {
                     deadline.charge_run(out.run.steps, out.run.failure.is_some());
                 }
@@ -1279,7 +1218,7 @@ impl Executor {
                     if out.outcome.is_inconclusive() {
                         self.stats.memo_excluded.fetch_add(1, Ordering::SeqCst);
                     } else {
-                        memo.put(fp, job, &out, self.config.backend);
+                        memo.put(fp, job, &out);
                     }
                 }
                 // Conclusive outputs are made durable; inconclusive ones are
@@ -1465,59 +1404,43 @@ impl Executor {
     }
 }
 
-/// A batch's index source, per [`ClaimMode`].
+/// A batch's index source: work stealing over one deque per worker,
+/// pre-filled with strided indices — worker `w` of `k` owns `w, w+k,
+/// w+2k, …` in ascending order. Owners pop from the front; thieves pop
+/// from the back (the indices least likely to matter under an early stop).
 ///
-/// Both variants uphold the canonical-prefix invariant the fold relies on:
-/// every index at or below the final stop bound is claimed and executed by
-/// some worker before any worker sees "drained" (absent cancellation).
-enum ClaimQueue {
-    /// One shared monotone counter.
-    Counter(AtomicUsize),
-    /// One deque per worker, pre-filled with strided indices: worker `w`
-    /// of `k` owns `w, w+k, w+2k, …` in ascending order. Owners pop from
-    /// the front; thieves pop from the back (the indices least likely to
-    /// matter under an early stop).
-    Steal(Vec<Mutex<VecDeque<usize>>>),
-}
+/// Upholds the canonical-prefix invariant the fold relies on: every index
+/// at or below the final stop bound is claimed and executed by some worker
+/// before any worker sees "drained" (absent cancellation).
+struct ClaimQueue(Vec<Mutex<VecDeque<usize>>>);
 
 impl ClaimQueue {
-    fn new(mode: ClaimMode, n: usize, workers: usize) -> ClaimQueue {
-        match mode {
-            ClaimMode::Counter => ClaimQueue::Counter(AtomicUsize::new(0)),
-            ClaimMode::Steal => ClaimQueue::Steal(
-                (0..workers)
-                    .map(|w| Mutex::new((w..n).step_by(workers.max(1)).collect()))
-                    .collect(),
-            ),
-        }
+    fn new(n: usize, workers: usize) -> ClaimQueue {
+        ClaimQueue(
+            (0..workers)
+                .map(|w| Mutex::new((w..n).step_by(workers.max(1)).collect()))
+                .collect(),
+        )
     }
 
     /// Claims the next index for worker `w`, never returning one above
-    /// `bound`. `None` means this worker is done: past the end/bound for
-    /// the counter, all deques drained for stealing (emptiness is monotone
-    /// — nothing is ever pushed back — so an all-empty scan is final).
-    fn claim(&self, w: usize, n: usize, bound: usize) -> Option<usize> {
-        match self {
-            ClaimQueue::Counter(next) => {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                (i < n && i <= bound).then_some(i)
-            }
-            ClaimQueue::Steal(deques) => {
-                let k = deques.len();
-                loop {
-                    let own = deques[w].lock().unwrap().pop_front();
-                    let claimed = own.or_else(|| {
-                        (1..k).find_map(|d| deques[(w + d) % k].lock().unwrap().pop_back())
-                    });
-                    match claimed {
-                        // Indices above the bound are dead speculation:
-                        // discard and keep draining. The bound only ever
-                        // decreases, so a discard is never premature.
-                        Some(i) if i > bound => continue,
-                        Some(i) => return Some(i),
-                        None => return None,
-                    }
-                }
+    /// `bound`. `None` means this worker is done: all deques drained
+    /// (emptiness is monotone — nothing is ever pushed back — so an
+    /// all-empty scan is final).
+    fn claim(&self, w: usize, bound: usize) -> Option<usize> {
+        let deques = &self.0;
+        let k = deques.len();
+        loop {
+            let own = deques[w].lock().unwrap().pop_front();
+            let claimed =
+                own.or_else(|| (1..k).find_map(|d| deques[(w + d) % k].lock().unwrap().pop_back()));
+            match claimed {
+                // Indices above the bound are dead speculation: discard
+                // and keep draining. The bound only ever decreases, so a
+                // discard is never premature.
+                Some(i) if i > bound => continue,
+                Some(i) => return Some(i),
+                None => return None,
             }
         }
     }
@@ -1535,7 +1458,6 @@ fn hardware_threads() -> usize {
 
 /// Executes one job on a worker's persistent VM, rebooting (and dropping
 /// the snapshot cache) when the job's program differs from the VM's.
-#[allow(clippy::too_many_arguments)]
 fn run_job(
     slot: &mut Option<WorkerVm>,
     job: &ExecJob,
@@ -1543,26 +1465,20 @@ fn run_job(
     forest: Option<&SnapshotForest>,
     stats: &StatCells,
     retries: u32,
-    deep_snapshots: bool,
-    backend: BackendKind,
 ) -> ExecOutput {
     let key = Arc::as_ptr(&job.program) as usize;
     let vm = match slot {
-        Some(vm) if vm.prog == key && vm.engine.kind() == backend => vm,
-        _ => {
-            let mut engine = backend.boot(Arc::clone(&job.program));
-            engine.set_deep_snapshots(deep_snapshots);
-            slot.insert(WorkerVm {
-                prog: key,
-                engine,
-                cache: SnapshotCache::new(cache_cap),
-            })
-        }
+        Some(vm) if vm.prog == key => vm,
+        _ => slot.insert(WorkerVm {
+            prog: key,
+            engine: Engine::new(Arc::clone(&job.program)),
+            cache: SnapshotCache::new(cache_cap),
+        }),
     };
     let (hits0, misses0, forest0) = (vm.cache.hits(), vm.cache.misses(), vm.cache.forest_hits());
     let started = Instant::now();
     let run = run_cached_shared(
-        vm.engine.as_mut(),
+        &mut vm.engine,
         &job.schedule,
         &job.enforce,
         &mut vm.cache,
@@ -1761,93 +1677,73 @@ mod tests {
     }
 
     #[test]
-    fn claim_and_snapshot_modes_are_bit_identical() {
-        // The differential pin for the throughput refactor: the seed
-        // semantics (deep-clone snapshots, shared-counter claiming, one
-        // worker) must match every combination of COW snapshots,
-        // work-stealing deques, and worker count, trace for trace.
+    fn worker_counts_are_bit_identical() {
+        // The serial path (one worker, memo off) must match every worker
+        // count's work-stealing batch, trace for trace.
         let program = fig1_program();
         let jobs = fig1_jobs(&program);
         let reference = Executor::with_config(ExecutorConfig {
             vms: 1,
             memo: false,
-            claim: ClaimMode::Counter,
-            deep_snapshots: true,
             ..ExecutorConfig::default()
         })
         .run_batch(&jobs, &CancelToken::new());
         assert!(reference.iter().all(Option::is_some));
         for vms in [1, 2, 8] {
-            for claim in [ClaimMode::Counter, ClaimMode::Steal] {
-                for deep in [false, true] {
-                    let got = Executor::with_config(ExecutorConfig {
-                        vms,
-                        os_threads: Some(vms),
-                        memo: false,
-                        claim,
-                        deep_snapshots: deep,
-                        ..ExecutorConfig::default()
-                    })
-                    .run_batch(&jobs, &CancelToken::new());
-                    assert_eq!(
-                        full_digest(&reference),
-                        full_digest(&got),
-                        "vms={vms} claim={claim:?} deep={deep}"
-                    );
-                }
-            }
+            let got = Executor::with_config(ExecutorConfig {
+                vms,
+                os_threads: Some(vms),
+                memo: false,
+                ..ExecutorConfig::default()
+            })
+            .run_batch(&jobs, &CancelToken::new());
+            assert_eq!(full_digest(&reference), full_digest(&got), "vms={vms}");
         }
     }
 
     #[test]
-    fn claim_modes_agree_under_fault_injection_and_memo() {
+    fn worker_counts_agree_under_fault_injection_and_memo() {
         // Fault decisions are content-keyed and the memo serves full
-        // records, so neither may perturb the counter-vs-steal identity.
+        // records, so neither may perturb the worker-count identity.
         let program = fig1_program();
         let jobs = fig1_jobs(&program);
         let fault = Some(recovering_fault(&jobs));
         for memo in [false, true] {
             let mut digests = Vec::new();
-            for claim in [ClaimMode::Counter, ClaimMode::Steal] {
-                for vms in [1, 2, 8] {
-                    let out = Executor::with_config(ExecutorConfig {
-                        vms,
-                        os_threads: Some(vms),
-                        memo,
-                        fault,
-                        claim,
-                        ..ExecutorConfig::default()
-                    })
-                    .run_batch(&jobs, &CancelToken::new());
-                    digests.push((claim, vms, full_digest(&out)));
-                }
+            for vms in [1, 2, 8] {
+                let out = Executor::with_config(ExecutorConfig {
+                    vms,
+                    os_threads: Some(vms),
+                    memo,
+                    fault,
+                    ..ExecutorConfig::default()
+                })
+                .run_batch(&jobs, &CancelToken::new());
+                digests.push((vms, full_digest(&out)));
             }
-            for (claim, vms, d) in &digests[1..] {
-                assert_eq!(&digests[0].2, d, "memo={memo} claim={claim:?} vms={vms}");
+            for (vms, d) in &digests[1..] {
+                assert_eq!(&digests[0].1, d, "memo={memo} vms={vms}");
             }
         }
     }
 
     #[test]
-    fn run_until_early_stop_is_claim_mode_invariant() {
+    fn run_until_early_stop_is_worker_count_invariant() {
         // The canonical stop bound must cut the same prefix whether the
-        // accepted index was claimed from the counter or stolen.
+        // accepted index was popped by its owner or stolen.
         let program = fig1_program();
         let jobs = fig1_jobs(&program);
         let stop = |o: &ExecOutput| o.run.failure.is_some();
-        for claim in [ClaimMode::Counter, ClaimMode::Steal] {
-            for vms in [1, 2, 8] {
-                let out = Executor::with_config(ExecutorConfig {
-                    vms,
-                    os_threads: Some(vms),
-                    memo: false,
-                    claim,
-                    ..ExecutorConfig::default()
-                })
-                .run_until(&jobs, &CancelToken::new(), stop);
-                assert!(out[2].as_ref().is_some_and(|o| o.run.failure.is_some()));
-                assert!(out[3].is_none(), "claim={claim:?} vms={vms}");
-            }
+        for vms in [1, 2, 8] {
+            let out = Executor::with_config(ExecutorConfig {
+                vms,
+                os_threads: Some(vms),
+                memo: false,
+                ..ExecutorConfig::default()
+            })
+            .run_until(&jobs, &CancelToken::new(), stop);
+            assert!(out[2].as_ref().is_some_and(|o| o.run.failure.is_some()));
+            assert!(out[3].is_none(), "vms={vms}");
         }
     }
 
@@ -2325,7 +2221,7 @@ mod tests {
                 },
             };
             let fp = schedule_fingerprint(&job.schedule, &job.enforce);
-            table.put(fp, &job, &sample, BackendKind::Ksim);
+            table.put(fp, &job, &sample);
         }
         for shard in &table.shards {
             let (buckets, entries, recency) = shard.lock().unwrap().diag();
@@ -2353,8 +2249,8 @@ mod tests {
 
         let table = MemoTable::new(0);
         let fp = schedule_fingerprint(&jobs[0].schedule, &jobs[0].enforce);
-        table.put(fp, &jobs[0], &sample, BackendKind::Ksim);
-        assert!(table.get(&jobs[0], fp, BackendKind::Ksim).is_none());
+        table.put(fp, &jobs[0], &sample);
+        assert!(table.get(&jobs[0], fp).is_none());
         for shard in &table.shards {
             assert_eq!(shard.lock().unwrap().diag(), (0, 0, 0));
         }

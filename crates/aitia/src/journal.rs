@@ -46,7 +46,6 @@
 //! conclusive execution across process lifetimes.
 
 use crate::{
-    backend::BackendKind,
     enforce::{
         schedule_fingerprint,
         EnforceConfig,
@@ -413,24 +412,13 @@ impl Journal {
     /// resumed campaign's lookups (which compare `Arc` identity) hit.
     /// Returns how many records were seeded.
     pub fn replay_into_memo(&self, program: &Arc<Program>) -> u64 {
-        self.replay_into_substrate(
-            program,
-            &Substrate::process_global(),
-            BackendKind::default(),
-        )
+        self.replay_into_substrate(program, &Substrate::process_global())
     }
 
     /// [`Journal::replay_into_memo`], but seeding an explicit [`Substrate`]
     /// — a campaign running on a private (or server-shared) substrate must
-    /// replay into the table its executors will actually consult — under an
-    /// explicit backend key: memo entries are backend-keyed, so a resumed
-    /// campaign only hits records seeded for the backend it actually runs.
-    pub fn replay_into_substrate(
-        &self,
-        program: &Arc<Program>,
-        substrate: &Substrate,
-        backend: BackendKind,
-    ) -> u64 {
+    /// replay into the table its executors will actually consult.
+    pub fn replay_into_substrate(&self, program: &Arc<Program>, substrate: &Substrate) -> u64 {
         let digest = program_digest(program);
         let inner = self.inner.lock().unwrap();
         let mut seeded = 0u64;
@@ -451,7 +439,7 @@ impl Journal {
                 memo_hit: false,
                 forest_hits: 0,
             };
-            memo_preload(substrate, &job, &out, backend);
+            memo_preload(substrate, &job, &out);
             seeded += 1;
         }
         self.replayed.fetch_add(seeded, Ordering::SeqCst);

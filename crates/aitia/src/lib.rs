@@ -9,9 +9,6 @@
 //!
 //! Module map (paper section in parentheses):
 //!
-//! * [`backend`] — the pluggable execution-substrate contract
-//!   ([`backend::ExecBackend`]) with the default `ksim` implementation and
-//!   the feature-gated KVM microVM;
 //! * [`race`] — data races, happens-before, critical sections (§2);
 //! * [`schedule`] — scheduling points and schedules (§4.3);
 //! * [`enforce`] — schedule enforcement, the hypervisor equivalent (§4.4);
@@ -76,7 +73,6 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod campaign;
 pub mod causality;
 pub mod enforce;
@@ -91,12 +87,6 @@ pub mod schedule;
 pub mod server;
 pub mod simtime;
 
-pub use backend::{
-    BackendKind,
-    BackendSnapshot,
-    ExecBackend,
-    KsimBackend, //
-};
 pub use campaign::{
     Campaign,
     CampaignOutcome,
@@ -123,7 +113,6 @@ pub use enforce::{
 };
 pub use exec::{
     CancelToken,
-    ClaimMode,
     DeadlineBudget,
     ExecJob,
     ExecOutput,

@@ -19,7 +19,6 @@
 //!   cancelled through child tokens once an earlier one reproduces.
 
 use crate::{
-    backend::BackendKind,
     causality::{
         CausalityAnalysis,
         CausalityConfig,
@@ -84,11 +83,6 @@ pub struct ManagerConfig {
     /// resumed campaign replays it into the memo table. `None` disables
     /// durability.
     pub journal: Option<Arc<Journal>>,
-    /// Which execution backend boots the campaign's worker VMs
-    /// ([`crate::exec::ExecutorConfig::backend`]), threaded into the pool
-    /// *and* the per-slice single-worker executors. Callers must validate
-    /// [`BackendKind::available`] before constructing the manager.
-    pub backend: BackendKind,
 }
 
 impl Default for ManagerConfig {
@@ -103,7 +97,6 @@ impl Default for ManagerConfig {
             wall_deadline_s: None,
             sim_deadline_s: None,
             journal: None,
-            backend: BackendKind::default(),
         }
     }
 }
@@ -167,7 +160,6 @@ impl Manager {
             substrate: config.substrate.clone(),
             journal: config.journal.clone(),
             deadline: deadline.clone(),
-            backend: config.backend,
             ..ExecutorConfig::default()
         }));
         Manager {
@@ -193,12 +185,6 @@ impl Manager {
     #[must_use]
     pub fn substrate(&self) -> &Substrate {
         &self.config.substrate
-    }
-
-    /// The execution backend this manager's executors boot.
-    #[must_use]
-    pub fn backend(&self) -> BackendKind {
-        self.config.backend
     }
 
     /// Robustness counters of the manager's shared pool. Multi-slice
@@ -274,7 +260,6 @@ impl Manager {
                     substrate: self.config.substrate.clone(),
                     journal: self.config.journal.clone(),
                     deadline: self.deadline.clone(),
-                    backend: self.config.backend,
                     ..ExecutorConfig::default()
                 }));
                 Lifs::with_executor(Arc::clone(&slices[i]), cfg, slice_exec).search()

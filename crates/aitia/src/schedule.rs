@@ -12,8 +12,8 @@
 //! ordinal — rather than runtime ids, because runtime ids depend on spawn
 //! order, which the schedule itself influences.
 
-use crate::backend::ExecBackend;
 use ksim::{
+    Engine,
     InstrAddr,
     ThreadId,
     ThreadProgId, //
@@ -47,13 +47,13 @@ impl ThreadSel {
     /// Resolves this selector to a runtime thread in `engine`, if it has
     /// been instantiated.
     #[must_use]
-    pub fn resolve(&self, engine: &dyn ExecBackend) -> Option<ThreadId> {
+    pub fn resolve(&self, engine: &Engine) -> Option<ThreadId> {
         engine.thread_by_prog(self.prog, self.occurrence)
     }
 
     /// The selector naming a runtime thread of `engine`.
     #[must_use]
-    pub fn of(engine: &dyn ExecBackend, tid: ThreadId) -> ThreadSel {
+    pub fn of(engine: &Engine, tid: ThreadId) -> ThreadSel {
         let t = engine.thread(tid).expect("thread exists");
         ThreadSel {
             prog: t.prog,

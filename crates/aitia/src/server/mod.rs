@@ -51,7 +51,6 @@ pub use supervisor::{
     RetryBackoff, //
 };
 
-use crate::backend::BackendKind;
 use crate::campaign::{
     Campaign,
     CampaignOutcome, //
@@ -159,11 +158,6 @@ pub struct ServerConfig {
     /// The cross-campaign execution substrate (memo table + snapshot
     /// forest) every campaign shares.
     pub substrate: Substrate,
-    /// Which execution backend every campaign's worker VMs boot
-    /// ([`crate::exec::ExecutorConfig::backend`]). Checked by
-    /// [`ServerConfig::validate`], so an unavailable backend is a startup
-    /// usage error, never a mid-campaign panic.
-    pub backend: BackendKind,
 }
 
 impl Default for ServerConfig {
@@ -180,7 +174,6 @@ impl Default for ServerConfig {
             drain: false,
             poll_ms: 50,
             substrate: Substrate::process_global(),
-            backend: BackendKind::default(),
         }
     }
 }
@@ -225,7 +218,6 @@ impl ServerConfig {
         if self.backoff.max_ms < self.backoff.base_ms {
             return Err("--backoff-max-ms must be at least --backoff-base-ms".into());
         }
-        self.backend.available()?;
         for (name, v) in [
             ("--wall-deadline-s", self.wall_deadline_s),
             ("--sim-deadline-s", self.sim_deadline_s),
@@ -647,7 +639,6 @@ impl CampaignServer {
                 wall_deadline_s: self.config.wall_deadline_s,
                 sim_deadline_s: self.config.sim_deadline_s,
                 journal: None,
-                backend: self.config.backend,
             };
             let campaign = Campaign::with_journal_path(config, &journal_path);
             let out = campaign.diagnose_program(Arc::clone(&resolved.program));

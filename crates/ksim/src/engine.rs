@@ -84,31 +84,15 @@ impl core::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// How [`Engine::snapshot`] and [`Engine::restore`] represent captured
-/// state.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SnapshotMode {
-    /// Copy-on-write (the default): snapshots share immutable pages, trace
-    /// chunks, and side tables with the live engine, so capture and restore
-    /// cost O(dirty state), not O(total state).
-    #[default]
-    Cow,
-    /// Deep-clone: every snapshot and restore materializes fully-unshared
-    /// copies of memory pages, the trace, and the list table — the
-    /// pre-refactor representation's cost, kept as the honest "before"
-    /// side of throughput A/B measurements (`report bench-throughput`).
-    Deep,
-}
-
 /// A restorable engine checkpoint — the simulator's equivalent of reverting
 /// a virtual machine's memory contents after a run of LIFS (§4.3).
 ///
 /// The captured state lives behind an [`Arc`], so cloning a snapshot is a
 /// reference-count bump. Schedule-prefix caches (the executor layer) hold
 /// many snapshots and shuffle them through LRU order; cheap clones keep
-/// that bookkeeping free of deep memory copies. Under
-/// [`SnapshotMode::Cow`] the captured fields themselves structurally share
-/// pages/chunks with the engine that took the snapshot.
+/// that bookkeeping free of deep memory copies. The captured fields
+/// themselves structurally share pages/chunks with the engine that took
+/// the snapshot.
 #[derive(Clone, Debug)]
 pub struct Snapshot(Arc<SnapshotData>);
 
@@ -157,9 +141,6 @@ pub struct Engine {
     /// survives reboot and is not part of snapshots (service history, not
     /// state).
     deep_restores: u64,
-    /// Snapshot representation; survives [`Engine::reboot`] like the other
-    /// machine-level (non-state) configuration.
-    snapshot_mode: SnapshotMode,
 }
 
 impl Engine {
@@ -208,7 +189,6 @@ impl Engine {
             reboots: 0,
             last_restored: None,
             deep_restores: 0,
-            snapshot_mode: SnapshotMode::default(),
         }
     }
 
@@ -217,23 +197,9 @@ impl Engine {
     pub fn reboot(&mut self) {
         let reboots = self.reboots + 1;
         let deep_restores = self.deep_restores;
-        let snapshot_mode = self.snapshot_mode;
         *self = Engine::new(Arc::clone(&self.program));
         self.reboots = reboots;
         self.deep_restores = deep_restores;
-        self.snapshot_mode = snapshot_mode;
-    }
-
-    /// Selects the snapshot representation (see [`SnapshotMode`]). Machine
-    /// configuration, not execution state: it survives [`Engine::reboot`].
-    pub fn set_snapshot_mode(&mut self, mode: SnapshotMode) {
-        self.snapshot_mode = mode;
-    }
-
-    /// The current snapshot representation.
-    #[must_use]
-    pub fn snapshot_mode(&self) -> SnapshotMode {
-        self.snapshot_mode
     }
 
     /// How many times this engine has been rebooted since boot.
@@ -394,28 +360,18 @@ impl Engine {
 
     /// Captures a restorable checkpoint.
     ///
-    /// Under [`SnapshotMode::Cow`] (the default) every large field is
-    /// structurally shared with the live engine — a reference-count bump
-    /// per memory page and trace chunk — so capture is O(dirty state).
-    /// [`SnapshotMode::Deep`] materializes fully-unshared copies, the
-    /// pre-refactor cost model.
+    /// Every large field is structurally shared with the live engine — a
+    /// reference-count bump per memory page and trace chunk — so capture
+    /// is O(dirty state).
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        let (mem, lists, trace) = match self.snapshot_mode {
-            SnapshotMode::Cow => (self.mem.clone(), self.lists.clone(), self.trace.clone()),
-            SnapshotMode::Deep => (
-                self.mem.deep_unshared(),
-                self.lists.deep_unshared(),
-                self.trace.deep_unshared(),
-            ),
-        };
         Snapshot(Arc::new(SnapshotData {
-            mem,
-            lists,
+            mem: self.mem.clone(),
+            lists: self.lists.clone(),
             threads: self.threads.clone(),
             lock_owner: self.lock_owner.clone(),
             failure: self.failure.clone(),
-            trace,
+            trace: self.trace.clone(),
             spawn_counts: self.spawn_counts.clone(),
             grace_waiters: self.grace_waiters.clone(),
             halted: self.halted,
@@ -435,18 +391,9 @@ impl Engine {
             }
         }
         let d = &*s.0;
-        match self.snapshot_mode {
-            SnapshotMode::Cow => {
-                self.mem = d.mem.clone();
-                self.lists = d.lists.clone();
-                self.trace = d.trace.clone();
-            }
-            SnapshotMode::Deep => {
-                self.mem = d.mem.deep_unshared();
-                self.lists = d.lists.deep_unshared();
-                self.trace = d.trace.deep_unshared();
-            }
-        }
+        self.mem = d.mem.clone();
+        self.lists = d.lists.clone();
+        self.trace = d.trace.clone();
         self.threads = d.threads.clone();
         self.lock_owner = d.lock_owner.clone();
         self.failure = d.failure.clone();
@@ -505,21 +452,6 @@ impl Engine {
 
     fn raise(&mut self, tid: ThreadId, at: InstrAddr, fault: MemFault) {
         self.fail(tid, at, fault.kind, Some(fault.addr), String::new());
-    }
-
-    /// Re-enacts the pre-refactor per-step allocation cost when the engine
-    /// runs in [`SnapshotMode::Deep`]: the seed engine cloned the fetched
-    /// instruction on every step and deep-cloned every record into the
-    /// trace. Deep mode pays the same allocations (`black_box` keeps them
-    /// from being optimized away), so the `bench-throughput` "before" side
-    /// measures the whole substrate delta — stepping *and* snapshotting —
-    /// not just the snapshot representation.
-    #[inline]
-    fn reenact_deep_step_cost(&self, instr: &Instr, record: &StepRecord) {
-        if self.snapshot_mode == SnapshotMode::Deep {
-            std::hint::black_box(instr.clone());
-            std::hint::black_box(record.clone());
-        }
     }
 
     fn fail(
@@ -628,7 +560,6 @@ impl Engine {
         // shared with the returned outcome — never deep-cloned.
         macro_rules! fail_step {
             () => {{
-                self.reenact_deep_step_cost(instr, &record);
                 let rec = Arc::new(record);
                 self.trace.push(Arc::clone(&rec));
                 return Ok(StepOutcome::Failed(rec));
@@ -939,7 +870,6 @@ impl Engine {
             th.pc = next_pc;
             record.next_pc = Some(next_pc);
         }
-        self.reenact_deep_step_cost(instr, &record);
         let rec = Arc::new(record);
         self.trace.push(Arc::clone(&rec));
 
@@ -1144,29 +1074,6 @@ mod tests {
         // Replays identically from the checkpoint.
         assert!(e.run_all_serial().is_none());
         assert_eq!(e.threads()[1].regs[0], 1);
-    }
-
-    #[test]
-    fn deep_snapshot_mode_is_observationally_identical() {
-        let prog = two_thread_program();
-        let mut cow = Engine::new(Arc::clone(&prog));
-        let mut deep = Engine::new(prog);
-        deep.set_snapshot_mode(SnapshotMode::Deep);
-        assert_eq!(deep.snapshot_mode(), SnapshotMode::Deep);
-        let (sc, sd) = (cow.snapshot(), deep.snapshot());
-        cow.run_all_serial();
-        deep.run_all_serial();
-        assert_eq!(cow.trace().to_vec(), deep.trace().to_vec());
-        cow.restore(&sc);
-        deep.restore(&sd);
-        assert_eq!(cow.trace().len(), 0);
-        assert_eq!(deep.trace().len(), 0);
-        cow.run_all_serial();
-        deep.run_all_serial();
-        assert_eq!(cow.trace().to_vec(), deep.trace().to_vec());
-        // Mode survives reboot, like the other machine configuration.
-        deep.reboot();
-        assert_eq!(deep.snapshot_mode(), SnapshotMode::Deep);
     }
 
     #[test]

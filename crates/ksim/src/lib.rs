@@ -50,7 +50,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod addr;
 pub mod builder;
@@ -74,8 +73,7 @@ pub use builder::ProgramBuilder;
 pub use engine::{
     Engine,
     EngineError,
-    Snapshot,
-    SnapshotMode, //
+    Snapshot, //
 };
 pub use events::{
     AccessKind,

@@ -38,15 +38,6 @@ impl Lists {
         Lists::default()
     }
 
-    /// A deep, fully-unshared copy (the pre-refactor snapshot cost, kept
-    /// for the [`crate::SnapshotMode::Deep`] A/B baseline).
-    #[must_use]
-    pub fn deep_unshared(&self) -> Self {
-        Lists {
-            lists: Arc::new((*self.lists).clone()),
-        }
-    }
-
     /// `list_add(item, head)`.
     ///
     /// # Errors

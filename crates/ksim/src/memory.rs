@@ -153,23 +153,6 @@ impl Memory {
         Arc::make_mut(page).set(addr, val);
     }
 
-    /// A deep, fully-unshared copy: fresh pages and a fresh allocator map.
-    /// This is the pre-refactor snapshot cost, kept for the
-    /// [`crate::SnapshotMode::Deep`] A/B baseline.
-    #[must_use]
-    pub fn deep_unshared(&self) -> Self {
-        Memory {
-            pages: self
-                .pages
-                .iter()
-                .map(|(k, p)| (*k, Arc::new((**p).clone())))
-                .collect(),
-            allocs: Arc::new((*self.allocs).clone()),
-            next_heap: self.next_heap,
-            n_globals: self.n_globals,
-        }
-    }
-
     /// Allocates `size` bytes (rounded up to 8) of zeroed heap memory,
     /// separated from neighbours by redzones.
     pub fn alloc(&mut self, size: u64, must_free: bool, tag: &str) -> Addr {
@@ -484,20 +467,6 @@ mod tests {
         assert_eq!(m.read(p).unwrap(), 1);
         assert_eq!(m.read(p.offset(1)).unwrap(), 2);
         assert_eq!(m.read(p.offset(8)).unwrap(), 3);
-    }
-
-    #[test]
-    fn deep_unshared_matches_but_shares_nothing() {
-        let mut m = Memory::new(0);
-        let p = m.alloc(8, false, "x");
-        m.write(p, 9).unwrap();
-        let d = m.deep_unshared();
-        assert_eq!(d.read(p).unwrap(), 9);
-        assert!(!Arc::ptr_eq(
-            &m.pages[&(p.0 >> PAGE_SHIFT)],
-            &d.pages[&(p.0 >> PAGE_SHIFT)]
-        ));
-        assert!(!Arc::ptr_eq(&m.allocs, &d.allocs));
     }
 
     #[test]

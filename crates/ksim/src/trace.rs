@@ -107,26 +107,6 @@ impl Trace {
     pub fn to_vec(&self) -> Vec<StepRecord> {
         self.iter().cloned().collect()
     }
-
-    /// A deep, fully-unshared copy: every chunk and record gets a fresh
-    /// allocation. This is the pre-refactor snapshot cost, kept for the
-    /// [`crate::SnapshotMode::Deep`] A/B baseline.
-    #[must_use]
-    pub fn deep_unshared(&self) -> Self {
-        Trace {
-            sealed: self
-                .sealed
-                .iter()
-                .map(|c| {
-                    c.iter()
-                        .map(|r| Arc::new((**r).clone()))
-                        .collect::<Vec<_>>()
-                        .into()
-                })
-                .collect(),
-            tail: self.tail.iter().map(|r| Arc::new((**r).clone())).collect(),
-        }
-    }
 }
 
 impl<'a> IntoIterator for &'a Trace {
@@ -272,17 +252,5 @@ mod tests {
         assert_eq!(t[2].seq, 2);
         let v = t.to_vec();
         assert_eq!(Trace::from(v), t);
-    }
-
-    #[test]
-    fn deep_unshared_is_equal_but_disjoint() {
-        let mut t = Trace::new();
-        for i in 0..CHUNK + 1 {
-            t.push(rec(i));
-        }
-        let d = t.deep_unshared();
-        assert_eq!(d.to_vec(), t.to_vec());
-        assert!(!Arc::ptr_eq(&d.sealed[0], &t.sealed[0]));
-        assert!(!Arc::ptr_eq(&d.tail[0], &t.tail[0]));
     }
 }

@@ -34,24 +34,11 @@
 # 1.0), and BENCH_CAUSALITY_OUT the output path (default
 # BENCH_causality.json).
 #
-# Also regenerates BENCH_throughput.json, the substrate-throughput
-# artifact: `report bench-throughput` diagnoses the Table 2 corpus on both
-# substrate configurations (pre-refactor deep-clone snapshots + counter
-# claiming vs copy-on-write snapshots + work stealing) at 1/2/8 workers —
-# gated on bit-identical diagnoses across all cells and >= 2x schedules
-# per busy second at 8 workers. BENCH_THROUGHPUT_SCALE overrides its noise
-# scale (default 1.0; the structural-sharing win grows with trace length,
-# so small smoke scales will not clear the 2x gate),
-# BENCH_THROUGHPUT_REPEATS the passes per cell (default 2, least-busy pass
-# reported), BENCH_THROUGHPUT_OUT the output path (default
-# BENCH_throughput.json), and BENCH_THROUGHPUT_GATE=identity relaxes the
-# gate to the bit-identity check alone (CI's smoke mode).
-#
 # Also regenerates BENCH_corpus.json, the generative-corpus artifact:
 # `report fuzz` synthesizes BENCH_CORPUS_SEEDS programs with planted
-# races (default 200) and runs every one through the full 78-cell
-# executor configuration matrix (prune x memo x claim x snapshots x
-# workers, plus adaptive-causality cells) — gated on bit-identical
+# races (default 200) and runs every one through the full 24-cell
+# executor configuration matrix (prune x memo x workers, plus
+# adaptive-causality cells) — gated on bit-identical
 # diagnosis digests across every cell and >= 95% planted-race recall at
 # both causality levels.
 # BENCH_CORPUS_SEEDS overrides the seed count, BENCH_CORPUS_SEED_START
@@ -80,10 +67,6 @@ PRUNE_SCALE="${BENCH_PRUNE_SCALE:-0.02}"
 PRUNE_OUT="${BENCH_PRUNE_OUT:-BENCH_prune.json}"
 CAUSALITY_SCALE="${BENCH_CAUSALITY_SCALE:-1.0}"
 CAUSALITY_OUT="${BENCH_CAUSALITY_OUT:-BENCH_causality.json}"
-THROUGHPUT_SCALE="${BENCH_THROUGHPUT_SCALE:-1.0}"
-THROUGHPUT_REPEATS="${BENCH_THROUGHPUT_REPEATS:-2}"
-THROUGHPUT_OUT="${BENCH_THROUGHPUT_OUT:-BENCH_throughput.json}"
-THROUGHPUT_GATE="${BENCH_THROUGHPUT_GATE:-full}"
 CORPUS_SEEDS="${BENCH_CORPUS_SEEDS:-200}"
 CORPUS_SEED_START="${BENCH_CORPUS_SEED_START:-0}"
 CORPUS_OUT="${BENCH_CORPUS_OUT:-BENCH_corpus.json}"
@@ -114,18 +97,6 @@ echo "wrote $CAUSALITY_OUT (scale $CAUSALITY_SCALE)"
 
 grep -q '"meets_causality_gate": true' "$CAUSALITY_OUT" \
     || { echo "FAIL: causality bench missed the gate (divergent diagnosis across causality levels, a static-proof disagreement, or < 30% flip-execution reduction)" >&2; exit 1; }
-
-./target/release/report bench-throughput --scale "$THROUGHPUT_SCALE" \
-    --repeats "$THROUGHPUT_REPEATS" > "$THROUGHPUT_OUT"
-echo "wrote $THROUGHPUT_OUT (scale $THROUGHPUT_SCALE, $THROUGHPUT_REPEATS repeats)"
-
-if [ "$THROUGHPUT_GATE" = identity ]; then
-    grep -q '"diagnoses_identical": true' "$THROUGHPUT_OUT" \
-        || { echo "FAIL: substrate configurations produced divergent diagnoses" >&2; exit 1; }
-else
-    grep -q '"meets_throughput_gate": true' "$THROUGHPUT_OUT" \
-        || { echo "FAIL: throughput bench missed the gate (divergent diagnoses or < 2x schedules/s at 8 workers)" >&2; exit 1; }
-fi
 
 ./target/release/report fuzz --seeds "$CORPUS_SEEDS" \
     --seed-start "$CORPUS_SEED_START" > "$CORPUS_OUT"

@@ -1,42 +1,21 @@
-//! Backend conformance kit: every registered [`BackendKind`] must uphold
-//! the `ExecBackend` contract documented in `aitia::backend`.
-//!
-//! Each test iterates [`BackendKind::ALL`], skipping kinds that are not
-//! available in this build or on this host (printing the reason), so the
-//! same suite proves `ksim` everywhere and additionally proves `kvm` on
-//! machines with `/dev/kvm` and a `--features kvm` build. The checks are
-//! the five module-level invariants: determinism, snapshot round-trip,
-//! reboot-resets-everything, observed-access stability across snapshot
-//! boundaries, and (via kind-keyed digests) snapshot affinity.
+//! Engine contract suite: the four invariants schedule enforcement, the
+//! executor and the snapshot forest rely on from [`ksim::Engine`] (see
+//! DESIGN.md §5 "engine contract"): determinism, snapshot round-trip,
+//! reboot-resets-everything, and observed-access stability across
+//! snapshot boundaries.
 
-use aitia_repro::aitia::{BackendKind, ExecBackend};
 use aitia_repro::corpus;
 use aitia_repro::ksim;
 use ksim::builder::ProgramBuilder;
-use ksim::{Addr, Program, ThreadId};
+use ksim::{Addr, Engine, Program, ThreadId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Hard cap on serial-run length; a conforming backend halts long before.
+/// Hard cap on serial-run length; a conforming engine halts long before.
 const MAX_STEPS: usize = 200_000;
 
-/// Backends this build/host can actually boot, with a printed skip note
-/// for the rest.
-fn available_backends(test: &str) -> Vec<BackendKind> {
-    BackendKind::ALL
-        .into_iter()
-        .filter(|kind| match kind.available() {
-            Ok(()) => true,
-            Err(why) => {
-                eprintln!("{test}: skipping backend {kind}: {why}");
-                false
-            }
-        })
-        .collect()
-}
-
 /// A two-thread program with a lock, nonzero-initialized globals, and
-/// cross-thread traffic — enough surface to exercise every trait method.
+/// cross-thread traffic — enough surface to exercise the whole contract.
 fn contract_program() -> Arc<Program> {
     let mut p = ProgramBuilder::new("conformance");
     let g = p.global("g", 7);
@@ -64,16 +43,16 @@ fn contract_program() -> Arc<Program> {
 
 /// Steps the lowest-id runnable thread until the machine halts or nothing
 /// is runnable, returning the schedule actually executed.
-fn run_serial(backend: &mut dyn ExecBackend) -> Vec<ThreadId> {
+fn run_serial(engine: &mut Engine) -> Vec<ThreadId> {
     let mut schedule = Vec::new();
     for _ in 0..MAX_STEPS {
-        if backend.halted() {
+        if engine.halted() {
             return schedule;
         }
-        let Some(&tid) = backend.runnable().first() else {
+        let Some(&tid) = engine.runnable().first() else {
             return schedule;
         };
-        match backend.step(tid) {
+        match engine.step(tid) {
             Ok(_) => schedule.push(tid),
             Err(ksim::EngineError::Halted) => return schedule,
             Err(e) => panic!("serial step of runnable {tid:?} failed: {e:?}"),
@@ -82,7 +61,17 @@ fn run_serial(backend: &mut dyn ExecBackend) -> Vec<ThreadId> {
     panic!("serial run did not terminate within {MAX_STEPS} steps");
 }
 
-/// What a completed run must agree on across backends and across
+/// The `(thread, address, kind)` memory observations in the engine's
+/// current trace — the watchpoint log a diagnosis consumes.
+fn observed_accesses(engine: &Engine) -> BTreeSet<(ThreadId, Addr, ksim::AccessKind)> {
+    engine
+        .trace()
+        .iter()
+        .flat_map(|rec| rec.accesses.iter().map(move |a| (rec.tid, a.addr, a.kind)))
+        .collect()
+}
+
+/// What a completed run must agree on across boots and across
 /// snapshot/restore churn.
 type RunDigest = (
     usize,
@@ -90,11 +79,11 @@ type RunDigest = (
     BTreeSet<(ThreadId, Addr, ksim::AccessKind)>,
 );
 
-fn digest(backend: &dyn ExecBackend) -> RunDigest {
+fn digest(engine: &Engine) -> RunDigest {
     (
-        backend.trace().len(),
-        backend.failure().map(|f| f.kind),
-        backend.observed_accesses(),
+        engine.trace().len(),
+        engine.failure().map(|f| f.kind),
+        observed_accesses(engine),
     )
 }
 
@@ -103,110 +92,95 @@ fn digest(backend: &dyn ExecBackend) -> RunDigest {
 /// point reproduces the original run exactly (invariant 1).
 #[test]
 fn snapshot_restore_round_trip_and_determinism() {
-    for kind in available_backends("snapshot_restore_round_trip_and_determinism") {
-        let mut backend = kind.boot(contract_program());
-        // Execute a short prefix, checkpoint, then record the suffix.
-        for _ in 0..3 {
-            let tid = backend.runnable()[0];
-            backend.step(tid).expect("prefix step");
-        }
-        let snap = backend.snapshot();
-        let at_snap = digest(backend.as_ref());
-        let mut suffix = Vec::new();
-        while !backend.halted() {
-            let Some(&tid) = backend.runnable().first() else {
-                break;
-            };
-            backend.step(tid).expect("suffix step");
-            suffix.push(tid);
-        }
-        let final_digest = digest(backend.as_ref());
-
-        // Round-trip: restoring rewinds every observable to the
-        // checkpoint.
-        backend.restore(&snap);
-        assert_eq!(digest(backend.as_ref()), at_snap, "{kind}: restore state");
-
-        // Determinism: the same suffix from the same checkpoint is the
-        // same run.
-        for &tid in &suffix {
-            backend.step(tid).expect("replayed suffix step");
-        }
-        assert_eq!(
-            digest(backend.as_ref()),
-            final_digest,
-            "{kind}: replayed suffix diverged"
-        );
-
-        // Restoring twice (including from a cloned handle) stays stable.
-        let clone = snap.clone();
-        backend.restore(&snap);
-        backend.restore(&clone);
-        assert_eq!(
-            digest(backend.as_ref()),
-            at_snap,
-            "{kind}: double restore drifted"
-        );
+    let mut engine = Engine::new(contract_program());
+    // Execute a short prefix, checkpoint, then record the suffix.
+    for _ in 0..3 {
+        let tid = engine.runnable()[0];
+        engine.step(tid).expect("prefix step");
     }
+    let snap = engine.snapshot();
+    let at_snap = digest(&engine);
+    let mut suffix = Vec::new();
+    while !engine.halted() {
+        let Some(&tid) = engine.runnable().first() else {
+            break;
+        };
+        engine.step(tid).expect("suffix step");
+        suffix.push(tid);
+    }
+    let final_digest = digest(&engine);
+
+    // Round-trip: restoring rewinds every observable to the checkpoint.
+    engine.restore(&snap);
+    assert_eq!(digest(&engine), at_snap, "restore state");
+
+    // Determinism: the same suffix from the same checkpoint is the same
+    // run.
+    for &tid in &suffix {
+        engine.step(tid).expect("replayed suffix step");
+    }
+    assert_eq!(digest(&engine), final_digest, "replayed suffix diverged");
+
+    // Restoring twice (including from a cloned handle) stays stable.
+    let clone = snap.clone();
+    engine.restore(&snap);
+    engine.restore(&clone);
+    assert_eq!(digest(&engine), at_snap, "double restore drifted");
 }
 
 /// Invariant 1 at whole-run scope: booting twice and running the same
 /// schedule yields the same digest.
 #[test]
 fn identical_schedules_are_identical_runs() {
-    for kind in available_backends("identical_schedules_are_identical_runs") {
-        let mut first = kind.boot(contract_program());
-        let schedule = run_serial(first.as_mut());
-        assert!(!schedule.is_empty(), "{kind}: no progress");
-        let mut second = kind.boot(contract_program());
-        for &tid in &schedule {
-            match second.step(tid) {
-                Ok(_) | Err(ksim::EngineError::Halted) => {}
-                Err(e) => panic!("{kind}: replay step failed: {e:?}"),
-            }
+    let mut first = Engine::new(contract_program());
+    let schedule = run_serial(&mut first);
+    assert!(!schedule.is_empty(), "no progress");
+    let mut second = Engine::new(contract_program());
+    for &tid in &schedule {
+        match second.step(tid) {
+            Ok(_) | Err(ksim::EngineError::Halted) => {}
+            Err(e) => panic!("replay step failed: {e:?}"),
         }
-        assert_eq!(
-            digest(first.as_ref()),
-            digest(second.as_ref()),
-            "{kind}: two boots of the same schedule disagree"
-        );
     }
+    assert_eq!(
+        digest(&first),
+        digest(&second),
+        "two boots of the same schedule disagree"
+    );
 }
 
 /// Invariant 3: reboot discards every trace of the previous run and the
 /// rebooted machine behaves exactly like a fresh boot.
 #[test]
 fn reboot_resets_everything() {
-    for kind in available_backends("reboot_resets_everything") {
-        let mut backend = kind.boot(contract_program());
-        let fresh_runnable = backend.runnable();
-        run_serial(backend.as_mut());
-        assert!(!backend.trace().is_empty(), "{kind}: run made no progress");
+    let mut engine = Engine::new(contract_program());
+    let fresh_runnable = engine.runnable();
+    run_serial(&mut engine);
+    assert!(!engine.trace().is_empty(), "run made no progress");
 
-        backend.reboot();
-        assert_eq!(backend.trace().len(), 0, "{kind}: trace survived reboot");
-        assert!(backend.failure().is_none(), "{kind}: failure survived");
-        assert!(!backend.halted(), "{kind}: still halted after reboot");
-        assert!(
-            backend.observed_accesses().is_empty(),
-            "{kind}: accesses survived reboot"
-        );
-        assert_eq!(
-            backend.runnable(),
-            fresh_runnable,
-            "{kind}: rebooted runnable set differs from fresh boot"
-        );
+    engine.reboot();
+    assert_eq!(engine.trace().len(), 0, "trace survived reboot");
+    assert!(engine.failure().is_none(), "failure survived");
+    assert!(!engine.halted(), "still halted after reboot");
+    assert!(
+        observed_accesses(&engine).is_empty(),
+        "accesses survived reboot"
+    );
+    assert_eq!(
+        engine.runnable(),
+        fresh_runnable,
+        "rebooted runnable set differs from fresh boot"
+    );
 
-        // The rebooted machine runs like a fresh one.
-        run_serial(backend.as_mut());
-        let mut reference = kind.boot(contract_program());
-        run_serial(reference.as_mut());
-        assert_eq!(
-            digest(backend.as_ref()),
-            digest(reference.as_ref()),
-            "{kind}: post-reboot run differs from a fresh boot's run"
-        );
-    }
+    // The rebooted machine runs like a fresh one.
+    run_serial(&mut engine);
+    let mut reference = Engine::new(contract_program());
+    run_serial(&mut reference);
+    assert_eq!(
+        digest(&engine),
+        digest(&reference),
+        "post-reboot run differs from a fresh boot's run"
+    );
 }
 
 /// Invariant 4: the observed-access set of a run is identical whether the
@@ -214,56 +188,50 @@ fn reboot_resets_everything() {
 /// every step.
 #[test]
 fn observed_accesses_stable_across_snapshot_boundaries() {
-    for kind in available_backends("observed_accesses_stable_across_snapshot_boundaries") {
-        let mut straight = kind.boot(contract_program());
-        run_serial(straight.as_mut());
-        let reference = digest(straight.as_ref());
+    let mut straight = Engine::new(contract_program());
+    run_serial(&mut straight);
+    let reference = digest(&straight);
 
-        let mut churned = kind.boot(contract_program());
-        for _ in 0..MAX_STEPS {
-            if churned.halted() {
-                break;
-            }
-            let Some(&tid) = churned.runnable().first() else {
-                break;
-            };
-            // Snapshot, step, rewind, step again for real: the kept run
-            // crosses a restore boundary before every single instruction.
-            let snap = churned.snapshot();
-            churned.step(tid).expect("probe step");
-            churned.restore(&snap);
-            churned.step(tid).expect("kept step");
+    let mut churned = Engine::new(contract_program());
+    for _ in 0..MAX_STEPS {
+        if churned.halted() {
+            break;
         }
-        assert_eq!(
-            digest(churned.as_ref()),
-            reference,
-            "{kind}: snapshot churn changed the observed run"
-        );
+        let Some(&tid) = churned.runnable().first() else {
+            break;
+        };
+        // Snapshot, step, rewind, step again for real: the kept run
+        // crosses a restore boundary before every single instruction.
+        let snap = churned.snapshot();
+        churned.step(tid).expect("probe step");
+        churned.restore(&snap);
+        churned.step(tid).expect("kept step");
     }
+    assert_eq!(
+        digest(&churned),
+        reference,
+        "snapshot churn changed the observed run"
+    );
 }
 
-/// Every Table 2 program runs serially to completion on every available
-/// backend, and every backend agrees with the `ksim` reference digest —
-/// the cross-substrate differential the diagnosis pipeline relies on.
+/// Every Table 2 program runs serially to completion on the engine, and a
+/// second boot replaying the same schedule reproduces the run.
 #[test]
-fn table2_serial_runs_pass_on_every_backend() {
-    let kinds = available_backends("table2_serial_runs_pass_on_every_backend");
+fn table2_serial_runs_pass() {
     for bug in corpus::cves() {
         let program = bug.program(corpus::noise::NoiseSpec::silent());
-        let mut reference: Option<RunDigest> = None;
-        for &kind in &kinds {
-            let mut backend = kind.boot(Arc::clone(&program));
-            let schedule = run_serial(backend.as_mut());
-            assert!(!schedule.is_empty(), "{}: {kind}: no progress", bug.id);
-            let d = digest(backend.as_ref());
-            match &reference {
-                None => reference = Some(d),
-                Some(r) => assert_eq!(
-                    &d, r,
-                    "{}: backend {kind} disagrees with the reference serial run",
-                    bug.id
-                ),
-            }
+        let mut engine = Engine::new(Arc::clone(&program));
+        let schedule = run_serial(&mut engine);
+        assert!(!schedule.is_empty(), "{}: no progress", bug.id);
+        let mut replay = Engine::new(program);
+        for &tid in &schedule {
+            replay.step(tid).expect("replayed serial step");
         }
+        assert_eq!(
+            digest(&replay),
+            digest(&engine),
+            "{}: replayed serial run diverged",
+            bug.id
+        );
     }
 }

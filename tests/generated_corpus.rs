@@ -9,7 +9,7 @@
 //! a regenerated `BENCH_corpus.json`.
 //!
 //! The matrix tests run a small pinned seed range through the full
-//! 78-cell executor configuration matrix in-process — the same harness
+//! 24-cell executor configuration matrix in-process — the same harness
 //! `report fuzz` runs at 200-seed scale — asserting bit-identical
 //! diagnosis digests and planted-race recall.
 
@@ -136,13 +136,13 @@ fn generated_programs_pass_both_serial_orders() {
 #[test]
 fn pinned_seeds_agree_across_the_full_matrix_with_recall() {
     // The same harness `report fuzz` runs, on a small pinned range: every
-    // cell of prune x memo x claim x snapshot x workers (plus the adaptive
-    // causality cells) must produce a bit-identical digest and the
-    // reference chain must contain a planted pair at both causality
-    // levels. BENCH_corpus.json covers the 200-seed claim in release mode.
+    // cell of prune x memo x workers (plus the adaptive causality cells)
+    // must produce a bit-identical digest and the reference chain must
+    // contain a planted pair at both causality levels. BENCH_corpus.json
+    // covers the 200-seed claim in release mode.
     let b = bench_corpus(0, 4, None);
     assert_eq!(b.seeds, 4);
-    assert_eq!(b.cells, 78);
+    assert_eq!(b.cells, 24);
     assert_eq!(b.reproduced, 4, "every pinned seed reproduces");
     assert_eq!(b.digest_agreements, 4, "matrix digests diverged");
     assert_eq!(b.recall_hits, 4, "planted race missing from a chain");

@@ -18,9 +18,9 @@ use aitia_repro::aitia::{
         self,
         EnforceConfig, //
     },
-    races_in_trace, BackendKind, CancelToken, CausalityAnalysis, CausalityConfig, CausalityLevel,
-    ExecJob, Executor, ExecutorConfig, FaultInjection, Lifs, LifsConfig, PruneLevel, Schedule,
-    ThreadSel, Verdict,
+    races_in_trace, CancelToken, CausalityAnalysis, CausalityConfig, CausalityLevel, ExecJob,
+    Executor, ExecutorConfig, FaultInjection, Lifs, LifsConfig, PruneLevel, Schedule, ThreadSel,
+    Verdict,
 };
 use aitia_repro::ksim::{
     builder::{
@@ -853,31 +853,15 @@ fn lifs_batches_stop_at_first_failing_schedule() {
 }
 
 proptest! {
-    // Each case runs two single runs plus twelve small batches; keep the
-    // case count small.
+    // Each case runs fourteen small batches; keep the case count small.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The `ExecBackend` seam is invisible for ksim at the run level:
-    /// enforcing a schedule on a stack-allocated `Engine` (coerced to
-    /// `&mut dyn` at the call site) and on a `BackendKind::Ksim.boot()`
-    /// trait object yield bit-identical runs, and a pooled executor —
-    /// whose workers hold boxed trait objects booted through the registry
-    /// — returns that same run for the same job at 1, 2, and 8 workers,
-    /// with and without memoization and deterministic fault injection.
+    /// A pooled executor returns the same run for the same job at 1, 2,
+    /// and 8 workers, with and without memoization and deterministic fault
+    /// injection.
     #[test]
-    fn ksim_direct_and_trait_object_runs_are_identical(threads in gen_program()) {
+    fn pooled_runs_are_identical_across_workers_memo_and_faults(threads in gen_program()) {
         let program = build(&threads);
-        let schedule = serial_schedule(&program);
-        let config = EnforceConfig::default();
-
-        let mut direct = Engine::new(Arc::clone(&program));
-        let want = enforce::run(&mut direct, &schedule, &config);
-        let mut boxed = BackendKind::Ksim.boot(Arc::clone(&program));
-        let via = enforce::run(boxed.as_mut(), &schedule, &config);
-        prop_assert_eq!(&want.trace, &via.trace);
-        prop_assert_eq!(&want.failure, &via.failure);
-        prop_assert_eq!(want.steps, via.steps);
-
         let fault = FaultInjection {
             seed: 0xA17A,
             rate_permille: 120,
@@ -888,7 +872,7 @@ proptest! {
         for fault in [None, Some(fault)] {
             // Fault decisions key on job content and attempt number, so
             // the honest reference for a faulted cell is a fault-matched
-            // serial pool, not the fault-free run above.
+            // serial pool.
             let base = memo_pool(1, fault, false).run_batch(&jobs, &CancelToken::new());
             for memo in [false, true] {
                 for vms in [1usize, 2, 8] {
@@ -921,12 +905,11 @@ proptest! {
     // five matrix cells each); keep the case count small.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The backend seam is invisible at the diagnosis level too: full
-    /// diagnoses through trait-object pools match the 1-worker memo-off
-    /// reference digest across prune levels × memoization × worker counts,
-    /// with and without fault injection.
+    /// Full diagnoses match the 1-worker memo-off reference digest across
+    /// prune levels × memoization × worker counts, with and without fault
+    /// injection.
     #[test]
-    fn diagnosis_digest_is_backend_seam_invariant(threads in gen_program()) {
+    fn diagnosis_digest_is_invariant_across_prune_memo_and_workers(threads in gen_program()) {
         let fault = FaultInjection {
             seed: 0xA17A,
             rate_permille: 120,
