@@ -48,10 +48,11 @@ subcommands:
                         daemon has written one yet)
 
 payloads (submit):
-  cve:<bug-id>:<scale>  corpus bug at a benign-noise scale,
+  cve:<bug-id>:<scale>  corpus bug at a benign-noise scale in (0, 100],
                         e.g. cve:CVE-2017-15649:0.05
   gen:<seed>[:<noise>[:<filler>]]
-                        generated bug, e.g. gen:42 or gen:42:0.5:1
+                        generated bug, e.g. gen:42 or gen:42:0.5:1; noise
+                        in [0, 100], 0 = silent
 
 flags:
   --dir <path>          state directory (queue, journals, results,

@@ -28,8 +28,8 @@ arguments:
 
 flags:
   --list                print the corpus and exit
-  --scale <float>       benign-race noise scale, finite and positive
-                        (default 0.2)
+  --scale <float>       benign-race noise scale, greater than 0 and at
+                        most 100 (default 0.2)
   --vms <int>           VM-pool worker count, at least 1 (default 8)
   --prune-level <level> LIFS pruning: off, conflict or dpor (default:
                         the bug's calibrated config, normally conflict)
@@ -112,8 +112,8 @@ fn main() {
         }
         i += 1;
     }
-    if !(scale.is_finite() && scale > 0.0) {
-        usage_exit("--scale must be a finite number greater than 0");
+    if let Err(e) = corpus::noise::check_scale(scale, false) {
+        usage_exit(&format!("--scale {e}"));
     }
     if vms == 0 {
         usage_exit("--vms must be at least 1 (there is no zero-VM pool)");

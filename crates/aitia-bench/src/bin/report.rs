@@ -6,9 +6,8 @@
 //! ```
 //!
 //! Subcommands: `table1`, `table2`, `table3`, `conciseness`, `comparison`,
-//! `ablations`, `fig5`, `fig6`, `fig7`, `fig9`, `extensions`,
-//! `bench-memo`, `bench-resume`, `bench-prune`, `bench-causality`,
-//! `bench-server`, `fuzz`, `all`.
+//! `ablations`, `fig5`, `fig6`, `fig7`, `fig9`, `extensions`, `fuzz`,
+//! `all`.
 //!
 //! `--scale` multiplies every bug's calibrated benign-race noise (1.0 =
 //! full calibration, matching the magnitudes of the paper's tables; smaller
@@ -55,19 +54,14 @@ subcommands (default: all):
   ablations             backward/CS-unit/POR ablations
   fig5 | fig6 | fig7 | fig9
   extensions            beyond-paper scenarios (IRQ, RCU, ABBA)
-  bench-memo            memoization A/B over Table 2 (JSON on stdout)
-  bench-resume          kill-and-resume journal benchmark (JSON on stdout)
-  bench-prune           prune-level ablation over Table 2 (JSON on stdout)
-  bench-causality       causality-level A/B over Table 2 (JSON on stdout)
-  bench-server          campaignd serial vs concurrent campaigns over
-                        Table 2 (JSON on stdout)
   fuzz                  differential fuzz of generated bugs over the
-                        full executor config matrix (JSON on stdout)
-  all                   everything above
+                        full executor config matrix (JSON on stdout;
+                        exit 1 when the gate is missed)
+  all                   everything above except fuzz
 
 flags:
-  --scale <float>       benign-race noise scale, finite and positive
-                        (default 1.0)
+  --scale <float>       benign-race noise scale, greater than 0 and at
+                        most 100 (default 1.0)
   --prune-level <level> LIFS pruning: off, conflict or dpor (default:
                         each bug's calibrated config, normally conflict)
   --causality-level <level>
@@ -91,7 +85,10 @@ flags:
   --seeds <int>         fuzz: consecutive generator seeds to run (default 200)
   --seed-start <int>    fuzz: first generator seed (default 0)
   --repro-dir <path>    fuzz: where divergence reproducers are written
-                        (default target/corpus-repro)";
+                        (default target/corpus-repro)
+
+exit status: 0 = success, 1 = a corpus bug did not reproduce or fuzz
+missed its gate, 2 = usage error";
 
 /// Prints the usage message (prefixed by `msg`) and exits with status 2.
 fn usage_exit(msg: &str) -> ! {
@@ -154,8 +151,8 @@ fn main() {
         }
         i += 1;
     }
-    if !(scale.is_finite() && scale > 0.0) {
-        usage_exit("--scale must be a finite number greater than 0");
+    if let Err(e) = corpus::noise::check_scale(scale, false) {
+        usage_exit(&format!("--scale {e}"));
     }
     if vms == 0 {
         usage_exit("--vms must be at least 1 (there is no zero-VM pool)");
@@ -204,7 +201,7 @@ fn main() {
         "table2" => table2(scale, &exec, &model, prune, causality),
         "table3" => table3(scale, &exec, &model, prune, causality),
         "conciseness" => {
-            let rows = experiments::table3_on_levels(scale, &exec, prune, causality);
+            let rows = corpus_rows(&corpus::syzkaller(), scale, &exec, prune, causality);
             print_conciseness(&rows);
         }
         "comparison" | "table1" => comparison(scale, samples),
@@ -216,141 +213,11 @@ fn main() {
         "fig7" => fig7(),
         "fig9" => fig9(),
         "extensions" => extensions(),
-        "bench-memo" => {
-            // Must run on a cold process-wide memo table: the main pool
-            // above executed nothing yet. JSON goes to stdout so the bench
-            // script can redirect it straight into BENCH_memo.json; the
-            // human summary goes to stderr.
-            let b = experiments::bench_memo(scale);
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&b).expect("bench result serializes")
-            );
-            eprintln!(
-                "bench-memo: {} -> {} VM executions ({:.1}% reduction), \
-                 {} memo hits, {} forest hits, {:.1} sim seconds saved, \
-                 diagnoses identical: {}",
-                b.baseline.vm_executions,
-                b.memoized.vm_executions,
-                b.vm_execution_reduction_percent,
-                b.memoized.memo_hits,
-                b.memoized.forest_hits,
-                b.memoized.sim_time_saved_s,
-                b.diagnoses_identical
-            );
-            return;
-        }
-        "bench-prune" => {
-            // Self-contained like bench-memo: each prune level runs the
-            // corpus on fresh single-VM pools and fresh programs, so no
-            // memoized state leaks between levels. JSON goes to stdout for
-            // BENCH_prune.json; the human summary goes to stderr.
-            let b = experiments::bench_prune(scale);
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&b).expect("bench result serializes")
-            );
-            eprintln!(
-                "bench-prune: off {} / conflict {} / dpor {} schedules \
-                 ({:.1}% dpor-vs-conflict reduction; sleep-set {}, \
-                 persistent-set {}), diagnoses identical: {}, gate met: {}",
-                b.off.schedules_executed,
-                b.conflict.schedules_executed,
-                b.dpor.schedules_executed,
-                b.dpor_vs_conflict_reduction_percent,
-                b.dpor.pruned_sleep_set,
-                b.dpor.pruned_persistent,
-                b.diagnoses_identical,
-                b.meets_prune_gate
-            );
-            return;
-        }
-        "bench-causality" => {
-            // Self-contained like bench-prune: each causality level runs
-            // the corpus on fresh single-VM pools and fresh programs, so no
-            // memoized flip results leak between levels. JSON goes to
-            // stdout for BENCH_causality.json; the human summary goes to
-            // stderr.
-            let b = experiments::bench_causality(scale);
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&b).expect("bench result serializes")
-            );
-            eprintln!(
-                "bench-causality: exhaustive {} / adaptive {} flip VM executions \
-                 ({:.1}% reduction; {} static skips, {} reordered, {:.1}s sim saved), \
-                 agreement audit: {} disagreements, diagnoses identical: {}, gate met: {}",
-                b.exhaustive.flip_vm_executions,
-                b.adaptive.flip_vm_executions,
-                b.flip_execution_reduction_percent,
-                b.adaptive.flips_skipped_static,
-                b.adaptive.flips_reordered,
-                b.adaptive.sim_time_saved_s,
-                b.static_disagreements,
-                b.diagnoses_identical,
-                b.meets_causality_gate
-            );
-            return;
-        }
-        "bench-server" => {
-            // Self-contained like bench-memo: each side streams the corpus
-            // through a fresh server instance on its own private substrate
-            // and scratch directory. Throughput and queue latency are
-            // simulated-clock figures, so the JSON is bit-stable on any
-            // host. JSON goes to stdout for BENCH_server.json; the human
-            // summary goes to stderr.
-            let b = experiments::bench_server(scale);
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&b).expect("bench result serializes")
-            );
-            for side in [&b.serial, &b.concurrent] {
-                eprintln!(
-                    "bench-server: {} ({} inflight) -> {:.0} campaigns/h \
-                     ({:.1}s sim makespan, queue p50 {:.1}s p95 {:.1}s)",
-                    side.label,
-                    side.max_inflight,
-                    side.campaigns_per_hour,
-                    side.sim_makespan_s,
-                    side.queue_latency_p50_s,
-                    side.queue_latency_p95_s
-                );
-            }
-            eprintln!(
-                "bench-server: speedup {:.2}x, diagnoses identical: {}, gate met: {}",
-                b.campaigns_per_hour_speedup, b.diagnoses_identical, b.meets_server_gate
-            );
-            return;
-        }
-        "bench-resume" => {
-            // Self-contained like bench-memo: journaled campaigns on fresh
-            // private pools, JSON on stdout, summary on stderr.
-            let b = experiments::bench_resume(scale);
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&b).expect("bench result serializes")
-            );
-            for p in &b.points {
-                eprintln!(
-                    "bench-resume: killed at {:>2}% ({}/{} records kept) -> \
-                     {} of {} VM executions re-paid ({:.1}% saved), identical: {}",
-                    p.interrupted_at_percent,
-                    p.journal_records_kept,
-                    p.journal_records_total,
-                    p.resumed_vm_executions,
-                    p.baseline_vm_executions,
-                    p.vm_executions_saved_percent,
-                    p.diagnosis_identical
-                );
-            }
-            eprintln!("bench-resume: gate met: {}", b.meets_resume_gate);
-            return;
-        }
         "fuzz" => {
-            // Self-contained like bench-memo: every matrix cell runs on its
-            // own fresh pool, so the main pool above stays cold and the
-            // memo axis really is cold-vs-warm. JSON goes to stdout for
-            // BENCH_corpus.json; the human summary goes to stderr.
+            // Every matrix cell runs on its own fresh pool, so the main
+            // pool above stays cold and the memo axis really is
+            // cold-vs-warm. JSON goes to stdout; the human summary goes to
+            // stderr, and a missed gate exits 1.
             let b = experiments::bench_corpus(seed_start, seeds, Some(&repro_dir));
             println!(
                 "{}",
@@ -390,11 +257,14 @@ fn main() {
                         .unwrap_or_default()
                 );
             }
+            if !b.meets_corpus_gate {
+                std::process::exit(1);
+            }
             return;
         }
         "all" => {
             table2(scale, &exec, &model, prune, causality);
-            let rows = experiments::table3_on_levels(scale, &exec, prune, causality);
+            let rows = corpus_rows(&corpus::syzkaller(), scale, &exec, prune, causality);
             println!("{}", experiments::render_table3(&rows, &model));
             let avg: f64 =
                 rows.iter().map(|r| r.chain_races() as f64).sum::<f64>() / rows.len() as f64;
@@ -419,6 +289,25 @@ fn main() {
     }
 }
 
+/// Prints `diagnose`'s message for a bug that did not reproduce and exits 1.
+fn no_repro_exit(id: &str, scale: f64) -> ! {
+    eprintln!("report: {id} did not reproduce at scale {scale}");
+    std::process::exit(1);
+}
+
+/// Diagnoses a corpus table, exiting 1 when one of its bugs does not
+/// reproduce.
+fn corpus_rows(
+    bugs: &[corpus::BugModel],
+    scale: f64,
+    exec: &Arc<Executor>,
+    prune: Option<aitia::lifs::PruneLevel>,
+    causality: aitia::CausalityLevel,
+) -> Vec<experiments::BugOutcome> {
+    experiments::diagnose_corpus(bugs, scale, exec, prune, causality)
+        .unwrap_or_else(|id| no_repro_exit(id, scale))
+}
+
 fn table2(
     scale: f64,
     exec: &Arc<Executor>,
@@ -426,7 +315,7 @@ fn table2(
     prune: Option<aitia::lifs::PruneLevel>,
     causality: aitia::CausalityLevel,
 ) {
-    let rows = experiments::table2_on_levels(scale, exec, prune, causality);
+    let rows = corpus_rows(&corpus::cves(), scale, exec, prune, causality);
     println!("{}", experiments::render_table2(&rows, model));
     let amb: Vec<&str> = rows
         .iter()
@@ -444,7 +333,7 @@ fn table3(
     prune: Option<aitia::lifs::PruneLevel>,
     causality: aitia::CausalityLevel,
 ) {
-    let rows = experiments::table3_on_levels(scale, exec, prune, causality);
+    let rows = corpus_rows(&corpus::syzkaller(), scale, exec, prune, causality);
     println!("{}", experiments::render_table3(&rows, model));
     let avg: f64 = rows.iter().map(|r| r.chain_races() as f64).sum::<f64>() / rows.len() as f64;
     println!("average chain length: {avg:.1} (paper: 3.0)\n");
@@ -473,7 +362,8 @@ fn print_conciseness(rows: &[aitia_bench::experiments::BugOutcome]) {
 }
 
 fn comparison(scale: f64, samples: usize) {
-    let rows = experiments::comparison(scale, samples);
+    let rows =
+        experiments::comparison(scale, samples).unwrap_or_else(|id| no_repro_exit(id, scale));
     println!("{}", experiments::render_comparison(&rows));
 }
 

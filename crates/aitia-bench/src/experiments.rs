@@ -1,8 +1,10 @@
 //! The paper's experiments, as reusable functions.
 //!
 //! Each table/figure of the evaluation (§5) has a function here producing
-//! structured results; the `report` binary renders them next to the paper's
-//! reported numbers, and the Criterion benches time the same entry points.
+//! structured results, which the `report` binary renders next to the
+//! paper's reported numbers. The differential fuzz harness behind `report
+//! fuzz` and `campaignd`'s payload resolver live here too. Wall-clock
+//! timing belongs to `perfbench/`, the repository's one benchmark.
 
 use aitia::{
     causality::{
@@ -18,21 +20,19 @@ use aitia::{
         Lifs,
         LifsStats, //
     },
-    manager::{
-        Diagnosis,
-        ManagerConfig, //
-    },
     report::{
         conciseness,
         Conciseness, //
     },
     simtime::CostModel,
-    Campaign,
     CausalityResult,
     FailingRun, //
 };
 use corpus::{
-    noise::NoiseSpec,
+    noise::{
+        check_scale,
+        NoiseSpec, //
+    },
     BugModel,
     MultiVar, //
 };
@@ -68,92 +68,34 @@ impl BugOutcome {
     }
 }
 
-/// Diagnoses one bug at the given noise scale on a single-worker VM.
+/// Diagnoses an already-built program of `bug` on the given pool, at LIFS
+/// prune level `prune` and with Causality Analysis configured by
+/// `causality`. `None` when the failure did not reproduce.
 ///
-/// # Panics
-///
-/// Panics when the bug fails to reproduce — every corpus bug must.
+/// Results are bit-for-bit identical at any worker count (the executor
+/// folds in canonical order); only wall-clock time changes. Callers that
+/// diagnose the same bug repeatedly (regression re-runs, parameter sweeps)
+/// should build the [`ksim::Program`] once and pass the same `Arc` each
+/// time: the cross-run memo table keys on program *identity*
+/// (`Arc::ptr_eq`, the ABA-safe choice), so only shared-`Arc` re-runs can
+/// be answered from the table.
 #[must_use]
-pub fn diagnose_bug(bug: &BugModel, scale: f64) -> BugOutcome {
-    diagnose_bug_on(bug, scale, &Arc::new(Executor::new(1)))
-}
-
-/// Diagnoses one bug with LIFS rounds and Causality Analysis flips fanned
-/// out over the given VM pool. Results are bit-for-bit identical at any
-/// worker count (the executor folds in canonical order); only wall-clock
-/// time changes.
-///
-/// # Panics
-///
-/// Panics when the bug fails to reproduce — every corpus bug must.
-#[must_use]
-pub fn diagnose_bug_on(bug: &BugModel, scale: f64, exec: &Arc<Executor>) -> BugOutcome {
-    diagnose_program_on(bug, bug.program_scaled(scale), exec)
-}
-
-/// Diagnoses an already-built program of `bug` on the given pool.
-///
-/// Callers that diagnose the same bug repeatedly (regression re-runs,
-/// parameter sweeps) should build the [`ksim::Program`] once and pass the
-/// same `Arc` each time: the cross-run memo table keys on program
-/// *identity* (`Arc::ptr_eq`, the ABA-safe choice), so only shared-`Arc`
-/// re-runs can be answered from the table.
-///
-/// # Panics
-///
-/// Panics when the bug fails to reproduce — every corpus bug must.
-#[must_use]
-pub fn diagnose_program_on(
-    bug: &BugModel,
-    prog: Arc<ksim::Program>,
-    exec: &Arc<Executor>,
-) -> BugOutcome {
-    diagnose_program_with_prune(bug, prog, exec, bug.lifs_config().prune)
-}
-
-/// [`diagnose_program_on`] at an explicit LIFS prune level (the
-/// `--prune-level` ablation knob).
-///
-/// # Panics
-///
-/// Panics when the bug fails to reproduce — every corpus bug must, at
-/// every prune level.
-#[must_use]
-pub fn diagnose_program_with_prune(
-    bug: &BugModel,
-    prog: Arc<ksim::Program>,
-    exec: &Arc<Executor>,
-    prune: aitia::lifs::PruneLevel,
-) -> BugOutcome {
-    diagnose_program_with_levels(bug, prog, exec, prune, CausalityConfig::default())
-}
-
-/// [`diagnose_program_with_prune`] with an explicit Causality Analysis
-/// configuration (the `--causality-level` knob).
-///
-/// # Panics
-///
-/// Panics when the bug fails to reproduce — every corpus bug must, at
-/// every level combination.
-#[must_use]
-pub fn diagnose_program_with_levels(
+pub fn diagnose_program(
     bug: &BugModel,
     prog: Arc<ksim::Program>,
     exec: &Arc<Executor>,
     prune: aitia::lifs::PruneLevel,
     causality: CausalityConfig,
-) -> BugOutcome {
+) -> Option<BugOutcome> {
     let cfg = aitia::lifs::LifsConfig {
         prune,
         ..bug.lifs_config()
     };
     let out = Lifs::with_executor(prog, cfg, Arc::clone(exec)).search();
-    let run = out
-        .failing
-        .unwrap_or_else(|| panic!("{} did not reproduce", bug.id));
+    let run = out.failing?;
     let result = CausalityAnalysis::with_executor(causality, Arc::clone(exec)).analyze(&run);
     let c = conciseness(&run, &result);
-    BugOutcome {
+    Some(BugOutcome {
         id: bug.id,
         subsystem: bug.subsystem,
         bug_type: bug.bug_type,
@@ -163,7 +105,35 @@ pub fn diagnose_program_with_levels(
         result,
         conciseness: c,
         paper: bug.paper,
-    }
+    })
+}
+
+/// Diagnoses every bug of a corpus table ([`corpus::cves`] for Table 2,
+/// [`corpus::syzkaller`] for Table 3) at noise scale `scale` over a shared
+/// VM pool. `prune` overrides each bug's calibrated prune level when given.
+/// `Err` names the first bug that did not reproduce.
+pub fn diagnose_corpus(
+    bugs: &[BugModel],
+    scale: f64,
+    exec: &Arc<Executor>,
+    prune: Option<aitia::lifs::PruneLevel>,
+    causality: aitia::CausalityLevel,
+) -> Result<Vec<BugOutcome>, &'static str> {
+    bugs.iter()
+        .map(|b| {
+            diagnose_program(
+                b,
+                b.program_scaled(scale),
+                exec,
+                prune.unwrap_or(b.lifs_config().prune),
+                CausalityConfig {
+                    level: causality,
+                    ..CausalityConfig::default()
+                },
+            )
+            .ok_or(b.id)
+        })
+        .collect()
 }
 
 /// The cost model describing a pool: `vms` mirrors the executor's actual
@@ -257,655 +227,6 @@ pub fn render_journal_stats(stats: &JournalStats) -> String {
             "no"
         },
     )
-}
-
-/// One side (memo off or on) of the memoization A/B benchmark.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct MemoBenchSide {
-    /// Actual VM executions ([`aitia::ExecStats::runs`] — memo hits never
-    /// count here).
-    pub vm_executions: u64,
-    /// Jobs answered from the cross-run memo table.
-    pub memo_hits: u64,
-    /// Snapshot-prefix restores served by the shared forest.
-    pub forest_hits: u64,
-    /// Serial simulated seconds the memo hits avoided paying.
-    pub sim_time_saved_s: f64,
-    /// Schedules charged to the diagnosis statistics (memo-invariant: both
-    /// sides must agree).
-    pub schedules_executed: usize,
-}
-
-/// Result of `report bench-memo`: the memoization A/B over Table 2.
-///
-/// The memo table is *cross-run*: it pays off when schedules recur —
-/// Phase C re-flips inside one diagnosis, and whole diagnosis sessions
-/// re-run for regression confirmation or parameter sweeps (the
-/// interventional-debugging budget argument: never spend a VM execution on
-/// a run whose outcome is already known). The benchmark models the re-run
-/// workload: each side diagnoses the corpus [`MemoBench::passes`] times on
-/// fresh single-worker pools (as the manager constructs them), memo-off
-/// paying full VM execution every pass, memo-on answering repeats from the
-/// process-wide table.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct MemoBench {
-    /// Noise scale both sides ran at.
-    pub scale: f64,
-    /// Diagnosis passes over the corpus per side.
-    pub passes: usize,
-    /// Memoization disabled.
-    pub baseline: MemoBenchSide,
-    /// Memoization enabled.
-    pub memoized: MemoBenchSide,
-    /// Percent of the baseline's VM executions the memoized side avoided.
-    pub vm_execution_reduction_percent: f64,
-    /// Whether every diagnosis-facing output — chains, verdicts, failing
-    /// schedules, trace lengths, per-stage schedule counts — is
-    /// bit-identical across the two sides.
-    pub diagnoses_identical: bool,
-}
-
-/// Everything diagnosis-facing in one outcome, as a comparable string.
-fn diagnosis_digest(rows: &[BugOutcome]) -> Vec<String> {
-    rows.iter()
-        .map(|r| {
-            let verdicts: Vec<aitia::Verdict> = r.result.tested.iter().map(|t| t.verdict).collect();
-            format!(
-                "{} chain={} verdicts={:?} sched={:?} steps={} lifs={} ca={}",
-                r.id,
-                r.result.chain,
-                verdicts,
-                r.run.schedule,
-                r.run.trace.len(),
-                r.lifs.schedules_executed,
-                r.result.stats.schedules_executed,
-            )
-        })
-        .collect()
-}
-
-/// Everything diagnosis-facing *except schedule counts*, which prune
-/// levels change by design. The failing schedule, trace length, chain,
-/// verdicts and Causality Analysis counts (a pure function of the failing
-/// run) must still be bit-identical across prune levels.
-fn prune_digest(rows: &[BugOutcome]) -> Vec<String> {
-    rows.iter()
-        .map(|r| {
-            let verdicts: Vec<aitia::Verdict> = r.result.tested.iter().map(|t| t.verdict).collect();
-            format!(
-                "{} chain={} verdicts={:?} sched={:?} steps={} ca={}",
-                r.id,
-                r.result.chain,
-                verdicts,
-                r.run.schedule,
-                r.run.trace.len(),
-                r.result.stats.schedules_executed,
-            )
-        })
-        .collect()
-}
-
-/// One prune level's aggregate LIFS counters over the Table 2 corpus.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct PruneBenchSide {
-    /// The prune level the side ran at.
-    pub level: String,
-    /// Schedules LIFS executed across the corpus.
-    pub schedules_executed: usize,
-    /// Candidates skipped as statically non-conflicting.
-    pub pruned_nonconflicting: usize,
-    /// Candidates skipped or discounted as equivalent interleavings.
-    pub pruned_equivalent: usize,
-    /// Candidates skipped by the DPOR sleep-set rule.
-    pub pruned_sleep_set: usize,
-    /// Candidates skipped by the DPOR persistent-set rule.
-    pub pruned_persistent: usize,
-}
-
-/// Result of `report bench-prune`: the `--prune-level` ablation over
-/// Table 2 (`BENCH_prune.json`).
-///
-/// Every level must produce a bit-identical diagnosis — the levels differ
-/// only in how much of the schedule space they refuse to execute, never in
-/// what they find. The acceptance gate asserts the `dpor` level executes
-/// at least 30% fewer schedules than `conflict`.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct PruneBench {
-    /// Noise scale every side ran at.
-    pub scale: f64,
-    /// No pruning.
-    pub off: PruneBenchSide,
-    /// Conflict-based pruning (the default level).
-    pub conflict: PruneBenchSide,
-    /// Full DPOR (sleep sets + persistent sets).
-    pub dpor: PruneBenchSide,
-    /// Percent of `conflict`'s executed schedules that `dpor` avoided.
-    pub dpor_vs_conflict_reduction_percent: f64,
-    /// Whether every diagnosis-facing output (chains, verdicts, failing
-    /// schedules, trace lengths) is bit-identical across all three levels.
-    pub diagnoses_identical: bool,
-    /// The acceptance gate: ≥30% fewer schedules at `dpor` than at
-    /// `conflict`, with `diagnoses_identical` true.
-    pub meets_prune_gate: bool,
-}
-
-/// Runs the prune-level ablation over Table 2.
-#[must_use]
-pub fn bench_prune(scale: f64) -> PruneBench {
-    use aitia::lifs::PruneLevel;
-    let run = |level: PruneLevel| {
-        let bugs = corpus::cves();
-        // Each side builds its own programs so the process-wide memo table
-        // (keyed on program identity) never leaks results across levels.
-        let rows: Vec<BugOutcome> = bugs
-            .iter()
-            .map(|b| {
-                let exec = Arc::new(Executor::with_config(ExecutorConfig {
-                    vms: 1,
-                    ..ExecutorConfig::default()
-                }));
-                diagnose_program_with_prune(b, b.program_scaled(scale), &exec, level)
-            })
-            .collect();
-        let sum = |f: fn(&LifsStats) -> usize| rows.iter().map(|r| f(&r.lifs)).sum();
-        let side = PruneBenchSide {
-            level: level.to_string(),
-            schedules_executed: sum(|s| s.schedules_executed),
-            pruned_nonconflicting: sum(|s| s.pruned_nonconflicting),
-            pruned_equivalent: sum(|s| s.pruned_equivalent),
-            pruned_sleep_set: sum(|s| s.pruned_sleep_set),
-            pruned_persistent: sum(|s| s.pruned_persistent),
-        };
-        (rows, side)
-    };
-    let (off_rows, off) = run(PruneLevel::Off);
-    let (conflict_rows, conflict) = run(PruneLevel::Conflict);
-    let (dpor_rows, dpor) = run(PruneLevel::Dpor);
-    let diagnoses_identical = prune_digest(&off_rows) == prune_digest(&conflict_rows)
-        && prune_digest(&conflict_rows) == prune_digest(&dpor_rows);
-    let dpor_vs_conflict_reduction_percent = if conflict.schedules_executed > 0 {
-        100.0
-            * conflict
-                .schedules_executed
-                .saturating_sub(dpor.schedules_executed) as f64
-            / conflict.schedules_executed as f64
-    } else {
-        0.0
-    };
-    let meets_prune_gate = diagnoses_identical && dpor_vs_conflict_reduction_percent >= 30.0;
-    PruneBench {
-        scale,
-        off,
-        conflict,
-        dpor,
-        dpor_vs_conflict_reduction_percent,
-        diagnoses_identical,
-        meets_prune_gate,
-    }
-}
-
-/// One causality level's aggregate intervention counters over the Table 2
-/// corpus.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct CausalityBenchSide {
-    /// The causality level (plus `+verify` for the agreement audit side).
-    pub level: String,
-    /// Actual VM executions ([`aitia::ExecStats::runs`]) attributable to
-    /// Causality Analysis: pool runs after LIFS handed over each failing
-    /// run. Statically skipped flips never execute, so they are absent
-    /// here.
-    pub flip_vm_executions: u64,
-    /// Schedules charged to the diagnosis statistics
-    /// ([`aitia::causality::CaStats::schedules_executed`]).
-    pub flip_schedules: usize,
-    /// Flips the static prover discharged without execution.
-    pub flips_skipped_static: usize,
-    /// Flips submitted out of canonical order by the gain ranking.
-    pub flips_reordered: usize,
-    /// Serial simulated seconds avoided (static skips plus memo hits).
-    pub sim_time_saved_s: f64,
-}
-
-/// Result of `report bench-causality`: the `--causality-level` A/B over
-/// Table 2 (`BENCH_causality.json`).
-///
-/// Both levels must produce a bit-identical diagnosis — adaptivity changes
-/// *which* and *how many* flips execute, never what the diagnosis says.
-/// The third side re-runs adaptive in `verify_static` agreement mode:
-/// every statically proved flip still executes and the run must agree
-/// (failure manifested ⇒ Benign); any disagreement is a soundness bug and
-/// fails the gate. The acceptance gate additionally asserts the adaptive
-/// level pays at least 30% fewer flip VM executions than exhaustive.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct CausalityBench {
-    /// Noise scale every side ran at.
-    pub scale: f64,
-    /// Flip every race (the paper's §3.4 procedure).
-    pub exhaustive: CausalityBenchSide,
-    /// Static benign proofs + information-gain ordering.
-    pub adaptive: CausalityBenchSide,
-    /// Adaptive with the agreement audit: proved flips still execute.
-    pub verified: CausalityBenchSide,
-    /// Agreement-audit failures across the verified side (must be 0).
-    pub static_disagreements: usize,
-    /// Percent of exhaustive's flip VM executions adaptive avoided.
-    pub flip_execution_reduction_percent: f64,
-    /// Whether chains, verdicts, failing schedules, trace lengths and LIFS
-    /// counters are bit-identical across all three sides.
-    pub diagnoses_identical: bool,
-    /// The acceptance gate: `diagnoses_identical`, zero disagreements, and
-    /// ≥ 30% flip-execution reduction.
-    pub meets_causality_gate: bool,
-}
-
-/// Runs the `--causality-level` A/B over Table 2.
-///
-/// # Panics
-///
-/// Panics when a corpus bug fails to reproduce — every corpus bug must,
-/// at every causality level.
-#[must_use]
-pub fn bench_causality(scale: f64) -> CausalityBench {
-    use aitia::CausalityLevel;
-    let run = |level: CausalityLevel, verify_static: bool| {
-        let bugs = corpus::cves();
-        // Each side builds its own programs and pools so the process-wide
-        // memo table (keyed on program identity) never leaks flip results
-        // across sides.
-        let mut digests: Vec<String> = Vec::new();
-        let mut side = CausalityBenchSide {
-            level: format!("{level}{}", if verify_static { "+verify" } else { "" }),
-            flip_vm_executions: 0,
-            flip_schedules: 0,
-            flips_skipped_static: 0,
-            flips_reordered: 0,
-            sim_time_saved_s: 0.0,
-        };
-        let mut disagreements = 0usize;
-        for b in &bugs {
-            let exec = Arc::new(Executor::with_config(ExecutorConfig {
-                vms: 1,
-                ..ExecutorConfig::default()
-            }));
-            let out =
-                Lifs::with_executor(b.program_scaled(scale), b.lifs_config(), Arc::clone(&exec))
-                    .search();
-            let run = out
-                .failing
-                .unwrap_or_else(|| panic!("{} did not reproduce", b.id));
-            // LIFS ran first on the same pool, so the delta in pool runs is
-            // exactly the flip executions Causality Analysis paid for.
-            let lifs_runs = exec.stats().runs;
-            let result = CausalityAnalysis::with_executor(
-                CausalityConfig {
-                    level,
-                    verify_static,
-                    ..CausalityConfig::default()
-                },
-                Arc::clone(&exec),
-            )
-            .analyze(&run);
-            side.flip_vm_executions += exec.stats().runs - lifs_runs;
-            side.flip_schedules += result.stats.schedules_executed;
-            side.flips_skipped_static += result.stats.flips_skipped_static;
-            side.flips_reordered += result.stats.flips_reordered;
-            side.sim_time_saved_s += result.stats.sim_time_saved_s;
-            disagreements += result.stats.static_disagreements;
-            let verdicts: Vec<aitia::Verdict> = result.tested.iter().map(|t| t.verdict).collect();
-            digests.push(format!(
-                "{} chain={} verdicts={:?} sched={:?} steps={} lifs={}",
-                b.id,
-                result.chain,
-                verdicts,
-                run.schedule,
-                run.trace.len(),
-                out.stats.schedules_executed,
-            ));
-        }
-        (digests, side, disagreements)
-    };
-    let (ex_digests, exhaustive, _) = run(CausalityLevel::Exhaustive, false);
-    let (ad_digests, adaptive, _) = run(CausalityLevel::Adaptive, false);
-    let (ve_digests, verified, static_disagreements) = run(CausalityLevel::Adaptive, true);
-    // The digest pins everything diagnosis-facing except CA schedule
-    // counts, which the levels change by design; LIFS counters stay in so
-    // the causality knob provably never perturbs the search.
-    let diagnoses_identical = ex_digests == ad_digests && ad_digests == ve_digests;
-    let flip_execution_reduction_percent = if exhaustive.flip_vm_executions > 0 {
-        100.0
-            * exhaustive
-                .flip_vm_executions
-                .saturating_sub(adaptive.flip_vm_executions) as f64
-            / exhaustive.flip_vm_executions as f64
-    } else {
-        0.0
-    };
-    let meets_causality_gate = diagnoses_identical
-        && static_disagreements == 0
-        && flip_execution_reduction_percent >= 30.0;
-    CausalityBench {
-        scale,
-        exhaustive,
-        adaptive,
-        verified,
-        static_disagreements,
-        flip_execution_reduction_percent,
-        diagnoses_identical,
-        meets_causality_gate,
-    }
-}
-
-/// Runs the memoization A/B benchmark over Table 2.
-///
-/// The baseline must run before the memoized side: the memo table and the
-/// snapshot forest are process-wide, so this function measures them cold.
-/// (The baseline never consults either, so the order only matters for the
-/// memoized side's hit counters, not for any diagnosis.)
-#[must_use]
-pub fn bench_memo(scale: f64) -> MemoBench {
-    let passes = 2;
-    let run = |memo: bool| {
-        // One program per bug, shared across passes — the memo table keys
-        // on program identity, exactly as a live re-diagnosis session
-        // holds one `Arc<Program>` (each side still builds its own, so
-        // sides never share memo entries).
-        let bugs = corpus::cves();
-        let progs: Vec<Arc<ksim::Program>> = bugs.iter().map(|b| b.program_scaled(scale)).collect();
-        let mut all_rows = Vec::new();
-        let mut vm_executions = 0;
-        let mut memo_hits = 0;
-        let mut forest_hits = 0;
-        for _ in 0..passes {
-            // Fresh pool per pass; single worker because hit counters are
-            // racy across workers (two fingerprint-equal jobs in flight
-            // race to insert first), so the benchmark pins vms to 1 for
-            // reproducible numbers.
-            let exec = Arc::new(Executor::with_config(ExecutorConfig {
-                vms: 1,
-                memo,
-                ..ExecutorConfig::default()
-            }));
-            all_rows.push(
-                bugs.iter()
-                    .zip(&progs)
-                    .map(|(b, p)| diagnose_program_on(b, Arc::clone(p), &exec))
-                    .collect::<Vec<_>>(),
-            );
-            let stats = exec.stats();
-            vm_executions += stats.runs;
-            memo_hits += stats.memo_hits;
-            forest_hits += stats.forest_hits;
-        }
-        let sim_time_saved_s = all_rows
-            .iter()
-            .flatten()
-            .map(|r| r.lifs.sim_time_saved_s + r.result.stats.sim_time_saved_s)
-            .sum();
-        let schedules_executed = all_rows
-            .iter()
-            .flatten()
-            .map(|r| r.lifs.schedules_executed + r.result.stats.schedules_executed)
-            .sum();
-        let side = MemoBenchSide {
-            vm_executions,
-            memo_hits,
-            forest_hits,
-            sim_time_saved_s,
-            schedules_executed,
-        };
-        (all_rows, side)
-    };
-    // Baseline first: it never consults the process-wide table, so the
-    // order only matters for the memoized side's counters, which this way
-    // are measured from a cold table.
-    let (base_rows, baseline) = run(false);
-    let (memo_rows, memoized) = run(true);
-    let diagnoses_identical = base_rows
-        .iter()
-        .zip(&memo_rows)
-        .all(|(b, m)| diagnosis_digest(b) == diagnosis_digest(m));
-    let vm_execution_reduction_percent = if baseline.vm_executions > 0 {
-        100.0
-            * baseline
-                .vm_executions
-                .saturating_sub(memoized.vm_executions) as f64
-            / baseline.vm_executions as f64
-    } else {
-        0.0
-    };
-    MemoBench {
-        scale,
-        passes,
-        baseline,
-        memoized,
-        vm_execution_reduction_percent,
-        diagnoses_identical,
-    }
-}
-
-/// One interruption point of the kill-and-resume benchmark.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct ResumePoint {
-    /// Where the campaign was "killed", as a percent of its journal.
-    pub interrupted_at_percent: u32,
-    /// Conclusive records the uninterrupted campaign journaled.
-    pub journal_records_total: usize,
-    /// Records surviving the simulated kill (the journal prefix replayed
-    /// on resume).
-    pub journal_records_kept: usize,
-    /// VM executions the uninterrupted campaign paid.
-    pub baseline_vm_executions: u64,
-    /// VM executions the resumed campaign paid (journal replay answers the
-    /// rest at zero cost).
-    pub resumed_vm_executions: u64,
-    /// Percent of the baseline's VM executions the resume avoided.
-    pub vm_executions_saved_percent: f64,
-    /// Whether the resumed diagnosis is bit-identical to the
-    /// uninterrupted one (chain, verdicts, schedules, statistics).
-    pub diagnosis_identical: bool,
-}
-
-/// Result of `report bench-resume`: VM executions saved by journal replay
-/// when a campaign is killed at 25/50/75% progress and relaunched.
-///
-/// Each interruption point runs an uninterrupted journaled campaign,
-/// truncates its journal at a record boundary to the given fraction
-/// (exactly what a kill mid-campaign leaves behind, minus the torn tail
-/// the journal would truncate anyway), then resumes with a
-/// content-identical program in a fresh allocation — so the process-wide
-/// memo table (keyed on `Arc` identity) cannot answer, and every saved
-/// execution is attributable to the digest-keyed journal replay alone.
-/// This is the honest single-process model of a process restart.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct ResumeBench {
-    /// Noise scale the campaigns ran at.
-    pub scale: f64,
-    /// The corpus bug diagnosed.
-    pub bug_id: String,
-    /// The 25/50/75% interruption points.
-    pub points: Vec<ResumePoint>,
-    /// The acceptance gate: the 50% interruption point saves at least 40%
-    /// of the baseline's VM executions, and every point resumes to a
-    /// bit-identical diagnosis.
-    pub meets_resume_gate: bool,
-}
-
-/// Everything diagnosis-facing in one campaign diagnosis, as a comparable
-/// string (the campaign-level analogue of [`diagnosis_digest`]).
-fn campaign_digest(d: &Diagnosis) -> String {
-    let verdicts: Vec<aitia::Verdict> = d.result.tested.iter().map(|t| t.verdict).collect();
-    format!(
-        "slice={} chain={} verdicts={:?} sched={:?} steps={} lifs={} ca={}",
-        d.slice_index,
-        d.result.chain,
-        verdicts,
-        d.failing.schedule,
-        d.failing.trace.len(),
-        d.lifs_stats.schedules_executed,
-        d.result.stats.schedules_executed,
-    )
-}
-
-/// Runs the kill-and-resume benchmark on a representative Table 2 bug.
-#[must_use]
-pub fn bench_resume(scale: f64) -> ResumeBench {
-    let bugs = corpus::cves();
-    let bug = bugs
-        .iter()
-        .find(|b| b.id == "CVE-2017-15649")
-        .expect("15649 in corpus");
-    let config = || ManagerConfig {
-        vms: 1,
-        lifs: bug.lifs_config(),
-        ..ManagerConfig::default()
-    };
-    let mut points = Vec::new();
-    for pct in [25u32, 50, 75] {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "aitia-bench-resume-{}-{pct}.wal",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        // The uninterrupted campaign, journaled from cold.
-        let baseline = Campaign::with_journal_path(config(), &path);
-        let base_outcome = baseline.diagnose_program(bug.program_scaled(scale));
-        let base_digest = base_outcome.diagnosis().map(campaign_digest);
-        let baseline_vm_executions = baseline.manager().exec_stats().runs;
-        // Simulate the kill: keep a prefix of the journal at a record
-        // boundary.
-        let journal_records_total = aitia::journal::record_count(&path).unwrap_or(0);
-        let keep = journal_records_total * pct as usize / 100;
-        let journal_records_kept = aitia::journal::truncate_at_record(&path, keep).unwrap_or(0);
-        // The relaunched campaign: fresh program allocation, same journal.
-        let resumed = Campaign::with_journal_path(config(), &path);
-        let resumed_outcome = resumed.diagnose_program(bug.program_scaled(scale));
-        let resumed_digest = resumed_outcome.diagnosis().map(campaign_digest);
-        let resumed_vm_executions = resumed.manager().exec_stats().runs;
-        let vm_executions_saved_percent = if baseline_vm_executions > 0 {
-            100.0 * baseline_vm_executions.saturating_sub(resumed_vm_executions) as f64
-                / baseline_vm_executions as f64
-        } else {
-            0.0
-        };
-        points.push(ResumePoint {
-            interrupted_at_percent: pct,
-            journal_records_total,
-            journal_records_kept,
-            baseline_vm_executions,
-            resumed_vm_executions,
-            vm_executions_saved_percent,
-            diagnosis_identical: base_digest.is_some() && base_digest == resumed_digest,
-        });
-        let _ = std::fs::remove_file(&path);
-    }
-    let meets_resume_gate = points.iter().all(|p| p.diagnosis_identical)
-        && points
-            .iter()
-            .find(|p| p.interrupted_at_percent == 50)
-            .is_some_and(|p| p.vm_executions_saved_percent >= 40.0);
-    ResumeBench {
-        scale,
-        bug_id: bug.id.to_string(),
-        points,
-        meets_resume_gate,
-    }
-}
-
-/// Table 2: the ten CVE bugs.
-#[must_use]
-pub fn table2(scale: f64) -> Vec<BugOutcome> {
-    table2_on(scale, &Arc::new(Executor::new(1)))
-}
-
-/// Table 2 diagnosed over a shared VM pool.
-#[must_use]
-pub fn table2_on(scale: f64, exec: &Arc<Executor>) -> Vec<BugOutcome> {
-    table2_on_prune(scale, exec, None)
-}
-
-/// [`table2_on`] with an optional `--prune-level` override (`None` keeps
-/// each bug's calibrated default).
-#[must_use]
-pub fn table2_on_prune(
-    scale: f64,
-    exec: &Arc<Executor>,
-    prune: Option<aitia::lifs::PruneLevel>,
-) -> Vec<BugOutcome> {
-    table2_on_levels(scale, exec, prune, aitia::CausalityLevel::default())
-}
-
-/// [`table2_on_prune`] with an explicit `--causality-level`.
-#[must_use]
-pub fn table2_on_levels(
-    scale: f64,
-    exec: &Arc<Executor>,
-    prune: Option<aitia::lifs::PruneLevel>,
-    causality: aitia::CausalityLevel,
-) -> Vec<BugOutcome> {
-    corpus::cves()
-        .iter()
-        .map(|b| {
-            diagnose_program_with_levels(
-                b,
-                b.program_scaled(scale),
-                exec,
-                prune.unwrap_or(b.lifs_config().prune),
-                CausalityConfig {
-                    level: causality,
-                    ..CausalityConfig::default()
-                },
-            )
-        })
-        .collect()
-}
-
-/// Table 3: the twelve Syzkaller bugs.
-#[must_use]
-pub fn table3(scale: f64) -> Vec<BugOutcome> {
-    table3_on(scale, &Arc::new(Executor::new(1)))
-}
-
-/// Table 3 diagnosed over a shared VM pool.
-#[must_use]
-pub fn table3_on(scale: f64, exec: &Arc<Executor>) -> Vec<BugOutcome> {
-    table3_on_prune(scale, exec, None)
-}
-
-/// [`table3_on`] with an optional `--prune-level` override (`None` keeps
-/// each bug's calibrated default).
-#[must_use]
-pub fn table3_on_prune(
-    scale: f64,
-    exec: &Arc<Executor>,
-    prune: Option<aitia::lifs::PruneLevel>,
-) -> Vec<BugOutcome> {
-    table3_on_levels(scale, exec, prune, aitia::CausalityLevel::default())
-}
-
-/// [`table3_on_prune`] with an explicit `--causality-level`.
-#[must_use]
-pub fn table3_on_levels(
-    scale: f64,
-    exec: &Arc<Executor>,
-    prune: Option<aitia::lifs::PruneLevel>,
-    causality: aitia::CausalityLevel,
-) -> Vec<BugOutcome> {
-    corpus::syzkaller()
-        .iter()
-        .map(|b| {
-            diagnose_program_with_levels(
-                b,
-                b.program_scaled(scale),
-                exec,
-                prune.unwrap_or(b.lifs_config().prune),
-                CausalityConfig {
-                    level: causality,
-                    ..CausalityConfig::default()
-                },
-            )
-        })
-        .collect()
 }
 
 /// Renders a Table 2-shaped report (measured vs paper).
@@ -1077,9 +398,9 @@ pub struct ComparisonRow {
     pub replay_agreement: f64,
 }
 
-/// Runs the §5.3 baseline comparison over Table 3's bugs.
-#[must_use]
-pub fn comparison(scale: f64, samples: usize) -> Vec<ComparisonRow> {
+/// Runs the §5.3 baseline comparison over Table 3's bugs. `Err` names the
+/// first bug that did not reproduce.
+pub fn comparison(scale: f64, samples: usize) -> Result<Vec<ComparisonRow>, &'static str> {
     use baselines::sampler::{
         sample_runs,
         sample_runs_guided,
@@ -1088,8 +409,15 @@ pub fn comparison(scale: f64, samples: usize) -> Vec<ComparisonRow> {
     };
     let mut out = Vec::new();
     for bug in corpus::syzkaller() {
-        let outcome = diagnose_bug(&bug, scale);
         let prog = bug.program_scaled(scale);
+        let outcome = diagnose_program(
+            &bug,
+            Arc::clone(&prog),
+            &Arc::new(Executor::new(1)),
+            bug.lifs_config().prune,
+            CausalityConfig::default(),
+        )
+        .ok_or(bug.id)?;
         // Blind random runs plus failure-guided runs (the production site
         // that keeps hitting the interleaving — the setting cooperative
         // localization assumes).
@@ -1185,7 +513,7 @@ pub fn comparison(scale: f64, samples: usize) -> Vec<ComparisonRow> {
             replay_agreement,
         });
     }
-    out
+    Ok(out)
 }
 
 /// Renders the §5.3 comparison and the derived Table 1 matrix.
@@ -1855,8 +1183,9 @@ pub fn bench_corpus(seed_start: u64, seeds: usize, repro_dir: Option<&str>) -> C
 ///   [`corpus::generate`], optionally overriding the noise scale and
 ///   filler bound, e.g. `gen:42` or `gen:42:0.5:1`.
 ///
-/// Anything else is a resolver error, which the server counts as a
-/// supervisor fault (and eventually dead-letters).
+/// Scales and noise go through [`check_scale`] (noise may be 0). Anything
+/// else is a resolver error, which the server counts as a supervisor fault
+/// (and eventually dead-letters).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CorpusJobResolver {
     /// Deterministic VM fault injection applied to every resolved job
@@ -1879,11 +1208,7 @@ impl aitia::server::JobResolver for CorpusJobResolver {
                     .ok_or_else(|| format!("payload {payload:?}: missing scale"))?
                     .parse()
                     .map_err(|e| format!("payload {payload:?}: bad scale ({e})"))?;
-                if !(scale.is_finite() && scale > 0.0) {
-                    return Err(format!(
-                        "payload {payload:?}: scale must be finite and positive"
-                    ));
-                }
+                check_scale(scale, false).map_err(|e| format!("payload {payload:?}: scale {e}"))?;
                 let bug = corpus::all_bugs()
                     .into_iter()
                     .find(|b| b.id == id)
@@ -1906,6 +1231,8 @@ impl aitia::server::JobResolver for CorpusJobResolver {
                     config.noise_scale = noise
                         .parse()
                         .map_err(|e| format!("payload {payload:?}: bad noise ({e})"))?;
+                    check_scale(config.noise_scale, true)
+                        .map_err(|e| format!("payload {payload:?}: noise {e}"))?;
                 }
                 if let Some(filler) = parts.next() {
                     config.max_filler = filler
@@ -1925,181 +1252,5 @@ impl aitia::server::JobResolver for CorpusJobResolver {
                  gen:<seed>[:<noise>[:<filler>]]"
             )),
         }
-    }
-}
-
-/// One side of the server benchmark: the Table 2 corpus streamed through
-/// a `campaignd` instance at one concurrency setting.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct ServerBenchSide {
-    /// Human label (`serial` or `concurrent-8`).
-    pub label: String,
-    /// Concurrent campaigns (worker threads) on this side.
-    pub max_inflight: usize,
-    /// Campaigns run.
-    pub campaigns: usize,
-    /// Per-job diagnosis digests, in submission order.
-    pub digests: Vec<String>,
-    /// Simulated makespan of the whole batch on the default
-    /// [`CostModel`] (campaigns list-scheduled onto `max_inflight`
-    /// lanes), in seconds.
-    pub sim_makespan_s: f64,
-    /// Campaigns per simulated hour.
-    pub campaigns_per_hour: f64,
-    /// Median simulated queue latency (submit → admission), seconds.
-    pub queue_latency_p50_s: f64,
-    /// 95th-percentile simulated queue latency, seconds.
-    pub queue_latency_p95_s: f64,
-    /// The server's counter snapshot after the drain.
-    pub stats: aitia::ServerStats,
-}
-
-/// The `campaignd` throughput benchmark: serial submission (one campaign
-/// at a time, each holding the whole 8-VM pool) against 8 concurrent
-/// fair-shared campaigns, over the Table 2 corpus.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct ServerBench {
-    /// Benign-noise scale the corpus ran at.
-    pub scale: f64,
-    /// VM slots in each side's pool.
-    pub total_vms: usize,
-    /// The serial side (`max_inflight = 1`).
-    pub serial: ServerBenchSide,
-    /// The concurrent side (`max_inflight = 8`).
-    pub concurrent: ServerBenchSide,
-    /// Whether both sides produced bit-identical per-job digests.
-    pub diagnoses_identical: bool,
-    /// Serial makespan over concurrent makespan.
-    pub campaigns_per_hour_speedup: f64,
-    /// `diagnoses_identical` and speedup ≥ 1.5.
-    pub meets_server_gate: bool,
-}
-
-/// List-schedules per-campaign simulated durations (submission order)
-/// onto `lanes` identical lanes: returns the batch makespan and each
-/// campaign's queue latency (simulated time from submission-at-zero to
-/// admission).
-fn server_timeline(durations_s: &[f64], lanes: usize) -> (f64, Vec<f64>) {
-    let lanes = lanes.max(1);
-    let mut lane_end = vec![0.0f64; lanes];
-    let mut latencies = Vec::with_capacity(durations_s.len());
-    for &d in durations_s {
-        let lane = lane_end
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map_or(0, |(i, _)| i);
-        latencies.push(lane_end[lane]);
-        lane_end[lane] += d;
-    }
-    let makespan = lane_end.iter().copied().fold(0.0f64, f64::max);
-    (makespan, latencies)
-}
-
-/// The `p`-th percentile (0..=100) of `values` by nearest-rank.
-fn percentile(values: &[f64], p: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Runs the `campaignd` throughput benchmark: the Table 2 corpus as
-/// `cve:<id>:<scale>` payloads through two fresh server instances —
-/// serial (`max_inflight` 1: each campaign holds all 8 VM slots, so small
-/// schedule batches leave most of the pool idle) and concurrent
-/// (`max_inflight` 8: eight width-1 campaigns run side by side at full
-/// pool utilization). Throughput and queue latency are computed on the
-/// deterministic simulated clock ([`aitia::ExecStats::sim_makespan_ns`]
-/// per campaign, campaigns list-scheduled onto lanes), so the result is
-/// bit-stable on any host. The gate demands bit-identical per-job
-/// digests and a ≥ 1.5× campaigns-per-hour speedup.
-///
-/// # Panics
-///
-/// Panics when a scratch server directory cannot be created — the bench
-/// requires a writable temp dir.
-#[must_use]
-pub fn bench_server(scale: f64) -> ServerBench {
-    let total_vms = 8usize;
-    // Three scale steps per bug: a realistic stream re-diagnoses the same
-    // corpus at several noise levels, and 30 campaigns amortize the
-    // longest single campaign across the concurrent side's lanes (with
-    // only 10, one long width-1 campaign floors the 8-lane makespan).
-    let payloads: Vec<String> = corpus::cves()
-        .iter()
-        .flat_map(|b| {
-            [1.0, 0.5, 0.25]
-                .iter()
-                .map(|m| format!("cve:{}:{}", b.id, scale * m))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let side = |label: &str, max_inflight: usize| -> ServerBenchSide {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("aitia-bench-server-{label}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = aitia::ServerConfig {
-            max_inflight,
-            total_vms,
-            drain: true,
-            poll_ms: 5,
-            ..aitia::ServerConfig::at(&dir)
-        };
-        let server = aitia::CampaignServer::open(config, Arc::new(CorpusJobResolver::default()))
-            .expect("scratch server dir is writable");
-        let ids: Vec<u64> = payloads
-            .iter()
-            .map(|p| server.submit(p).expect("bench submits fit the queue"))
-            .collect();
-        let stats = server.run();
-        let jobs = server.jobs().expect("queue folds after drain");
-        let digests: Vec<String> = ids
-            .iter()
-            .map(|id| jobs[id].digest.clone().unwrap_or_default())
-            .collect();
-        let durations: Vec<f64> = ids
-            .iter()
-            .map(|id| jobs[id].sim_makespan_ns.unwrap_or(0) as f64 / 1e9)
-            .collect();
-        let (makespan, latencies) = server_timeline(&durations, max_inflight);
-        let _ = std::fs::remove_dir_all(&dir);
-        ServerBenchSide {
-            label: label.to_string(),
-            max_inflight,
-            campaigns: ids.len(),
-            digests,
-            sim_makespan_s: makespan,
-            campaigns_per_hour: if makespan > 0.0 {
-                ids.len() as f64 * 3600.0 / makespan
-            } else {
-                0.0
-            },
-            queue_latency_p50_s: percentile(&latencies, 50.0),
-            queue_latency_p95_s: percentile(&latencies, 95.0),
-            stats,
-        }
-    };
-    let serial = side("serial", 1);
-    let concurrent = side("concurrent-8", total_vms);
-    let diagnoses_identical =
-        serial.digests == concurrent.digests && serial.digests.iter().all(|d| !d.is_empty());
-    let campaigns_per_hour_speedup = if serial.sim_makespan_s > 0.0 {
-        serial.sim_makespan_s / concurrent.sim_makespan_s.max(f64::MIN_POSITIVE)
-    } else {
-        0.0
-    };
-    let meets_server_gate = diagnoses_identical && campaigns_per_hour_speedup >= 1.5;
-    ServerBench {
-        scale,
-        total_vms,
-        serial,
-        concurrent,
-        diagnoses_identical,
-        campaigns_per_hour_speedup,
-        meets_server_gate,
     }
 }

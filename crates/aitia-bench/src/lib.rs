@@ -2,8 +2,7 @@
 //!
 //! [`experiments`] regenerates every table and figure of the paper's
 //! evaluation section; the `report` binary renders them beside the paper's
-//! reported numbers, and the Criterion benches under `benches/` time the
-//! same entry points.
+//! reported numbers. Wall-clock timing belongs to `perfbench/`.
 
 #![warn(missing_docs)]
 

@@ -232,7 +232,7 @@ pub struct CausalityConfig {
     /// Debug agreement mode: still execute flips the static prover
     /// discharged and assert the run agrees (failure manifested). Costs the
     /// executions adaptivity saves — for soundness audits and the
-    /// bench-causality agreement gate, not production use.
+    /// agreement gate in `tests/causality_golden.rs`, not production use.
     pub verify_static: bool,
     /// Cancellation root for the analysis's flip batches. The default is a
     /// fresh, never-cancelled token; the manager subscribes this token to

@@ -260,7 +260,7 @@ pub struct ServerStats {
     /// Jobs quarantined as [`JobState::DeadLettered`].
     pub dead_lettered: u64,
     /// Sum of per-campaign simulated pool makespans, in nanoseconds —
-    /// the deterministic cost basis for `report bench-server`.
+    /// the deterministic cost basis for throughput comparisons.
     pub sim_makespan_ns: u64,
 }
 

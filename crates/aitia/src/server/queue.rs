@@ -172,8 +172,8 @@ enum QueueRecord {
         /// Human-readable detail (dead-letter reason, resolver error).
         detail: Option<String>,
         /// The campaign's simulated pool makespan, in nanoseconds
-        /// (terminal states only) — the deterministic cost `report
-        /// bench-server` aggregates.
+        /// (terminal states only) — the deterministic cost the server
+        /// throughput gate in `tests/campaignd.rs` aggregates.
         sim_makespan_ns: Option<u64>,
     },
 }

@@ -46,6 +46,33 @@ pub struct NoiseSpec {
     pub seed: u64,
 }
 
+/// The largest noise scale any entry point accepts: 100× the paper
+/// calibration. CVE-2019-11486 already stops reproducing at 50, and a
+/// built program grows linearly with the scale (at 1e12 building one asks
+/// for a 16 TB allocation, which aborts the process), so a larger scale
+/// could only exhaust memory or saturate [`NoiseSpec::scaled`].
+pub const MAX_SCALE: f64 = 100.0;
+
+/// Checks a user-supplied noise scale: greater than 0 (or, with `zero_ok`,
+/// equal to 0, which generated bugs read as silent) and at most
+/// [`MAX_SCALE`]. NaN and infinities fail. The error completes a sentence
+/// that names the value, e.g. `--scale must be …`.
+///
+/// # Errors
+///
+/// When `scale` is out of range.
+pub fn check_scale(scale: f64, zero_ok: bool) -> Result<(), String> {
+    let floor_ok = if zero_ok { scale >= 0.0 } else { scale > 0.0 };
+    if floor_ok && scale <= MAX_SCALE {
+        Ok(())
+    } else {
+        let floor = if zero_ok { "at least" } else { "greater than" };
+        Err(format!(
+            "must be a finite number {floor} 0 and at most {MAX_SCALE}"
+        ))
+    }
+}
+
 impl NoiseSpec {
     /// A spec with everything scaled by `f` (tests run at small scale,
     /// benches at calibration scale).
@@ -305,6 +332,18 @@ mod tests {
         assert_eq!(spec.private_work, 100);
         let tiny = NoiseSpec::default().scaled(0.0001);
         assert_eq!(tiny.burst, 1, "nonzero fields stay nonzero");
+    }
+
+    #[test]
+    fn check_scale_admits_exactly_zero_to_max() {
+        for ok in [1e-9, 1.0, MAX_SCALE] {
+            assert!(check_scale(ok, false).is_ok(), "{ok}");
+        }
+        for bad in [0.0, -1.0, 101.0, 1e12, f64::INFINITY, f64::NAN] {
+            assert!(check_scale(bad, false).is_err(), "{bad}");
+        }
+        assert!(check_scale(0.0, true).is_ok(), "0 is silent where allowed");
+        assert!(check_scale(-0.5, true).is_err());
     }
 
     #[test]

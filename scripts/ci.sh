@@ -25,37 +25,38 @@ echo "==> perfbench self-tests"
 # instead of at the next bench run.
 cargo test --release --manifest-path perfbench/Cargo.toml
 
-echo "==> bench smoke (reduced scale)"
-# The fuzz smoke runs a small fixed seed range through the full 24-cell
-# executor matrix; the gate grep inside bench.sh asserts both bit-identical
-# digests across every cell and planted-race recall.
-BENCH_SCALE=0.05 BENCH_OUT=target/BENCH_memo_smoke.json \
-    BENCH_RESUME_OUT=target/BENCH_resume_smoke.json \
-    BENCH_PRUNE_OUT=target/BENCH_prune_smoke.json \
-    BENCH_CAUSALITY_SCALE=0.05 \
-    BENCH_CAUSALITY_OUT=target/BENCH_causality_smoke.json \
-    BENCH_CORPUS_SEEDS=8 BENCH_CORPUS_OUT=target/BENCH_corpus_smoke.json \
-    BENCH_SERVER_SCALE=0.05 BENCH_SERVER_OUT=target/BENCH_server_smoke.json \
-    scripts/bench.sh
+echo "==> release build"
+# The smokes below drive the release binaries. The gates on memoization,
+# resume, pruning, causality, the server and the generated corpus are
+# integration tests, run by the cargo test stage above.
+cargo build --release -p aitia-bench
 
 echo "==> usage-error smoke"
-# Unknown flags (here --backend and --repeats, which older builds
-# accepted) and out-of-range --scale values must be rejected at startup
-# with the usage exit status 2: never run, succeed or panic.
-expect_usage_error() {
-    local rc=0
+# Unknown flags (here --backend, which older builds accepted), deleted
+# subcommands (bench-memo) and out-of-range --scale values must be
+# rejected at startup with the usage exit status 2: never run, succeed,
+# panic or abort.
+expect_status() {
+    local want=$1 rc=0
+    shift
     "$@" > /dev/null 2>&1 || rc=$?
-    [ "$rc" -eq 2 ] \
-        || { echo "FAIL: '$*' exited $rc, want 2 (usage error)" >&2; exit 1; }
+    [ "$rc" -eq "$want" ] \
+        || { echo "FAIL: '$*' exited $rc, want $want" >&2; exit 1; }
 }
-expect_usage_error ./target/release/diagnose CVE-2017-15649 --backend ksim
-expect_usage_error ./target/release/report table2 --backend ksim
-expect_usage_error ./target/release/campaignd status --dir target/ci-usage-campaignd \
+expect_status 2 ./target/release/diagnose CVE-2017-15649 --backend ksim
+expect_status 2 ./target/release/report table2 --backend ksim
+expect_status 2 ./target/release/campaignd status --dir target/ci-usage-campaignd \
     --backend ksim
-expect_usage_error ./target/release/report bench-memo --repeats 2
-for bad_scale in inf nan 0; do
-    expect_usage_error ./target/release/report table2 --scale "$bad_scale"
+expect_status 2 ./target/release/report bench-memo
+expect_status 2 ./target/release/diagnose CVE-2017-15649 --scale 1e12
+for bad_scale in inf nan 0 1e300 101; do
+    expect_status 2 ./target/release/report table2 --scale "$bad_scale"
 done
+
+echo "==> no-reproduction smoke"
+# At the largest accepted scale CVE-2019-11486 no longer reproduces:
+# report must say so and exit 1, as diagnose does, instead of panicking.
+expect_status 1 ./target/release/report table2 --scale 100
 
 echo "==> prune ablation smoke"
 # The same bug diagnosed with pruning fully off and with full DPOR pruning

@@ -6,7 +6,9 @@
 //! The contract: every job reaches a terminal state, diagnoses are
 //! bit-identical to direct single-campaign runs (and across worker
 //! counts), and dead-lettered jobs never block the jobs submitted after
-//! them.
+//! them. A third test holds the concurrency gate: eight concurrent
+//! campaigns finish Table 2 at least 1.5× sooner on the simulated clock
+//! than one campaign at a time, with the same diagnoses.
 
 use aitia_bench::experiments::CorpusJobResolver;
 use aitia_repro::aitia::server::{
@@ -26,6 +28,7 @@ use aitia_repro::aitia::{
     FaultInjection,
     Substrate, //
 };
+use aitia_repro::corpus;
 use std::collections::BTreeMap;
 use std::path::{
     Path,
@@ -35,6 +38,16 @@ use std::sync::Arc;
 
 /// How many generated seeds the soak streams through each server.
 const SEEDS: u64 = 50;
+
+/// Payloads whose scale or noise is out of range. Each once aborted the
+/// process on a huge allocation or panicked in the resolver; now each
+/// fails to resolve like any other poison.
+const OUT_OF_RANGE: [&str; 3] = ["cve:CVE-2017-15649:1e12", "gen:3:1e12", "gen:3:inf"];
+
+/// Whether the soak expects `payload` to dead-letter.
+fn is_poison(payload: &str) -> bool {
+    payload.starts_with("poison:") || OUT_OF_RANGE.contains(&payload)
+}
 
 /// Recovering VM faults: failures on early attempts, success on a retry,
 /// so campaigns complete while the retry machinery stays exercised.
@@ -100,17 +113,19 @@ fn direct_digest(payload: &str) -> String {
 
 #[test]
 fn soak_fifty_seeds_at_one_two_and_eight_workers() {
-    // Poison payloads interleave with the stream: two unknown payloads
-    // (resolver error) submitted *before* most of the work, so a wedged
-    // queue would starve everything behind them.
+    // Poison payloads interleave with the stream: two unknown payloads and
+    // the out-of-range ones (resolver errors) submitted *before* most of
+    // the work, so a wedged queue would starve everything behind them.
     let mut payloads: Vec<String> = vec!["poison:alpha".into()];
+    payloads.extend(OUT_OF_RANGE.map(String::from));
     payloads.extend((0..SEEDS).map(|s| format!("gen:{s}")));
     payloads.insert(SEEDS as usize / 2, "poison:beta".into());
+    let poisons = payloads.iter().filter(|p| is_poison(p)).count();
 
     // Reference digests from direct single-campaign runs, computed once.
     let reference: BTreeMap<&str, String> = payloads
         .iter()
-        .filter(|p| p.starts_with("gen:"))
+        .filter(|p| !is_poison(p))
         .map(|p| (p.as_str(), direct_digest(p)))
         .collect();
 
@@ -142,21 +157,25 @@ fn soak_fifty_seeds_at_one_two_and_eight_workers() {
             .values()
             .filter(|j| j.state == JobState::DeadLettered)
             .collect();
-        assert_eq!(dead.len(), 2, "{workers} workers: both poisons quarantined");
+        assert_eq!(
+            dead.len(),
+            poisons,
+            "{workers} workers: every poison quarantined"
+        );
         for j in &dead {
-            assert!(j.payload.starts_with("poison:"));
+            assert!(is_poison(&j.payload), "{} dead-lettered", j.payload);
             assert!(
                 dir.join(format!("quarantine/job-{}.json", j.id)).exists(),
                 "{workers} workers: quarantine file for job {}",
                 j.id
             );
         }
-        assert_eq!(stats.dead_lettered, 2);
+        assert_eq!(stats.dead_lettered, poisons as u64);
 
         // Diagnoses are bit-identical to direct single-campaign runs.
         let mut digests = BTreeMap::new();
         for j in jobs.values() {
-            if !j.payload.starts_with("gen:") {
+            if is_poison(&j.payload) {
                 continue;
             }
             let digest = j.digest.clone().expect("terminal generated job has digest");
@@ -199,4 +218,74 @@ fn backpressure_rejects_past_the_bound_and_recovers_as_jobs_finish() {
     // Terminal jobs free admission slots: the rejected payload fits now.
     server.submit("gen:99").expect("bound freed after drain");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The concurrency gate at scale 0.05: 30 `cve:` payloads (each Table 2
+/// bug at the scale times 1, 0.5 and 0.25) through an 8-VM server, once at
+/// `max_inflight` 1 and once at 8. Per-job digests must be non-empty and
+/// identical across the two runs, and the concurrent run's simulated
+/// makespan must be at least 1.5× shorter. The makespan comes from the
+/// deterministic simulated clock, so the gate holds on any host.
+#[test]
+fn eight_concurrent_campaigns_finish_table2_one_and_a_half_times_sooner() {
+    const SCALE: f64 = 0.05;
+    let payloads: Vec<String> = corpus::cves()
+        .iter()
+        .flat_map(|b| [1.0, 0.5, 0.25].map(|m| format!("cve:{}:{}", b.id, SCALE * m)))
+        .collect();
+    let side = |max_inflight: usize| {
+        let dir = temp_dir(&format!("gate-{max_inflight}"));
+        // `ServerConfig::at` gives each side its own private substrate.
+        let config = ServerConfig {
+            max_inflight,
+            total_vms: 8,
+            drain: true,
+            poll_ms: 5,
+            ..ServerConfig::at(&dir)
+        };
+        let server = CampaignServer::open(config, Arc::new(CorpusJobResolver::default()))
+            .expect("server opens");
+        let ids: Vec<u64> = payloads
+            .iter()
+            .map(|p| server.submit(p).expect("gate submits fit the queue"))
+            .collect();
+        server.run();
+        let jobs = server.jobs().expect("queue folds");
+        let digests: Vec<String> = ids
+            .iter()
+            .map(|id| jobs[id].digest.clone().unwrap_or_default())
+            .collect();
+        let durations: Vec<f64> = ids
+            .iter()
+            .map(|id| jobs[id].sim_makespan_ns.unwrap_or(0) as f64 / 1e9)
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        (digests, list_schedule_makespan(&durations, max_inflight))
+    };
+    let (serial_digests, serial) = side(1);
+    let (concurrent_digests, concurrent) = side(8);
+    assert!(
+        serial_digests.iter().all(|d| !d.is_empty()),
+        "every job must finish with a digest"
+    );
+    assert_eq!(serial_digests, concurrent_digests);
+    let speedup = serial / concurrent;
+    assert!(
+        speedup >= 1.5,
+        "8 concurrent campaigns took {concurrent:.1} simulated seconds against serial's \
+         {serial:.1}: a {speedup:.2}× speedup, under the gate's 1.5×"
+    );
+}
+
+/// List-schedules per-campaign simulated durations, in submission order,
+/// onto `lanes` identical lanes and returns the batch makespan.
+fn list_schedule_makespan(durations_s: &[f64], lanes: usize) -> f64 {
+    let mut lane_end = vec![0.0f64; lanes.max(1)];
+    for &d in durations_s {
+        let lane = (0..lane_end.len())
+            .min_by(|&a, &b| lane_end[a].total_cmp(&lane_end[b]))
+            .unwrap_or(0);
+        lane_end[lane] += d;
+    }
+    lane_end.into_iter().fold(0.0, f64::max)
 }

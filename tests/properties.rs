@@ -11,7 +11,12 @@
 //!   failure; benign races never enter the chain;
 //! * race detection sanity — lock-protected conflicting accesses never
 //!   count as races.
+//!
+//! One plain test holds the memoization gate on the Table 2 corpus:
+//! re-diagnosis with the memo table gives the same diagnoses for at least
+//! 40% fewer VM executions.
 
+use aitia_bench::experiments::diagnose_program;
 use aitia_repro::aitia::{
     causality::flip,
     enforce::{
@@ -19,9 +24,10 @@ use aitia_repro::aitia::{
         EnforceConfig, //
     },
     races_in_trace, CancelToken, CausalityAnalysis, CausalityConfig, CausalityLevel, ExecJob,
-    Executor, ExecutorConfig, FaultInjection, Lifs, LifsConfig, PruneLevel, Schedule, ThreadSel,
-    Verdict,
+    Executor, ExecutorConfig, FaultInjection, Lifs, LifsConfig, PruneLevel, Schedule, Substrate,
+    ThreadSel, Verdict,
 };
+use aitia_repro::corpus;
 use aitia_repro::ksim::{
     builder::{
         cond_reg,
@@ -384,6 +390,64 @@ proptest! {
             prop_assert_eq!(&baseline, &memoized, "diverged at {} workers", vms);
         }
     }
+}
+
+/// The memoization gate over Table 2 at scale 0.05, on the re-diagnosis
+/// workload the cross-run table exists for: two passes over one set of
+/// programs, each pass on a fresh single-worker pool, with memo off and
+/// then on. Every pass must give the same diagnoses on both sides, and the
+/// memo side must pay at least 40% fewer VM executions.
+#[test]
+fn memoized_rediagnosis_saves_forty_percent_of_vm_executions() {
+    let side = |memo: bool| {
+        // Own substrate: concurrent tests in this binary cannot evict the
+        // entries the second pass needs.
+        let substrate = Substrate::private(8192, 256);
+        let bugs = corpus::cves();
+        // One program per bug, shared by both passes: the memo table keys
+        // on program identity.
+        let progs: Vec<_> = bugs.iter().map(|b| b.program_scaled(0.05)).collect();
+        let mut digests = Vec::new();
+        let mut runs = 0;
+        for _pass in 0..2 {
+            let exec = Arc::new(Executor::with_config(ExecutorConfig {
+                vms: 1,
+                memo,
+                substrate: substrate.clone(),
+                ..ExecutorConfig::default()
+            }));
+            for (bug, prog) in bugs.iter().zip(&progs) {
+                let o = diagnose_program(
+                    bug,
+                    Arc::clone(prog),
+                    &exec,
+                    bug.lifs_config().prune,
+                    CausalityConfig::default(),
+                )
+                .unwrap_or_else(|| panic!("{} did not reproduce", bug.id));
+                let verdicts: Vec<_> = o.result.tested.iter().map(|t| t.verdict).collect();
+                digests.push(format!(
+                    "{} chain={} verdicts={verdicts:?} sched={:?} steps={} lifs={} ca={}",
+                    o.id,
+                    o.result.chain,
+                    o.run.schedule,
+                    o.run.trace.len(),
+                    o.lifs.schedules_executed,
+                    o.result.stats.schedules_executed,
+                ));
+            }
+            runs += exec.stats().runs;
+        }
+        (digests, runs)
+    };
+    let (baseline, baseline_runs) = side(false);
+    let (memoized, memoized_runs) = side(true);
+    assert_eq!(baseline, memoized, "memoization changed a diagnosis");
+    assert!(
+        5 * memoized_runs <= 3 * baseline_runs,
+        "memo on paid {memoized_runs} VM executions against memo off's {baseline_runs}: \
+         under the gate's 40% reduction"
+    );
 }
 
 /// What DPOR pruning must keep invariant across levels: the first failing

@@ -1,5 +1,8 @@
 //! Golden-corpus regression for DPOR pruning: the exact number of
-//! schedules LIFS executes per Table 2 bug, at every prune level.
+//! schedules LIFS executes per Table 2 bug, at every prune level. The same
+//! runs carry the pruning gate: every level diagnoses every bug
+//! identically, and over the corpus `dpor` executes at least 30% fewer
+//! schedules than `conflict`.
 //!
 //! These numbers are a behavioural snapshot, not a performance budget:
 //! any change to plan generation, the conflict relation, or the
@@ -9,11 +12,14 @@
 //! in `properties.rs` confirm diagnoses are still identical across levels.
 //!
 //! The noise scale is small so the unpruned `off` search stays tractable
-//! in debug builds; `BENCH_prune.json` covers the performance claim at
-//! benchmark scale.
+//! in debug builds.
 
-use aitia_repro::aitia::{Lifs, LifsConfig, PruneLevel};
+use aitia_repro::aitia::{
+    CausalityAnalysis, CausalityConfig, Executor, ExecutorConfig, Lifs, LifsConfig, PruneLevel,
+    Substrate,
+};
 use aitia_repro::corpus;
+use std::sync::Arc;
 
 const SCALE: f64 = 0.02;
 
@@ -33,31 +39,59 @@ const GOLDEN: &[(&str, [usize; 3])] = &[
 
 #[test]
 fn schedules_executed_per_bug_and_level_match_golden() {
+    let levels = [PruneLevel::Off, PruneLevel::Conflict, PruneLevel::Dpor];
+    // One single-worker pool per level, each on its own substrate, so no
+    // level can answer (or evict) another level's memo entries.
+    let pools = levels.map(|_| {
+        Arc::new(Executor::with_config(ExecutorConfig {
+            vms: 1,
+            substrate: Substrate::private(8192, 256),
+            ..ExecutorConfig::default()
+        }))
+    });
     let bugs = corpus::cves();
     assert_eq!(bugs.len(), GOLDEN.len(), "corpus and golden table differ");
     let mut actual = Vec::new();
     let mut diffs = Vec::new();
+    let mut totals = [0usize; 3];
     for (bug, (gid, golden)) in bugs.iter().zip(GOLDEN) {
         assert_eq!(&bug.id, gid, "corpus order changed; regenerate the table");
         let mut got = [0usize; 3];
-        for (slot, prune) in [PruneLevel::Off, PruneLevel::Conflict, PruneLevel::Dpor]
-            .into_iter()
-            .enumerate()
-        {
-            let out = Lifs::new(
+        let mut diagnoses = Vec::new();
+        for (slot, (prune, exec)) in levels.into_iter().zip(&pools).enumerate() {
+            let out = Lifs::with_executor(
                 bug.program_scaled(SCALE),
                 LifsConfig {
                     prune,
                     ..bug.lifs_config()
                 },
+                Arc::clone(exec),
             )
             .search();
-            assert!(
-                out.failing.is_some(),
-                "{} did not reproduce at {prune} (scale {SCALE})",
-                bug.id
-            );
+            let run = out.failing.unwrap_or_else(|| {
+                panic!("{} did not reproduce at {prune} (scale {SCALE})", bug.id)
+            });
             got[slot] = out.stats.schedules_executed;
+            let result =
+                CausalityAnalysis::with_executor(CausalityConfig::default(), Arc::clone(exec))
+                    .analyze(&run);
+            let verdicts: Vec<_> = result.tested.iter().map(|t| t.verdict).collect();
+            diagnoses.push(format!(
+                "chain={} verdicts={verdicts:?} sched={:?} steps={} ca={}",
+                result.chain,
+                run.schedule,
+                run.trace.len(),
+                result.stats.schedules_executed,
+            ));
+        }
+        assert!(
+            diagnoses.iter().all(|d| *d == diagnoses[0]),
+            "{}: prune levels disagreed on the diagnosis:\n{}",
+            bug.id,
+            diagnoses.join("\n")
+        );
+        for (total, n) in totals.iter_mut().zip(got) {
+            *total += n;
         }
         assert!(
             got[2] <= got[1] && got[1] <= got[0],
@@ -69,6 +103,12 @@ fn schedules_executed_per_bug_and_level_match_golden() {
         }
         actual.push(format!("    ({:?}, {got:?}),", bug.id));
     }
+    let [_, conflict, dpor] = totals;
+    assert!(
+        10 * dpor <= 7 * conflict,
+        "dpor executed {dpor} schedules against conflict's {conflict}: \
+         under the gate's 30% reduction"
+    );
     assert!(
         diffs.is_empty(),
         "schedule counts drifted:\n{}\n\nfull regenerated table:\n{}",

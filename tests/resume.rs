@@ -6,7 +6,8 @@
 //! campaign, at any worker count, with VM-fault injection on. And the
 //! deadline contract: a budget that expires mid-analysis degrades to a
 //! partial diagnosis whose un-flipped races are all `Unverified`, never
-//! `Benign`.
+//! `Benign`. And the resume gate: on a corpus bug, a resume from half the
+//! journal saves at least 40% of the VM executions.
 
 use aitia_repro::aitia::{
     journal,
@@ -17,8 +18,10 @@ use aitia_repro::aitia::{
     Campaign,
     CampaignOutcome,
     FaultInjection,
+    Substrate,
     Verdict, //
 };
+use aitia_repro::corpus;
 use aitia_repro::ksim::{
     builder::{
         cond_reg,
@@ -178,6 +181,57 @@ fn garbage_journal_degrades_to_cold_start() {
     assert_eq!(stats.records_replayed, 0, "nothing to replay after reset");
     assert!(stats.records_appended > 0, "the campaign re-journaled");
     let _ = std::fs::remove_file(&path);
+}
+
+/// The resume gate at scale 0.05: CVE-2017-15649's journal, cut at 25, 50
+/// and 75% of its records, resumes to the uninterrupted diagnosis, and the
+/// cut at 50% saves at least 40% of the uninterrupted run's VM
+/// executions. Each campaign gets a freshly built program and its own
+/// substrate, so only the journal replay can spare an execution.
+#[test]
+fn corpus_resume_from_half_the_journal_saves_forty_percent_of_vm_executions() {
+    const SCALE: f64 = 0.05;
+    let bug = corpus::cves()
+        .into_iter()
+        .find(|b| b.id == "CVE-2017-15649")
+        .expect("CVE-2017-15649 in corpus");
+    let campaign = |path: &PathBuf| {
+        let campaign = Campaign::with_journal_path(
+            ManagerConfig {
+                vms: 1,
+                lifs: bug.lifs_config(),
+                substrate: Substrate::private(8192, 256),
+                ..ManagerConfig::default()
+            },
+            path,
+        );
+        let d = digest(
+            campaign
+                .diagnose_program(bug.program_scaled(SCALE))
+                .diagnosis()
+                .expect("CVE-2017-15649 reproduces"),
+        );
+        (d, campaign.manager().exec_stats().runs)
+    };
+    let full = fresh_journal_path("gate");
+    let (reference, cold_runs) = campaign(&full);
+    let total = journal::record_count(&full).unwrap();
+    for percent in [25, 50, 75] {
+        let cut = fresh_journal_path("gate-cut");
+        std::fs::copy(&full, &cut).unwrap();
+        journal::truncate_at_record(&cut, total * percent / 100).unwrap();
+        let (resumed, resumed_runs) = campaign(&cut);
+        assert_eq!(resumed, reference, "resume from {percent}% of the journal");
+        if percent == 50 {
+            assert!(
+                5 * resumed_runs <= 3 * cold_runs,
+                "resume from half of {total} records paid {resumed_runs} VM executions \
+                 against the cold run's {cold_runs}: under the gate's 40% saving"
+            );
+        }
+        let _ = std::fs::remove_file(&cut);
+    }
+    let _ = std::fs::remove_file(&full);
 }
 
 /// The degradation invariant at the campaign level: when a deadline expires
