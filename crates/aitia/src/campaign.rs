@@ -7,7 +7,7 @@
 //! * **Durability.** With a [`Journal`] configured, every conclusive
 //!   schedule execution is appended to a write-ahead log before the
 //!   campaign consumes it. A relaunched campaign replays the journal into
-//!   the process-wide memo table, so every previously-executed schedule is
+//!   its substrate's memo table, so every previously-executed schedule is
 //!   answered at zero VM cost — and because consumers are memo-invariant
 //!   (PR 3), the resumed diagnosis is bit-identical to an uninterrupted
 //!   one. A truncated or corrupt journal degrades to a cold start with a
@@ -34,11 +34,9 @@ use crate::{
     manager::{
         Diagnosis,
         Manager,
-        ManagerConfig,
-        SliceResolver, //
+        ManagerConfig, //
     },
 };
-use khist::ExecHistory;
 use ksim::Program;
 use std::path::Path;
 use std::sync::Arc;
@@ -83,12 +81,6 @@ impl CampaignOutcome {
             CampaignOutcome::Partial(p) => Some(&p.diagnosis),
             CampaignOutcome::NoReproduction { .. } => None,
         }
-    }
-
-    /// Whether the outcome was degraded by a deadline or cancellation.
-    #[must_use]
-    pub fn is_partial(&self) -> bool {
-        matches!(self, CampaignOutcome::Partial(_))
     }
 
     /// Whether a deadline budget fired during the campaign.
@@ -158,9 +150,7 @@ impl Campaign {
         if let Some(journal) = &self.journal {
             for program in slices {
                 // Replay into the substrate this campaign's executors will
-                // actually consult — a campaign isolated on a private
-                // substrate must not leak its journal into (or depend on)
-                // the process-global table.
+                // actually consult.
                 journal.replay_into_substrate(program, self.manager.substrate());
             }
         }
@@ -187,22 +177,6 @@ impl Campaign {
     #[must_use]
     pub fn diagnose_program(&self, program: Arc<Program>) -> CampaignOutcome {
         self.diagnose(&[program])
-    }
-
-    /// The full input-to-chain pipeline over an execution history
-    /// ([`Manager::diagnose_history`]), with journal replay and outcome
-    /// classification.
-    #[must_use]
-    pub fn diagnose_history(
-        &self,
-        history: &ExecHistory,
-        resolver: &dyn SliceResolver,
-    ) -> CampaignOutcome {
-        let slices: Vec<Arc<Program>> = khist::slices(history)
-            .iter()
-            .filter_map(|s| resolver.resolve(s))
-            .collect();
-        self.diagnose(&slices)
     }
 
     fn classify(&self, diagnosis: Option<Diagnosis>) -> CampaignOutcome {
@@ -235,6 +209,7 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Substrate;
     use crate::simtime::CostModel;
     use ksim::builder::ProgramBuilder;
 
@@ -263,8 +238,8 @@ mod tests {
     }
 
     fn serial_config() -> ManagerConfig {
-        // memo off keeps every run executed (and so deadline-charged)
-        // regardless of what other tests put in the process-wide table.
+        // memo off keeps every run executed (and so deadline-charged),
+        // even the schedules the search repeats.
         ManagerConfig {
             vms: 1,
             memo: false,
@@ -343,41 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn journaled_campaign_resumes_bit_identically() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("aitia-campaign-test-{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let first = Campaign::with_journal_path(ManagerConfig::default(), &path);
-        let outcome = first.diagnose_program(fig1_program());
-        let d1 = outcome
-            .diagnosis()
-            .expect("fig1 reproduces")
-            .result
-            .chain
-            .to_string();
-        let appended = first.journal_stats().expect("journal configured");
-        assert!(appended.records_appended > 0);
-        // The resumed campaign sees a content-identical program in a fresh
-        // allocation (a restarted process); only the journal can answer.
-        let resumed = Campaign::with_journal_path(ManagerConfig::default(), &path);
-        let outcome = resumed.diagnose_program(fig1_program());
-        let d2 = outcome
-            .diagnosis()
-            .expect("fig1 reproduces")
-            .result
-            .chain
-            .to_string();
-        assert_eq!(d1, d2);
-        let stats = resumed.journal_stats().expect("journal configured");
-        assert!(stats.records_replayed > 0, "resume replayed the journal");
-        assert_eq!(
-            stats.records_appended, 0,
-            "a full resume re-executes nothing new"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn campaign_degrades_to_journal_disabled_on_fsync_failure() {
         let mut path = std::env::temp_dir();
         path.push(format!(
@@ -402,22 +342,18 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Satellite: cross-campaign digest isolation. Two campaigns diagnosing
-    /// the *same* program object on private substrates share no memo state
-    /// — the second pays full VM execution — while two campaigns sharing
-    /// one substrate (the `campaignd` configuration) serve the second
-    /// largely from the first's entries. Either way the diagnosis digest is
-    /// bit-identical, which is exactly why cross-campaign sharing is safe.
+    /// Cross-campaign digest isolation. Two campaigns built from the
+    /// default configuration diagnose the *same* program object and share
+    /// no state — the second pays exactly the first's VM executions —
+    /// while two campaigns handed one substrate (the `campaignd`
+    /// configuration) serve the second largely from the first's entries.
+    /// Either way the diagnosis digest is bit-identical, which is exactly
+    /// why cross-campaign sharing is safe.
     #[test]
-    fn private_substrates_isolate_campaigns_shared_substrates_memoize() {
-        use crate::exec::Substrate;
+    fn default_campaigns_share_nothing_shared_substrates_memoize() {
         let program = fig1_program();
-        let with_substrate = |substrate: Substrate| {
-            let campaign = Campaign::new(ManagerConfig {
-                vms: 1,
-                substrate,
-                ..ManagerConfig::default()
-            });
+        let diagnose = |config: ManagerConfig| {
+            let campaign = Campaign::new(ManagerConfig { vms: 1, ..config });
             let outcome = campaign.diagnose_program(Arc::clone(&program));
             let digest = outcome
                 .diagnosis()
@@ -427,24 +363,27 @@ mod tests {
                 .to_string();
             (digest, campaign.manager().exec_stats())
         };
-        // Isolated: the second campaign's table starts empty.
-        let (d1, s1) = with_substrate(Substrate::private(8192, 256));
-        let (d2, s2) = with_substrate(Substrate::private(8192, 256));
+        let (d1, s1) = diagnose(ManagerConfig::default());
+        let (d2, s2) = diagnose(ManagerConfig::default());
         assert_eq!(d1, d2);
         // A lone diagnosis hits its *own* substrate (repeated schedules),
         // so isolation shows up as the second campaign's counters matching
         // the first's exactly — nothing carried over.
         assert_eq!(
             s2.memo_hits, s1.memo_hits,
-            "a private substrate must not observe another campaign's state"
+            "a default campaign must not observe another campaign's state"
         );
         assert_eq!(s1.runs, s2.runs, "both isolated campaigns pay full price");
         // Shared: one handle, two campaigns — the second hits.
-        let shared = Substrate::private(8192, 256);
+        let shared = Substrate::default();
         assert!(shared.shares_with(&shared.clone()));
-        assert!(!shared.shares_with(&Substrate::private(8192, 256)));
-        let (d3, _) = with_substrate(shared.clone());
-        let (d4, s4) = with_substrate(shared);
+        assert!(!shared.shares_with(&Substrate::default()));
+        let with_shared = || ManagerConfig {
+            substrate: shared.clone(),
+            ..ManagerConfig::default()
+        };
+        let (d3, _) = diagnose(with_shared());
+        let (d4, s4) = diagnose(with_shared());
         assert_eq!(d3, d4);
         assert_eq!(d1, d3, "substrate choice never changes the diagnosis");
         assert!(
@@ -454,47 +393,52 @@ mod tests {
         assert!(s4.runs < s2.runs, "sharing must save VM executions");
     }
 
+    /// A relaunched campaign (a content-identical program in a fresh
+    /// allocation, on a fresh substrate) replays its journal into the
+    /// substrate its executors consult and re-executes nothing, at the
+    /// serial width and the default pool width alike.
     #[test]
     fn journaled_campaign_on_private_substrate_replays_into_it() {
-        use crate::exec::Substrate;
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "aitia-campaign-substrate-test-{}.wal",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let config = || ManagerConfig {
-            vms: 1,
-            substrate: Substrate::private(8192, 256),
-            ..ManagerConfig::default()
-        };
-        let first = Campaign::with_journal_path(config(), &path);
-        let d1 = first
-            .diagnose_program(fig1_program())
-            .diagnosis()
-            .expect("fig1 reproduces")
-            .result
-            .chain
-            .to_string();
-        // The resumed campaign's private substrate starts empty; only the
-        // journal replay (into *that* substrate) can spare re-execution.
-        let resumed = Campaign::with_journal_path(config(), &path);
-        let d2 = resumed
-            .diagnose_program(fig1_program())
-            .diagnosis()
-            .expect("fig1 reproduces")
-            .result
-            .chain
-            .to_string();
-        assert_eq!(d1, d2);
-        let stats = resumed.journal_stats().expect("journal configured");
-        assert!(stats.records_replayed > 0);
-        assert_eq!(
-            stats.records_appended, 0,
-            "the replay must land in the private substrate the executors consult"
-        );
-        assert_eq!(resumed.manager().exec_stats().runs, 0, "full resume");
-        let _ = std::fs::remove_file(&path);
+        for vms in [1, ManagerConfig::default().vms] {
+            let mut path = std::env::temp_dir();
+            path.push(format!(
+                "aitia-campaign-substrate-test-{}-{vms}.wal",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            let config = || ManagerConfig {
+                vms,
+                ..ManagerConfig::default()
+            };
+            let first = Campaign::with_journal_path(config(), &path);
+            let d1 = first
+                .diagnose_program(fig1_program())
+                .diagnosis()
+                .expect("fig1 reproduces")
+                .result
+                .chain
+                .to_string();
+            let appended = first.journal_stats().expect("journal configured");
+            assert!(appended.records_appended > 0, "vms={vms}");
+            let resumed = Campaign::with_journal_path(config(), &path);
+            let d2 = resumed
+                .diagnose_program(fig1_program())
+                .diagnosis()
+                .expect("fig1 reproduces")
+                .result
+                .chain
+                .to_string();
+            assert_eq!(d1, d2, "vms={vms}");
+            let stats = resumed.journal_stats().expect("journal configured");
+            assert!(stats.records_replayed > 0, "vms={vms}");
+            assert_eq!(
+                stats.records_appended, 0,
+                "vms={vms}: the replay must land in the substrate the executors consult"
+            );
+            let runs = resumed.manager().exec_stats().runs;
+            assert_eq!(runs, 0, "vms={vms}: full resume");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

@@ -176,9 +176,6 @@ pub struct CaStats {
     pub sim: SimCost,
     /// Flip runs answered from the cross-run memo table instead of a VM.
     pub memo_hits: usize,
-    /// Snapshot-prefix restores served by the shared snapshot forest
-    /// (published by another worker) rather than the VM's own cache.
-    pub forest_hits: usize,
     /// Serial simulated seconds the memo hits and statically skipped flips
     /// avoided paying.
     pub sim_time_saved_s: f64,
@@ -202,11 +199,10 @@ pub struct CaStats {
 }
 
 impl CaStats {
-    /// Folds one executor output's memo/forest accounting. Faulted
-    /// placeholders contribute nothing (`memo_hit` false, `forest_hits` 0).
+    /// Folds one executor output's memo accounting. Faulted placeholders
+    /// contribute nothing (`memo_hit` false).
     fn note_exec(&mut self, out: &crate::exec::ExecOutput) {
         self.memo_hits += usize::from(out.memo_hit);
-        self.forest_hits += out.forest_hits as usize;
         if out.memo_hit {
             self.sim_time_saved_s += crate::simtime::CostModel::default()
                 .serial_run_s(out.run.steps, out.run.failure.is_some());
@@ -857,7 +853,6 @@ mod tests {
                     seed: 3,
                     rate_permille: 1000,
                     max_retries: 1,
-                    quarantine_after: 0,
                 }),
                 ..crate::exec::ExecutorConfig::default()
             },

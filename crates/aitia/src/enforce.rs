@@ -194,8 +194,8 @@ impl RunResult {
 }
 
 /// Live enforcement-loop state, extracted so a run can *resume* from a
-/// snapshot taken at a point boundary (the executor's snapshot-prefix
-/// cache) instead of always starting from a fresh boot.
+/// snapshot taken at a point boundary (the executor's [`SnapshotForest`])
+/// instead of always starting from a fresh boot.
 struct LoopState {
     triggered: Vec<bool>,
     forced: Vec<ForcedResume>,
@@ -211,7 +211,7 @@ struct LoopState {
     forced_chain: usize,
     /// Whether every scheduling decision so far was dictated by the
     /// schedule's points alone (no fallback/segment consultation). Only
-    /// clean prefixes are deposited in the snapshot cache: a fallback
+    /// clean prefixes are deposited in the snapshot forest: a fallback
     /// decision depends on schedule parts *outside* the point prefix, so
     /// the resulting state would not be reusable across sibling schedules.
     clean: bool,
@@ -272,103 +272,6 @@ impl SavedPrefix {
             forced_chain: self.forced_chain,
             clean: true,
             checkpointed: self.consumed,
-        }
-    }
-}
-
-/// A small worker-local LRU of engine checkpoints keyed by schedule-point
-/// prefix.
-///
-/// LIFS explores many sibling schedules that differ only in their final
-/// preemptions; the shared prefix of scheduling points produces — by
-/// sequential consistency — bit-identical engine states. Instead of
-/// rebooting and replaying the prefix for every sibling, a worker restores
-/// the nearest cached ancestor and executes only the divergent suffix.
-///
-/// Invariants (see DESIGN.md §5):
-///
-/// * only **clean** prefixes are cached — every control transfer up to the
-///   checkpoint was dictated by the point list itself, never by the
-///   fallback picker or segment cursor, so the state depends on nothing
-///   but `(start, points[..k], step_budget)`;
-/// * schedules carrying a segment sequence are never cached (the segment
-///   cursor consults the whole schedule);
-/// * the cache is only valid for a single program — callers must
-///   [`SnapshotCache::clear`] it when their engine switches programs.
-pub struct SnapshotCache {
-    cap: usize,
-    /// LRU order: least-recently-used first.
-    entries: Vec<(u64, SavedPrefix)>,
-    hits: u64,
-    misses: u64,
-    forest_hits: u64,
-}
-
-impl SnapshotCache {
-    /// Creates a cache holding at most `cap` checkpoints (0 disables it).
-    #[must_use]
-    pub fn new(cap: usize) -> SnapshotCache {
-        SnapshotCache {
-            cap,
-            entries: Vec::new(),
-            hits: 0,
-            misses: 0,
-            forest_hits: 0,
-        }
-    }
-
-    /// Drops every checkpoint (required when the engine switches programs).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Number of cached checkpoints.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no checkpoints.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Runs that restored from a cached ancestor prefix.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Runs that found no cached ancestor and booted from scratch.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Runs that restored a prefix published by *another* worker through a
-    /// shared [`SnapshotForest`] — the checkpoint was absent from this
-    /// worker's local LRU. Disjoint from [`SnapshotCache::hits`].
-    #[must_use]
-    pub fn forest_hits(&self) -> u64 {
-        self.forest_hits
-    }
-
-    fn get(&mut self, key: u64) -> Option<SavedPrefix> {
-        let pos = self.entries.iter().position(|(k, _)| *k == key)?;
-        let entry = self.entries.remove(pos);
-        let saved = entry.1.clone();
-        self.entries.push(entry);
-        Some(saved)
-    }
-
-    fn put(&mut self, key: u64, saved: SavedPrefix) {
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.entries.remove(pos);
-        }
-        self.entries.push((key, saved));
-        while self.entries.len() > self.cap {
-            self.entries.remove(0);
         }
     }
 }
@@ -439,20 +342,30 @@ pub(crate) fn schedule_fingerprint(schedule: &Schedule, cfg: &EnforceConfig) -> 
 /// checkpoint itself.
 type ForestEntry = (u64, Arc<ksim::Program>, SavedPrefix);
 
-/// A process-wide, thread-safe store of engine checkpoints — the shared
-/// counterpart of the worker-local [`SnapshotCache`].
+/// A thread-safe store of engine checkpoints keyed by schedule-point
+/// prefix — the executor's only checkpoint store.
 ///
-/// Workers publish every checkpoint they deposit locally, so any worker —
-/// in any executor — enforcing the same program can resume from the
-/// longest clean prefix *anyone* has built, not just its own recent
-/// history. [`ksim::Snapshot`] handles are `Arc`-backed, so sharing is a
+/// LIFS explores many sibling schedules that differ only in their final
+/// preemptions; the shared prefix of scheduling points produces — by
+/// sequential consistency — bit-identical engine states. Instead of
+/// rebooting and replaying the prefix for every sibling, a worker restores
+/// the longest clean prefix *any* worker of any executor sharing the
+/// forest has built, and executes only the divergent suffix.
+/// [`ksim::Snapshot`] handles are `Arc`-backed, so sharing is a
 /// reference-count bump, never a deep copy.
 ///
-/// Entries are keyed by the prefix hash and program identity
-/// (`Arc::ptr_eq`): the held `Arc<Program>` pins the allocation, so a live
-/// entry's pointer can never alias a recycled address. Unlike the local
-/// cache, the forest never needs clearing when an engine switches
-/// programs.
+/// Invariants (see DESIGN.md §5):
+///
+/// * only **clean** prefixes are stored — every control transfer up to the
+///   checkpoint was dictated by the point list itself, never by the
+///   fallback picker or segment cursor, so the state depends on nothing
+///   but `(program, start, points[..k], step_budget)`;
+/// * schedules carrying a segment sequence are never stored (the segment
+///   cursor consults the whole schedule);
+/// * entries are keyed by the prefix hash and program identity
+///   (`Arc::ptr_eq`): the held `Arc<Program>` pins the allocation, so a
+///   live entry's pointer can never alias a recycled address, and the
+///   forest never needs clearing when an engine switches programs.
 pub struct SnapshotForest {
     cap: usize,
     /// LRU order: least-recently-used first.
@@ -514,29 +427,21 @@ impl SnapshotForest {
     }
 }
 
-/// The checkpoint sinks a driven run deposits into: the worker-local LRU
-/// and, when sharing is on, the process-wide forest.
-struct CacheCtx<'a> {
-    cache: &'a mut SnapshotCache,
-    forest: Option<&'a SnapshotForest>,
-}
-
 /// Deposits a checkpoint for the just-consumed point prefix, when eligible.
 fn maybe_checkpoint(
     engine: &Engine,
     schedule: &Schedule,
     cfg: &EnforceConfig,
     state: &mut LoopState,
-    sinks: &mut Option<CacheCtx<'_>>,
+    forest: Option<&SnapshotForest>,
 ) {
-    let Some(sinks) = sinks.as_mut() else {
+    let Some(forest) = forest else {
         return;
     };
     if !state.clean || state.point_idx <= state.checkpointed || engine.halted() {
         return;
     }
     let k = state.point_idx;
-    let key = prefix_key(schedule, k, cfg);
     let saved = SavedPrefix {
         consumed: k,
         snapshot: engine.snapshot(),
@@ -547,10 +452,7 @@ fn maybe_checkpoint(
         current: state.current,
         forced_chain: state.forced_chain,
     };
-    if let Some(forest) = sinks.forest {
-        forest.put(key, engine.program(), saved.clone());
-    }
-    sinks.cache.put(key, saved);
+    forest.put(prefix_key(schedule, k, cfg), engine.program(), saved);
     state.checkpointed = k;
 }
 
@@ -561,82 +463,51 @@ fn maybe_checkpoint(
 #[must_use]
 pub fn run(engine: &mut Engine, schedule: &Schedule, cfg: &EnforceConfig) -> RunResult {
     let mut state = LoopState::fresh(engine, schedule);
-    drive(engine, schedule, cfg, &mut state, &mut None)
+    drive(engine, schedule, cfg, &mut state, None)
 }
 
-/// Runs `engine` under `schedule` through a worker-local snapshot-prefix
-/// cache.
+/// Runs `engine` under `schedule`, resuming from the longest clean prefix
+/// checkpoint `forest` holds for the engine's program.
 ///
 /// Unlike [`run`], the engine need *not* be freshly booted: this function
-/// either restores the longest cached ancestor of the schedule's point
-/// prefix or reboots the engine itself. While a run consumes scheduling
-/// points cleanly it deposits a checkpoint after each, so sibling schedules
-/// sharing the prefix skip straight past it. The returned [`RunResult`] is
-/// bit-for-bit what [`run`] on a fresh engine would produce.
+/// either restores a checkpoint or reboots the engine itself. While a run
+/// consumes scheduling points cleanly it deposits a checkpoint into the
+/// forest after each, so sibling schedules sharing the prefix skip
+/// straight past it. The returned [`RunResult`] is bit-for-bit what [`run`]
+/// on a fresh engine would produce.
 ///
-/// Schedules that carry a segment sequence execute uncached: the segment
-/// cursor makes control flow depend on the whole schedule rather than the
-/// point prefix, so such states are not reusable across schedules.
+/// The second value is `Some(restored)` when the forest was consulted and
+/// `None` when it was not: no forest, no scheduling points, or a segment
+/// sequence (the segment cursor makes control flow depend on the whole
+/// schedule rather than the point prefix, so such states are not reusable
+/// across schedules).
 #[must_use]
 pub fn run_cached(
     engine: &mut Engine,
     schedule: &Schedule,
     cfg: &EnforceConfig,
-    cache: &mut SnapshotCache,
-) -> RunResult {
-    run_cached_shared(engine, schedule, cfg, cache, None)
-}
-
-/// [`run_cached`] with an optional process-wide [`SnapshotForest`].
-///
-/// The lookup prefers the worker's local LRU (no lock); on a local miss it
-/// consults the forest for the same prefix key under the same program
-/// (identity-checked), counts a *forest hit*, backfills the local LRU, and
-/// resumes from the shared checkpoint. Every checkpoint the run deposits
-/// locally is also published to the forest, so sibling workers — including
-/// workers of other executors over the same program — skip the prefix too.
-/// The returned [`RunResult`] is bit-for-bit what [`run`] on a fresh
-/// engine would produce.
-#[must_use]
-pub fn run_cached_shared(
-    engine: &mut Engine,
-    schedule: &Schedule,
-    cfg: &EnforceConfig,
-    cache: &mut SnapshotCache,
     forest: Option<&SnapshotForest>,
-) -> RunResult {
-    if cache.cap == 0 || !schedule.segments.is_empty() || schedule.points.is_empty() {
+) -> (RunResult, Option<bool>) {
+    let forest = forest.filter(|_| schedule.segments.is_empty() && !schedule.points.is_empty());
+    let Some(f) = forest else {
         engine.reboot();
-        let mut state = LoopState::fresh(engine, schedule);
-        return drive(engine, schedule, cfg, &mut state, &mut None);
-    }
-    for k in (1..=schedule.points.len()).rev() {
-        let key = prefix_key(schedule, k, cfg);
-        let (saved, from_forest) = match cache.get(key) {
-            Some(s) => (Some(s), false),
-            None => (
-                forest.and_then(|f| f.get(engine.program(), key)),
-                true, //
-            ),
-        };
-        if let Some(saved) = saved {
-            if from_forest {
-                cache.forest_hits += 1;
-                cache.put(key, saved.clone());
-            } else {
-                cache.hits += 1;
-            }
+        return (run(engine, schedule, cfg), None);
+    };
+    let saved = (1..=schedule.points.len())
+        .rev()
+        .find_map(|k| f.get(engine.program(), prefix_key(schedule, k, cfg)));
+    let mut state = match &saved {
+        Some(saved) => {
             engine.restore(&saved.snapshot);
-            let mut state = saved.resume(schedule);
-            let mut sinks = Some(CacheCtx { cache, forest });
-            return drive(engine, schedule, cfg, &mut state, &mut sinks);
+            saved.resume(schedule)
         }
-    }
-    cache.misses += 1;
-    engine.reboot();
-    let mut state = LoopState::fresh(engine, schedule);
-    let mut sinks = Some(CacheCtx { cache, forest });
-    drive(engine, schedule, cfg, &mut state, &mut sinks)
+        None => {
+            engine.reboot();
+            LoopState::fresh(engine, schedule)
+        }
+    };
+    let run = drive(engine, schedule, cfg, &mut state, forest);
+    (run, Some(saved.is_some()))
 }
 
 fn drive(
@@ -644,7 +515,7 @@ fn drive(
     schedule: &Schedule,
     cfg: &EnforceConfig,
     state: &mut LoopState,
-    sinks: &mut Option<CacheCtx<'_>>,
+    forest: Option<&SnapshotForest>,
 ) -> RunResult {
     loop {
         if engine.halted() {
@@ -696,7 +567,7 @@ fn drive(
                 break;
             }
         }
-        maybe_checkpoint(engine, schedule, cfg, state, sinks);
+        maybe_checkpoint(engine, schedule, cfg, state, forest);
 
         // Validate current; re-pick when it finished.
         let cur = match state.current {
@@ -758,7 +629,7 @@ fn drive(
                     &mut state.seg_cursor,
                     &mut state.clean,
                 );
-                maybe_checkpoint(engine, schedule, cfg, state, sinks);
+                maybe_checkpoint(engine, schedule, cfg, state, forest);
                 continue;
             }
         }
@@ -787,7 +658,7 @@ fn drive(
                             &mut state.seg_cursor,
                             &mut state.clean,
                         );
-                        maybe_checkpoint(engine, schedule, cfg, state, sinks);
+                        maybe_checkpoint(engine, schedule, cfg, state, forest);
                     }
                 }
             }
@@ -1094,22 +965,7 @@ mod tests {
         // A1 ⇒ B1 ⇒ B2 ⇒ A2: suspend A before its ptr load (index 1),
         // let B run to completion, then resume A → NULL deref.
         let mut e = ksim::Engine::new(fig1_program());
-        let schedule = Schedule {
-            start: Some(sel(0)),
-            points: vec![SchedPoint {
-                thread: sel(0),
-                at: InstrAddr {
-                    prog: ThreadProgId(0),
-                    index: 1,
-                },
-                nth: 0,
-                when: Anchor::Before,
-                switch_to: sel(1),
-            }],
-            fallback: vec![sel(1), sel(0)],
-            segments: Vec::new(),
-        };
-        let r = run(&mut e, &schedule, &EnforceConfig::default());
+        let r = run(&mut e, &fig1_failing(), &EnforceConfig::default());
         assert!(r.triggered[0]);
         let f = r.failure.expect("must fail");
         assert_eq!(f.kind, ksim::FailureKind::NullDeref);
@@ -1231,13 +1087,9 @@ mod tests {
         assert!(!r.succeeded());
     }
 
-    /// A cached run restored from a sibling's prefix checkpoint must be
-    /// bit-identical to a from-scratch run of the same schedule.
-    #[test]
-    fn cached_runs_match_fresh_runs() {
-        let prog = fig1_program();
-        let cfg = EnforceConfig::default();
-        let failing = Schedule {
+    /// A before-A2 preemption of A in favour of B: the failing fig1 order.
+    fn fig1_failing() -> Schedule {
+        Schedule {
             start: Some(sel(0)),
             points: vec![SchedPoint {
                 thread: sel(0),
@@ -1251,73 +1103,39 @@ mod tests {
             }],
             fallback: vec![sel(1), sel(0)],
             segments: Vec::new(),
-        };
-        let mut cache = SnapshotCache::new(8);
-        let mut e = ksim::Engine::new(Arc::clone(&prog));
-        let first = run_cached(&mut e, &failing, &cfg, &mut cache);
-        assert!(!cache.is_empty(), "clean prefix deposited a checkpoint");
-        let second = run_cached(&mut e, &failing, &cfg, &mut cache);
-        assert_eq!(cache.hits(), 1, "second run restored the prefix");
-
-        let mut fresh = ksim::Engine::new(Arc::clone(&prog));
-        let reference = run(&mut fresh, &failing, &cfg);
-        for r in [&first, &second] {
-            assert_eq!(r.failure, reference.failure);
-            assert_eq!(r.triggered, reference.triggered);
-            assert_eq!(r.steps, reference.steps);
-            assert_eq!(r.trace.len(), reference.trace.len());
-            assert_eq!(r.forced, reference.forced);
         }
     }
 
-    /// A worker with an *empty* local LRU resumes from a prefix another
-    /// worker published to the shared forest, and the result is
+    /// A worker that has never run a schedule resumes from the prefix
+    /// another worker deposited in the shared forest, and the result is
     /// bit-identical to a from-scratch run.
     #[test]
-    fn forest_shares_prefixes_across_workers() {
+    fn forest_restores_match_fresh_runs() {
         let prog = fig1_program();
         let cfg = EnforceConfig::default();
-        let failing = Schedule {
-            start: Some(sel(0)),
-            points: vec![SchedPoint {
-                thread: sel(0),
-                at: InstrAddr {
-                    prog: ThreadProgId(0),
-                    index: 1,
-                },
-                nth: 0,
-                when: Anchor::Before,
-                switch_to: sel(1),
-            }],
-            fallback: vec![sel(1), sel(0)],
-            segments: Vec::new(),
-        };
+        let failing = fig1_failing();
         let forest = SnapshotForest::new(64);
 
-        // Worker 1 runs from scratch and publishes its checkpoints.
-        let mut cache1 = SnapshotCache::new(8);
         let mut e1 = ksim::Engine::new(Arc::clone(&prog));
-        let first = run_cached_shared(&mut e1, &failing, &cfg, &mut cache1, Some(&forest));
-        assert!(!forest.is_empty(), "checkpoint published to the forest");
-        assert_eq!(cache1.misses(), 1);
+        let (first, looked_up) = run_cached(&mut e1, &failing, &cfg, Some(&forest));
+        assert_eq!(looked_up, Some(false), "an empty forest boots fresh");
+        assert!(!forest.is_empty(), "clean prefix deposited a checkpoint");
 
-        // Worker 2 has never seen this schedule, but the forest has.
-        let mut cache2 = SnapshotCache::new(8);
         let mut e2 = ksim::Engine::new(Arc::clone(&prog));
-        let second = run_cached_shared(&mut e2, &failing, &cfg, &mut cache2, Some(&forest));
-        assert_eq!(cache2.forest_hits(), 1, "prefix came from the forest");
-        assert_eq!(cache2.hits(), 0);
-        assert_eq!(cache2.misses(), 0);
-        // The forest hit backfilled worker 2's local LRU.
-        assert!(!cache2.is_empty());
+        let (second, looked_up) = run_cached(&mut e2, &failing, &cfg, Some(&forest));
+        assert_eq!(looked_up, Some(true), "prefix came from the forest");
+
+        // Without a forest nothing is looked up or deposited.
+        let (third, looked_up) = run_cached(&mut e2, &failing, &cfg, None);
+        assert_eq!(looked_up, None);
 
         let mut fresh = ksim::Engine::new(Arc::clone(&prog));
         let reference = run(&mut fresh, &failing, &cfg);
-        for r in [&first, &second] {
+        for r in [&first, &second, &third] {
             assert_eq!(r.failure, reference.failure);
             assert_eq!(r.triggered, reference.triggered);
             assert_eq!(r.steps, reference.steps);
-            assert_eq!(r.trace.len(), reference.trace.len());
+            assert_eq!(r.trace.to_vec(), reference.trace.to_vec());
             assert_eq!(r.forced, reference.forced);
         }
     }
@@ -1327,33 +1145,16 @@ mod tests {
     #[test]
     fn forest_is_keyed_by_program_identity() {
         let cfg = EnforceConfig::default();
-        let failing = Schedule {
-            start: Some(sel(0)),
-            points: vec![SchedPoint {
-                thread: sel(0),
-                at: InstrAddr {
-                    prog: ThreadProgId(0),
-                    index: 1,
-                },
-                nth: 0,
-                when: Anchor::Before,
-                switch_to: sel(1),
-            }],
-            fallback: vec![sel(1), sel(0)],
-            segments: Vec::new(),
-        };
+        let failing = fig1_failing();
         let forest = SnapshotForest::new(64);
-        let mut cache1 = SnapshotCache::new(8);
         let mut e1 = ksim::Engine::new(fig1_program());
-        let _ = run_cached_shared(&mut e1, &failing, &cfg, &mut cache1, Some(&forest));
+        let _ = run_cached(&mut e1, &failing, &cfg, Some(&forest));
         assert!(!forest.is_empty());
 
-        // Same program *contents*, different allocation: no forest hit.
-        let mut cache2 = SnapshotCache::new(8);
+        // Same program *contents*, different allocation: no restore.
         let mut e2 = ksim::Engine::new(fig1_program());
-        let _ = run_cached_shared(&mut e2, &failing, &cfg, &mut cache2, Some(&forest));
-        assert_eq!(cache2.forest_hits(), 0);
-        assert_eq!(cache2.misses(), 1);
+        let (_, looked_up) = run_cached(&mut e2, &failing, &cfg, Some(&forest));
+        assert_eq!(looked_up, Some(false));
     }
 
     /// The full-schedule fingerprint distinguishes schedules that share a

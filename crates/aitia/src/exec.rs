@@ -2,11 +2,11 @@
 //!
 //! Every consumer of schedule execution — LIFS rounds, Causality Analysis
 //! flips, the manager's slice fan-out — goes through one executor that owns
-//! the worker "VMs" (per-worker [`ksim::Engine`] instances plus
-//! snapshot-prefix caches). Callers submit *batches* of `(program,
-//! schedule)` jobs and fold the results in canonical submission order,
-//! which keeps every consumer bit-for-bit deterministic at any worker
-//! count:
+//! the worker "VMs" (one booted [`ksim::Engine`] per worker slot; reusable
+//! execution state lives in the shared [`Substrate`]). Callers submit
+//! *batches* of `(program, schedule)` jobs and fold the results in
+//! canonical submission order, which keeps every consumer bit-for-bit
+//! deterministic at any worker count:
 //!
 //! * each job is a pure function of its program and schedule (sequential
 //!   consistency of the engine), so *which* worker runs it cannot change
@@ -24,12 +24,11 @@
 
 use crate::{
     enforce::{
-        run_cached_shared,
+        run_cached,
         schedule_fingerprint,
         EnforceConfig,
         RunOutcome,
         RunResult,
-        SnapshotCache,
         SnapshotForest, //
     },
     journal::Journal,
@@ -57,7 +56,6 @@ use std::{
     sync::{
         atomic::{
             AtomicBool,
-            AtomicU32,
             AtomicU64,
             AtomicUsize,
             Ordering, //
@@ -317,7 +315,7 @@ pub struct ExecOutput {
     /// placeholder and `outcome` is [`RunOutcome::Crashed`] or
     /// [`RunOutcome::Timeout`].
     pub vm_faulted: Option<FaultKind>,
-    /// Whether this output came from the process-wide result memo table
+    /// Whether this output came from the substrate's result memo table
     /// instead of a VM execution. Memoized outputs are bit-identical to
     /// what the execution would have produced (enforcement is a pure
     /// function of program, schedule, and step budget); consumers use the
@@ -331,16 +329,13 @@ pub struct ExecOutput {
     /// state exactly like the execution it stands in for, and pruning
     /// stays memo- and worker-count-invariant.
     pub memo_hit: bool,
-    /// Snapshot-forest restores this job's execution consumed (a prefix
-    /// published by *another* worker; 0 on a memo hit — nothing executed).
-    pub forest_hits: u32,
 }
 
 /// The kind of a (simulated) VM fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The guest died under the run (panic outside the enforced scenario,
-    /// QEMU crash). The worker's engine and snapshot cache are lost.
+    /// QEMU crash). The worker's engine is lost.
     Crash,
     /// The guest stopped responding (hypervisor watchdog fired). The run
     /// is abandoned and the VM restarted; the attempt reads as a timeout.
@@ -351,7 +346,7 @@ pub enum FaultKind {
 ///
 /// Real AITIA deployments lose VMs routinely: enforced schedules hang the
 /// guest, crash it outright, or wedge QEMU. The simulator has no real
-/// flakiness, so the retry/quarantine machinery is exercised by *injecting*
+/// flakiness, so the retry machinery is exercised by *injecting*
 /// faults instead — at a configurable rate, decided by a hash of the
 /// **job's content and the attempt number only**. Worker identity, batch
 /// position, and wall-clock never enter the decision, so whether a given
@@ -369,10 +364,6 @@ pub struct FaultInjection {
     /// budget is exhausted the job publishes a placeholder output with
     /// [`ExecOutput::vm_faulted`] set.
     pub max_retries: u32,
-    /// Quarantine a worker slot after this many *consecutive* jobs on it
-    /// experienced a fault (0 disables the breaker). The last active slot
-    /// is never quarantined.
-    pub quarantine_after: u32,
 }
 
 impl Default for FaultInjection {
@@ -381,7 +372,6 @@ impl Default for FaultInjection {
             seed: 0,
             rate_permille: 0,
             max_retries: 3,
-            quarantine_after: 3,
         }
     }
 }
@@ -432,9 +422,9 @@ impl FaultInjection {
 /// A snapshot of the pool's robustness counters (surfaced via `report`).
 ///
 /// `runs`/`retries`/fault counts are deterministic at any worker count
-/// (fault decisions are content-keyed); `quarantined_slots` and the cache
-/// counters depend on which slot happened to claim which job and are
-/// diagnostics only.
+/// (fault decisions are content-keyed); the snapshot and memo counters
+/// depend on which worker happened to claim which job and are diagnostics
+/// only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Enforced runs actually executed (faulted attempts execute nothing).
@@ -447,17 +437,19 @@ pub struct ExecStats {
     pub hang_faults: u64,
     /// Jobs that faulted on every attempt and published a placeholder.
     pub gave_up: u64,
-    /// Worker slots quarantined by the consecutive-fault breaker.
-    pub quarantined_slots: u64,
     /// Worker VMs discarded and restarted after a fault.
     pub vm_restarts: u64,
-    /// Snapshot-prefix cache hits across all workers.
+    /// Executed runs that resumed from a prefix checkpoint in the
+    /// substrate's snapshot forest — deposited by any worker of any
+    /// executor sharing the substrate.
     pub snapshot_hits: u64,
-    /// Snapshot-prefix cache misses across all workers.
+    /// Executed runs that looked a prefix up in the forest, found none and
+    /// booted fresh. Runs that never look one up (memo off, schedules
+    /// without points or with a segment sequence) count in neither.
     pub snapshot_misses: u64,
-    /// Jobs served from the process-wide result memo table without any VM
+    /// Jobs served from the substrate's result memo table without any VM
     /// execution. Worker-count *dependent* (two fingerprint-equal jobs in
-    /// flight race to insert first), like the cache counters — a
+    /// flight race to insert first), like the snapshot counters — a
     /// diagnostic, never folded into results.
     pub memo_hits: u64,
     /// Jobs that consulted the memo table and executed (fingerprint not
@@ -468,10 +460,6 @@ pub struct ExecStats {
     /// rule: an inconclusive result proves nothing and must not shadow a
     /// future conclusive execution.
     pub memo_excluded: u64,
-    /// Snapshot-forest restores across all workers: a run resumed from a
-    /// prefix checkpoint published by another worker (absent from the
-    /// restoring worker's local LRU).
-    pub forest_hits: u64,
     /// Whether this executor's deadline budget fired: in-flight batches
     /// stopped claiming work and consumers folded best-so-far prefixes.
     /// Always `false` without a configured [`DeadlineBudget`].
@@ -511,16 +499,6 @@ impl ExecStats {
     pub fn instrs_per_sec(&self) -> f64 {
         per_second(self.steps_executed, self.busy_ns)
     }
-
-    /// Simulated pool wall-clock in seconds (see
-    /// [`ExecStats::sim_makespan_ns`]).
-    #[must_use]
-    pub fn sim_makespan_s(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.sim_makespan_ns as f64 / 1e9
-        }
-    }
 }
 
 /// `count / (ns / 1e9)`, guarding the nothing-ran case.
@@ -542,14 +520,12 @@ struct StatCells {
     crash_faults: AtomicU64,
     hang_faults: AtomicU64,
     gave_up: AtomicU64,
-    quarantined_slots: AtomicU64,
     vm_restarts: AtomicU64,
     snapshot_hits: AtomicU64,
     snapshot_misses: AtomicU64,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     memo_excluded: AtomicU64,
-    forest_hits: AtomicU64,
     batches: AtomicU64,
     sim_makespan_ns: AtomicU64,
     steps_executed: AtomicU64,
@@ -564,14 +540,12 @@ impl StatCells {
             crash_faults: self.crash_faults.load(Ordering::SeqCst),
             hang_faults: self.hang_faults.load(Ordering::SeqCst),
             gave_up: self.gave_up.load(Ordering::SeqCst),
-            quarantined_slots: self.quarantined_slots.load(Ordering::SeqCst),
             vm_restarts: self.vm_restarts.load(Ordering::SeqCst),
             snapshot_hits: self.snapshot_hits.load(Ordering::SeqCst),
             snapshot_misses: self.snapshot_misses.load(Ordering::SeqCst),
             memo_hits: self.memo_hits.load(Ordering::SeqCst),
             memo_misses: self.memo_misses.load(Ordering::SeqCst),
             memo_excluded: self.memo_excluded.load(Ordering::SeqCst),
-            forest_hits: self.forest_hits.load(Ordering::SeqCst),
             deadline_fired: false,
             batches: self.batches.load(Ordering::SeqCst),
             sim_makespan_ns: self.sim_makespan_ns.load(Ordering::SeqCst),
@@ -579,16 +553,6 @@ impl StatCells {
             busy_ns: self.busy_ns.load(Ordering::SeqCst),
         }
     }
-}
-
-/// Per-slot circuit-breaker state.
-#[derive(Debug, Default)]
-struct SlotHealth {
-    /// Consecutive jobs on this slot that experienced a fault (reset by
-    /// any fault-free job).
-    consecutive_faults: AtomicU32,
-    /// Whether the breaker has tripped for this slot.
-    quarantined: AtomicBool,
 }
 
 /// Executor sizing.
@@ -599,8 +563,6 @@ pub struct ExecutorConfig {
     /// capped at the host's available parallelism; results never depend on
     /// either number.
     pub vms: usize,
-    /// Snapshot-prefix cache capacity per worker (0 disables caching).
-    pub snapshot_cache: usize,
     /// Cap on spawned OS threads; `None` uses the host's available
     /// parallelism. Only wall-clock time depends on this — results are
     /// bit-for-bit identical at any value (tests force it above the host
@@ -609,13 +571,14 @@ pub struct ExecutorConfig {
     /// Deterministic VM-fault injection; `None` disables it.
     pub fault: Option<FaultInjection>,
     /// Whether jobs consult the substrate's result memo table and snapshot
-    /// forest. Off, every job pays full VM execution (the A/B baseline for
-    /// `report --no-memo`); results are bit-identical either way.
+    /// forest. Off, every job boots and pays full VM execution, reusing
+    /// nothing (the oracle behind `report --no-memo`); results are
+    /// bit-identical either way.
     pub memo: bool,
-    /// Which memo table / snapshot forest this executor consults — the
-    /// process-global one by default, or a [`Substrate::private`] handle
-    /// for isolated campaigns and A/B benchmark sides. Ignored when `memo`
-    /// is off.
+    /// The memo table and snapshot forest this executor consults. The
+    /// default is a fresh substrate shared with no other executor; hand
+    /// clones of one [`Substrate`] to several executors to share results
+    /// and checkpoints between them. Ignored when `memo` is off.
     pub substrate: Substrate,
     /// Durable run journal: every fresh conclusive output (and every memo
     /// hit, deduplicated by key) is appended so a killed campaign can
@@ -630,11 +593,10 @@ impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
             vms: 8,
-            snapshot_cache: 8,
             os_threads: None,
             fault: None,
             memo: true,
-            substrate: Substrate::process_global(),
+            substrate: Substrate::default(),
             journal: None,
             deadline: None,
         }
@@ -731,7 +693,7 @@ impl MemoShard {
 /// capacity (`cap / 16`) still covers a diagnosis working set.
 const MEMO_SHARDS: usize = 16;
 
-/// The process-wide result memo table (DESIGN.md §6).
+/// A substrate's result memo table (DESIGN.md §6).
 ///
 /// Enforcement is a pure function of `(program, schedule, step budget)`:
 /// once any worker of any executor has driven a job to a *conclusive*
@@ -764,6 +726,18 @@ impl MemoTable {
 
     fn shard(&self, fp: u64) -> &Mutex<MemoShard> {
         &self.shards[(fp % MEMO_SHARDS as u64) as usize]
+    }
+
+    /// Whether the table holds `job`'s output, leaving recency untouched.
+    fn contains(&self, job: &ExecJob, fp: u64) -> bool {
+        self.shard_cap > 0
+            && self
+                .shard(fp)
+                .lock()
+                .unwrap()
+                .entries
+                .get(&fp)
+                .is_some_and(|bucket| bucket.iter().any(|(_, e)| e.matches(job)))
     }
 
     fn get(&self, job: &ExecJob, fp: u64) -> Option<ExecOutput> {
@@ -817,25 +791,14 @@ impl MemoTable {
 }
 
 /// The shared execution substrate: the result memo table plus the snapshot
-/// forest, bundled as one explicitly injected handle.
-///
-/// Before `campaignd`, both structures were process-wide `OnceLock`
-/// globals — correct for a one-campaign process (content-keyed entries
-/// make cross-campaign sharing safe), but an *implicit* dependency: a test
-/// or a service wanting two campaigns that cannot observe each other's
-/// in-progress state had no way to ask for it. The substrate makes the
-/// sharing decision explicit:
-///
-/// * [`Substrate::process_global`] — every clone shares the one
-///   process-wide table and forest (the default, and what every
-///   pre-existing caller gets);
-/// * [`Substrate::private`] — a fresh, isolated table and forest, shared
-///   only by executors handed this exact clone (A/B benchmark sides, the
-///   cross-campaign isolation tests).
+/// forest — the only place an executor keeps reusable execution state.
 ///
 /// Clones share: the substrate is a pair of `Arc`s, so handing one
-/// `Substrate` to many executors is what "promoted from per-run to
-/// cross-campaign" means.
+/// `Substrate` to many executors makes any result or checkpoint one of
+/// them produces reusable by all of them (the manager hands its substrate
+/// to its per-slice executors; campaignd hands one to every campaign).
+/// Executors built from separate substrates — including two
+/// [`Substrate::default`]s — share nothing.
 #[derive(Clone)]
 pub struct Substrate {
     memo: Arc<MemoTable>,
@@ -844,50 +807,43 @@ pub struct Substrate {
 
 impl std::fmt::Debug for Substrate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Substrate")
-            .field("process_global", &self.is_process_global())
-            .finish()
+        f.debug_struct("Substrate").finish_non_exhaustive()
     }
 }
 
 impl Default for Substrate {
+    /// A fresh substrate sized for a whole diagnosis. The memo capacity
+    /// must cover a diagnosis working set or LRU replay thrashes: a re-run
+    /// replays schedules oldest-first, which is exactly the eviction
+    /// order, so a table even slightly smaller than one pass yields zero
+    /// cross-run hits. A full-calibration Table 2 pass is ~5.1k distinct
+    /// schedules; 8192 holds it with headroom.
     fn default() -> Self {
-        Substrate::process_global()
+        Substrate::private(8192, 256)
     }
 }
 
 impl Substrate {
-    /// The process-wide substrate. Shared across executors because the
-    /// manager's slice fan-out constructs an independent single-worker
-    /// executor per slice: "any worker" must span executors, not just
-    /// slots of one pool.
-    /// The memo capacity must cover a whole diagnosis working set or LRU
-    /// replay thrashes: a re-run replays schedules oldest-first, which is
-    /// exactly the eviction order, so a table even slightly smaller than
-    /// one pass yields zero cross-run hits. A full-calibration Table 2
-    /// pass is ~5.1k distinct schedules; 8192 holds it with headroom.
+    /// One default-sized substrate shared by every caller of this function
+    /// in the process. The library never calls it: it survives only for
+    /// callers outside the workspace that still share state through it
+    /// (see [`Journal::replay_into_memo`]).
     #[must_use]
     pub fn process_global() -> Substrate {
         static GLOBAL: OnceLock<Substrate> = OnceLock::new();
-        GLOBAL.get_or_init(|| Substrate::private(8192, 256)).clone()
+        GLOBAL.get_or_init(Substrate::default).clone()
     }
 
     /// A fresh substrate sharing nothing with any other: `memo_cap` result
-    /// entries (LRU, split over the table's shards) and `forest_roots`
-    /// snapshot-forest roots. Executors handed clones of this value share
-    /// state with each other and nobody else.
+    /// entries (LRU, split over the table's shards) and `forest_cap`
+    /// snapshot-forest checkpoints. Executors handed clones of this value
+    /// share state with each other and nobody else.
     #[must_use]
-    pub fn private(memo_cap: usize, forest_roots: usize) -> Substrate {
+    pub fn private(memo_cap: usize, forest_cap: usize) -> Substrate {
         Substrate {
             memo: Arc::new(MemoTable::new(memo_cap)),
-            forest: Arc::new(SnapshotForest::new(forest_roots)),
+            forest: Arc::new(SnapshotForest::new(forest_cap)),
         }
-    }
-
-    /// Whether this handle is (a clone of) the process-global substrate.
-    #[must_use]
-    pub fn is_process_global(&self) -> bool {
-        Arc::ptr_eq(&self.memo, &Substrate::process_global().memo)
     }
 
     /// Whether two handles share the same underlying state.
@@ -907,32 +863,21 @@ pub(crate) fn memo_preload(substrate: &Substrate, job: &ExecJob, output: &ExecOu
     substrate.memo.put(fp, job, output);
 }
 
-/// A worker's persistent state: the engine it keeps booted and the
-/// snapshot-prefix cache for the program that engine is running. Both are
-/// discarded when a batch hands the worker a different program.
-struct WorkerVm {
-    prog: usize,
-    engine: Engine,
-    cache: SnapshotCache,
-}
-
 /// The shared VM pool.
 ///
-/// Worker state persists *across* batches (engines stay booted, caches stay
-/// warm) but worker threads do not: each batch spawns scoped threads that
-/// lock their slot for the batch's duration, so the executor holds no
-/// running threads while idle and is trivially safe to drop.
+/// A worker slot holds only its booted engine, which persists *across*
+/// batches (replaced by a fresh boot when a job brings a different
+/// program); worker threads do not: each batch spawns scoped threads that lock their slot
+/// for the batch's duration, so the executor holds no running threads
+/// while idle and is trivially safe to drop.
 pub struct Executor {
     config: ExecutorConfig,
-    slots: Vec<Mutex<Option<WorkerVm>>>,
-    health: Vec<SlotHealth>,
-    /// Slots not yet quarantined. The breaker never lets this reach 0.
-    active: AtomicUsize,
+    slots: Vec<Mutex<Option<Engine>>>,
     stats: StatCells,
 }
 
 impl Executor {
-    /// A pool with `vms` workers and default cache sizing.
+    /// A pool with `vms` workers and the default configuration.
     #[must_use]
     pub fn new(vms: usize) -> Executor {
         Executor::with_config(ExecutorConfig {
@@ -951,13 +896,11 @@ impl Executor {
         Executor {
             config,
             slots: (0..vms).map(|_| Mutex::new(None)).collect(),
-            health: (0..vms).map(|_| SlotHealth::default()).collect(),
-            active: AtomicUsize::new(vms),
             stats: StatCells::default(),
         }
     }
 
-    /// Worker count (including quarantined slots).
+    /// Worker count.
     #[must_use]
     pub fn vms(&self) -> usize {
         self.slots.len()
@@ -983,14 +926,6 @@ impl Executor {
     /// either budget ran out. `false` without a configured deadline.
     fn deadline_expired(&self) -> bool {
         self.config.deadline.as_ref().is_some_and(|d| d.check())
-    }
-
-    /// Indices of slots the breaker has not quarantined. Non-empty by
-    /// invariant (the last active slot is never quarantined).
-    fn active_slots(&self) -> Vec<usize> {
-        (0..self.slots.len())
-            .filter(|&i| !self.health[i].quarantined.load(Ordering::SeqCst))
-            .collect()
     }
 
     /// The OS-thread budget actually used for a batch (see
@@ -1045,6 +980,14 @@ impl Executor {
     /// `None` beyond it. Workers may speculatively execute later jobs;
     /// those results are discarded, so the outcome is identical to a serial
     /// front-to-back scan at any worker count.
+    ///
+    /// One worker runs every job on the calling thread. A wider pool still
+    /// serves the leading jobs the memo table answers there, in order, and
+    /// fans out only from the first job it must execute: were answerable
+    /// jobs spread over the workers, one could race past the stop index
+    /// into a job no run has executed yet, so a resumed campaign, whose
+    /// every folded job the journal answers, would pay for speculative
+    /// work.
     #[must_use]
     pub fn run_until<F>(
         &self,
@@ -1056,40 +999,62 @@ impl Executor {
         F: Fn(&ExecOutput) -> bool + Sync,
     {
         let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let active = self.active_slots();
-        let workers = active.len().min(n).min(self.os_threads());
-        if workers <= 1 {
-            let si = active[0];
-            let mut slot = self.slots[si].lock().unwrap();
-            let mut out: Vec<Option<ExecOutput>> = Vec::with_capacity(n);
+        let workers = self.slots.len().min(n).min(self.os_threads());
+        let mut out: Vec<Option<ExecOutput>> = Vec::with_capacity(n);
+        let mut done = false;
+        {
+            let mut slot = self.slots[0].lock().unwrap();
             for job in jobs {
                 if cancel.is_cancelled() || self.deadline_expired() {
+                    done = true;
                     break;
                 }
-                let res = self.run_job_ft(si, &mut slot, job);
-                let hit = stop(&res);
+                if workers > 1 && !self.memo_answers(job) {
+                    break;
+                }
+                let res = self.run_job_ft(&mut slot, job);
+                done = stop(&res);
                 out.push(Some(res));
-                if hit {
+                if done {
                     break;
                 }
             }
-            out.resize_with(n, || None);
-            drop(slot);
-            self.apply_quarantine();
-            self.charge_batch_makespan(&out);
-            return out;
         }
+        if !done && out.len() < n {
+            let rest = &jobs[out.len()..];
+            out.extend(self.fan_out(rest, workers.min(rest.len()), cancel, &stop));
+        }
+        out.resize_with(n, || None);
+        self.charge_batch_makespan(&out);
+        out
+    }
 
+    /// Whether the memo table holds `job`'s output (never with memo off).
+    fn memo_answers(&self, job: &ExecJob) -> bool {
+        self.config.memo
+            && (self.config.substrate.memo)
+                .contains(job, schedule_fingerprint(&job.schedule, &job.enforce))
+    }
+
+    /// [`Executor::run_until`]'s parallel scan: `workers` threads claim
+    /// `jobs` from work-stealing deques until one is accepted.
+    fn fan_out<F>(
+        &self,
+        jobs: &[ExecJob],
+        workers: usize,
+        cancel: &CancelToken,
+        stop: &F,
+    ) -> Vec<Option<ExecOutput>>
+    where
+        F: Fn(&ExecOutput) -> bool + Sync,
+    {
+        let n = jobs.len();
         let queue = ClaimQueue::new(n, workers);
         let stop_at = AtomicUsize::new(usize::MAX);
         let results: Vec<Mutex<Option<ExecOutput>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
-            for (w, &si) in active[..workers].iter().enumerate() {
-                let (results, queue, stop_at, stop) = (&results, &queue, &stop_at, &stop);
-                let slot = &self.slots[si];
+            for (w, slot) in self.slots[..workers].iter().enumerate() {
+                let (results, queue, stop_at) = (&results, &queue, &stop_at);
                 scope.spawn(move || {
                     let mut slot = slot.lock().unwrap();
                     loop {
@@ -1103,7 +1068,7 @@ impl Executor {
                         let Some(i) = queue.claim(w, bound) else {
                             return;
                         };
-                        let res = self.run_job_ft(si, &mut slot, &jobs[i]);
+                        let res = self.run_job_ft(&mut slot, &jobs[i]);
                         if stop(&res) {
                             stop_at.fetch_min(i, Ordering::SeqCst);
                         }
@@ -1112,7 +1077,6 @@ impl Executor {
                 });
             }
         });
-        self.apply_quarantine();
         let cut = stop_at.load(Ordering::SeqCst);
         let mut out: Vec<Option<ExecOutput>> = results
             .into_iter()
@@ -1124,7 +1088,6 @@ impl Executor {
             }
         }
         normalize_prefix(&mut out);
-        self.charge_batch_makespan(&out);
         out
     }
 
@@ -1171,16 +1134,13 @@ impl Executor {
     /// faults publishes a placeholder output with `vm_faulted` set.
     ///
     /// The memo lookup sits strictly *after* the fault decision: an
-    /// attempt that faults burns its retry (and the slot's quarantine
-    /// accounting) exactly as if the memo did not exist, so memoization
-    /// can never mask a fault. Only a fault-free attempt may be served
-    /// from the table, with `retries` set to the locally observed count —
-    /// equal to the cached one by content-keyed determinism, but correct
-    /// by construction.
-    fn run_job_ft(&self, si: usize, slot: &mut Option<WorkerVm>, job: &ExecJob) -> ExecOutput {
-        let cache_cap = self.config.snapshot_cache;
+    /// attempt that faults burns its retry exactly as if the memo did not
+    /// exist, so memoization can never mask a fault. Only a fault-free
+    /// attempt may be served from the table, with `retries` set to the
+    /// locally observed count — equal to the cached one by content-keyed
+    /// determinism, but correct by construction.
+    fn run_job_ft(&self, slot: &mut Option<Engine>, job: &ExecJob) -> ExecOutput {
         let mut retries = 0u32;
-        let mut job_faulted = false;
         loop {
             let injected = self.config.fault.and_then(|f| f.decide(job, retries));
             let Some((kind, k)) = injected else {
@@ -1194,14 +1154,12 @@ impl Executor {
                         self.stats.memo_hits.fetch_add(1, Ordering::SeqCst);
                         out.retries = retries;
                         out.memo_hit = true;
-                        out.forest_hits = 0;
                         // A hit is journaled too (deduplicated inside): the
                         // table may have been seeded by an executor without
                         // a journal, and a resume must not re-pay for it.
                         if let Some(journal) = &self.config.journal {
                             journal.append(job, &out);
                         }
-                        self.note_slot_result(si, job_faulted);
                         return out;
                     }
                     self.stats.memo_misses.fetch_add(1, Ordering::SeqCst);
@@ -1210,7 +1168,7 @@ impl Executor {
                     .config
                     .memo
                     .then(|| self.config.substrate.forest.as_ref());
-                let out = run_job(slot, job, cache_cap, forest, &self.stats, retries);
+                let out = run_job(slot, job, forest, &self.stats, retries);
                 if let Some(deadline) = &self.config.deadline {
                     deadline.charge_run(out.run.steps, out.run.failure.is_some());
                 }
@@ -1230,23 +1188,20 @@ impl Executor {
                         journal.append(job, &out);
                     }
                 }
-                self.note_slot_result(si, job_faulted);
                 return out;
             };
-            job_faulted = true;
             match kind {
                 FaultKind::Crash => &self.stats.crash_faults,
                 FaultKind::Hang => &self.stats.hang_faults,
             }
             .fetch_add(1, Ordering::SeqCst);
-            // The VM died under the attempt: the worker's engine and its
-            // snapshot-prefix cache are lost with it.
+            // The VM died under the attempt: the worker's engine is lost
+            // with it.
             *slot = None;
             self.stats.vm_restarts.fetch_add(1, Ordering::SeqCst);
             let budget = self.config.fault.map_or(0, |f| f.max_retries);
             if retries >= budget {
                 self.stats.gave_up.fetch_add(1, Ordering::SeqCst);
-                self.note_slot_result(si, true);
                 eprintln!(
                     "aitia-exec: giving up on job after {retries} retries \
                      ({kind:?} at schedule point {k})",
@@ -1257,56 +1212,6 @@ impl Executor {
             self.stats.retries.fetch_add(1, Ordering::SeqCst);
             if let Some(deadline) = &self.config.deadline {
                 deadline.charge_retry();
-            }
-        }
-    }
-
-    /// Updates the slot's consecutive-fault counter after a job.
-    fn note_slot_result(&self, si: usize, job_faulted: bool) {
-        let h = &self.health[si];
-        if job_faulted {
-            h.consecutive_faults.fetch_add(1, Ordering::SeqCst);
-        } else {
-            h.consecutive_faults.store(0, Ordering::SeqCst);
-        }
-    }
-
-    /// Trips the circuit-breaker for slots over the consecutive-fault
-    /// threshold. Runs at batch boundaries so a mid-batch trip can never
-    /// leave a batch without workers (the canonical-prefix contract —
-    /// entries are `None` only past a cancellation — is unaffected). The
-    /// last active slot is never quarantined.
-    fn apply_quarantine(&self) {
-        let Some(threshold) = self
-            .config
-            .fault
-            .map(|f| f.quarantine_after)
-            .filter(|&q| q > 0)
-        else {
-            return;
-        };
-        for (si, h) in self.health.iter().enumerate() {
-            if h.quarantined.load(Ordering::SeqCst)
-                || h.consecutive_faults.load(Ordering::SeqCst) < threshold
-            {
-                continue;
-            }
-            // Shrink the pool only while another active slot remains.
-            let shrunk = self
-                .active
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |a| {
-                    (a > 1).then(|| a - 1)
-                });
-            if let Ok(before) = shrunk {
-                h.quarantined.store(true, Ordering::SeqCst);
-                self.stats.quarantined_slots.fetch_add(1, Ordering::SeqCst);
-                eprintln!(
-                    "aitia-exec: quarantined worker slot {si} after {} consecutive \
-                     faulted jobs; effective pool {} -> {}",
-                    h.consecutive_faults.load(Ordering::SeqCst),
-                    before,
-                    before - 1,
-                );
             }
         }
     }
@@ -1337,7 +1242,7 @@ impl Executor {
             return Vec::new();
         }
         let tokens: Vec<CancelToken> = (0..count).map(|_| cancel.child()).collect();
-        let workers = self.active_slots().len().min(count).min(self.os_threads());
+        let workers = self.slots.len().min(count).min(self.os_threads());
         if workers <= 1 {
             let mut out: Vec<Option<T>> = Vec::with_capacity(count);
             for (i, token) in tokens.iter().enumerate() {
@@ -1456,34 +1361,21 @@ fn hardware_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Executes one job on a worker's persistent VM, rebooting (and dropping
-/// the snapshot cache) when the job's program differs from the VM's.
+/// Executes one job on a worker's persistent VM, booting a new engine when
+/// the job's program differs from the VM's.
 fn run_job(
-    slot: &mut Option<WorkerVm>,
+    slot: &mut Option<Engine>,
     job: &ExecJob,
-    cache_cap: usize,
     forest: Option<&SnapshotForest>,
     stats: &StatCells,
     retries: u32,
 ) -> ExecOutput {
-    let key = Arc::as_ptr(&job.program) as usize;
-    let vm = match slot {
-        Some(vm) if vm.prog == key => vm,
-        _ => slot.insert(WorkerVm {
-            prog: key,
-            engine: Engine::new(Arc::clone(&job.program)),
-            cache: SnapshotCache::new(cache_cap),
-        }),
+    let engine = match slot {
+        Some(engine) if Arc::ptr_eq(engine.program(), &job.program) => engine,
+        _ => slot.insert(Engine::new(Arc::clone(&job.program))),
     };
-    let (hits0, misses0, forest0) = (vm.cache.hits(), vm.cache.misses(), vm.cache.forest_hits());
     let started = Instant::now();
-    let run = run_cached_shared(
-        &mut vm.engine,
-        &job.schedule,
-        &job.enforce,
-        &mut vm.cache,
-        forest,
-    );
+    let (run, restored) = run_cached(engine, &job.schedule, &job.enforce, forest);
     let busy = started.elapsed();
     stats.runs.fetch_add(1, Ordering::SeqCst);
     stats.steps_executed.fetch_add(
@@ -1494,16 +1386,15 @@ fn run_job(
         u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX),
         Ordering::SeqCst,
     );
-    stats
-        .snapshot_hits
-        .fetch_add(vm.cache.hits() - hits0, Ordering::SeqCst);
-    stats
-        .snapshot_misses
-        .fetch_add(vm.cache.misses() - misses0, Ordering::SeqCst);
-    let forest_hits = vm.cache.forest_hits() - forest0;
-    stats.forest_hits.fetch_add(forest_hits, Ordering::SeqCst);
-    let sel_of = vm
-        .engine
+    if let Some(restored) = restored {
+        let counter = if restored {
+            &stats.snapshot_hits
+        } else {
+            &stats.snapshot_misses
+        };
+        counter.fetch_add(1, Ordering::SeqCst);
+    }
+    let sel_of = engine
         .threads()
         .iter()
         .map(|t| {
@@ -1524,7 +1415,6 @@ fn run_job(
         retries,
         vm_faulted: None,
         memo_hit: false,
-        forest_hits: u32::try_from(forest_hits).unwrap_or(u32::MAX),
     }
 }
 
@@ -1552,7 +1442,6 @@ fn faulted_output(job: &ExecJob, kind: FaultKind, retries: u32) -> ExecOutput {
         retries,
         vm_faulted: Some(kind),
         memo_hit: false,
-        forest_hits: 0,
     }
 }
 
@@ -1877,7 +1766,6 @@ mod tests {
                 seed,
                 rate_permille: 400,
                 max_retries: 3,
-                quarantine_after: 0,
             };
             let recovers = |job: &ExecJob| {
                 f.decide(job, 0).is_some()
@@ -1941,7 +1829,6 @@ mod tests {
             seed: 7,
             rate_permille: 1000,
             max_retries: 2,
-            quarantine_after: 0,
         }
     }
 
@@ -1971,56 +1858,7 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_trips_after_consecutive_faults_but_spares_last_slot() {
-        let program = fig1_program();
-        let jobs = fig1_jobs(&program);
-        let fault = FaultInjection {
-            quarantine_after: 1,
-            ..always_fault()
-        };
-        let exec = faulty_pool(2, fault);
-        let _ = exec.run_batch(&jobs, &CancelToken::new());
-        // Both slots only saw faulted jobs, but the breaker never empties
-        // the pool: exactly one slot is quarantined.
-        assert_eq!(exec.stats().quarantined_slots, 1);
-        assert_eq!(exec.active_slots().len(), 1);
-        // Subsequent batches still run (on the surviving slot).
-        let out = exec.run_batch(&jobs, &CancelToken::new());
-        assert!(out.iter().all(Option::is_some));
-
-        // A single-slot pool never quarantines.
-        let solo = faulty_pool(1, fault);
-        let _ = solo.run_batch(&jobs, &CancelToken::new());
-        assert_eq!(solo.stats().quarantined_slots, 0);
-        assert_eq!(solo.active_slots().len(), 1);
-    }
-
-    #[test]
-    fn fault_free_jobs_reset_the_consecutive_fault_counter() {
-        let program = fig1_program();
-        let jobs = fig1_jobs(&program);
-        let fault = recovering_fault(&jobs);
-        let exec = faulty_pool(
-            1,
-            FaultInjection {
-                quarantine_after: u32::MAX,
-                ..fault
-            },
-        );
-        let _ = exec.run_batch(&jobs, &CancelToken::new());
-        // Every job recovered, so the last job on the slot reset the
-        // counter to 0 unless it itself faulted first.
-        let last_faulted = fault.decide(jobs.last().unwrap(), 0).is_some();
-        let count = exec.health[0].consecutive_faults.load(Ordering::SeqCst);
-        if last_faulted {
-            assert!(count >= 1);
-        } else {
-            assert_eq!(count, 0);
-        }
-    }
-
-    #[test]
-    fn stats_track_runs_and_snapshot_cache() {
+    fn stats_track_runs_and_snapshot_lookups() {
         let program = fig1_program();
         let jobs = fig1_jobs(&program);
         let exec = threaded_pool(1);
@@ -2033,7 +1871,77 @@ mod tests {
         assert_eq!(stats.memo_misses, jobs.len() as u64 - 1);
         assert_eq!(stats.memo_excluded, 0);
         assert_eq!(stats.crash_faults + stats.hang_faults, 0);
-        assert!(stats.snapshot_hits + stats.snapshot_misses > 0);
+        // Only the failing job has scheduling points to look up, and the
+        // fresh substrate holds no checkpoint for it yet.
+        assert_eq!((stats.snapshot_hits, stats.snapshot_misses), (0, 1));
+    }
+
+    #[test]
+    fn a_batch_the_memo_answers_to_its_stop_index_executes_nothing() {
+        // Seven passing jobs and the failing one at index 7 are memoized;
+        // the eight after it never ran. Spread over eight workers, worker 0
+        // would answer job 0 and claim job 8 before worker 7 had answered
+        // the stop at job 7: a resumed campaign would pay for speculative
+        // runs its first run never made.
+        let program = fig1_program();
+        let jobs = fig1_jobs(&program);
+        let with_budget = |step_budget| ExecJob {
+            enforce: EnforceConfig { step_budget },
+            ..jobs[0].clone()
+        };
+        let batch: Vec<ExecJob> = (1000..1007)
+            .map(with_budget)
+            .chain([jobs[2].clone()])
+            .chain((2000..2008).map(with_budget))
+            .collect();
+        let substrate = Substrate::default();
+        let stop = |o: &ExecOutput| o.run.failure.is_some();
+        let pool = |vms| {
+            Executor::with_config(ExecutorConfig {
+                vms,
+                os_threads: Some(vms),
+                substrate: substrate.clone(),
+                ..ExecutorConfig::default()
+            })
+        };
+        let _ = pool(1).run_until(&batch[..8], &CancelToken::new(), stop);
+        let resumed = pool(8);
+        let out = resumed.run_until(&batch, &CancelToken::new(), stop);
+        assert!(out[7].as_ref().is_some_and(|o| o.run.failure.is_some()));
+        assert!(out[8..].iter().all(Option::is_none));
+        assert_eq!(resumed.stats().runs, 0);
+    }
+
+    #[test]
+    fn restoring_another_executors_prefix_counts_as_a_snapshot_hit() {
+        let program = fig1_program();
+        let failing = fig1_jobs(&program).swap_remove(2);
+        // Same point prefix, different fallback: a memo miss that can
+        // still resume from the failing run's checkpoint.
+        let sibling = ExecJob {
+            schedule: Schedule {
+                fallback: vec![sel(0), sel(1)],
+                ..failing.schedule.clone()
+            },
+            ..failing.clone()
+        };
+        let substrate = Substrate::default();
+        let pool = || {
+            Executor::with_config(ExecutorConfig {
+                vms: 1,
+                substrate: substrate.clone(),
+                ..ExecutorConfig::default()
+            })
+        };
+        let first = pool();
+        let _ = first.run_batch(&[failing], &CancelToken::new());
+        let stats = first.stats();
+        assert_eq!((stats.snapshot_hits, stats.snapshot_misses), (0, 1));
+        let second = pool();
+        let _ = second.run_batch(&[sibling], &CancelToken::new());
+        let stats = second.stats();
+        assert_eq!((stats.memo_hits, stats.runs), (0, 1));
+        assert_eq!((stats.snapshot_hits, stats.snapshot_misses), (1, 0));
     }
 
     #[test]
@@ -2047,8 +1955,11 @@ mod tests {
             ..ExecutorConfig::default()
         });
         let base = off.run_batch(&jobs, &CancelToken::new());
-        assert_eq!(off.stats().runs, jobs.len() as u64);
-        assert_eq!(off.stats().memo_hits + off.stats().memo_misses, 0);
+        let stats = off.stats();
+        assert_eq!(stats.runs, jobs.len() as u64);
+        assert_eq!(stats.memo_hits + stats.memo_misses, 0);
+        // Memo off reuses nothing: not even a checkpoint is looked up.
+        assert_eq!(stats.snapshot_hits + stats.snapshot_misses, 0);
 
         // Memo on: a second batch over the same jobs executes nothing.
         let on = threaded_pool(1);

@@ -120,7 +120,7 @@ const MAX_RECORD_LEN: u32 = 1 << 30;
 /// Journal observability counters (surfaced in the `report` stats block).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JournalStats {
-    /// Records replayed into the memo table by [`Journal::replay_into_memo`].
+    /// Records replayed into a memo table by [`Journal::replay_into_substrate`].
     pub records_replayed: u64,
     /// Records appended (after deduplication) this process lifetime.
     pub records_appended: u64,
@@ -163,7 +163,7 @@ struct Inner {
     /// deduplicate so re-running a campaign over an existing journal does
     /// not grow the file.
     seen: HashSet<(u64, u64, usize)>,
-    /// Records loaded at open, kept for [`Journal::replay_into_memo`].
+    /// Records loaded at open, kept for [`Journal::replay_into_substrate`].
     records: Vec<RecordPayload>,
     /// Appends since the last fsync.
     unsynced: usize,
@@ -407,17 +407,18 @@ impl Journal {
         }
     }
 
-    /// Replays every loaded record whose program digest matches `program`
-    /// into the process-wide memo table, keyed against *this* `Arc` — so the
-    /// resumed campaign's lookups (which compare `Arc` identity) hit.
-    /// Returns how many records were seeded.
+    /// [`Journal::replay_into_substrate`] into [`Substrate::process_global`].
+    /// The library never calls it; it survives only for callers outside
+    /// the workspace that resume through the process-wide substrate.
     pub fn replay_into_memo(&self, program: &Arc<Program>) -> u64 {
         self.replay_into_substrate(program, &Substrate::process_global())
     }
 
-    /// [`Journal::replay_into_memo`], but seeding an explicit [`Substrate`]
-    /// — a campaign running on a private (or server-shared) substrate must
-    /// replay into the table its executors will actually consult.
+    /// Replays every loaded record whose program digest matches `program`
+    /// into `substrate`'s memo table, keyed against *this* `Arc` — so the
+    /// resumed campaign's lookups (which compare `Arc` identity) hit. Seed
+    /// the substrate the campaign's executors will actually consult.
+    /// Returns how many records were seeded.
     pub fn replay_into_substrate(&self, program: &Arc<Program>, substrate: &Substrate) -> u64 {
         let digest = program_digest(program);
         let inner = self.inner.lock().unwrap();
@@ -437,7 +438,6 @@ impl Journal {
                 retries: 0,
                 vm_faulted: None,
                 memo_hit: false,
-                forest_hits: 0,
             };
             memo_preload(substrate, &job, &out);
             seeded += 1;
@@ -777,9 +777,14 @@ mod tests {
         let fresh = fig1_program();
         assert_eq!(program_digest(&program), program_digest(&fresh));
         let journal = Journal::open(&path).unwrap();
-        let seeded = journal.replay_into_memo(&fresh);
+        let substrate = Substrate::default();
+        let seeded = journal.replay_into_substrate(&fresh, &substrate);
         assert_eq!(seeded, jobs.len() as u64);
-        let exec = Executor::new(1);
+        let exec = Executor::with_config(ExecutorConfig {
+            vms: 1,
+            substrate,
+            ..ExecutorConfig::default()
+        });
         let out = exec.run_batch(&fig1_jobs(&fresh), &CancelToken::new());
         assert!(out.iter().flatten().all(|o| o.memo_hit));
         assert_eq!(exec.stats().runs, 0, "resume pays zero VM executions");

@@ -108,7 +108,6 @@ pub use enforce::{
     EnforceConfig,
     RunOutcome,
     RunResult,
-    SnapshotCache,
     SnapshotForest, //
 };
 pub use exec::{

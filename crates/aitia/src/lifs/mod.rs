@@ -240,13 +240,11 @@ pub struct LifsStats {
     pub interleaving_count: u32,
     /// Simulated cost (schedule setups, steps, reboots, retry backoff).
     pub sim: SimCost,
-    /// Schedules served from the process-wide result memo table (counted
+    /// Schedules served from the substrate's result memo table (counted
     /// in `schedules_executed` and `sim` exactly like executed ones, so
     /// diagnosis statistics stay memo-invariant; the avoided cost is
     /// tracked in `sim_time_saved_s` instead).
     pub memo_hits: usize,
-    /// Snapshot-forest restores consumed by this search's executions.
-    pub forest_hits: usize,
     /// Simulated seconds of serial execution the memo hits avoided (at
     /// default cost-model rates; see `CostModel::serial_run_s`).
     pub sim_time_saved_s: f64,
@@ -269,7 +267,6 @@ impl LifsStats {
         self.interleaving_count = self.interleaving_count.max(other.interleaving_count);
         self.sim.merge(&other.sim);
         self.memo_hits += other.memo_hits;
-        self.forest_hits += other.forest_hits;
         self.sim_time_saved_s += other.sim_time_saved_s;
         self.deadline_fired |= other.deadline_fired;
     }
@@ -280,7 +277,6 @@ impl LifsStats {
     /// caller either way — so this touches only the hit diagnostics.
     pub(crate) fn note_exec(&mut self, out: &crate::exec::ExecOutput) {
         self.memo_hits += usize::from(out.memo_hit);
-        self.forest_hits += out.forest_hits as usize;
         if out.memo_hit {
             self.sim_time_saved_s += crate::simtime::CostModel::default()
                 .serial_run_s(out.run.steps, out.run.failure.is_some());
@@ -1837,7 +1833,6 @@ mod tests {
                     seed: 1,
                     rate_permille: 1000,
                     max_retries: 1,
-                    quarantine_after: 0,
                 }),
                 ..crate::exec::ExecutorConfig::default()
             },

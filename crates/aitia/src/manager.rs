@@ -61,13 +61,13 @@ pub struct ManagerConfig {
     /// Cross-run schedule memoization and the shared snapshot forest
     /// ([`crate::exec::ExecutorConfig::memo`]), threaded into the pool *and*
     /// the per-slice single-worker executors. Diagnoses are bit-identical
-    /// either way; disabling is the A/B baseline for the benchmark.
+    /// either way; disabling it gives the reuse-nothing oracle.
     pub memo: bool,
-    /// Which memo table / snapshot forest the campaign's executors consult
-    /// ([`crate::exec::ExecutorConfig::substrate`]): the process-global
-    /// substrate by default, or an explicit handle so concurrent campaigns
-    /// either share deliberately (`campaignd`'s cross-campaign substrate)
-    /// or not at all ([`Substrate::private`]).
+    /// The memo table and snapshot forest the campaign's executors consult
+    /// ([`crate::exec::ExecutorConfig::substrate`]). The default is a fresh
+    /// substrate shared by this manager's pool and per-slice executors and
+    /// nobody else; pass one handle to several managers to share on
+    /// purpose (`campaignd`'s cross-campaign substrate).
     pub substrate: Substrate,
     /// Wall-clock budget for the whole campaign, in seconds. When it
     /// expires, in-flight batches stop and the diagnosis degrades to
@@ -93,7 +93,7 @@ impl Default for ManagerConfig {
             causality: CausalityConfig::default(),
             fault: None,
             memo: true,
-            substrate: Substrate::process_global(),
+            substrate: Substrate::default(),
             wall_deadline_s: None,
             sim_deadline_s: None,
             journal: None,
@@ -307,9 +307,11 @@ impl Manager {
     }
 
     /// The full input-to-chain pipeline (§4.1): slices the execution
-    /// history backward from the failure, resolves each slice to an
-    /// executable kernel scenario through `resolver`, and reproduces /
-    /// diagnoses over the candidates in priority order.
+    /// history backward from the failure, resolves each slice to the
+    /// executable kernel scenarios that may model it through `resolver`,
+    /// and reproduces / diagnoses over all of them as candidate slices in
+    /// priority order — so LIFS's failure target, not resolution order,
+    /// picks the program that fails the way the history did.
     #[must_use]
     pub fn diagnose_history(
         &self,
@@ -318,21 +320,23 @@ impl Manager {
     ) -> Option<Diagnosis> {
         let slices: Vec<Arc<Program>> = khist::slices(history)
             .iter()
-            .filter_map(|s| resolver.resolve(s))
+            .flat_map(|s| resolver.resolve(s))
             .collect();
         self.diagnose(&slices)
     }
 }
 
-/// Maps a trace slice onto an executable kernel scenario.
+/// Maps a trace slice onto executable kernel scenarios.
 ///
 /// In the paper, the user agent replays the slice's system calls against
 /// the real kernel; in the reproduction, a resolver supplies the modeled
 /// kernel code paths for the slice's calls (the corpus provides one
 /// covering its 22 bugs).
 pub trait SliceResolver: Sync {
-    /// The program modeling this slice's concurrent calls, if known.
-    fn resolve(&self, slice: &khist::Slice) -> Option<Arc<Program>>;
+    /// Every program that may model this slice's concurrent calls, in
+    /// priority order (empty when none is known). Several programs can
+    /// share a syscall signature; the caller searches them all.
+    fn resolve(&self, slice: &khist::Slice) -> Vec<Arc<Program>>;
 }
 
 #[cfg(test)]

@@ -173,14 +173,14 @@ impl Default for ServerConfig {
             sim_deadline_s: None,
             drain: false,
             poll_ms: 50,
-            substrate: Substrate::process_global(),
+            substrate: Substrate::default(),
         }
     }
 }
 
 impl ServerConfig {
-    /// Default configuration rooted at `dir`, with a private substrate so
-    /// separate servers (and tests) do not share memoized schedules.
+    /// Default configuration rooted at `dir`, with a memo table twice the
+    /// default size, since every campaign of the server shares it.
     #[must_use]
     pub fn at(dir: impl Into<PathBuf>) -> ServerConfig {
         ServerConfig {
@@ -796,11 +796,19 @@ pub fn report_digest(text: &str) -> String {
 }
 
 /// Writes `bytes` to `path` atomically (temp file + rename) so readers
-/// never observe a half-written file.
+/// never observe a half-written file. Every write goes through a temp file
+/// of its own: campaign workers write `status.json` concurrently, and a
+/// shared temp path would let one writer truncate another's half-written
+/// file just before that one renames it into place.
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let n = WRITES.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp.{}.{n}", std::process::id()));
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 #[cfg(test)]
@@ -980,6 +988,48 @@ mod tests {
             "resumed diagnosis is bit-identical"
         );
         assert_eq!(second[&a].digest, first[&a].digest);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_never_fail_or_tear() {
+        let dir = temp_dir("status-race");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("status.json");
+        write_atomic(&path, b"[]").unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (failed, torn) = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..4u64)
+                .map(|w| {
+                    let path = &path;
+                    scope.spawn(move || {
+                        (0..500u64)
+                            .filter(|i| {
+                                // Lengths vary, so a torn file never parses.
+                                let body = vec![w * 1000 + i; (*i % 64) as usize + 1];
+                                let json = serde_json::to_string(&body).unwrap();
+                                write_atomic(path, json.as_bytes()).is_err()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            let reader = scope.spawn(|| {
+                let mut torn = 0;
+                while !done.load(Ordering::SeqCst) {
+                    let text = std::fs::read_to_string(&path).unwrap();
+                    torn += usize::from(serde_json::from_str::<Vec<u64>>(&text).is_err());
+                }
+                torn
+            });
+            let failed: usize = writers.into_iter().map(|h| h.join().unwrap()).sum();
+            done.store(true, Ordering::SeqCst);
+            (failed, reader.join().unwrap())
+        });
+        assert_eq!(failed, 0, "writes failed");
+        assert_eq!(torn, 0, "a reader saw a partial file");
+        let leftovers = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(leftovers, 1, "only status.json remains");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

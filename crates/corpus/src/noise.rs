@@ -221,18 +221,6 @@ impl Noise {
         t.jmp(top);
         t.place(done);
     }
-
-    /// The declared prologue-pool counters (for tests).
-    #[must_use]
-    pub fn pre_counters(&self) -> &[GlobalId] {
-        &self.counters_pre
-    }
-
-    /// The declared epilogue-pool counters (for tests).
-    #[must_use]
-    pub fn post_counters(&self) -> &[GlobalId] {
-        &self.counters_post
-    }
 }
 
 #[cfg(test)]

@@ -55,10 +55,7 @@ use crate::{
 };
 use std::{
     collections::HashMap,
-    sync::{
-        Arc,
-        Weak, //
-    },
+    sync::Arc, //
 };
 
 /// Errors returned by [`Engine::step`] for invalid scheduling requests.
@@ -88,9 +85,9 @@ impl std::error::Error for EngineError {}
 /// a virtual machine's memory contents after a run of LIFS (§4.3).
 ///
 /// The captured state lives behind an [`Arc`], so cloning a snapshot is a
-/// reference-count bump. Schedule-prefix caches (the executor layer) hold
-/// many snapshots and shuffle them through LRU order; cheap clones keep
-/// that bookkeeping free of deep memory copies. The captured fields
+/// reference-count bump. The executor's schedule-prefix checkpoint store
+/// holds many snapshots and shuffles them through LRU order; cheap clones
+/// keep that bookkeeping free of deep memory copies. The captured fields
 /// themselves structurally share pages/chunks with the engine that took
 /// the snapshot.
 #[derive(Clone, Debug)]
@@ -129,18 +126,6 @@ pub struct Engine {
     /// is deliberately not part of snapshots: restoring a checkpoint
     /// rewinds execution state, not the machine's service history.
     reboots: u64,
-    /// Identity of the snapshot the engine currently *is* — set by
-    /// [`Engine::restore`], cleared by any mutation ([`Engine::step`],
-    /// [`Engine::reboot`], [`Engine::inject_irq`]). While set, restoring
-    /// the same snapshot again is a no-op instead of a copy of every
-    /// field. A [`Weak`] keeps the identity without pinning the snapshot
-    /// payload alive (it pins only the `ArcInner` slot, which is exactly
-    /// what makes the pointer comparison ABA-safe).
-    last_restored: Option<Weak<SnapshotData>>,
-    /// Restores that actually copied state back in. Like `reboots`,
-    /// survives reboot and is not part of snapshots (service history, not
-    /// state).
-    deep_restores: u64,
 }
 
 impl Engine {
@@ -187,8 +172,6 @@ impl Engine {
             grace_waiters: Vec::new(),
             halted: false,
             reboots: 0,
-            last_restored: None,
-            deep_restores: 0,
         }
     }
 
@@ -196,25 +179,14 @@ impl Engine {
     /// a failing run).
     pub fn reboot(&mut self) {
         let reboots = self.reboots + 1;
-        let deep_restores = self.deep_restores;
         *self = Engine::new(Arc::clone(&self.program));
         self.reboots = reboots;
-        self.deep_restores = deep_restores;
     }
 
     /// How many times this engine has been rebooted since boot.
     #[must_use]
     pub fn reboots(&self) -> u64 {
         self.reboots
-    }
-
-    /// Restores that actually deep-copied checkpoint state. Restoring the
-    /// snapshot the engine is already at (nothing executed since the last
-    /// [`Engine::restore`] of the same `Arc`) costs nothing and is not
-    /// counted here.
-    #[must_use]
-    pub fn deep_restores(&self) -> u64 {
-        self.deep_restores
     }
 
     /// The program under execution.
@@ -354,7 +326,6 @@ impl Engine {
         if !self.program.irq_handlers.contains(&prog) {
             return Err(EngineError::UnknownThread(ThreadId(u32::MAX)));
         }
-        self.last_restored = None;
         Ok(self.spawn(prog, None, ThreadId(u32::MAX)))
     }
 
@@ -379,17 +350,7 @@ impl Engine {
     }
 
     /// Restores a checkpoint taken from this engine (same program).
-    ///
-    /// Restoring the snapshot the engine is *already at* — same `Arc`, no
-    /// mutation since the previous restore — is a no-op: shared prefix
-    /// caches frequently hand a worker the checkpoint it just resumed
-    /// from, and copying every field again would be pure waste.
     pub fn restore(&mut self, s: &Snapshot) {
-        if let Some(prev) = &self.last_restored {
-            if std::ptr::eq(prev.as_ptr(), Arc::as_ptr(&s.0)) {
-                return;
-            }
-        }
         let d = &*s.0;
         self.mem = d.mem.clone();
         self.lists = d.lists.clone();
@@ -400,8 +361,6 @@ impl Engine {
         self.spawn_counts = d.spawn_counts.clone();
         self.grace_waiters = d.grace_waiters.clone();
         self.halted = d.halted;
-        self.deep_restores += 1;
-        self.last_restored = Some(Arc::downgrade(&s.0));
     }
 
     fn reg(&self, tid: ThreadId, r: crate::instr::Reg) -> u64 {
@@ -518,7 +477,6 @@ impl Engine {
         if self.halted {
             return Err(EngineError::Halted);
         }
-        self.last_restored = None;
         let t = self
             .threads
             .get(tid.0 as usize)
@@ -1022,38 +980,6 @@ mod tests {
         // Replays identically.
         assert!(e.run_all_serial().is_none());
         assert_eq!(e.threads()[1].regs[0], 1);
-    }
-
-    #[test]
-    fn redundant_restore_is_a_no_op() {
-        let prog = two_thread_program();
-        let mut e = Engine::new(prog);
-        let snap = e.snapshot();
-        e.run_all_serial();
-        e.restore(&snap);
-        assert_eq!(e.deep_restores(), 1);
-        // Nothing executed since: restoring the same snapshot is free.
-        e.restore(&snap);
-        e.restore(&snap);
-        assert_eq!(e.deep_restores(), 1);
-        assert_eq!(e.trace().len(), 0);
-        // A step invalidates the identity — the next restore deep-copies.
-        e.step(ThreadId(0)).unwrap();
-        e.restore(&snap);
-        assert_eq!(e.deep_restores(), 2);
-        assert_eq!(e.trace().len(), 0);
-        // A different snapshot always deep-copies.
-        e.run_all_serial();
-        let done = e.snapshot();
-        e.restore(&snap);
-        e.restore(&done);
-        assert_eq!(e.deep_restores(), 4);
-        assert!(e.all_done());
-        // Reboot both clears the identity and preserves the counter.
-        e.reboot();
-        assert_eq!(e.deep_restores(), 4);
-        e.restore(&snap);
-        assert_eq!(e.deep_restores(), 5);
     }
 
     #[test]

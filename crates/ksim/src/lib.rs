@@ -16,8 +16,9 @@
 //! * kernel facilities the paper's bugs exercise are modeled: locks, linked
 //!   lists ([`list`]), refcounts, and background-thread spawning
 //!   (`queue_work` / `call_rcu`);
-//! * [`coverage`] and [`disasm`] mirror the kcov + disassembly-map machinery
-//!   the paper's user agent uses to find memory-accessing instructions;
+//! * every step reports the memory accesses it made ([`events`]), which is
+//!   how the analysis learns which instructions access memory (the paper's
+//!   user agent gets this from kcov plus a disassembly map);
 //! * engines snapshot and restore ([`engine::Snapshot`]), the analogue of
 //!   reverting a VM between schedule executions.
 //!
@@ -53,8 +54,6 @@
 
 pub mod addr;
 pub mod builder;
-pub mod coverage;
-pub mod disasm;
 pub mod engine;
 pub mod events;
 pub mod failure;

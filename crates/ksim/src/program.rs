@@ -1,12 +1,9 @@
 //! Static kernel programs: thread code, globals, and static objects.
 
-use crate::{
-    addr::GlobalId,
-    instr::{
-        Instr,
-        InstrMeta,
-        ThreadProgId, //
-    },
+use crate::instr::{
+    Instr,
+    InstrMeta,
+    ThreadProgId, //
 };
 use serde::{
     Deserialize,
@@ -159,12 +156,6 @@ impl Program {
         &self.progs[id.0 as usize]
     }
 
-    /// The instruction at a static address, if it exists.
-    #[must_use]
-    pub fn instr_at(&self, at: InstrAddr) -> Option<&Instr> {
-        self.progs.get(at.prog.0 as usize)?.instrs.get(at.index)
-    }
-
     /// Reporting metadata for a static address, if it exists.
     #[must_use]
     pub fn meta_at(&self, at: InstrAddr) -> Option<&InstrMeta> {
@@ -178,18 +169,6 @@ impl Program {
             Some(p) => p.instr_name(at.index),
             None => format!("{at}"),
         }
-    }
-
-    /// The name of a declared global.
-    #[must_use]
-    pub fn global_name(&self, id: GlobalId) -> &str {
-        &self.globals[id.0 as usize].name
-    }
-
-    /// Total instruction count across all thread programs.
-    #[must_use]
-    pub fn total_instrs(&self) -> usize {
-        self.progs.iter().map(|p| p.instrs.len()).sum()
     }
 
     /// Validates internal consistency (branch targets in range, metadata

@@ -32,10 +32,10 @@ echo "==> release build"
 cargo build --release -p aitia-bench
 
 echo "==> usage-error smoke"
-# Unknown flags (here --backend, which older builds accepted), deleted
-# subcommands (bench-memo) and out-of-range --scale values must be
-# rejected at startup with the usage exit status 2: never run, succeed,
-# panic or abort.
+# Unknown flags (here --backend and --snapshot-cache, which older builds
+# accepted), deleted subcommands (bench-memo) and out-of-range --scale
+# values must be rejected at startup with the usage exit status 2: never
+# run, succeed, panic or abort.
 expect_status() {
     local want=$1 rc=0
     shift
@@ -45,6 +45,7 @@ expect_status() {
 }
 expect_status 2 ./target/release/diagnose CVE-2017-15649 --backend ksim
 expect_status 2 ./target/release/report table2 --backend ksim
+expect_status 2 ./target/release/report table2 --snapshot-cache 8
 expect_status 2 ./target/release/campaignd status --dir target/ci-usage-campaignd \
     --backend ksim
 expect_status 2 ./target/release/report bench-memo
