@@ -19,6 +19,7 @@ use aitia_bench::experiments::{
     diagnose_generated,
     generated_digest, //
 };
+use aitia_repro::aitia::Substrate;
 use aitia_repro::corpus::generate::{
     generate,
     generate_with,
@@ -164,7 +165,7 @@ fn reference_cell_digest_is_stable_across_repeat_runs() {
     let first = {
         let out = diagnose_generated(
             &bug,
-            &reference.executor(),
+            &reference.executor(&Substrate::default()),
             reference.prune,
             reference.causality,
         );
@@ -173,7 +174,7 @@ fn reference_cell_digest_is_stable_across_repeat_runs() {
     let second = {
         let out = diagnose_generated(
             &bug,
-            &reference.executor(),
+            &reference.executor(&Substrate::default()),
             reference.prune,
             reference.causality,
         );
@@ -206,7 +207,7 @@ fn shrinking_preserves_the_planted_structure() {
     let cells = corpus_matrix();
     let out = diagnose_generated(
         &shrunk,
-        &cells[0].executor(),
+        &cells[0].executor(&Substrate::default()),
         cells[0].prune,
         cells[0].causality,
     )

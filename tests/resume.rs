@@ -243,8 +243,8 @@ fn deadline_partial_diagnosis_never_labels_unflipped_races_benign() {
     use aitia_repro::aitia::simtime::CostModel;
     // Probe the un-budgeted campaign to size a budget that covers LIFS
     // plus half a schedule, so the causality pass is cut mid-flight.
-    // memo off: every run must execute (and so charge the budget)
-    // regardless of what other tests put in the process-wide table.
+    // memo off: every run executes, and so charges the budget; none is
+    // answered from a memo table.
     let base = ManagerConfig {
         vms: 1,
         memo: false,
