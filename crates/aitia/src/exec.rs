@@ -1,20 +1,20 @@
 //! The shared VM-pool execution layer (DESIGN.md §5).
 //!
 //! Every consumer of schedule execution — LIFS rounds, Causality Analysis
-//! flips, the manager's slice fan-out — goes through one executor that owns
-//! the worker "VMs" (one booted [`ksim::Engine`] per worker slot; reusable
-//! execution state lives in the shared [`Substrate`]). Callers submit
-//! *batches* of `(program, schedule)` jobs and fold the results in
+//! flips, the manager's slice searches — goes through one executor that
+//! owns the worker "VMs" (one booted [`ksim::Engine`] per worker slot;
+//! reusable execution state lives in the shared [`Substrate`]). Callers
+//! submit *batches* of `(program, schedule)` jobs and fold the results in
 //! canonical submission order, which keeps every consumer bit-for-bit
 //! deterministic at any worker count:
 //!
 //! * each job is a pure function of its program and schedule (sequential
 //!   consistency of the engine), so *which* worker runs it cannot change
 //!   its result;
-//! * workers claim job indices from per-worker work-stealing deques, and
-//!   an early-stop request at index `i` only ever *lowers* the shared stop
-//!   bound — so every index at or below the final bound is guaranteed to
-//!   have been executed, and the returned prefix is complete;
+//! * workers claim job indices in canonical order from one shared
+//!   counter, and an early-stop request at index `i` only ever *lowers*
+//!   the shared stop bound — so every index at or below the final bound is
+//!   guaranteed to have been executed, and the returned prefix is complete;
 //! * results beyond the final stop bound are discarded (speculative work),
 //!   never folded.
 //!
@@ -46,8 +46,7 @@ use ksim::{
 use std::{
     collections::{
         BTreeMap,
-        HashMap,
-        VecDeque, //
+        HashMap, //
     },
     hash::{
         Hash,
@@ -70,19 +69,12 @@ use std::{
 
 /// A cooperative cancellation flag, checked at schedule boundaries.
 ///
-/// Tokens form a chain: a [`CancelToken::child`] is cancelled when either
-/// it or any ancestor is cancelled, so the manager can abort one slice's
-/// search without touching its siblings while a user-level cancel still
-/// reaches everything.
+/// Clones share the one flag: cancelling any clone cancels them all, which
+/// is how a deadline reaches the searches and flip batches running on its
+/// campaign's pool.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
-    inner: Arc<CancelInner>,
-}
-
-#[derive(Debug, Default)]
-struct CancelInner {
-    flag: AtomicBool,
-    parent: Option<CancelToken>,
+    flag: Arc<AtomicBool>,
 }
 
 impl CancelToken {
@@ -92,33 +84,15 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// A child token: cancelled when either it or `self` is cancelled.
-    #[must_use]
-    pub fn child(&self) -> CancelToken {
-        CancelToken {
-            inner: Arc::new(CancelInner {
-                flag: AtomicBool::new(false),
-                parent: Some(self.clone()),
-            }),
-        }
-    }
-
-    /// Requests cancellation (of this token and all its children).
+    /// Requests cancellation (of this token and every clone of it).
     pub fn cancel(&self) {
-        self.inner.flag.store(true, Ordering::SeqCst);
+        self.flag.store(true, Ordering::SeqCst);
     }
 
-    /// Whether this token or any ancestor has been cancelled.
+    /// Whether this token (through any clone) has been cancelled.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        let mut tok = Some(self);
-        while let Some(t) = tok {
-            if t.inner.flag.load(Ordering::SeqCst) {
-                return true;
-            }
-            tok = t.inner.parent.as_ref();
-        }
-        false
+        self.flag.load(Ordering::SeqCst)
     }
 }
 
@@ -126,12 +100,11 @@ impl CancelToken {
 /// by every executor claim loop at schedule boundaries (DESIGN.md §7).
 ///
 /// When either budget runs out the deadline *fires* exactly once: it marks
-/// itself fired and cancels every subscribed [`CancelToken`] (whose children
-/// — per-slice search tokens, flip-batch tokens — observe the cancellation
-/// through the existing token chain). In-flight batches then stop claiming
-/// work, so consumers fold a contiguous best-so-far prefix and degrade
-/// gracefully instead of being killed mid-result: LIFS returns its frontier,
-/// Causality Analysis marks un-flipped races
+/// itself fired and cancels every subscribed [`CancelToken`] (the
+/// campaign's LIFS and causality tokens). In-flight batches then stop
+/// claiming work, so consumers fold a contiguous best-so-far prefix and
+/// degrade gracefully instead of being killed mid-result: LIFS returns its
+/// frontier, Causality Analysis marks un-flipped races
 /// [`crate::causality::Verdict::Unverified`].
 ///
 /// The simulated budget is spent by executed runs only (memo hits are free,
@@ -155,7 +128,7 @@ pub struct DeadlineBudget {
     /// outliving its campaigns (or subscribed to repeatedly) must not pin
     /// dead tokens forever, so dropped subscribers are pruned on
     /// [`DeadlineBudget::subscribe`] and [`DeadlineBudget::check`].
-    subscribers: Mutex<Vec<Weak<CancelInner>>>,
+    subscribers: Mutex<Vec<Weak<AtomicBool>>>,
 }
 
 impl DeadlineBudget {
@@ -180,15 +153,14 @@ impl DeadlineBudget {
         }
     }
 
-    /// Registers a token to be cancelled when the deadline fires. Its
-    /// children (slice tasks, batch tokens) observe the cancellation through
-    /// the normal parent chain. The registration is weak: once every strong
-    /// clone of the token is dropped its slot is reclaimed, so subscriber
-    /// count is bounded by *live* tokens, not by subscription history.
+    /// Registers a token to be cancelled when the deadline fires. The
+    /// registration is weak: once every clone of the token is dropped its
+    /// slot is reclaimed, so subscriber count is bounded by *live* tokens,
+    /// not by subscription history.
     pub fn subscribe(&self, token: &CancelToken) {
         let mut subs = self.subscribers.lock().unwrap();
         subs.retain(|w| w.strong_count() > 0);
-        subs.push(Arc::downgrade(&token.inner));
+        subs.push(Arc::downgrade(&token.flag));
     }
 
     /// Live subscriber count (dead weak registrations excluded). Exposed so
@@ -249,12 +221,12 @@ impl DeadlineBudget {
         if self.fired.swap(true, Ordering::SeqCst) {
             return;
         }
-        let live: Vec<Arc<CancelInner>> = {
+        let live: Vec<Arc<AtomicBool>> = {
             let subs = self.subscribers.lock().unwrap();
             subs.iter().filter_map(Weak::upgrade).collect()
         };
-        for inner in live {
-            inner.flag.store(true, Ordering::SeqCst);
+        for flag in live {
+            flag.store(true, Ordering::SeqCst);
         }
         eprintln!(
             "aitia-exec: {which} deadline fired after {:.1} simulated seconds; \
@@ -421,10 +393,12 @@ impl FaultInjection {
 
 /// A snapshot of the pool's robustness counters (surfaced via `report`).
 ///
-/// `runs`/`retries`/fault counts are deterministic at any worker count
-/// (fault decisions are content-keyed); the snapshot and memo counters
-/// depend on which worker happened to claim which job and are diagnostics
-/// only.
+/// At one worker every count is deterministic (fault decisions are
+/// content-keyed). A wider pool may also run jobs past a batch's early
+/// stop whose results are then discarded: `runs`, `retries`, the fault
+/// counts and `steps_executed` include that speculative work, and the
+/// snapshot and memo counters further depend on which worker claimed which
+/// job. All of them are diagnostics, never folded into results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Enforced runs actually executed (faulted attempts execute nothing).
@@ -688,9 +662,9 @@ impl MemoShard {
 }
 
 /// Number of lock stripes in the memo table. Sixteen shards keep the
-/// workers of an 8-wide pool (plus the manager's per-slice executors) from
-/// convoying on one mutex while staying small enough that per-shard LRU
-/// capacity (`cap / 16`) still covers a diagnosis working set.
+/// workers of an 8-wide pool from convoying on one mutex while staying
+/// small enough that per-shard LRU capacity (`cap / 16`) still covers a
+/// diagnosis working set.
 const MEMO_SHARDS: usize = 16;
 
 /// A substrate's result memo table (DESIGN.md §6).
@@ -795,8 +769,8 @@ impl MemoTable {
 ///
 /// Clones share: the substrate is a pair of `Arc`s, so handing one
 /// `Substrate` to many executors makes any result or checkpoint one of
-/// them produces reusable by all of them (the manager hands its substrate
-/// to its per-slice executors; campaignd hands one to every campaign).
+/// them produces reusable by all of them (campaignd hands one to every
+/// campaign).
 /// Executors built from separate substrates — including two
 /// [`Substrate::default`]s — share nothing.
 #[derive(Clone)]
@@ -1037,7 +1011,8 @@ impl Executor {
     }
 
     /// [`Executor::run_until`]'s parallel scan: `workers` threads claim
-    /// `jobs` from work-stealing deques until one is accepted.
+    /// `jobs` in canonical order from one shared counter until one is
+    /// accepted.
     fn fan_out<F>(
         &self,
         jobs: &[ExecJob],
@@ -1049,25 +1024,27 @@ impl Executor {
         F: Fn(&ExecOutput) -> bool + Sync,
     {
         let n = jobs.len();
-        let queue = ClaimQueue::new(n, workers);
+        let next = AtomicUsize::new(0);
         let stop_at = AtomicUsize::new(usize::MAX);
         let results: Vec<Mutex<Option<ExecOutput>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
-            for (w, slot) in self.slots[..workers].iter().enumerate() {
-                let (results, queue, stop_at) = (&results, &queue, &stop_at);
+            for slot in &self.slots[..workers] {
+                let (results, next, stop_at) = (&results, &next, &stop_at);
                 scope.spawn(move || {
                     let mut slot = slot.lock().unwrap();
                     loop {
                         if cancel.is_cancelled() || self.deadline_expired() {
                             return;
                         }
-                        // `stop_at` only decreases, so a stale read can only
-                        // make us execute speculatively, never skip an index
-                        // at or below the final bound.
-                        let bound = stop_at.load(Ordering::SeqCst);
-                        let Some(i) = queue.claim(w, bound) else {
+                        // Indices are claimed in ascending order and
+                        // `stop_at` only decreases: a worker that claims an
+                        // index past the bound leaves every index at or
+                        // below the final bound claimed by someone, and a
+                        // stale read can only make it execute speculatively.
+                        let i = next.fetch_add(1, Ordering::SeqCst);
+                        if i >= n || i > stop_at.load(Ordering::SeqCst) {
                             return;
-                        };
+                        }
                         let res = self.run_job_ft(&mut slot, &jobs[i]);
                         if stop(&res) {
                             stop_at.fetch_min(i, Ordering::SeqCst);
@@ -1077,18 +1054,14 @@ impl Executor {
                 });
             }
         });
+        // Every claimed index at or below the bound was executed, so the
+        // results form a contiguous prefix even under cancellation.
         let cut = stop_at.load(Ordering::SeqCst);
-        let mut out: Vec<Option<ExecOutput>> = results
+        results
             .into_iter()
-            .map(|m| m.into_inner().unwrap())
-            .collect();
-        for (i, r) in out.iter_mut().enumerate() {
-            if i > cut {
-                *r = None;
-            }
-        }
-        normalize_prefix(&mut out);
-        out
+            .enumerate()
+            .map(|(i, m)| m.into_inner().unwrap().filter(|_| i <= cut))
+            .collect()
     }
 
     /// Charges one batch's deterministic simulated makespan (see
@@ -1215,140 +1188,6 @@ impl Executor {
             }
         }
     }
-
-    /// Fans `count` opaque tasks out over the pool's worker budget with the
-    /// same canonical-prefix semantics as [`Executor::run_until`], *without*
-    /// touching the pool's per-worker engines — so a task may itself run a
-    /// (single-worker) executor without deadlocking. The manager uses this
-    /// for slice fan-out.
-    ///
-    /// Each task receives a child of `cancel`; when an earlier task stops
-    /// the scan, the tokens of all later in-flight tasks are cancelled so
-    /// they abort at their next schedule boundary.
-    #[must_use]
-    pub fn run_tasks_until<T, F, S>(
-        &self,
-        count: usize,
-        cancel: &CancelToken,
-        task: F,
-        stop: S,
-    ) -> Vec<Option<T>>
-    where
-        T: Send,
-        F: Fn(usize, CancelToken) -> T + Sync,
-        S: Fn(&T) -> bool + Sync,
-    {
-        if count == 0 {
-            return Vec::new();
-        }
-        let tokens: Vec<CancelToken> = (0..count).map(|_| cancel.child()).collect();
-        let workers = self.slots.len().min(count).min(self.os_threads());
-        if workers <= 1 {
-            let mut out: Vec<Option<T>> = Vec::with_capacity(count);
-            for (i, token) in tokens.iter().enumerate() {
-                if cancel.is_cancelled() || self.deadline_expired() {
-                    break;
-                }
-                let res = task(i, token.clone());
-                let hit = stop(&res);
-                out.push(Some(res));
-                if hit {
-                    break;
-                }
-            }
-            out.resize_with(count, || None);
-            return out;
-        }
-
-        // Tasks are coarse (each is a whole per-slice search), so the
-        // shared counter's claim contention is immaterial here — the
-        // work-stealing deques are reserved for the per-schedule hot path
-        // in [`Executor::run_until`].
-        let next = AtomicUsize::new(0);
-        let stop_at = AtomicUsize::new(usize::MAX);
-        let results: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let (results, next, stop_at, task, stop, tokens) =
-                    (&results, &next, &stop_at, &task, &stop, &tokens);
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= count
-                        || i > stop_at.load(Ordering::SeqCst)
-                        || cancel.is_cancelled()
-                        || self.deadline_expired()
-                    {
-                        return;
-                    }
-                    let res = task(i, tokens[i].clone());
-                    if stop(&res) {
-                        let bound = stop_at.fetch_min(i, Ordering::SeqCst).min(i);
-                        // Only indices strictly above the (monotonically
-                        // shrinking) bound are ever cancelled, so every task
-                        // at or below the final bound ran uncancelled.
-                        for t in &tokens[bound + 1..] {
-                            t.cancel();
-                        }
-                    }
-                    *results[i].lock().unwrap() = Some(res);
-                });
-            }
-        });
-        let cut = stop_at.load(Ordering::SeqCst);
-        let mut out: Vec<Option<T>> = results
-            .into_iter()
-            .map(|m| m.into_inner().unwrap())
-            .collect();
-        for (i, r) in out.iter_mut().enumerate() {
-            if i > cut {
-                *r = None;
-            }
-        }
-        normalize_prefix(&mut out);
-        out
-    }
-}
-
-/// A batch's index source: work stealing over one deque per worker,
-/// pre-filled with strided indices — worker `w` of `k` owns `w, w+k,
-/// w+2k, …` in ascending order. Owners pop from the front; thieves pop
-/// from the back (the indices least likely to matter under an early stop).
-///
-/// Upholds the canonical-prefix invariant the fold relies on: every index
-/// at or below the final stop bound is claimed and executed by some worker
-/// before any worker sees "drained" (absent cancellation).
-struct ClaimQueue(Vec<Mutex<VecDeque<usize>>>);
-
-impl ClaimQueue {
-    fn new(n: usize, workers: usize) -> ClaimQueue {
-        ClaimQueue(
-            (0..workers)
-                .map(|w| Mutex::new((w..n).step_by(workers.max(1)).collect()))
-                .collect(),
-        )
-    }
-
-    /// Claims the next index for worker `w`, never returning one above
-    /// `bound`. `None` means this worker is done: all deques drained
-    /// (emptiness is monotone — nothing is ever pushed back — so an
-    /// all-empty scan is final).
-    fn claim(&self, w: usize, bound: usize) -> Option<usize> {
-        let deques = &self.0;
-        let k = deques.len();
-        loop {
-            let own = deques[w].lock().unwrap().pop_front();
-            let claimed =
-                own.or_else(|| (1..k).find_map(|d| deques[(w + d) % k].lock().unwrap().pop_back()));
-            match claimed {
-                // Indices above the bound are dead speculation: discard
-                // and keep draining. The bound only ever decreases, so a
-                // discard is never premature.
-                Some(i) if i > bound => continue,
-                Some(i) => return Some(i),
-                None => return None,
-            }
-        }
-    }
 }
 
 /// OS threads available to the process (cgroup-quota aware). By default the
@@ -1442,16 +1281,6 @@ fn faulted_output(job: &ExecJob, kind: FaultKind, retries: u32) -> ExecOutput {
         retries,
         vm_faulted: Some(kind),
         memo_hit: false,
-    }
-}
-
-/// Truncates at the first hole so callers always fold a contiguous prefix
-/// (cancellation can otherwise leave an executed job after a skipped one).
-fn normalize_prefix<T>(out: &mut [Option<T>]) {
-    if let Some(first_none) = out.iter().position(Option::is_none) {
-        for r in out.iter_mut().skip(first_none) {
-            *r = None;
-        }
     }
 }
 
@@ -1568,7 +1397,7 @@ mod tests {
     #[test]
     fn worker_counts_are_bit_identical() {
         // The serial path (one worker, memo off) must match every worker
-        // count's work-stealing batch, trace for trace.
+        // count's batch, trace for trace.
         let program = fig1_program();
         let jobs = fig1_jobs(&program);
         let reference = Executor::with_config(ExecutorConfig {
@@ -1618,8 +1447,8 @@ mod tests {
 
     #[test]
     fn run_until_early_stop_is_worker_count_invariant() {
-        // The canonical stop bound must cut the same prefix whether the
-        // accepted index was popped by its owner or stolen.
+        // The canonical stop bound must cut the same prefix whichever
+        // worker claimed the accepted index.
         let program = fig1_program();
         let jobs = fig1_jobs(&program);
         let stop = |o: &ExecOutput| o.run.failure.is_some();
@@ -1689,44 +1518,6 @@ mod tests {
         cancel.cancel();
         let out = threaded_pool(4).run_batch(&jobs, &cancel);
         assert!(out.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn child_tokens_observe_parent_cancellation() {
-        let parent = CancelToken::new();
-        let child = parent.child();
-        let grandchild = child.child();
-        assert!(!grandchild.is_cancelled());
-        parent.cancel();
-        assert!(child.is_cancelled());
-        assert!(grandchild.is_cancelled());
-        // Sibling cancellation does not propagate upward.
-        let other = parent.child();
-        other.cancel();
-        assert!(!CancelToken::new().is_cancelled());
-    }
-
-    #[test]
-    fn task_fanout_cancels_tasks_past_the_stop_index() {
-        let exec = threaded_pool(4);
-        let out = exec.run_tasks_until(
-            6,
-            &CancelToken::new(),
-            |i, token| {
-                if i > 2 {
-                    // Later tasks spin until the index-2 stop cancels them.
-                    while !token.is_cancelled() {
-                        std::thread::yield_now();
-                    }
-                }
-                i
-            },
-            |&i| i == 2,
-        );
-        assert_eq!(out[0], Some(0));
-        assert_eq!(out[1], Some(1));
-        assert_eq!(out[2], Some(2));
-        assert!(out[3..].iter().all(Option::is_none));
     }
 
     #[test]

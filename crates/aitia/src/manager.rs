@@ -1,22 +1,18 @@
 //! Parallel orchestration of reproducers and diagnosers (§4.1, §4.5).
 //!
 //! The paper launches 32 virtual machines: reproducers run LIFS over the
-//! candidate slices in parallel; once one reports a failure-causing
-//! instruction sequence, diagnosers run Causality Analysis flips in
-//! parallel. Here each "VM" is a pool worker owning its own engine; the
-//! manager delegates all fan-out to the shared executor ([`crate::exec`]),
-//! whose canonical-order fold makes every outcome — failing slice choice,
-//! merged statistics, chain — identical at any worker count.
+//! candidate slices; once one reports a failure-causing instruction
+//! sequence, diagnosers run Causality Analysis flips in parallel. Here each
+//! "VM" is a worker of one pool owning its own engine, and all fan-out
+//! goes through that pool ([`crate::exec`]), whose canonical-order fold
+//! makes every outcome — failing slice choice, merged statistics, chain —
+//! identical at any worker count.
 //!
-//! Two fan-out shapes share the one pool:
-//!
-//! * **one slice** — the slice's LIFS rounds and the diagnosis flips run
-//!   *through* the pool ([`Lifs::with_executor`]), parallelizing within the
-//!   search;
-//! * **many slices** — slices fan out as tasks over the pool
-//!   ([`crate::exec::Executor::run_tasks_until`]); each task searches its
-//!   slice on a private single-worker executor, and later slices are
-//!   cancelled through child tokens once an earlier one reproduces.
+//! Candidate slices are searched one after another in priority order, and
+//! the first that reproduces wins. Each search's LIFS rounds, and then the
+//! diagnosis flips, run *through* the pool ([`Lifs::with_executor`]), so
+//! every worker serves whichever slice is being searched and every run
+//! shows in [`Manager::exec_stats`].
 
 use crate::{
     causality::{
@@ -55,19 +51,18 @@ pub struct ManagerConfig {
     pub lifs: LifsConfig,
     /// Causality Analysis configuration for diagnosers.
     pub causality: CausalityConfig,
-    /// Deterministic VM-fault injection, threaded into the pool *and* the
-    /// per-slice single-worker executors; `None` disables it.
+    /// Deterministic VM-fault injection for the pool; `None` disables it.
     pub fault: Option<FaultInjection>,
     /// Cross-run schedule memoization and the shared snapshot forest
-    /// ([`crate::exec::ExecutorConfig::memo`]), threaded into the pool *and*
-    /// the per-slice single-worker executors. Diagnoses are bit-identical
-    /// either way; disabling it gives the reuse-nothing oracle.
+    /// ([`crate::exec::ExecutorConfig::memo`]) for the pool. Diagnoses are
+    /// bit-identical either way; disabling it gives the reuse-nothing
+    /// oracle.
     pub memo: bool,
     /// The memo table and snapshot forest the campaign's executors consult
     /// ([`crate::exec::ExecutorConfig::substrate`]). The default is a fresh
-    /// substrate shared by this manager's pool and per-slice executors and
-    /// nobody else; pass one handle to several managers to share on
-    /// purpose (`campaignd`'s cross-campaign substrate).
+    /// substrate used by this manager's pool and nobody else; pass one
+    /// handle to several managers to share on purpose (`campaignd`'s
+    /// cross-campaign substrate).
     pub substrate: Substrate,
     /// Wall-clock budget for the whole campaign, in seconds. When it
     /// expires, in-flight batches stop and the diagnosis degrades to
@@ -187,9 +182,8 @@ impl Manager {
         &self.config.substrate
     }
 
-    /// Robustness counters of the manager's shared pool. Multi-slice
-    /// reproduction additionally runs per-slice single-worker executors
-    /// whose counters are private to each slice task and not merged here.
+    /// Robustness counters of the manager's pool, which runs every schedule
+    /// of every stage.
     #[must_use]
     pub fn exec_stats(&self) -> ExecStats {
         self.exec.stats()
@@ -207,78 +201,40 @@ impl Manager {
         }
     }
 
-    /// Reproducing stage: runs LIFS over candidate slices (each a
-    /// [`Program`]) on the VM pool; returns the highest-priority failing
-    /// run. Later slices are cancelled once an earlier one reproduces.
+    /// Reproducing stage: searches the candidate slices (each a
+    /// [`Program`]) in priority order on the pool, each search spreading
+    /// its batches over every worker, and returns the first failing run.
+    /// No later slice is searched once one reproduces, the LIFS token is
+    /// cancelled or the deadline has fired.
     #[must_use]
     pub fn reproduce(&self, slices: &[Arc<Program>]) -> ReproduceOutcome {
         let mut stats = LifsStats::default();
-        let mut failing = None;
-        let mut slice_index = None;
-        if slices.is_empty() {
-            return ReproduceOutcome {
-                failing,
-                slice_index,
-                stats,
-            };
-        }
-        if slices.len() == 1 {
-            // One slice: the search itself fans out over the pool.
+        for (i, slice) in slices.iter().enumerate() {
+            // Checking the budget fires an expired deadline, which cancels
+            // the LIFS token.
+            if self.deadline.as_ref().is_some_and(|d| d.check())
+                || self.config.lifs.cancel.is_cancelled()
+            {
+                break;
+            }
             let out = Lifs::with_executor(
-                Arc::clone(&slices[0]),
+                Arc::clone(slice),
                 self.config.lifs.clone(),
                 Arc::clone(&self.exec),
             )
             .search();
             stats.merge(&out.stats);
             if out.failing.is_some() {
-                failing = out.failing;
-                slice_index = Some(0);
-            }
-            return ReproduceOutcome {
-                failing,
-                slice_index,
-                stats,
-            };
-        }
-        // Many slices: fan the slices out as tasks; each runs its search on
-        // a private single-worker executor so slice-level parallelism is
-        // not serialized behind the pool's batch slots. The fold below
-        // walks the canonical prefix, so the earliest failing slice wins
-        // and statistics only ever count deterministically completed
-        // searches.
-        let results = self.exec.run_tasks_until(
-            slices.len(),
-            &self.config.lifs.cancel,
-            |i, token| {
-                let mut cfg = self.config.lifs.clone();
-                cfg.cancel = token;
-                let slice_exec = Arc::new(Executor::with_config(ExecutorConfig {
-                    vms: 1,
-                    fault: self.config.fault,
-                    memo: self.config.memo,
-                    substrate: self.config.substrate.clone(),
-                    journal: self.config.journal.clone(),
-                    deadline: self.deadline.clone(),
-                    ..ExecutorConfig::default()
-                }));
-                Lifs::with_executor(Arc::clone(&slices[i]), cfg, slice_exec).search()
-            },
-            |out| out.failing.is_some(),
-        );
-        for (i, res) in results.into_iter().enumerate() {
-            let Some(out) = res else {
-                break; // Cancelled tail: nothing past the first hole counts.
-            };
-            stats.merge(&out.stats);
-            if failing.is_none() && out.failing.is_some() {
-                failing = out.failing;
-                slice_index = Some(i);
+                return ReproduceOutcome {
+                    failing: out.failing,
+                    slice_index: Some(i),
+                    stats,
+                };
             }
         }
         ReproduceOutcome {
-            failing,
-            slice_index,
+            failing: None,
+            slice_index: None,
             stats,
         }
     }
@@ -557,5 +513,66 @@ mod tests {
             parallel.stats.schedules_executed
         );
         assert_eq!(serial.stats.sim.steps, parallel.stats.sim.steps);
+    }
+
+    /// Every slice search runs on the manager's pool, so the pool's
+    /// counters account for every schedule. With memo off nothing is a
+    /// hit, and with no slice reproducing no batch stops early (so no
+    /// speculative run is discarded): the pool's runs equal the schedules
+    /// LIFS executed at every pool size.
+    #[test]
+    fn multi_slice_runs_are_counted_by_the_pool() {
+        let slices = vec![benign_program(), benign_program()];
+        for vms in [1, 2, 8] {
+            let m = Manager::new(ManagerConfig {
+                vms,
+                memo: false,
+                ..ManagerConfig::default()
+            });
+            let out = m.reproduce(&slices);
+            assert!(out.failing.is_none());
+            assert!(out.stats.schedules_executed > 0);
+            assert_eq!(
+                m.exec_stats().runs,
+                out.stats.schedules_executed as u64,
+                "{vms} workers"
+            );
+        }
+    }
+
+    /// A deadline that fires while the first slice is searched ends the
+    /// reproduction there: the later, failing slice never runs, so no
+    /// failing slice is reported.
+    #[test]
+    fn a_deadline_during_the_first_slice_searches_no_later_slice() {
+        let failing = fig1_program();
+        let slices = vec![benign_program(), Arc::clone(&failing)];
+        for vms in [1, 2, 8] {
+            // Each run charges at least `per_schedule_s / vms` (1.5 s / 8),
+            // so the budget is spent by the first run.
+            let m = Manager::new(ManagerConfig {
+                vms,
+                sim_deadline_s: Some(0.1),
+                ..ManagerConfig::default()
+            });
+            let out = m.reproduce(&slices);
+            assert!(m.deadline_fired(), "{vms} workers");
+            assert!(out.stats.deadline_fired);
+            assert!(out.failing.is_none(), "{vms} workers");
+            assert_eq!(out.slice_index, None);
+            assert!(out.stats.schedules_executed > 0, "the first slice ran");
+            // Had the failing slice run, its schedules would be in the
+            // manager's memo table.
+            let probe = Executor::with_config(ExecutorConfig {
+                vms: 1,
+                substrate: m.substrate().clone(),
+                ..ExecutorConfig::default()
+            });
+            let rerun =
+                Lifs::with_executor(Arc::clone(&failing), LifsConfig::default(), Arc::new(probe))
+                    .search();
+            assert!(rerun.failing.is_some());
+            assert_eq!(rerun.stats.memo_hits, 0, "{vms} workers");
+        }
     }
 }

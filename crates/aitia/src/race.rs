@@ -358,7 +358,7 @@ struct Shape<'a> {
 /// Computes [`TraceConflicts`] in one pass over the trace, building the
 /// step clocks of [`step_clocks`] on the fly without storing them.
 ///
-/// Each address keeps one [`Shape`] per distinct (thread, instruction,
+/// Each address keeps one `Shape` per distinct (thread, instruction,
 /// is-write, lockset). For an earlier access `i` and a later access `j`,
 /// `i ∥ j` exactly when `C_i[t_i] > C_j[t_i]`: clocks only grow (by tick or
 /// join), and trace order linearizes happens-before, so `j` can only have

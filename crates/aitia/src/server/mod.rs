@@ -25,7 +25,7 @@
 //!   (`journals/job-<id>.wal`). SIGKILL at any byte, restart, and every
 //!   queued or running campaign resumes — replaying its journal to a
 //!   bit-identical diagnosis without re-running a single VM schedule.
-//! * **Observability.** Lifecycle `Queued → Admitted → Running →
+//! * **Observability.** Lifecycle `Queued → Running →
 //!   Complete/Partial/NoReproduction/DeadLettered` is visible in
 //!   `status.json` (written atomically) alongside [`ServerStats`]
 //!   counters.
@@ -356,11 +356,11 @@ struct Dispatch {
     last_poll: Instant,
 }
 
-/// What one supervised campaign attempt produced.
+/// What one supervised campaign attempt produced. Its report, if any, is
+/// already written.
 struct JobDone {
     state: JobState,
     digest: String,
-    report: Option<String>,
     sim_ns: u64,
 }
 
@@ -435,8 +435,8 @@ impl CampaignServer {
     }
 
     /// Recovers queue state at startup: every non-terminal job becomes
-    /// pending; jobs that were `Admitted`/`Running` when the previous
-    /// incarnation died count as `resumed`.
+    /// pending; jobs that were `Running` when the previous incarnation
+    /// died count as `resumed`.
     fn bootstrap(&self) -> std::io::Result<()> {
         let jobs = self.queue.fold()?;
         let mut d = self.dispatch.lock().expect("dispatch poisoned");
@@ -612,11 +612,11 @@ impl CampaignServer {
         }
     }
 
-    /// Runs one supervised campaign attempt for a claimed job.
+    /// Runs one supervised campaign attempt for a claimed job. The attempt
+    /// includes writing the job's report: a job whose report cannot be
+    /// written faults like one whose diagnosis panicked, so a diagnosed job
+    /// is never recorded terminal without its report.
     fn execute(&self, id: u64, payload: &str, attempt: u32, width: usize) {
-        let _ = self
-            .queue
-            .transition(id, JobState::Admitted, attempt, None, None, None);
         self.stats.admitted.fetch_add(1, Ordering::SeqCst);
         let _ = self
             .queue
@@ -644,24 +644,24 @@ impl CampaignServer {
             let out = campaign.diagnose_program(Arc::clone(&resolved.program));
             let sim_ns = campaign.manager().exec_stats().sim_makespan_ns;
             let (state, digest, text) = classify(&resolved.program, &out);
+            if let Some(text) = text {
+                let path = self
+                    .config
+                    .dir
+                    .join("results")
+                    .join(format!("job-{id}.report.txt"));
+                write_atomic(&path, format!("{text}\n").as_bytes())
+                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
+            }
             Ok(JobDone {
                 state,
                 digest,
-                report: text,
                 sim_ns,
             })
         })
         .and_then(|r| r);
         match outcome {
             Ok(done) => {
-                if let Some(text) = &done.report {
-                    let path = self
-                        .config
-                        .dir
-                        .join("results")
-                        .join(format!("job-{id}.report.txt"));
-                    let _ = write_atomic(&path, format!("{text}\n").as_bytes());
-                }
                 let cell = match done.state {
                     JobState::Complete => &self.stats.completed,
                     JobState::Partial => &self.stats.partial,
@@ -937,6 +937,31 @@ mod tests {
             dir.join(format!("quarantine/job-{poison}.json")).exists(),
             "quarantine post-mortem written"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A job whose report cannot be written is not complete: the write
+    /// error is a supervisor fault, retried with backoff and then
+    /// dead-lettered with the error as its detail, while the job after it
+    /// completes with its report.
+    #[test]
+    fn unwritable_report_dead_letters_instead_of_completing() {
+        let dir = temp_dir("unwritable-report");
+        let server = CampaignServer::open(fast_config(&dir, 1), Arc::new(TestResolver)).unwrap();
+        let a = server.submit("fig1#a").unwrap();
+        let b = server.submit("fig1#b").unwrap();
+        // A directory where job a's report belongs fails its rename.
+        std::fs::create_dir(dir.join(format!("results/job-{a}.report.txt"))).unwrap();
+        let stats = server.run();
+        assert_eq!((stats.completed, stats.dead_lettered), (1, 1));
+        assert_eq!((stats.supervisor_faults, stats.retried), (3, 2));
+        let jobs = server.jobs().unwrap();
+        assert_eq!(jobs[&a].state, JobState::DeadLettered);
+        assert_eq!(jobs[&a].digest, None);
+        let detail = jobs[&a].detail.as_deref().unwrap();
+        assert!(detail.contains(&format!("job-{a}.report.txt")), "{detail}");
+        assert_eq!(jobs[&b].state, JobState::Complete);
+        assert!(dir.join(format!("results/job-{b}.report.txt")).is_file());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

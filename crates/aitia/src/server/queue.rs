@@ -95,18 +95,18 @@ const LOCK_WAIT: Duration = Duration::from_secs(10);
 
 /// A job's lifecycle state.
 ///
-/// `Queued → Admitted → Running → {Complete | Partial | NoReproduction |
+/// `Queued → Running → {Complete | Partial | NoReproduction |
 /// DeadLettered}`; a supervisor fault moves a job back to `Queued` with a
-/// bumped attempt counter until the dead-letter bound.
+/// bumped attempt counter until the dead-letter bound. Files written before
+/// `Running` was the only dispatch record may hold `Admitted` transitions:
+/// they no longer decode, so the fold skips them and the job keeps its
+/// previous non-terminal state and is dispatched again.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum JobState {
     /// Submitted (or re-queued after a supervisor fault); not yet picked
     /// up by a worker.
     Queued,
-    /// Claimed by a worker and granted VM slots; the campaign has not
-    /// started executing.
-    Admitted,
-    /// The campaign is executing.
+    /// Claimed by a worker and granted VM slots; the campaign is executing.
     Running,
     /// Terminal: every race was flipped and judged.
     Complete,
@@ -138,7 +138,6 @@ impl std::fmt::Display for JobState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
             JobState::Queued => "queued",
-            JobState::Admitted => "admitted",
             JobState::Running => "running",
             JobState::Complete => "complete",
             JobState::Partial => "partial",
@@ -633,8 +632,6 @@ mod tests {
         let dir = temp_dir("transitions");
         let q = JobQueue::open(&dir).unwrap();
         q.submit("gen:1", 16).unwrap();
-        q.transition(1, JobState::Admitted, 0, None, None, None)
-            .unwrap();
         q.transition(1, JobState::Running, 0, None, None, None)
             .unwrap();
         q.transition(
@@ -653,6 +650,42 @@ mod tests {
         assert_eq!(jobs[&1].digest.as_deref(), Some("abcd"));
         assert_eq!(jobs[&1].sim_makespan_ns, Some(42));
         assert!(jobs[&1].state.is_terminal());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A file from before `Admitted` was deleted: its `Admitted` frames no
+    /// longer decode and are skipped, so each job folds to its previous
+    /// non-terminal state and is dispatched again.
+    #[test]
+    fn old_admitted_frames_fold_to_the_previous_state() {
+        let dir = temp_dir("admitted");
+        std::fs::create_dir_all(&dir).unwrap();
+        let transition = |id: u64, state: &str, attempt: u32| {
+            format!(
+                r#"{{"Transition":{{"id":{id},"state":"{state}","attempt":{attempt},"digest":null,"detail":null,"sim_makespan_ns":null}}}}"#
+            )
+        };
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        for record in [
+            r#"{"Submit":{"id":1,"payload":"gen:1"}}"#.to_string(),
+            r#"{"Submit":{"id":2,"payload":"gen:2"}}"#.to_string(),
+            transition(1, "Admitted", 0),
+            transition(2, "Queued", 1),
+            transition(2, "Admitted", 1),
+        ] {
+            bytes.extend_from_slice(&frame_record(record.as_bytes()));
+        }
+        std::fs::write(dir.join(QUEUE_FILE), bytes).unwrap();
+        let q = JobQueue::open(&dir).unwrap();
+        assert_eq!(q.truncations(), 0, "a skipped frame is not a torn tail");
+        let jobs = q.fold().unwrap();
+        assert_eq!((jobs[&1].state, jobs[&1].attempt), (JobState::Queued, 0));
+        assert_eq!((jobs[&2].state, jobs[&2].attempt), (JobState::Queued, 1));
+        // The queue keeps working past the skipped frames.
+        q.transition(1, JobState::Running, 0, None, None, None)
+            .unwrap();
+        assert_eq!(q.fold().unwrap()[&1].state, JobState::Running);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -546,7 +546,7 @@ mod rcu_scenario_tests {
 /// opposite orders. The failure class is the watchdog's hung-task report;
 /// the root cause is the *order of the critical sections* — exactly the
 /// "unintended execution order of critical sections" failure mode the
-/// paper cites (its reference [18], Dirty COW).
+/// paper cites (its reference \[18\], Dirty COW).
 #[must_use]
 pub fn abba_deadlock_scenario() -> Program {
     let mut p = ProgramBuilder::new("abba-deadlock");

@@ -130,7 +130,7 @@ pub struct StaticObj {
 pub struct Program {
     /// Scenario name (e.g. `"CVE-2017-15649"`).
     pub name: String,
-    /// Declared globals, indexed by [`GlobalId`].
+    /// Declared globals, indexed by [`crate::GlobalId`].
     pub globals: Vec<GlobalDecl>,
     /// Static objects allocated at reset.
     pub static_objs: Vec<StaticObj>,

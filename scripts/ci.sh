@@ -12,6 +12,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+# A doc link to a renamed or deleted item fails here instead of going stale.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo test"
 # The default test run includes the engine contract suite
 # (tests/backend_conformance.rs).

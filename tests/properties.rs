@@ -829,55 +829,6 @@ proptest! {
             }
         }
     }
-
-    /// The same contract holds for opaque task fan-out: cancelling
-    /// mid-scan through `run_tasks_until` leaves a contiguous prefix of
-    /// completed tasks, and each task's child token observes the cancel.
-    #[test]
-    fn cancelled_run_tasks_until_keeps_a_contiguous_prefix(
-        threads in gen_program(),
-        c in 0usize..6,
-    ) {
-        let program = build(&threads);
-        for vms in [1usize, 2, 8] {
-            let exec = threaded_pool(vms, &Substrate::default());
-            let cancel = CancelToken::new();
-            if c == 0 {
-                cancel.cancel();
-            }
-            let finished = AtomicUsize::new(0);
-            let out = exec.run_tasks_until(
-                6,
-                &cancel,
-                |i, token| {
-                    // A task aborts early when its child token fires, as a
-                    // slice search would at a schedule boundary.
-                    if token.is_cancelled() {
-                        return None;
-                    }
-                    let mut e = Engine::new(Arc::clone(&program));
-                    let res =
-                        enforce::run(&mut e, &serial_schedule(&program), &EnforceConfig::default());
-                    Some((i, res.trace.len()))
-                },
-                |_| {
-                    if finished.fetch_add(1, Ordering::SeqCst) + 1 >= c {
-                        cancel.cancel();
-                    }
-                    false
-                },
-            );
-            prop_assert_eq!(out.len(), 6);
-            prop_assert!(contiguous_prefix(&out), "hole in task results at {} workers", vms);
-            if c == 0 {
-                prop_assert!(
-                    out.iter().all(Option::is_none),
-                    "cancel-before-first-task still ran a task at {} workers",
-                    vms
-                );
-            }
-        }
-    }
 }
 
 /// Round-batched LIFS keeps "first failing schedule wins": several serial
