@@ -156,6 +156,7 @@ pub fn render_exec_stats(stats: &aitia::ExecStats) -> String {
     format!(
         "VM-pool execution stats\n\
         \x20 enforced runs:       {}\n\
+        \x20 discarded runs:      {} (past an early stop)\n\
         \x20 retries:             {}\n\
         \x20 faults:              {} crash / {} hang\n\
         \x20 gave up (no result): {}\n\
@@ -165,6 +166,7 @@ pub fn render_exec_stats(stats: &aitia::ExecStats) -> String {
         \x20 throughput:          {:.0} schedules/s, {:.0} instrs/s (per busy worker)\n\
         \x20 deadline fired:      {}\n",
         stats.runs,
+        stats.discarded_runs,
         stats.retries,
         stats.crash_faults,
         stats.hang_faults,

@@ -34,10 +34,6 @@ use ksim::{
     ThreadStatus,
     Trace, //
 };
-use serde::{
-    Deserialize,
-    Serialize, //
-};
 use std::collections::HashMap;
 use std::sync::{
     Arc,
@@ -60,7 +56,7 @@ impl Default for EnforceConfig {
 }
 
 /// A forced resume of a suspended lock holder (liveness, §3.4).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ForcedResume {
     /// The thread that blocked.
     pub blocked: ThreadSel,
@@ -73,7 +69,7 @@ pub struct ForcedResume {
 }
 
 /// Final state of one thread after a run.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ThreadFinal {
     /// Stable selector of the thread.
     pub sel: ThreadSel,
@@ -92,7 +88,7 @@ pub struct ThreadFinal {
 /// *crashed* — never produced by enforcement itself). Every consumer —
 /// LIFS round folding, causality flip verdicts, the manager's fan-out —
 /// branches on this taxonomy instead of re-deriving it from raw fields.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RunOutcome {
     /// The run completed with no failure and every scheduling point fired.
     Passed,
@@ -135,7 +131,7 @@ impl std::fmt::Display for RunOutcome {
 }
 
 /// The observable outcome of one enforced run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunResult {
     /// The executed trace (total order), structurally shared with the
     /// engine that produced it — cloning a [`RunResult`] bumps reference

@@ -396,13 +396,20 @@ impl FaultInjection {
 /// At one worker every count is deterministic (fault decisions are
 /// content-keyed). A wider pool may also run jobs past a batch's early
 /// stop whose results are then discarded: `runs`, `retries`, the fault
-/// counts and `steps_executed` include that speculative work, and the
-/// snapshot and memo counters further depend on which worker claimed which
-/// job. All of them are diagnostics, never folded into results.
+/// counts, `steps_executed` and `busy_ns` include that speculative work,
+/// `discarded_runs` counts the runs it made, and the snapshot and memo
+/// counters further depend on which worker claimed which job. All of them
+/// are diagnostics, never folded into results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Enforced runs actually executed (faulted attempts execute nothing).
     pub runs: u64,
+    /// Of `runs`, those executed past a batch's early stop whose results
+    /// the fold then discarded: speculative work of a pool of two or more
+    /// workers, never zero-cost and never seen by a consumer. `runs -
+    /// discarded_runs` is the executions the folded results hold. Counted
+    /// by the calling thread once the batch's workers have joined.
+    pub discarded_runs: u64,
     /// Attempts re-run after an injected fault.
     pub retries: u64,
     /// Injected faults of kind [`FaultKind::Crash`].
@@ -490,6 +497,7 @@ fn per_second(count: u64, ns: u64) -> f64 {
 #[derive(Debug, Default)]
 struct StatCells {
     runs: AtomicU64,
+    discarded_runs: AtomicU64,
     retries: AtomicU64,
     crash_faults: AtomicU64,
     hang_faults: AtomicU64,
@@ -510,6 +518,7 @@ impl StatCells {
     fn snapshot(&self) -> ExecStats {
         ExecStats {
             runs: self.runs.load(Ordering::SeqCst),
+            discarded_runs: self.discarded_runs.load(Ordering::SeqCst),
             retries: self.retries.load(Ordering::SeqCst),
             crash_faults: self.crash_faults.load(Ordering::SeqCst),
             hang_faults: self.hang_faults.load(Ordering::SeqCst),
@@ -1057,10 +1066,23 @@ impl Executor {
         // Every claimed index at or below the bound was executed, so the
         // results form a contiguous prefix even under cancellation.
         let cut = stop_at.load(Ordering::SeqCst);
+        let results: Vec<Option<ExecOutput>> = results
+            .into_iter()
+            .map(|m| m.into_inner().unwrap())
+            .collect();
+        let discarded = results
+            .iter()
+            .skip(cut.saturating_add(1))
+            .flatten()
+            .filter(|o| !o.memo_hit && o.vm_faulted.is_none())
+            .count();
+        self.stats
+            .discarded_runs
+            .fetch_add(discarded as u64, Ordering::SeqCst);
         results
             .into_iter()
             .enumerate()
-            .map(|(i, m)| m.into_inner().unwrap().filter(|_| i <= cut))
+            .map(|(i, res)| res.filter(|_| i <= cut))
             .collect()
     }
 

@@ -18,24 +18,43 @@
 //! truncates cleanly instead of poisoning a resume. Each record is:
 //!
 //! ```text
-//! u32 len (LE) | u32 crc32(payload) (LE) | payload (JSON, `len` bytes)
+//! u32 len (LE) | u32 crc32(payload) (LE) | payload (`len` bytes)
 //! ```
 //!
-//! The payload carries the memo key (schedule fingerprint, program content
-//! digest, step budget) plus everything needed to reconstruct the
-//! [`ExecOutput`]: the schedule itself, the full [`RunResult`] (trace
-//! included, so causality edge extraction sees exactly what a re-execution
-//! would show), the thread-selector map, and the outcome.
+//! The payload is a binary body that this module writes and reads field
+//! by field, with no intermediate value tree:
+//!
+//! ```text
+//! fp u64 (LE) | program u64 (LE) | step_budget | outcome | schedule | sel_of | run
+//! ```
+//!
+//! The first three fields are the memo key: the schedule fingerprint, the
+//! program's content digest and the step budget. The rest reconstruct the
+//! [`ExecOutput`]: the outcome, the schedule itself, the runtime-thread →
+//! selector map as pairs sorted by thread, and the full [`RunResult`] with
+//! its trace last (trace included, so causality edge extraction sees
+//! exactly what a re-execution would show). Every other integer is an
+//! unsigned LEB128 varint, every enum and `Option` a one-byte tag, and
+//! every sequence a varint count followed by its elements. A trace step
+//! stores its thread, its instruction, one flag byte saying which of its
+//! optional fields follow, its accesses and its lockset; its `seq` is not
+//! stored, because it equals the step's position in the trace.
+//!
+//! Format version 1 carried the same fields as JSON. Its files read as an
+//! unrecognized header and cold-start.
 //!
 //! # Torn tails and corruption
 //!
 //! A crash mid-append can leave a torn final record. On open, the journal
-//! scans forward and truncates at the first record whose length frame, CRC,
-//! or JSON payload does not check out — counted in
-//! [`JournalStats::torn_tail_truncations`] and warned about, never a panic.
-//! Every record before the truncation point is intact (appends are
-//! sequential), so the resume degrades by at most the torn record. An
-//! unrecognized header degrades all the way to a cold start.
+//! scans forward and truncates at the first record whose length frame or
+//! CRC does not check out, or whose payload does not decode to exactly its
+//! `len` bytes — counted in [`JournalStats::torn_tail_truncations`] and
+//! warned about, never a panic. Every record before the truncation point is
+//! intact (appends are sequential), so the resume degrades by at most the
+//! torn record. An unrecognized header degrades all the way to a cold
+//! start. The decoder reads untrusted bytes: it never indexes past the
+//! payload, and it refuses any count larger than the bytes left in the
+//! payload before it allocates for that count.
 //!
 //! # What is never journaled
 //!
@@ -49,8 +68,10 @@ use crate::{
     enforce::{
         schedule_fingerprint,
         EnforceConfig,
+        ForcedResume,
         RunOutcome,
-        RunResult, //
+        RunResult,
+        ThreadFinal, //
     },
     exec::{
         memo_preload,
@@ -59,17 +80,27 @@ use crate::{
         Substrate, //
     },
     schedule::{
+        Anchor,
+        SchedPoint,
         Schedule,
         ThreadSel, //
     },
 };
 use ksim::{
+    events::LockEvent,
+    AccessKind,
+    Addr,
+    Failure,
+    FailureKind,
+    InstrAddr,
+    LockId,
+    MemAccess,
     Program,
-    ThreadId, //
-};
-use serde::{
-    Deserialize,
-    Serialize, //
+    StepRecord,
+    ThreadId,
+    ThreadProgId,
+    ThreadStatus,
+    Trace, //
 };
 use std::{
     collections::HashSet,
@@ -106,15 +137,16 @@ use std::{
 /// The journal file magic.
 const MAGIC: [u8; 8] = *b"AITIAJNL";
 /// The journal format version. Bumping it makes old files read as
-/// unrecognized and resume from a cold start.
-const VERSION: u32 = 1;
+/// unrecognized and resume from a cold start. Version 1 records had JSON
+/// payloads; version 2 records have the binary body of [`Writer::record`].
+const VERSION: u32 = 2;
 /// Header length: magic plus version.
 const HEADER_LEN: u64 = 12;
 /// Records are fsync-batched: the file is synced after this many appends
 /// (and on [`Journal::flush`] / drop).
 const FSYNC_EVERY: usize = 32;
 /// Sanity bound on a record's framed length; anything larger reads as
-/// corruption (no schedule run serializes to a gigabyte).
+/// corruption (no schedule run encodes to a gigabyte).
 const MAX_RECORD_LEN: u32 = 1 << 30;
 
 /// Journal observability counters (surfaced in the `report` stats block).
@@ -124,8 +156,8 @@ pub struct JournalStats {
     pub records_replayed: u64,
     /// Records appended (after deduplication) this process lifetime.
     pub records_appended: u64,
-    /// Truncations performed on open because of a torn tail, a CRC or JSON
-    /// mismatch, or an unrecognized header.
+    /// Truncations performed on open because of a torn tail, a CRC
+    /// mismatch, a payload that does not decode, or an unrecognized header.
     pub torn_tail_truncations: u64,
     /// Sticky: an fsync failed at some point this process lifetime. The
     /// journal disabled itself when this flipped (records that cannot be
@@ -135,7 +167,7 @@ pub struct JournalStats {
 }
 
 /// One journaled execution, carrying its memo key and its full output.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 struct RecordPayload {
     /// Canonical schedule fingerprint (the memo-table key hash).
     fp: u64,
@@ -149,8 +181,7 @@ struct RecordPayload {
     schedule: Schedule,
     /// The run exactly as execution reported it.
     run: RunResult,
-    /// Runtime-thread → selector map of the run, as sorted pairs (JSON
-    /// objects cannot key on a tuple struct).
+    /// Runtime-thread → selector map of the run, as pairs sorted by thread.
     sel_of: Vec<(ThreadId, ThreadSel)>,
     /// Conclusive classification of the run.
     outcome: RunOutcome,
@@ -223,10 +254,7 @@ impl Journal {
             file.write_all(&VERSION.to_le_bytes())?;
             file.sync_data()?;
             HEADER_LEN
-        } else if bytes.len() < HEADER_LEN as usize
-            || bytes[..8] != MAGIC
-            || bytes[8..12] != VERSION.to_le_bytes()
-        {
+        } else if !header_ok(&bytes) {
             eprintln!(
                 "aitia-journal: {} has an unrecognized header; starting fresh \
                  (cold start)",
@@ -240,8 +268,9 @@ impl Journal {
             file.sync_data()?;
             HEADER_LEN
         } else {
-            let (parsed, good_end, torn) = scan_records(&bytes);
-            records = parsed;
+            let (parsed, torn) = scan_records(&bytes);
+            let good_end = parsed.last().map_or(HEADER_LEN, |&(_, end)| end);
+            records = parsed.into_iter().map(|(record, _)| record).collect();
             if torn {
                 eprintln!(
                     "aitia-journal: {} has a torn or corrupt tail at byte {}; \
@@ -367,14 +396,7 @@ impl Journal {
             sel_of,
             outcome: out.outcome,
         };
-        let bytes = match serde_json::to_string(&payload) {
-            Ok(s) => s.into_bytes(),
-            Err(e) => {
-                eprintln!("aitia-journal: serialization failed, dropping record: {e}");
-                return;
-            }
-        };
-        let framed = frame_record(&bytes);
+        let framed = frame_record(&Writer::record(&payload));
         if let Err(e) = inner.file.write_all(&framed) {
             eprintln!(
                 "aitia-journal: append to {} failed ({e}); continuing without \
@@ -455,26 +477,30 @@ impl Drop for Journal {
     }
 }
 
-/// Scans the byte buffer past the header, returning the intact records, the
-/// byte offset after the last intact record, and whether a torn/corrupt
-/// tail was found.
-fn scan_records(bytes: &[u8]) -> (Vec<RecordPayload>, u64, bool) {
-    let (frames, mut good_end, mut torn) = scan_frames(bytes, HEADER_LEN);
+/// Whether `bytes` open with this format version's header. A file that
+/// does not holds no records: [`Journal::open`] resets it to empty.
+fn header_ok(bytes: &[u8]) -> bool {
+    bytes.len() >= HEADER_LEN as usize
+        && bytes[..8] == MAGIC
+        && bytes[8..12] == VERSION.to_le_bytes()
+}
+
+/// Scans the byte buffer past the header, returning the intact records,
+/// each with the byte offset just past its frame, and whether a torn or
+/// corrupt tail follows them. The caller checks the header first.
+fn scan_records(bytes: &[u8]) -> (Vec<(RecordPayload, u64)>, bool) {
+    let (frames, _, mut torn) = scan_frames(bytes, HEADER_LEN);
     let mut records = Vec::with_capacity(frames.len());
     for frame in frames {
-        let Ok(record) = std::str::from_utf8(frame.payload)
-            .map_err(|e| e.to_string())
-            .and_then(|s| serde_json::from_str::<RecordPayload>(s).map_err(|e| e.to_string()))
-        else {
-            // A CRC-clean frame that is not a record: treat everything from
-            // this frame on as corrupt, exactly like a torn frame.
-            good_end = frame.start;
+        // A CRC-clean frame that is not a record: treat everything from
+        // this frame on as corrupt, exactly like a torn frame.
+        let Some(record) = Reader::record(frame.payload) else {
             torn = true;
             break;
         };
-        records.push(record);
+        records.push((record, frame.start + 8 + frame.payload.len() as u64));
     }
-    (records, good_end, torn)
+    (records, torn)
 }
 
 /// One CRC-verified frame in a framed log file.
@@ -505,7 +531,7 @@ pub(crate) fn scan_frames(bytes: &[u8], header_len: u64) -> (Vec<Frame<'_>>, u64
         if len > MAX_RECORD_LEN {
             return (frames, off as u64, true);
         }
-        let Some(payload) = bytes.get(off + 8..off + 8 + len as usize) else {
+        let Some(payload) = bytes.get(off + 8..(off + 8).saturating_add(len as usize)) else {
             return (frames, off as u64, true);
         };
         if crc32(payload) != crc {
@@ -541,34 +567,29 @@ pub(crate) fn frame_record(payload: &[u8]) -> Vec<u8> {
 /// truncated.
 pub fn truncate_at_record(path: impl AsRef<Path>, keep: usize) -> std::io::Result<usize> {
     let path = path.as_ref();
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < HEADER_LEN as usize {
+    let bytes = std::fs::read(path)?;
+    if !header_ok(&bytes) {
         return Ok(0);
     }
-    let (records, _, _) = scan_records(&bytes);
+    let (records, _) = scan_records(&bytes);
     let kept = records.len().min(keep);
-    let mut off = HEADER_LEN as usize;
-    for _ in 0..kept {
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-        off += 8 + len as usize;
-    }
-    OpenOptions::new()
-        .write(true)
-        .open(path)?
-        .set_len(off as u64)?;
+    let end = kept
+        .checked_sub(1)
+        .map_or(HEADER_LEN, |last| records[last].1);
+    OpenOptions::new().write(true).open(path)?.set_len(end)?;
     Ok(kept)
 }
 
-/// Number of intact records in the journal at `path`.
+/// Number of intact records in the journal at `path`: the records
+/// [`Journal::open`] would load, so 0 for a file of another format
+/// version.
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error when the file cannot be read.
 pub fn record_count(path: impl AsRef<Path>) -> std::io::Result<usize> {
-    let mut bytes = Vec::new();
-    File::open(path.as_ref())?.read_to_end(&mut bytes)?;
-    if bytes.len() < HEADER_LEN as usize || bytes[..8] != MAGIC {
+    let bytes = std::fs::read(path)?;
+    if !header_ok(&bytes) {
         return Ok(0);
     }
     Ok(scan_records(&bytes).0.len())
@@ -629,6 +650,428 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
         c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+// The record body codec. An enum's one-byte tag is its index in one of
+// these tables, so each table's order is part of the format: reordering a
+// table needs a `VERSION` bump, and a new variant goes at its table's end.
+// A variant missing from its table is written as a tag no reader accepts,
+// so its record reads as torn.
+
+/// [`RunOutcome`]s by their one-byte tag.
+const OUTCOMES: [RunOutcome; 5] = [
+    RunOutcome::Passed,
+    RunOutcome::Failed,
+    RunOutcome::Diverged,
+    RunOutcome::Timeout,
+    RunOutcome::Crashed,
+];
+/// [`Anchor`]s by their one-byte tag.
+const ANCHORS: [Anchor; 2] = [Anchor::Before, Anchor::After];
+/// [`AccessKind`]s by their one-byte tag.
+const ACCESS_KINDS: [AccessKind; 3] = [AccessKind::Read, AccessKind::Write, AccessKind::Rmw];
+/// [`FailureKind`]s by their one-byte tag.
+const FAILURE_KINDS: [FailureKind; 10] = [
+    FailureKind::NullDeref,
+    FailureKind::UseAfterFree,
+    FailureKind::SlabOutOfBounds,
+    FailureKind::GeneralProtectionFault,
+    FailureKind::AssertionViolation,
+    FailureKind::RefcountWarning,
+    FailureKind::MemoryLeak,
+    FailureKind::ListCorruption,
+    FailureKind::HungTask,
+    FailureKind::DoubleFree,
+];
+
+// A trace step's flag byte says which of its optional fields follow. Bits
+// 0–1 hold its branch (0 none, 1 not taken, 2 taken) and bits 2–3 its lock
+// event (0 none, 1 acquired, 2 released); bit 4 marks a spawned thread and
+// bit 5 a next pc. Bits 6–7 are zero.
+const LOCK_SHIFT: u8 = 2;
+const SPAWNED: u8 = 1 << 4;
+const NEXT_PC: u8 = 1 << 5;
+
+/// Encodes record bodies (see the module doc's record format).
+struct Writer {
+    out: Vec<u8>,
+}
+
+impl Writer {
+    /// The body of one record.
+    fn record(r: &RecordPayload) -> Vec<u8> {
+        let mut w = Writer {
+            out: Vec::with_capacity(64 + 12 * r.run.trace.len()),
+        };
+        w.out.extend_from_slice(&r.fp.to_le_bytes());
+        w.out.extend_from_slice(&r.program.to_le_bytes());
+        w.uint(r.step_budget as u64);
+        w.tag(&OUTCOMES, r.outcome);
+        w.schedule(&r.schedule);
+        w.seq(&r.sel_of, |w, &(tid, sel)| {
+            w.uint(tid.0.into());
+            w.sel(sel);
+        });
+        w.run(&r.run);
+        w.out
+    }
+
+    /// An unsigned LEB128 varint.
+    fn uint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.out.push((v & 0x7F) as u8 | 0x80);
+            v >>= 7;
+        }
+        self.out.push(v as u8);
+    }
+
+    fn flag(&mut self, b: bool) {
+        self.out.push(u8::from(b));
+    }
+
+    /// `v`'s index in `table`. A value missing from the table writes a tag
+    /// no reader accepts, so its record reads as torn.
+    fn tag<T: PartialEq>(&mut self, table: &[T], v: T) {
+        let i = table.iter().position(|t| *t == v);
+        self.out.push(i.map_or(u8::MAX, |i| i as u8));
+    }
+
+    fn seq<T>(&mut self, items: &[T], mut put: impl FnMut(&mut Self, &T)) {
+        self.uint(items.len() as u64);
+        for item in items {
+            put(self, item);
+        }
+    }
+
+    fn opt<T>(&mut self, v: Option<T>, put: impl FnOnce(&mut Self, T)) {
+        self.flag(v.is_some());
+        if let Some(v) = v {
+            put(self, v);
+        }
+    }
+
+    fn sel(&mut self, sel: ThreadSel) {
+        self.uint(sel.prog.0.into());
+        self.uint(sel.occurrence.into());
+    }
+
+    fn instr(&mut self, at: InstrAddr) {
+        self.uint(at.prog.0.into());
+        self.uint(at.index as u64);
+    }
+
+    fn schedule(&mut self, s: &Schedule) {
+        self.opt(s.start, Self::sel);
+        self.seq(&s.points, |w, p| {
+            w.sel(p.thread);
+            w.instr(p.at);
+            w.uint(p.nth.into());
+            w.tag(&ANCHORS, p.when);
+            w.sel(p.switch_to);
+        });
+        self.seq(&s.fallback, |w, &sel| w.sel(sel));
+        self.seq(&s.segments, |w, &sel| w.sel(sel));
+    }
+
+    fn run(&mut self, run: &RunResult) {
+        self.opt(run.failure.as_ref(), |w, f| {
+            w.tag(&FAILURE_KINDS, f.kind);
+            w.instr(f.at);
+            w.uint(f.tid.0.into());
+            w.opt(f.addr, |w, a| w.uint(a.0));
+            w.uint(f.message.len() as u64);
+            w.out.extend_from_slice(f.message.as_bytes());
+        });
+        self.seq(&run.triggered, |w, &t| w.flag(t));
+        self.seq(&run.forced, |w, f| {
+            w.sel(f.blocked);
+            w.sel(f.holder);
+            w.uint(f.lock.0.into());
+            w.uint(f.seq as u64);
+        });
+        self.uint(run.steps as u64);
+        self.flag(run.budget_exhausted);
+        self.seq(&run.threads, |w, t| {
+            w.sel(t.sel);
+            match t.status {
+                ThreadStatus::Runnable => w.out.push(0),
+                ThreadStatus::Blocked { on } => {
+                    w.out.push(1);
+                    w.uint(on.0.into());
+                }
+                ThreadStatus::WaitingGrace => w.out.push(2),
+                ThreadStatus::Exited => w.out.push(3),
+                ThreadStatus::Killed => w.out.push(4),
+            }
+            w.opt(t.next, Self::instr);
+        });
+        self.uint(run.trace.len() as u64);
+        for step in run.trace.iter() {
+            self.step(step);
+        }
+    }
+
+    fn step(&mut self, s: &StepRecord) {
+        let branch = s.branch_taken.map_or(0, |taken| 1 + u8::from(taken));
+        let lock = match s.lock_event {
+            None => 0,
+            Some(LockEvent::Acquired(_)) => 1,
+            Some(LockEvent::Released(_)) => 2,
+        };
+        let flags = branch
+            | lock << LOCK_SHIFT
+            | if s.spawned.is_some() { SPAWNED } else { 0 }
+            | if s.next_pc.is_some() { NEXT_PC } else { 0 };
+        self.uint(s.tid.0.into());
+        self.instr(s.at);
+        self.out.push(flags);
+        self.seq(&s.accesses, |w, a| {
+            w.uint(a.addr.0);
+            w.tag(&ACCESS_KINDS, a.kind);
+        });
+        self.seq(&s.locks_held, |w, l| w.uint(l.0.into()));
+        if let Some(LockEvent::Acquired(l) | LockEvent::Released(l)) = s.lock_event {
+            self.uint(l.0.into());
+        }
+        if let Some(t) = s.spawned {
+            self.uint(t.0.into());
+        }
+        if let Some(pc) = s.next_pc {
+            self.uint(pc as u64);
+        }
+    }
+}
+
+/// Decodes record bodies written by [`Writer`]. Every read returns `None`
+/// on a short or malformed body instead of panicking.
+struct Reader<'a> {
+    /// The bytes not yet consumed.
+    bytes: &'a [u8],
+}
+
+impl Reader<'_> {
+    /// The record in `body`, if `body` is exactly one record's encoding.
+    fn record(body: &[u8]) -> Option<RecordPayload> {
+        let mut r = Reader { bytes: body };
+        let record = RecordPayload {
+            fp: r.fixed()?,
+            program: r.fixed()?,
+            step_budget: r.int()?,
+            outcome: r.tag(&OUTCOMES)?,
+            schedule: r.schedule()?,
+            sel_of: r.seq(|r| Some((ThreadId(r.int()?), r.sel()?)))?,
+            run: r.run()?,
+        };
+        r.bytes.is_empty().then_some(record)
+    }
+
+    fn byte(&mut self) -> Option<u8> {
+        let (&b, rest) = self.bytes.split_first()?;
+        self.bytes = rest;
+        Some(b)
+    }
+
+    fn take(&mut self, n: usize) -> Option<&[u8]> {
+        let (head, rest) = self.bytes.split_at_checked(n)?;
+        self.bytes = rest;
+        Some(head)
+    }
+
+    fn fixed(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    /// An unsigned LEB128 varint of at most 64 bits.
+    fn uint(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            let bits = u64::from(b & 0x7F);
+            // The tenth byte holds bit 63 only.
+            if shift == 63 && bits > 1 {
+                return None;
+            }
+            v |= bits << shift;
+            if b & 0x80 == 0 {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// A varint that must fit `T`.
+    fn int<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        T::try_from(self.uint()?).ok()
+    }
+
+    fn flag(&mut self) -> Option<bool> {
+        match self.byte()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+
+    fn tag<T: Copy>(&mut self, table: &[T]) -> Option<T> {
+        table.get(usize::from(self.byte()?)).copied()
+    }
+
+    /// A sequence length. Every element takes at least one byte, so a
+    /// count above the bytes left is corrupt, and a count at most that
+    /// keeps any allocation for it within a fixed multiple of the
+    /// payload's size.
+    fn count(&mut self) -> Option<usize> {
+        let n: usize = self.int()?;
+        (n <= self.bytes.len()).then_some(n)
+    }
+
+    fn seq<T>(&mut self, mut get: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let n = self.count()?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(get(self)?);
+        }
+        Some(items)
+    }
+
+    fn opt<T>(&mut self, get: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+        Some(if self.flag()? { Some(get(self)?) } else { None })
+    }
+
+    fn sel(&mut self) -> Option<ThreadSel> {
+        Some(ThreadSel {
+            prog: ThreadProgId(self.int()?),
+            occurrence: self.int()?,
+        })
+    }
+
+    fn instr(&mut self) -> Option<InstrAddr> {
+        Some(InstrAddr {
+            prog: ThreadProgId(self.int()?),
+            index: self.int()?,
+        })
+    }
+
+    fn schedule(&mut self) -> Option<Schedule> {
+        Some(Schedule {
+            start: self.opt(Self::sel)?,
+            points: self.seq(|r| {
+                Some(SchedPoint {
+                    thread: r.sel()?,
+                    at: r.instr()?,
+                    nth: r.int()?,
+                    when: r.tag(&ANCHORS)?,
+                    switch_to: r.sel()?,
+                })
+            })?,
+            fallback: self.seq(Self::sel)?,
+            segments: self.seq(Self::sel)?,
+        })
+    }
+
+    fn run(&mut self) -> Option<RunResult> {
+        let failure = self.opt(|r| {
+            Some(Failure {
+                kind: r.tag(&FAILURE_KINDS)?,
+                at: r.instr()?,
+                tid: ThreadId(r.int()?),
+                addr: r.opt(|r| Some(Addr(r.uint()?)))?,
+                message: {
+                    let n = r.count()?;
+                    String::from_utf8(r.take(n)?.to_vec()).ok()?
+                },
+            })
+        })?;
+        let triggered = self.seq(Self::flag)?;
+        let forced = self.seq(|r| {
+            Some(ForcedResume {
+                blocked: r.sel()?,
+                holder: r.sel()?,
+                lock: LockId(r.int()?),
+                seq: r.int()?,
+            })
+        })?;
+        let steps = self.int()?;
+        let budget_exhausted = self.flag()?;
+        let threads = self.seq(|r| {
+            Some(ThreadFinal {
+                sel: r.sel()?,
+                status: match r.byte()? {
+                    0 => ThreadStatus::Runnable,
+                    1 => ThreadStatus::Blocked {
+                        on: LockId(r.int()?),
+                    },
+                    2 => ThreadStatus::WaitingGrace,
+                    3 => ThreadStatus::Exited,
+                    4 => ThreadStatus::Killed,
+                    _ => return None,
+                },
+                next: r.opt(Self::instr)?,
+            })
+        })?;
+        let mut trace = Trace::new();
+        for seq in 0..self.count()? {
+            trace.push(Arc::new(self.step(seq)?));
+        }
+        Some(RunResult {
+            trace,
+            failure,
+            triggered,
+            forced,
+            steps,
+            budget_exhausted,
+            threads,
+        })
+    }
+
+    fn step(&mut self, seq: usize) -> Option<StepRecord> {
+        let tid = ThreadId(self.int()?);
+        let at = self.instr()?;
+        let flags = self.byte()?;
+        if flags >> 6 != 0 {
+            return None;
+        }
+        let branch_taken = match flags & 0b11 {
+            0 => None,
+            1 => Some(false),
+            2 => Some(true),
+            _ => return None,
+        };
+        let accesses = self.seq(|r| {
+            Some(MemAccess {
+                addr: Addr(r.uint()?),
+                kind: r.tag(&ACCESS_KINDS)?,
+            })
+        })?;
+        let locks_held = self.seq(|r| Some(LockId(r.int()?)))?;
+        let lock_event = match flags >> LOCK_SHIFT & 0b11 {
+            0 => None,
+            1 => Some(LockEvent::Acquired(LockId(self.int()?))),
+            2 => Some(LockEvent::Released(LockId(self.int()?))),
+            _ => return None,
+        };
+        let spawned = if flags & SPAWNED != 0 {
+            Some(ThreadId(self.int()?))
+        } else {
+            None
+        };
+        let next_pc = if flags & NEXT_PC != 0 {
+            Some(self.int()?)
+        } else {
+            None
+        };
+        Some(StepRecord {
+            seq,
+            tid,
+            at,
+            accesses,
+            branch_taken,
+            lock_event,
+            locks_held,
+            spawned,
+            next_pc,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -957,5 +1400,345 @@ mod tests {
         assert_eq!(reopened.loaded_records() as u64, appended_before);
         assert!(!reopened.stats().fsync_failed, "flag is per-process");
         let _ = std::fs::remove_file(&path);
+    }
+    /// A record that sets every optional field and uses every status, lock
+    /// event and branch form the codec writes, with integers at their
+    /// type's extremes and a trace that spans sealed chunks.
+    fn full_record() -> RecordPayload {
+        let sel = |prog: u16, occurrence: u32| ThreadSel {
+            prog: ThreadProgId(prog),
+            occurrence,
+        };
+        let at = |prog: u16, index: usize| InstrAddr {
+            prog: ThreadProgId(prog),
+            index,
+        };
+        let step = |seq: usize| StepRecord {
+            seq,
+            tid: ThreadId([0, 7, u32::MAX][seq % 3]),
+            at: at([0, u16::MAX][seq % 2], seq * 1000),
+            accesses: (0..seq % 4)
+                .map(|k| MemAccess {
+                    addr: Addr(u64::MAX >> k),
+                    kind: ACCESS_KINDS[k % 3],
+                })
+                .collect(),
+            branch_taken: [None, Some(false), Some(true)][seq % 3],
+            lock_event: [
+                None,
+                Some(LockEvent::Acquired(LockId(7))),
+                Some(LockEvent::Released(LockId(u16::MAX))),
+            ][seq / 2 % 3],
+            locks_held: (0..seq % 5).map(|k| LockId(k as u16)).collect(),
+            spawned: seq.is_multiple_of(2).then_some(ThreadId(u32::MAX - 1)),
+            next_pc: (!seq.is_multiple_of(5)).then_some(usize::MAX - seq),
+        };
+        RecordPayload {
+            fp: u64::MAX,
+            program: 0x0123_4567_89AB_CDEF,
+            step_budget: usize::MAX,
+            schedule: Schedule {
+                start: Some(sel(1, u32::MAX)),
+                points: vec![SchedPoint {
+                    thread: sel(0, 0),
+                    at: at(1, usize::MAX),
+                    nth: u32::MAX,
+                    when: Anchor::After,
+                    switch_to: sel(u16::MAX, 3),
+                }],
+                fallback: vec![sel(1, 0), sel(0, 0)],
+                segments: vec![sel(0, 0), sel(1, 0), sel(0, 0)],
+            },
+            run: RunResult {
+                trace: (0..150).map(step).collect(),
+                failure: Some(Failure {
+                    kind: FailureKind::DoubleFree,
+                    at: at(1, 4),
+                    tid: ThreadId(2),
+                    addr: Some(Addr(0)),
+                    message: "refcount → underflow".into(),
+                }),
+                triggered: vec![true, false, true],
+                forced: vec![ForcedResume {
+                    blocked: sel(0, 1),
+                    holder: sel(1, 0),
+                    lock: LockId(u16::MAX),
+                    seq: usize::MAX,
+                }],
+                steps: 150,
+                budget_exhausted: true,
+                threads: vec![
+                    ThreadStatus::Runnable,
+                    ThreadStatus::Blocked { on: LockId(9) },
+                    ThreadStatus::WaitingGrace,
+                    ThreadStatus::Exited,
+                    ThreadStatus::Killed,
+                ]
+                .into_iter()
+                .enumerate()
+                .map(|(i, status)| ThreadFinal {
+                    sel: sel(i as u16, 0),
+                    status,
+                    next: (i % 2 == 0).then_some(at(0, i)),
+                })
+                .collect(),
+            },
+            sel_of: vec![(ThreadId(0), sel(0, 0)), (ThreadId(u32::MAX), sel(1, 2))],
+            outcome: RunOutcome::Failed,
+        }
+    }
+
+    #[test]
+    fn codec_roundtrips_every_field_and_variant() {
+        let mut record = full_record();
+        for (i, &kind) in FAILURE_KINDS.iter().enumerate() {
+            record.outcome = OUTCOMES[i % OUTCOMES.len()];
+            record.run.failure.as_mut().unwrap().kind = kind;
+            let body = Writer::record(&record);
+            assert_eq!(Reader::record(&body), Some(record.clone()));
+        }
+        // A body decodes only at its exact length.
+        let body = Writer::record(&record);
+        for cut in 0..body.len() {
+            assert_eq!(Reader::record(&body[..cut]), None, "cut at {cut}");
+        }
+        let mut padded = body.clone();
+        padded.push(0);
+        assert_eq!(Reader::record(&padded), None);
+        record.schedule = Schedule::default();
+        record.run.failure = None;
+        record.run.trace = Trace::new();
+        assert_eq!(Reader::record(&Writer::record(&record)), Some(record));
+    }
+
+    /// The one record of a version 1 journal: the JSON payload the previous
+    /// format wrote for a one-thread program's serial run.
+    const V1_PAYLOAD: &str = r#"{"fp":7943311482724429010,"program":16471262413356719269,"step_budget":200000,"schedule":{"start":{"prog":0,"occurrence":0},"points":[],"fallback":[{"prog":0,"occurrence":0}],"segments":[]},"run":{"trace":[{"seq":0,"tid":0,"at":{"prog":0,"index":0},"accesses":[{"addr":268435456,"kind":"Write"}],"branch_taken":null,"lock_event":null,"locks_held":[],"spawned":null,"next_pc":1},{"seq":1,"tid":0,"at":{"prog":0,"index":1},"accesses":[],"branch_taken":null,"lock_event":null,"locks_held":[],"spawned":null,"next_pc":null}],"failure":null,"triggered":[],"forced":[],"steps":2,"budget_exhausted":false,"threads":[{"sel":{"prog":0,"occurrence":0},"status":"Exited","next":null}]},"sel_of":[[0,{"prog":0,"occurrence":0}]],"outcome":"Passed"}"#;
+
+    #[test]
+    fn version_1_journals_cold_start() {
+        let path = tmp_path("v1");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&frame_record(V1_PAYLOAD.as_bytes()));
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(record_count(&path).unwrap(), 0, "another version");
+        assert_eq!(truncate_at_record(&path, 1).unwrap(), 0);
+        let journal = Journal::open(&path).unwrap();
+        assert_eq!(journal.loaded_records(), 0);
+        assert_eq!(journal.stats().torn_tail_truncations, 1);
+        // The rewritten file is a valid empty journal of this version.
+        drop(journal);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), HEADER_LEN);
+        let journal = Journal::open(&path).unwrap();
+        assert_eq!(journal.loaded_records(), 0);
+        assert_eq!(journal.stats().torn_tail_truncations, 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Byte-level corruption of a real journal. Every case writes a file
+    /// and reads it with all three readers, which must agree; no case may
+    /// panic, or abort by allocating for a count the file never backs.
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The bytes of a journal of six real runs, and its records.
+        fn real_journal() -> &'static (Vec<u8>, Vec<RecordPayload>) {
+            static JOURNAL: OnceLock<(Vec<u8>, Vec<RecordPayload>)> = OnceLock::new();
+            JOURNAL.get_or_init(|| {
+                let path = tmp_path("fuzz-source");
+                let program = fig1_program();
+                let jobs: Vec<ExecJob> = fig1_jobs(&program)
+                    .into_iter()
+                    .flat_map(|j| {
+                        let other = ExecJob {
+                            enforce: EnforceConfig { step_budget: 1000 },
+                            ..j.clone()
+                        };
+                        [j, other]
+                    })
+                    .collect();
+                let journal = Arc::new(Journal::open(&path).unwrap());
+                let _ = journaling_pool(&journal).run_batch(&jobs, &CancelToken::new());
+                drop(journal);
+                let bytes = std::fs::read(&path).unwrap();
+                let _ = std::fs::remove_file(&path);
+                let (records, torn) = scan_records(&bytes);
+                assert!(!torn && records.len() == jobs.len());
+                (bytes, records.into_iter().map(|(r, _)| r).collect())
+            })
+        }
+
+        /// The frames of the real journal, as `(start, payload)`.
+        fn frames() -> Vec<(usize, Vec<u8>)> {
+            let (bytes, _) = real_journal();
+            let (frames, _, _) = scan_frames(bytes, HEADER_LEN);
+            frames
+                .iter()
+                .map(|f| (f.start as usize, f.payload.to_vec()))
+                .collect()
+        }
+
+        /// Writes `bytes` as the journal `name` and reads it three ways:
+        /// `record_count` and `truncate_at_record(keep)` must agree with
+        /// the records `Journal::open` loads, which are returned.
+        fn load(name: &str, bytes: &[u8], keep: usize) -> Vec<RecordPayload> {
+            let path = tmp_path(name);
+            std::fs::write(&path, bytes).unwrap();
+            let counted = record_count(&path).unwrap();
+            let journal = Journal::open(&path).unwrap();
+            let loaded = journal.inner.lock().unwrap().records.clone();
+            drop(journal);
+            assert_eq!(counted, loaded.len(), "record_count disagrees with open");
+            std::fs::write(&path, bytes).unwrap();
+            let kept = truncate_at_record(&path, keep).unwrap();
+            assert_eq!(kept, keep.min(loaded.len()), "truncate_at_record disagrees");
+            let journal = Journal::open(&path).unwrap();
+            assert!(journal.inner.lock().unwrap().records[..] == loaded[..kept]);
+            drop(journal);
+            let _ = std::fs::remove_file(&path);
+            loaded
+        }
+
+        /// The real journal with record `i`'s body replaced by `body`,
+        /// framed with a correct CRC.
+        fn reframed(i: usize, body: &[u8]) -> Vec<u8> {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&VERSION.to_le_bytes());
+            for (k, (_, payload)) in frames().iter().enumerate() {
+                let payload = if k == i { body } else { payload };
+                bytes.extend_from_slice(&frame_record(payload));
+            }
+            bytes
+        }
+
+        /// Record `i`'s body up to its trace, whose step count is cut off.
+        fn body_before_trace(i: usize) -> Vec<u8> {
+            let mut record = real_journal().1[i].clone();
+            record.run.trace = Trace::new();
+            let mut body = Writer::record(&record);
+            assert_eq!(body.pop(), Some(0), "the trace's count is last");
+            body
+        }
+
+        fn varint(v: u64) -> Vec<u8> {
+            let mut w = Writer { out: Vec::new() };
+            w.uint(v);
+            w.out
+        }
+
+        #[test]
+        fn crafted_counts_past_the_frame_end_are_torn() {
+            let originals = &real_journal().1;
+            for i in 0..originals.len() {
+                let steps = {
+                    let full = Writer::record(&originals[i]);
+                    let head = body_before_trace(i).len();
+                    full[head..].to_vec()
+                };
+                let n = originals[i].run.trace.len() as u64;
+                let steps = &steps[varint(n).len()..];
+                // Counts far past the frame's end, one step more than the
+                // frame holds, and exactly the bytes left, which passes
+                // the count bound and runs out of steps.
+                for count in [1 << 30, u64::MAX, n + 1, steps.len() as u64] {
+                    let mut body = body_before_trace(i);
+                    body.extend(varint(count));
+                    body.extend_from_slice(steps);
+                    let loaded = load("crafted", &reframed(i, &body), usize::MAX);
+                    assert_eq!(loaded[..], originals[..i], "trace count {count}");
+                }
+                // The memo key, a `Passed` outcome and no start thread,
+                // then a schedule-point count longer than 64 bits, and
+                // one of 2^63 - 1.
+                for tail in [vec![0xFF; 11], varint(u64::MAX >> 1)] {
+                    let mut body = Writer::record(&originals[i])[..16].to_vec();
+                    body.extend(varint(originals[i].step_budget as u64));
+                    body.extend([0, 0]);
+                    body.extend(tail);
+                    let loaded = load("crafted", &reframed(i, &body), usize::MAX);
+                    assert_eq!(loaded[..], originals[..i]);
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Flipped or overwritten bytes anywhere, header included: the
+            /// CRC or the header check catches them, so `open` loads a
+            /// prefix of the original records, each equal to its original.
+            #[test]
+            fn byte_flips_load_an_intact_prefix(
+                edits in prop::collection::vec((0..usize::MAX, 0u8..=255, 0u8..2), 1..6),
+                keep in 0usize..8,
+            ) {
+                let (bytes, originals) = real_journal();
+                let mut bytes = bytes.clone();
+                for (at, b, overwrite) in edits {
+                    let i = at % bytes.len();
+                    if overwrite == 1 {
+                        bytes[i] = b;
+                    } else {
+                        bytes[i] ^= b.max(1);
+                    }
+                }
+                let loaded = load("flips", &bytes, keep);
+                prop_assert!(loaded.len() <= originals.len());
+                prop_assert!(loaded[..] == originals[..loaded.len()]);
+            }
+
+            /// A body mutated behind a correct CRC reaches the decoder. It
+            /// either decodes, and then every other record loads intact,
+            /// or it is torn, and exactly the records before it load.
+            #[test]
+            fn mutated_bodies_decode_or_tear(
+                which in 0..usize::MAX,
+                edits in prop::collection::vec((0..usize::MAX, 0u8..=255), 0..4),
+                cut in 0..usize::MAX,
+                extra in prop::collection::vec(0u8..=255, 0..4),
+                keep in 0usize..8,
+            ) {
+                let originals = &real_journal().1;
+                let i = which % originals.len();
+                let mut body = frames()[i].1.clone();
+                for (at, b) in edits {
+                    let k = at % body.len();
+                    body[k] = b;
+                }
+                body.truncate(cut % (body.len() + 1));
+                body.extend(extra);
+                let loaded = load("bodies", &reframed(i, &body), keep);
+                prop_assert!(loaded.len() == i || loaded.len() == originals.len());
+                for (k, record) in loaded.iter().enumerate() {
+                    if k != i {
+                        prop_assert!(*record == originals[k]);
+                    }
+                }
+            }
+
+            /// A length field at `MAX_RECORD_LEN` or above tears the file
+            /// at that frame.
+            #[test]
+            fn oversized_length_fields_tear_at_their_frame(
+                which in 0..usize::MAX,
+                over in prop_oneof![
+                    Just(0u32),
+                    Just(1),
+                    Just(u32::MAX - MAX_RECORD_LEN),
+                    0..=u32::MAX - MAX_RECORD_LEN,
+                ],
+                keep in 0usize..8,
+            ) {
+                let originals = &real_journal().1;
+                let i = which % originals.len();
+                let mut bytes = real_journal().0.clone();
+                let start = frames()[i].0;
+                bytes[start..start + 4].copy_from_slice(&(MAX_RECORD_LEN + over).to_le_bytes());
+                let loaded = load("lengths", &bytes, keep);
+                prop_assert!(loaded[..] == originals[..i]);
+            }
+        }
     }
 }

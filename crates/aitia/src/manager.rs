@@ -540,6 +540,33 @@ mod tests {
         }
     }
 
+    /// With a slice that reproduces, a pool of two or more workers can run
+    /// LIFS jobs past a batch's failing index, and the fold discards them.
+    /// `runs` counts those runs too, `discarded_runs` counts them alone, and
+    /// the difference is exactly the schedules LIFS folded. Repeated,
+    /// because whether a worker races past the stop depends on timing.
+    #[test]
+    fn discarded_runs_close_the_pool_count() {
+        let slices = vec![benign_program(), benign_program(), fig1_program()];
+        for vms in [2, 8] {
+            for round in 0..100 {
+                let m = Manager::new(ManagerConfig {
+                    vms,
+                    memo: false,
+                    ..ManagerConfig::default()
+                });
+                let out = m.reproduce(&slices);
+                assert!(out.failing.is_some());
+                let stats = m.exec_stats();
+                assert_eq!(
+                    stats.runs - stats.discarded_runs,
+                    out.stats.schedules_executed as u64,
+                    "{vms} workers, round {round}"
+                );
+            }
+        }
+    }
+
     /// A deadline that fires while the first slice is searched ends the
     /// reproduction there: the later, failing slice never runs, so no
     /// failing slice is reported.

@@ -18,15 +18,11 @@ use ksim::{
     ThreadId,
     ThreadProgId, //
 };
-use serde::{
-    Deserialize,
-    Serialize, //
-};
 use std::collections::HashMap;
 
 /// Stable thread naming across runs: the `occurrence`-th runtime instance
 /// of a thread program.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ThreadSel {
     /// The static thread program.
     pub prog: ThreadProgId,
@@ -63,7 +59,7 @@ impl ThreadSel {
 }
 
 /// When a scheduling point triggers relative to its anchor instruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Anchor {
     /// The thread is suspended when it is *about to execute* the anchor
     /// (a breakpoint trap before execution).
@@ -75,7 +71,7 @@ pub enum Anchor {
 }
 
 /// One scheduling point: suspend `thread` at `at` and resume `switch_to`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SchedPoint {
     /// The thread being suspended.
     pub thread: ThreadSel,
@@ -91,7 +87,7 @@ pub struct SchedPoint {
 }
 
 /// A complete interleaving specification.
-#[derive(Clone, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Schedule {
     /// The thread started first (`None` = first initial thread).
     pub start: Option<ThreadSel>,

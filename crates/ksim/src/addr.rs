@@ -15,13 +15,8 @@
 //! general protection fault, matching the "general protection fault" failure
 //! class of the paper's Table 3.
 
-use serde::{
-    Deserialize,
-    Serialize, //
-};
-
 /// A simulated kernel virtual address.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr(pub u64);
 
 impl Addr {
@@ -95,7 +90,7 @@ pub fn region_of(addr: Addr) -> Region {
 /// Globals are declared on a [`crate::program::Program`] via
 /// [`crate::builder::ProgramBuilder::global`]; the id indexes the program's
 /// global table and maps to a fixed address in the globals region.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalId(pub u32);
 
 impl GlobalId {

@@ -11,14 +11,10 @@ use crate::{
     program::InstrAddr,
     thread::ThreadId, //
 };
-use serde::{
-    Deserialize,
-    Serialize, //
-};
 use std::sync::Arc;
 
 /// How an instruction accessed a memory location.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AccessKind {
     /// Pure load.
     Read,
@@ -38,7 +34,7 @@ impl AccessKind {
 }
 
 /// One memory access performed by one executed instruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MemAccess {
     /// The accessed address.
     pub addr: Addr,
@@ -47,7 +43,7 @@ pub struct MemAccess {
 }
 
 /// A lock transition performed by an executed instruction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LockEvent {
     /// The lock was acquired.
     Acquired(LockId),
@@ -56,7 +52,7 @@ pub enum LockEvent {
 }
 
 /// The record of one executed instruction.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StepRecord {
     /// Global sequence number within the run (total order of execution).
     pub seq: usize,

@@ -12,13 +12,9 @@ use crate::{
     program::InstrAddr,
     thread::ThreadId, //
 };
-use serde::{
-    Deserialize,
-    Serialize, //
-};
 
 /// The class of a kernel failure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FailureKind {
     /// Dereference of an address inside the NULL guard page.
     NullDeref,
@@ -62,7 +58,7 @@ impl core::fmt::Display for FailureKind {
 }
 
 /// A manifested kernel failure: what happened, where, and on which thread.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Failure {
     /// The failure class.
     pub kind: FailureKind,

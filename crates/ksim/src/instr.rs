@@ -21,7 +21,7 @@ use serde::{
 };
 
 /// A per-thread virtual register.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(pub u16);
 
 impl core::fmt::Debug for Reg {
@@ -32,7 +32,7 @@ impl core::fmt::Debug for Reg {
 
 /// Identifier of a kernel lock object (spinlock/mutex — the distinction does
 /// not matter under external scheduling).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LockId(pub u16);
 
 /// Identifier of a static thread program within a [`crate::program::Program`].
@@ -46,7 +46,7 @@ impl core::fmt::Debug for ThreadProgId {
 }
 
 /// A value operand: an immediate or a register.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Operand {
     /// An immediate 64-bit constant.
     Const(u64),
@@ -55,7 +55,7 @@ pub enum Operand {
 }
 
 /// An effective-address expression.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AddrExpr {
     /// The fixed slot of a declared global variable.
     Global(GlobalId),
@@ -69,7 +69,7 @@ pub enum AddrExpr {
 }
 
 /// Comparison operator for [`Cond`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -86,7 +86,7 @@ pub enum CmpOp {
 }
 
 /// A register/immediate condition; never accesses memory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cond {
     /// Left-hand operand.
     pub lhs: Operand,
@@ -112,7 +112,7 @@ impl Cond {
 }
 
 /// Binary ALU operator for [`Instr::Op`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BinOp {
     /// Wrapping addition.
     Add,

@@ -24,10 +24,6 @@ use crate::addr::{
     REDZONE, //
 };
 use crate::failure::FailureKind;
-use serde::{
-    Deserialize,
-    Serialize, //
-};
 use std::collections::{
     BTreeMap,
     HashMap, //
@@ -35,7 +31,7 @@ use std::collections::{
 use std::sync::Arc;
 
 /// Lifecycle state of a heap allocation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AllocState {
     /// Allocated and usable.
     Live,
@@ -44,7 +40,7 @@ pub enum AllocState {
 }
 
 /// One heap allocation (never recycled — KASAN quarantine).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Allocation {
     /// Base address of the usable object memory.
     pub base: Addr,

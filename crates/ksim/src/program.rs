@@ -36,7 +36,7 @@ impl core::fmt::Display for InstrAddr {
 }
 
 /// The execution context a thread program models.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ThreadKind {
     /// A system-call thread (entered from user space).
     Syscall {

@@ -7,17 +7,13 @@ use crate::{
     },
     program::ThreadKind,
 };
-use serde::{
-    Deserialize,
-    Serialize, //
-};
 
 /// Identifier of a runtime thread instance.
 ///
 /// Distinct from [`ThreadProgId`]: a background program can be instantiated
 /// several times (e.g. two `queue_work` calls), producing several runtime
 /// threads with different `ThreadId`s but the same program.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(pub u32);
 
 impl core::fmt::Debug for ThreadId {
@@ -27,7 +23,7 @@ impl core::fmt::Debug for ThreadId {
 }
 
 /// Scheduling status of a runtime thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ThreadStatus {
     /// Can be stepped.
     Runnable,
@@ -46,7 +42,7 @@ pub enum ThreadStatus {
 }
 
 /// One runtime thread: program counter, registers, and status.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Thread {
     /// Runtime identifier.
     pub id: ThreadId,

@@ -15,10 +15,6 @@
 //! copies its `Arc`s, and those point at immutable records).
 
 use crate::events::StepRecord;
-use serde::{
-    Deserialize,
-    Serialize, //
-};
 use std::sync::Arc;
 
 /// Records per sealed chunk. Chosen so typical schedule prefixes (tens to
@@ -101,8 +97,8 @@ impl Trace {
             .map(|r| &**r)
     }
 
-    /// Materializes the trace as a flat owned vector (one deep copy —
-    /// consumers that persist a `RunResult` need owned records).
+    /// Materializes the trace as a flat owned vector (one deep copy of
+    /// every record).
     #[must_use]
     pub fn to_vec(&self) -> Vec<StepRecord> {
         self.iter().cloned().collect()
@@ -147,25 +143,6 @@ impl FromIterator<StepRecord> for Trace {
 impl From<Vec<StepRecord>> for Trace {
     fn from(records: Vec<StepRecord>) -> Self {
         records.into_iter().collect()
-    }
-}
-
-/// Serializes as a flat sequence of records — the same wire format as the
-/// `Vec<StepRecord>` it replaced, so persisted journals stay readable
-/// across the representation change.
-impl Serialize for Trace {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Seq(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl Deserialize for Trace {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let mut t = Trace::new();
-        for item in v.seq()? {
-            t.push(Arc::new(StepRecord::deserialize(item)?));
-        }
-        Ok(t)
     }
 }
 
@@ -227,22 +204,6 @@ mod tests {
         }
         assert_eq!(snap.len(), CHUNK + 3);
         assert_eq!(snap.last().unwrap().seq, CHUNK + 2);
-    }
-
-    #[test]
-    fn serde_roundtrip_matches_flat_vec_wire_format() {
-        let mut t = Trace::new();
-        for i in 0..CHUNK + 5 {
-            t.push(rec(i));
-        }
-        let json = serde_json::to_string(&t).unwrap();
-        // Wire-compatible with the Vec<StepRecord> representation it
-        // replaced: old journals parse as Trace and vice versa.
-        let as_vec: Vec<StepRecord> = serde_json::from_str(&json).unwrap();
-        assert_eq!(json, serde_json::to_string(&as_vec).unwrap());
-        let back: Trace = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
-        assert_eq!(back.len(), CHUNK + 5);
     }
 
     #[test]

@@ -92,29 +92,60 @@ grep -q 'skipped by static proof' target/ci-ablate-adaptive.err \
     || { echo "FAIL: adaptive run did not report causality stats" >&2; exit 1; }
 
 echo "==> kill-and-resume smoke"
-# Start a journaled diagnosis, SIGKILL it partway through, resume it over the
-# surviving journal, and require the resumed report to diff clean against an
-# uninterrupted (journal-free) run. The kill is racy by design: if the run
-# finishes before the signal lands, the resume replays a complete journal and
-# the diff must still be clean. diagnose keeps stats on stderr precisely so
-# stdout is comparable here.
+# Each step leaves a journal behind, resumes over it, and requires the
+# resumed report to diff clean against an uninterrupted, journal-free run
+# at the same scale. diagnose keeps stats on stderr precisely so stdout is
+# comparable here.
 SMOKE_BUG=CVE-2017-15649
 SMOKE_JOURNAL=target/ci-resume-smoke.wal
+resume_matches_reference() { # <step> <scale>
+    ./target/release/diagnose "$SMOKE_BUG" --scale "$2" \
+        > target/ci-resume-reference.txt 2> /dev/null
+    ./target/release/diagnose "$SMOKE_BUG" --scale "$2" --journal "$SMOKE_JOURNAL" \
+        > target/ci-resume-resumed.txt 2> target/ci-resume-resumed.err
+    diff target/ci-resume-resumed.txt target/ci-resume-reference.txt \
+        || { echo "FAIL: $1: resumed diagnosis diverged from the uninterrupted run" >&2; exit 1; }
+    grep -q '^journal: ' target/ci-resume-resumed.err \
+        || { echo "FAIL: $1: resumed run did not report journal stats" >&2; exit 1; }
+}
+# A deterministic cut: journal a whole run on one worker, so the file's
+# bytes do not depend on timing, cut the file to half its bytes, which
+# lands inside a record, and resume. The torn record is truncated and
+# every record before it replays.
 rm -f "$SMOKE_JOURNAL"
-./target/release/diagnose "$SMOKE_BUG" --scale 0.05 --journal "$SMOKE_JOURNAL" \
-    > target/ci-resume-interrupted.txt 2> target/ci-resume-interrupted.err &
+./target/release/diagnose "$SMOKE_BUG" --scale 0.05 --vms 1 --journal "$SMOKE_JOURNAL" \
+    > /dev/null 2> /dev/null
+truncate -s $(($(stat -c %s "$SMOKE_JOURNAL") / 2)) "$SMOKE_JOURNAL"
+resume_matches_reference "half-cut journal" 0.05
+grep -q ' 1 torn-tail truncations' target/ci-resume-resumed.err \
+    || { echo "FAIL: the half-cut journal's torn record was not truncated" >&2; exit 1; }
+grep -Eq '^journal: [1-9][0-9]* replayed' target/ci-resume-resumed.err \
+    || { echo "FAIL: the half-cut journal replayed no record" >&2; exit 1; }
+# A journal of the previous format version (JSON records) cold-starts with
+# a warning: it never replays and never crashes the run.
+printf 'AITIAJNL\001\000\000\000{"fp":0}' > "$SMOKE_JOURNAL"
+resume_matches_reference "version 1 journal" 0.05
+grep -q 'unrecognized header' target/ci-resume-resumed.err \
+    || { echo "FAIL: a version 1 journal did not cold-start with a warning" >&2; exit 1; }
+# SIGKILL a journaled run partway through and resume over what survived.
+# At scale 0.2 the run takes about 0.35 s on 2 hardware threads, so the
+# kill at 0.1 s lands mid-run. The kill is still racy by design: if the
+# run finishes first, the resume replays a complete journal and the diff
+# must still be clean.
+rm -f "$SMOKE_JOURNAL"
+./target/release/diagnose "$SMOKE_BUG" --scale 0.2 --journal "$SMOKE_JOURNAL" \
+    > /dev/null 2> /dev/null &
 SMOKE_PID=$!
-sleep 0.2
+sleep 0.1
 kill -9 "$SMOKE_PID" 2> /dev/null || true
-wait "$SMOKE_PID" 2> /dev/null || true
-./target/release/diagnose "$SMOKE_BUG" --scale 0.05 --journal "$SMOKE_JOURNAL" \
-    > target/ci-resume-resumed.txt 2> target/ci-resume-resumed.err
-./target/release/diagnose "$SMOKE_BUG" --scale 0.05 \
-    > target/ci-resume-reference.txt 2> target/ci-resume-reference.err
-diff target/ci-resume-resumed.txt target/ci-resume-reference.txt \
-    || { echo "FAIL: resumed diagnosis diverged from the uninterrupted run" >&2; exit 1; }
-grep -q '^journal: ' target/ci-resume-resumed.err \
-    || { echo "FAIL: resumed run did not report journal stats" >&2; exit 1; }
+SMOKE_STATUS=0
+wait "$SMOKE_PID" 2> /dev/null || SMOKE_STATUS=$?
+if [ "$SMOKE_STATUS" -eq 137 ]; then
+    echo "    the kill landed mid-run"
+else
+    echo "    the run finished before the kill (status $SMOKE_STATUS)"
+fi
+resume_matches_reference "SIGKILLed journal" 0.2
 
 echo "==> campaignd smoke"
 # Submit a batch of corpus bugs to the daemon's durable queue, start the
