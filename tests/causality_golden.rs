@@ -1,7 +1,7 @@
 //! Golden-corpus regression for adaptive causal intervention: the exact
-//! number of flip schedules Causality Analysis charges per Table 2 bug, at
-//! both causality levels, plus the number of flips the static prover
-//! discharged without execution. A second test holds the adaptive level's
+//! number of flip schedules Causality Analysis charges per Table 2 and
+//! Table 3 bug, at both causality levels, plus the number of flips the
+//! static prover discharged without execution. A second test holds the adaptive level's
 //! gate: identical diagnoses, a static prover no audit contradicts, and at
 //! least 30% fewer flip VM executions than the exhaustive level.
 //!
@@ -22,7 +22,8 @@ use std::sync::Arc;
 
 const SCALE: f64 = 0.02;
 
-/// `(bug id, [flip schedules at exhaustive, at adaptive, static skips])`.
+/// `(bug id, [flip schedules at exhaustive, at adaptive, static skips])`,
+/// Table 2's ten CVE bugs and then Table 3's twelve Syzkaller bugs.
 const GOLDEN: &[(&str, [usize; 3])] = &[
     ("CVE-2019-11486", [5, 4, 1]),
     ("CVE-2019-6974", [12, 12, 0]),
@@ -34,11 +35,23 @@ const GOLDEN: &[(&str, [usize; 3])] = &[
     ("CVE-2017-2636", [8, 8, 0]),
     ("CVE-2016-10200", [6, 5, 1]),
     ("CVE-2016-8655", [7, 6, 1]),
+    ("#1", [5, 4, 1]),
+    ("#2", [13, 8, 5]),
+    ("#3", [6, 4, 2]),
+    ("#4", [5, 5, 0]),
+    ("#5", [4, 3, 1]),
+    ("#6", [9, 8, 1]),
+    ("#7", [10, 8, 2]),
+    ("#8", [11, 10, 1]),
+    ("#9", [6, 6, 0]),
+    ("#10", [10, 8, 2]),
+    ("#11", [224, 4, 220]),
+    ("#12", [168, 8, 160]),
 ];
 
 #[test]
 fn flip_schedules_per_bug_and_level_match_golden() {
-    let bugs = corpus::cves();
+    let bugs = corpus::all_bugs();
     assert_eq!(bugs.len(), GOLDEN.len(), "corpus and golden table differ");
     let mut actual = Vec::new();
     let mut diffs = Vec::new();
