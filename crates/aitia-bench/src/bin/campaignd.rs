@@ -203,6 +203,18 @@ fn main() {
                 stats.supervisor_faults,
                 stats.retried
             );
+            eprintln!(
+                "campaignd: queue: {} folds of {} frames in {:.1} ms, {} frames scanned \
+                 before appends, {} fsyncs in {:.1} ms; journals: {} fsyncs in {:.1} ms",
+                stats.queue_folds,
+                stats.queue_frames_folded,
+                stats.queue_fold_ns as f64 / 1e6,
+                stats.queue_frames_repaired,
+                stats.queue_fsyncs,
+                stats.queue_fsync_ns as f64 / 1e6,
+                stats.journal_fsyncs,
+                stats.journal_fsync_ns as f64 / 1e6,
+            );
         }
         "submit" => {
             if payloads.is_empty() {

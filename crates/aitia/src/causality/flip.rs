@@ -2,9 +2,9 @@
 //!
 //! Causality Analysis tests a data race by executing the kernel with the
 //! race's interleaving order *flipped* while the remaining orders stay as in
-//! the failure-causing sequence (§3.4). The planner constructs the flipped
-//! total order from the failing trace and compresses it into scheduling
-//! points:
+//! the failure-causing sequence (§3.4). The flipped total order is the
+//! failing trace with one thread's window of steps moved later, and the
+//! planner realizes it as scheduling points:
 //!
 //! * **both ends executed** — the first end's thread is delayed at the first
 //!   access until the second end has executed (the delayed window carries
@@ -19,9 +19,23 @@
 //! * **nested races** (Figure 7) — a race nested inside the flipped window
 //!   is unavoidably flipped along; the planner reports exactly which, so the
 //!   analysis can issue an ambiguity verdict when needed.
+//!
+//! A failing trace is long, but it runs in only a few thread segments (2–4
+//! in every corpus bug), so a flip's schedule is a handful of points. LIFS
+//! builds a `FlipIndex` of the trace once per failing run, and
+//! [`plan_flip`] cuts the indexed segments at the window instead of
+//! walking the trace: its cost per race grows with segments and races,
+//! not with trace length. Its schedules are byte-identical to compressing
+//! the flipped order step by step, the construction `tests/flip_plan.rs`
+//! keeps as its reference, so memo keys, journal records and digests do
+//! not depend on how the plan was built.
 
-use crate::enforce::RunResult;
+use crate::enforce::{
+    RunResult,
+    ThreadFinal, //
+};
 use crate::{
+    fxhash::FxHashMap,
     lifs::FailingRun,
     race::{
         critical_section_span,
@@ -29,12 +43,19 @@ use crate::{
         RaceEnd, //
     },
     schedule::{
-        schedule_from_order,
+        Anchor,
+        SchedPoint,
         Schedule,
         ThreadSel, //
     },
 };
-use ksim::InstrAddr;
+use ksim::{
+    InstrAddr,
+    StepRecord,
+    ThreadId,
+    Trace, //
+};
+use std::collections::HashMap;
 
 /// Whether a flip run averted `original`. A different failure (other kind
 /// or site) still counts as averting the original one; livelock/budget
@@ -57,6 +78,10 @@ pub fn failure_averted(original: &ksim::Failure, res: &RunResult) -> bool {
 /// `None` when the second end is pending — those flips extend to the end of
 /// the trace and append a projected tail, geometry the prover does not
 /// model.
+///
+/// The cost is that of [`critical_section_span`]: the critical sections
+/// around the two ends, walked step by step. Without `cs_as_unit` it is
+/// O(1).
 #[must_use]
 pub fn flip_window(
     trace: &ksim::Trace,
@@ -64,16 +89,7 @@ pub fn flip_window(
     cs_as_unit: bool,
 ) -> Option<(usize, usize, bool)> {
     let second_seq = race.second.seq()?;
-    let mut cs_expanded = false;
-    let mut start = race.first.seq;
-    if cs_as_unit {
-        if let Some((cs_start, _)) = critical_section_span(trace, race.first.seq) {
-            if cs_start < start {
-                start = cs_start;
-                cs_expanded = true;
-            }
-        }
-    }
+    let (start, mut cs_expanded) = window_start(trace, race, cs_as_unit);
     let mut end = second_seq;
     if cs_as_unit {
         if let Some((_, cs_end)) = critical_section_span(trace, second_seq) {
@@ -84,6 +100,20 @@ pub fn flip_window(
         }
     }
     Some((start, end, cs_expanded))
+}
+
+/// Where a flip's delayed window starts: at the first access, or at the
+/// start of its enclosing critical section (and whether that grew it).
+fn window_start(trace: &Trace, race: &ObservedRace, cs_as_unit: bool) -> (usize, bool) {
+    let start = race.first.seq;
+    if cs_as_unit {
+        if let Some((cs_start, _)) = critical_section_span(trace, start) {
+            if cs_start < start {
+                return (cs_start, true);
+            }
+        }
+    }
+    (start, false)
 }
 
 /// A planned flip: the schedule plus what else the flip necessarily moves.
@@ -106,6 +136,20 @@ pub struct FlipPlan {
 /// `cs_as_unit` enables the §3.4 liveness rule (critical sections move as
 /// units); disabling it is the ablation.
 ///
+/// The flipped total order is the failing trace cut at the window: the
+/// steps before it, the other threads' steps inside it, the pending
+/// thread's projected tail (pending-second races only), the delayed window
+/// of the first end's thread, and the steps after it. The schedule has one
+/// scheduling point per context switch of that order, anchored *before*
+/// the suspended thread's next step in it (or before the instruction it is
+/// parked at when it never runs again), with the thread resumed by the
+/// switch; its fallback lists the threads by the position of their last
+/// step in the order, and its segment sequence is the order's thread
+/// sequence. The run's `FlipIndex` supplies the trace's thread segments
+/// and each anchor's `nth`, so planning walks segments, never steps: the
+/// cost per race is O(segments + races) plus its critical sections
+/// ([`flip_window`]) and, for a pending second end, its projected tail.
+///
 /// Planning is a pure function of its inputs: the same run, race, and flags
 /// always yield an identical plan and schedule. Cross-run memoization in
 /// [`crate::exec`] leans on this — Phase A and Phase C plan the same flip
@@ -119,6 +163,7 @@ pub fn plan_flip(
     cs_as_unit: bool,
 ) -> FlipPlan {
     let trace = &run.trace;
+    let index = &run.flip_index;
     let first_tid = race.first.tid;
 
     // The window of the first thread's steps to delay starts at the first
@@ -126,52 +171,35 @@ pub fn plan_flip(
     // after the second access (and past its critical section, when
     // applicable). Pending-second races extend to the end of the trace and
     // append the pending thread's projected continuation.
-    let (window_start, resume_after, pending_tail, cs_expanded) = match &race.second {
+    let (window_start, resume_after, pending, cs_expanded) = match &race.second {
         RaceEnd::Executed(_) => {
             let (start, end, grew) =
                 flip_window(trace, race, cs_as_unit).expect("executed second end has a window");
-            (start, end, Vec::new(), grew)
+            (start, end, None, grew)
         }
         RaceEnd::Pending { tid, at } => {
-            let mut start = race.first.seq;
-            let mut grew = false;
-            if cs_as_unit {
-                if let Some((cs_start, _)) = critical_section_span(trace, race.first.seq) {
-                    if cs_start < start {
-                        start = cs_start;
-                        grew = true;
-                    }
-                }
-            }
-            // Project the pending thread's continuation from its solo trace.
+            let (start, grew) = window_start(trace, race, cs_as_unit);
             let sel = run.sel(*tid);
-            let tail = project_tail(run, sel, *at);
-            (start, trace.len().saturating_sub(1), tail, grew)
+            let tail = index.project_tail(run, sel, *at);
+            let end = trace.len().saturating_sub(1);
+            (
+                start,
+                end,
+                Some(Pending {
+                    tid: *tid,
+                    sel,
+                    tail,
+                }),
+                grew,
+            )
         }
     };
-
-    // Build the flipped total order.
-    let mut order: Vec<(ThreadSel, InstrAddr)> = Vec::new();
-    let mut delayed: Vec<(ThreadSel, InstrAddr)> = Vec::new();
-    for rec in trace {
-        let sel = run.sel(rec.tid);
-        let in_window = rec.seq >= window_start && rec.seq <= resume_after && rec.tid == first_tid;
-        if in_window {
-            delayed.push((sel, rec.at));
-        } else if rec.seq < window_start || rec.seq <= resume_after {
-            order.push((sel, rec.at));
-        } else {
-            // Past the window: emitted after the delayed block below.
-        }
-    }
-    // Pending-second flips: run the projected tail before the delayed block.
-    order.extend(pending_tail.iter().copied());
-    order.append(&mut delayed);
-    for rec in trace {
-        if rec.seq > resume_after {
-            order.push((run.sel(rec.tid), rec.at));
-        }
-    }
+    let window = Window {
+        tid: first_tid,
+        start: window_start,
+        end: resume_after,
+    };
+    let schedule = index.flipped_schedule(trace, &window, pending.as_ref());
 
     // Which other races does the window move also flip? A race q is dragged
     // along when its ends straddle the window in the opposite sense: q's
@@ -195,7 +223,6 @@ pub fn plan_flip(
         }
     }
 
-    let schedule = schedule_from_order(&order, &run.pending_next());
     FlipPlan {
         race: race.clone(),
         also_flipped,
@@ -204,52 +231,317 @@ pub fn plan_flip(
     }
 }
 
-/// Projects the continuation of `sel` from its solo trace, through (and
-/// including) the pending instruction `until`, closing over critical
-/// sections so the projection never parks inside one.
-fn project_tail(run: &FailingRun, sel: ThreadSel, until: InstrAddr) -> Vec<(ThreadSel, InstrAddr)> {
-    let Some(solo) = run.solo.get(&sel) else {
-        // No solo knowledge: schedule just the pending instruction and rely
-        // on enforcement fallbacks.
-        return vec![(sel, until)];
-    };
-    // Steps the thread already executed in the failing run.
-    let executed = run.trace.iter().filter(|r| run.sel(r.tid) == sel).count();
-    let start = if executed <= solo.len()
-        && run
-            .trace
-            .iter()
-            .filter(|r| run.sel(r.tid) == sel)
-            .zip(solo.iter())
-            .all(|(a, b)| a.at == b.at)
-    {
-        executed
-    } else {
-        // Control flow diverged from the solo run: restart the projection at
-        // the thread's parked instruction, if it appears in the solo trace.
-        match run.pending_next().get(&sel) {
-            Some(next) => solo
-                .iter()
-                .position(|r| r.at == *next)
-                .unwrap_or(solo.len()),
-            None => solo.len(),
+/// The delayed window: `tid`'s steps in `[start..=end]` move after the
+/// other threads' steps in that range.
+struct Window {
+    tid: ThreadId,
+    start: usize,
+    end: usize,
+}
+
+/// A pending second end's thread and its projected continuation, run
+/// before the delayed window.
+struct Pending {
+    tid: ThreadId,
+    sel: ThreadSel,
+    tail: Vec<InstrAddr>,
+}
+
+/// One thread's turn in the flipped order: a maximal stretch of its
+/// consecutive steps, named by where its first step comes from.
+struct Turn {
+    sel: ThreadSel,
+    from: TurnStart,
+}
+
+#[derive(Clone, Copy)]
+enum TurnStart {
+    /// The failing trace's step at this sequence number.
+    Step(usize),
+    /// The first instruction of the pending tail.
+    Tail,
+}
+
+/// One maximal stretch of the failing trace run by one thread.
+#[derive(Clone, Copy, Debug)]
+struct Segment {
+    tid: ThreadId,
+    sel: ThreadSel,
+    /// The segment's steps are `start..end` (sequence numbers).
+    start: usize,
+    end: usize,
+}
+
+/// The failing run's shape as flip planning needs it, built once per run
+/// when LIFS assembles the [`FailingRun`] and shared by every clone.
+///
+/// A failing trace is long but runs in a handful of thread segments, so a
+/// flip's schedule is a handful of points cut out of them; this index lets
+/// [`plan_flip`] emit them without walking the trace. It is derived from
+/// the run's `trace`, `sel_of_tid`, `finals` and `solo`, relies on `seq`
+/// being each record's position, and on every runtime thread having its own
+/// selector.
+pub(crate) struct FlipIndex {
+    /// The trace's thread segments, in trace order.
+    segments: Vec<Segment>,
+    /// Per step: how many times its thread executed the same instruction
+    /// before it — the `nth` of a point anchored before that step.
+    nth: Vec<u32>,
+    /// How many times each thread executed each instruction in the trace.
+    totals: FxHashMap<(ThreadSel, InstrAddr), u32>,
+    /// Each suspended thread's parked next instruction (`pending_next`).
+    parked: Vec<(ThreadSel, InstrAddr)>,
+    /// Each thread with a solo trace: where its projected pending tail
+    /// starts in that trace.
+    solo_start: Vec<(ThreadSel, usize)>,
+}
+
+impl std::fmt::Debug for FlipIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FlipIndex")
+            .field("steps", &self.nth.len())
+            .field("segments", &self.segments.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl FlipIndex {
+    /// Indexes a failing run's trace in one pass.
+    pub(crate) fn new(
+        trace: &Trace,
+        sel_of: &HashMap<ThreadId, ThreadSel>,
+        finals: &[ThreadFinal],
+        solo: &HashMap<ThreadSel, Vec<StepRecord>>,
+    ) -> FlipIndex {
+        let mut segments: Vec<Segment> = Vec::new();
+        let mut nth = Vec::with_capacity(trace.len());
+        let mut totals: FxHashMap<(ThreadSel, InstrAddr), u32> = FxHashMap::default();
+        // Per thread: its solo trace, the steps it executed so far, and
+        // whether they still follow that trace step for step.
+        let mut follows: Vec<(ThreadSel, &[StepRecord], usize, bool)> = Vec::new();
+        let mut cur = 0;
+        for (seq, rec) in trace.iter().enumerate() {
+            match segments.last_mut() {
+                Some(seg) if seg.tid == rec.tid => seg.end = seq + 1,
+                _ => {
+                    let sel = sel_of[&rec.tid];
+                    segments.push(Segment {
+                        tid: rec.tid,
+                        sel,
+                        start: seq,
+                        end: seq + 1,
+                    });
+                    cur = match follows.iter().position(|f| f.0 == sel) {
+                        Some(i) => i,
+                        None => {
+                            let steps = solo.get(&sel).map_or(&[][..], Vec::as_slice);
+                            follows.push((sel, steps, 0, true));
+                            follows.len() - 1
+                        }
+                    };
+                }
+            }
+            let (sel, steps, done, matched) = &mut follows[cur];
+            let count = totals.entry((*sel, rec.at)).or_insert(0);
+            nth.push(*count);
+            *count += 1;
+            *matched &= steps.get(*done).is_some_and(|r| r.at == rec.at);
+            *done += 1;
         }
-    };
-    let mut tail = Vec::new();
-    let mut hit = false;
-    for rec in &solo[start.min(solo.len())..] {
-        tail.push((sel, rec.at));
-        if rec.at == until {
-            hit = true;
-            break;
+        let mut parked: Vec<(ThreadSel, InstrAddr)> = Vec::new();
+        for f in finals {
+            let Some(next) = f.next else { continue };
+            match parked.iter_mut().find(|p| p.0 == f.sel) {
+                Some(p) => p.1 = next,
+                None => parked.push((f.sel, next)),
+            }
+        }
+        // A pending tail continues the thread's solo trace where its
+        // executed steps left it; when control flow diverged from the solo
+        // run, it restarts at the parked instruction, if the solo trace has
+        // it.
+        let solo_start = solo
+            .iter()
+            .map(|(&sel, steps)| {
+                let (done, matched) = follows
+                    .iter()
+                    .find(|f| f.0 == sel)
+                    .map_or((0, true), |f| (f.2, f.3));
+                let start = if matched {
+                    done
+                } else {
+                    parked
+                        .iter()
+                        .find(|p| p.0 == sel)
+                        .and_then(|p| steps.iter().position(|r| r.at == p.1))
+                        .unwrap_or(steps.len())
+                };
+                (sel, start)
+            })
+            .collect();
+        FlipIndex {
+            segments,
+            nth,
+            totals,
+            parked,
+            solo_start,
         }
     }
-    if !hit {
+
+    /// How many times `sel` executed `at` in the whole trace.
+    fn total(&self, sel: ThreadSel, at: InstrAddr) -> u32 {
+        self.totals.get(&(sel, at)).copied().unwrap_or(0)
+    }
+
+    /// The continuation of `sel` from its solo trace, through (and
+    /// including) the pending instruction `until`.
+    fn project_tail(&self, run: &FailingRun, sel: ThreadSel, until: InstrAddr) -> Vec<InstrAddr> {
+        let Some(solo) = run.solo.get(&sel) else {
+            // No solo knowledge: schedule just the pending instruction and
+            // rely on enforcement fallbacks.
+            return vec![until];
+        };
+        let start = self
+            .solo_start
+            .iter()
+            .find(|s| s.0 == sel)
+            .map(|s| s.1)
+            .expect("the flip index covers every solo trace of its run");
+        let mut tail = Vec::new();
+        for rec in &solo[start.min(solo.len())..] {
+            tail.push(rec.at);
+            if rec.at == until {
+                return tail;
+            }
+        }
         // The solo trace never reaches the instruction (conservative):
         // schedule it directly.
-        tail.push((sel, until));
+        tail.push(until);
+        tail
     }
-    tail
+
+    /// The schedule of the flipped order: the failing trace with
+    /// `window`'s delayed steps moved after the other threads' steps up to
+    /// the window's end and after the pending tail, if any.
+    fn flipped_schedule(
+        &self,
+        trace: &Trace,
+        window: &Window,
+        pending: Option<&Pending>,
+    ) -> Schedule {
+        let (start, end) = (window.start, window.end);
+        let mut turns: Vec<Turn> = Vec::new();
+        let mut push = |sel: ThreadSel, from: TurnStart| {
+            if turns.last().is_none_or(|t| t.sel != sel) {
+                turns.push(Turn { sel, from });
+            }
+        };
+        // Up to the window's end: every step but the delayed ones.
+        for seg in self.segments.iter().take_while(|seg| seg.start <= end) {
+            let stop = if seg.tid == window.tid {
+                start
+            } else {
+                end + 1
+            };
+            if seg.start < seg.end.min(stop) {
+                push(seg.sel, TurnStart::Step(seg.start));
+            }
+        }
+        if let Some(p) = pending {
+            push(p.sel, TurnStart::Tail);
+        }
+        // The delayed window, then everything after it.
+        for seg in &self.segments {
+            if seg.tid == window.tid && seg.start <= end && seg.end > start {
+                push(seg.sel, TurnStart::Step(seg.start.max(start)));
+            }
+        }
+        for seg in &self.segments {
+            if seg.end > end + 1 {
+                push(seg.sel, TurnStart::Step(seg.start.max(end + 1)));
+            }
+        }
+
+        // Each turn's thread's next turn, found from the back; a thread
+        // enters `later` at its last turn, so `later` lists the threads by
+        // last turn, latest first.
+        let mut next_turn = vec![None; turns.len()];
+        let mut later: Vec<(ThreadSel, usize)> = Vec::new();
+        for (k, turn) in turns.iter().enumerate().rev() {
+            match later.iter_mut().find(|l| l.0 == turn.sel) {
+                Some(l) => {
+                    next_turn[k] = Some(l.1);
+                    l.1 = k;
+                }
+                None => later.push((turn.sel, k)),
+            }
+        }
+        let fallback = later.iter().rev().map(|l| l.0).collect();
+
+        let mut points = Vec::new();
+        for (k, pair) in turns.windows(2).enumerate() {
+            let cur = pair[0].sel;
+            // The suspended thread's executions of an instruction before
+            // its next step are its trace steps before it, except around
+            // the tail: the pending thread's tail follows all its steps up
+            // to the window's end (the whole trace, as a pending window
+            // runs to it), and precedes its delayed steps when it is the
+            // delayed thread itself.
+            let anchor = match next_turn[k].map(|j| turns[j].from) {
+                Some(TurnStart::Step(seq)) => Some((trace[seq].at, self.nth[seq])),
+                Some(TurnStart::Tail) => {
+                    let p = pending.expect("a tail turn has a pending end");
+                    let at = p.tail[0];
+                    let mut nth = self.total(cur, at);
+                    if p.tid == window.tid {
+                        nth -= self.delayed_count(trace, window, at);
+                    }
+                    Some((at, nth))
+                }
+                None => self.parked.iter().find(|q| q.0 == cur).map(|&(_, at)| {
+                    let in_tail = pending
+                        .filter(|p| p.sel == cur)
+                        .map_or(0, |p| p.tail.iter().filter(|&&a| a == at).count());
+                    (at, self.total(cur, at) + in_tail as u32)
+                }),
+            };
+            // No anchor: `cur` exits naturally before the boundary; the
+            // fallback order hands control to the next thread.
+            if let Some((at, nth)) = anchor {
+                points.push(SchedPoint {
+                    thread: cur,
+                    at,
+                    nth,
+                    when: Anchor::Before,
+                    switch_to: pair[1].sel,
+                });
+            }
+        }
+        Schedule {
+            start: turns.first().map(|t| t.sel),
+            points,
+            fallback,
+            segments: turns.iter().map(|t| t.sel).collect(),
+        }
+    }
+
+    /// How many of `window`'s delayed steps execute `at`.
+    fn delayed_count(&self, trace: &Trace, window: &Window, at: InstrAddr) -> u32 {
+        let mut count = 0;
+        for seg in &self.segments {
+            if seg.tid != window.tid || seg.end <= window.start || seg.start > window.end {
+                continue;
+            }
+            let from = seg.start.max(window.start);
+            let to = seg.end.min(window.end + 1);
+            count += trace
+                .iter_from(from)
+                .take(to - from)
+                .filter(|r| r.at == at)
+                .count();
+        }
+        count as u32
+    }
 }
 
 #[cfg(test)]

@@ -122,7 +122,7 @@ impl<'a> StaticProver<'a> {
         // One pass over the range: movability plus the span's per-address
         // touch summary (obligation 2, and the span side of 3).
         let mut span: HashMap<Addr, SpanTouch> = HashMap::new();
-        for rec in trace.iter().skip(start).take(end - start + 1) {
+        for rec in trace.iter_from(start).take(end - start + 1) {
             if !self.movable[rec.seq] {
                 return false;
             }
@@ -138,7 +138,7 @@ impl<'a> StaticProver<'a> {
 
         // The window side of obligation 3: every reordered conflicting pair
         // must commute or be unobservable.
-        for rec in trace.iter().skip(start).take(end - start + 1) {
+        for rec in trace.iter_from(start).take(end - start + 1) {
             if rec.tid != first_tid {
                 continue;
             }

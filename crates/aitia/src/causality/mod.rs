@@ -56,7 +56,6 @@ use flip::{
 };
 use invariants::StaticProver;
 use ksim::InstrAddr;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// How much intervention the analysis performs (`--causality-level`).
@@ -312,10 +311,11 @@ pub struct CausalityAnalysis {
 }
 
 struct FlipOutcome {
-    plan: FlipPlan,
     averted: bool,
     outcome: RunOutcome,
-    occurred: HashSet<(InstrAddr, InstrAddr)>,
+    /// Per race of the run (`run.races` order): whether it occurred in
+    /// the flip run.
+    occurred: Vec<bool>,
 }
 
 impl CausalityAnalysis {
@@ -391,6 +391,7 @@ impl CausalityAnalysis {
 
         // Gain scores decide batch submission order at the adaptive level.
         let scores = adaptive.then(|| gain::gain_scores(run, &plans_by_race));
+        let watch = Watch::new(run);
 
         // Phase A: flip each race once — one batch over the pass, folded
         // back into test-order slots regardless of submission order.
@@ -422,7 +423,7 @@ impl CausalityAnalysis {
                 stats.schedules_executed += 1;
                 stats.sim.add_run(out.run.steps, out.run.failure.is_some());
             }
-            let outcome = flip_outcome(run, &plans_by_race[i], &out);
+            let outcome = flip_outcome(run, &watch, &out);
             // Agreement audit: a proved flip's conclusive run must still
             // manifest the failure, exactly as the invariant promised.
             if static_benign[i] && !outcome.outcome.is_inconclusive() && outcome.averted {
@@ -474,8 +475,7 @@ impl CausalityAnalysis {
                 }
                 // Averted. Ambiguous iff a nested race that was flipped
                 // along is itself causal.
-                let nested_keys: Vec<(InstrAddr, InstrAddr)> = outcome
-                    .plan
+                let nested_keys: Vec<(InstrAddr, InstrAddr)> = plans_by_race[i]
                     .also_flipped
                     .iter()
                     .map(ObservedRace::key)
@@ -531,23 +531,21 @@ impl CausalityAnalysis {
                         static_proof: static_benign[i],
                     };
                 };
+                let key = run.races[i].key();
                 let vanished = run
                     .races
                     .iter()
-                    .map(ObservedRace::key)
-                    .filter(|k| *k != run.races[i].key() && !outcome.occurred.contains(k))
+                    .zip(&outcome.occurred)
+                    .filter(|&(q, &occurred)| !occurred && q.key() != key)
+                    .map(|(q, _)| q.key())
                     .collect();
+                let plan = &plans_by_race[i];
                 TestedRace {
                     race: run.races[i].clone(),
                     verdict: verdicts[i].expect("phase B ran"),
-                    flipped_with: outcome
-                        .plan
-                        .also_flipped
-                        .iter()
-                        .map(ObservedRace::key)
-                        .collect(),
+                    flipped_with: plan.also_flipped.iter().map(ObservedRace::key).collect(),
                     vanished,
-                    cs_expanded: outcome.plan.cs_expanded,
+                    cs_expanded: plan.cs_expanded,
                     outcome: Some(outcome.outcome),
                     static_proof: static_benign[i],
                 }
@@ -593,7 +591,7 @@ impl CausalityAnalysis {
                 stats.schedules_executed += 1;
                 stats.sim.add_run(out.run.steps, out.run.failure.is_some());
             }
-            let outcome = flip_outcome(run, plan, &out);
+            let outcome = flip_outcome(run, &watch, &out);
             // An inconclusive re-run observed nothing: its empty `occurred`
             // set would manufacture a "vanished" edge to every other root
             // cause, so no edges are extracted from it.
@@ -606,8 +604,7 @@ impl CausalityAnalysis {
                 if ri == rj {
                     continue;
                 }
-                let key = run.races[j].key();
-                if !outcome.occurred.contains(&key) && !flipped_along.contains(&key) {
+                if !outcome.occurred[j] && !flipped_along.contains(&run.races[j].key()) {
                     edges.push((ri, rj));
                 }
             }
@@ -630,28 +627,88 @@ impl CausalityAnalysis {
 /// run classify, and which of the known races occurred? Pure over the
 /// execution output, so outcomes are independent of which pool worker
 /// executed the run.
-fn flip_outcome(run: &FailingRun, plan: &FlipPlan, out: &ExecOutput) -> FlipOutcome {
-    let averted = failure_averted(&run.failure, &out.run);
-    // Which known races occurred in this run (both instructions executed
-    // with at least one memory access)?
-    let executed: HashSet<InstrAddr> = out
-        .run
-        .trace
-        .iter()
-        .filter(|r| !r.accesses.is_empty())
-        .map(|r| r.at)
-        .collect();
-    let occurred = run
-        .races
-        .iter()
-        .map(ObservedRace::key)
-        .filter(|(a, b)| executed.contains(a) && executed.contains(b))
-        .collect();
+fn flip_outcome(run: &FailingRun, watch: &Watch, out: &ExecOutput) -> FlipOutcome {
     FlipOutcome {
-        plan: plan.clone(),
-        averted,
+        averted: failure_averted(&run.failure, &out.run),
         outcome: out.outcome,
-        occurred,
+        occurred: watch.occurred(&out.run.trace),
+    }
+}
+
+/// The race-endpoint instructions of one failing run, watched for in its
+/// flip runs. Built once per analysis: a race occurred in a flip run when
+/// both its instructions executed there with at least one memory access.
+struct Watch {
+    /// Per thread program and instruction index: the instruction's slot,
+    /// or `UNWATCHED`.
+    slot: Vec<Vec<u32>>,
+    /// Per race of the run: the slots of its two instructions.
+    ends: Vec<(u32, u32)>,
+    /// Number of distinct watched instructions.
+    slots: usize,
+}
+
+const UNWATCHED: u32 = u32::MAX;
+
+impl Watch {
+    fn new(run: &FailingRun) -> Watch {
+        let mut slot: Vec<Vec<u32>> = run
+            .program
+            .progs
+            .iter()
+            .map(|p| vec![UNWATCHED; p.instrs.len()])
+            .collect();
+        let mut slots = 0;
+        let mut watch = |at: InstrAddr| {
+            // An instruction outside the program never executes: it keeps
+            // the sentinel, and its races never occur.
+            let Some(s) = slot
+                .get_mut(usize::from(at.prog.0))
+                .and_then(|p| p.get_mut(at.index))
+            else {
+                return UNWATCHED;
+            };
+            if *s == UNWATCHED {
+                *s = slots;
+                slots += 1;
+            }
+            *s
+        };
+        let ends = run
+            .races
+            .iter()
+            .map(|r| {
+                let (a, b) = r.key();
+                (watch(a), watch(b))
+            })
+            .collect();
+        Watch {
+            slot,
+            ends,
+            slots: slots as usize,
+        }
+    }
+
+    /// Per race: whether it occurred in `trace`. The walk stops once every
+    /// watched instruction has been seen.
+    fn occurred(&self, trace: &ksim::Trace) -> Vec<bool> {
+        let mut seen = vec![false; self.slots];
+        let mut unseen = self.slots;
+        for rec in trace {
+            if unseen == 0 {
+                break;
+            }
+            if rec.accesses.is_empty() {
+                continue;
+            }
+            let s = self.slot[usize::from(rec.at.prog.0)][rec.at.index];
+            if s != UNWATCHED && !seen[s as usize] {
+                seen[s as usize] = true;
+                unseen -= 1;
+            }
+        }
+        let hit = |s: u32| s != UNWATCHED && seen[s as usize];
+        self.ends.iter().map(|&(a, b)| hit(a) && hit(b)).collect()
     }
 }
 

@@ -1209,10 +1209,8 @@ mod tests {
 #[cfg(test)]
 mod segment_tests {
     use super::*;
-    use crate::schedule::schedule_from_order;
     use ksim::builder::ProgramBuilder;
     use ksim::ThreadProgId;
-    use std::collections::HashMap;
     use std::sync::Arc;
 
     /// Three threads where the middle one exits at a boundary: the segment
@@ -1230,26 +1228,16 @@ mod segment_tests {
         }
         let prog = Arc::new(p.build().unwrap());
         let sel = |i: u16| ThreadSel::first(ThreadProgId(i));
-        let at = |p: u16, i: usize| InstrAddr {
-            prog: ThreadProgId(p),
-            index: i,
-        };
         // Intended order: B fully, then A fully, then C fully — B and A
         // exit at their boundaries, so no anchors exist and only the
         // segment sequence carries the intent.
-        let order = vec![
-            (sel(1), at(1, 0)),
-            (sel(1), at(1, 1)),
-            (sel(1), at(1, 2)),
-            (sel(0), at(0, 0)),
-            (sel(0), at(0, 1)),
-            (sel(0), at(0, 2)),
-            (sel(2), at(2, 0)),
-            (sel(2), at(2, 1)),
-            (sel(2), at(2, 2)),
-        ];
-        let schedule = schedule_from_order(&order, &HashMap::new());
-        assert_eq!(schedule.segments, vec![sel(1), sel(0), sel(2)]);
+        let intended = vec![sel(1), sel(0), sel(2)];
+        let schedule = Schedule {
+            start: Some(sel(1)),
+            points: Vec::new(),
+            fallback: intended.clone(),
+            segments: intended,
+        };
         let mut e = ksim::Engine::new(Arc::clone(&prog));
         let r = run(&mut e, &schedule, &EnforceConfig::default());
         assert!(r.succeeded());

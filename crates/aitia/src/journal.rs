@@ -144,7 +144,7 @@ const VERSION: u32 = 2;
 const HEADER_LEN: u64 = 12;
 /// Records are fsync-batched: the file is synced after this many appends
 /// (and on [`Journal::flush`] / drop).
-const FSYNC_EVERY: usize = 32;
+pub(crate) const FSYNC_EVERY: usize = 32;
 /// Sanity bound on a record's framed length; anything larger reads as
 /// corruption (no schedule run encodes to a gigabyte).
 const MAX_RECORD_LEN: u32 = 1 << 30;
@@ -164,6 +164,11 @@ pub struct JournalStats {
     /// made durable are worse than no records: a resume would trust them),
     /// so the campaign ran on without crash-safety from that point.
     pub fsync_failed: bool,
+    /// fsyncs issued: the header of a new or reset file, every batch of
+    /// appends, and every flush.
+    pub fsyncs: u64,
+    /// Their total duration in nanoseconds.
+    pub fsync_ns: u64,
 }
 
 /// One journaled execution, carrying its memo key and its full output.
@@ -208,6 +213,8 @@ pub struct Journal {
     replayed: AtomicU64,
     appended: AtomicU64,
     truncations: AtomicU64,
+    fsyncs: AtomicU64,
+    fsync_ns: AtomicU64,
     /// Sticky fsync-failure flag: once set, `append` and `flush` are
     /// no-ops (the journal is disabled) and [`JournalStats::fsync_failed`]
     /// reports the durability loss instead of silently claiming
@@ -249,10 +256,11 @@ impl Journal {
         file.read_to_end(&mut bytes)?;
         let mut truncations = 0u64;
         let mut records = Vec::new();
+        let mut header_sync = None;
         let good_end = if bytes.is_empty() {
             file.write_all(&MAGIC)?;
             file.write_all(&VERSION.to_le_bytes())?;
-            file.sync_data()?;
+            header_sync = Some(timed_sync(&file)?);
             HEADER_LEN
         } else if !header_ok(&bytes) {
             eprintln!(
@@ -265,7 +273,7 @@ impl Journal {
             file.seek(SeekFrom::Start(0))?;
             file.write_all(&MAGIC)?;
             file.write_all(&VERSION.to_le_bytes())?;
-            file.sync_data()?;
+            header_sync = Some(timed_sync(&file)?);
             HEADER_LEN
         } else {
             let (parsed, torn) = scan_records(&bytes);
@@ -300,6 +308,8 @@ impl Journal {
             replayed: AtomicU64::new(0),
             appended: AtomicU64::new(0),
             truncations: AtomicU64::new(truncations),
+            fsyncs: AtomicU64::new(u64::from(header_sync.is_some())),
+            fsync_ns: AtomicU64::new(header_sync.unwrap_or(0)),
             fsync_failed: AtomicBool::new(false),
             fsync_poisoned: AtomicBool::new(false),
         })
@@ -325,6 +335,8 @@ impl Journal {
             records_appended: self.appended.load(Ordering::SeqCst),
             torn_tail_truncations: self.truncations.load(Ordering::SeqCst),
             fsync_failed: self.fsync_failed.load(Ordering::SeqCst),
+            fsyncs: self.fsyncs.load(Ordering::SeqCst),
+            fsync_ns: self.fsync_ns.load(Ordering::SeqCst),
         }
     }
 
@@ -342,14 +354,17 @@ impl Journal {
         self.fsync_poisoned.store(true, Ordering::SeqCst);
     }
 
-    /// Syncs the file, honoring the poison seam.
+    /// Syncs the file, honoring the poison seam, and counts the sync.
     fn sync_data(&self, inner: &mut Inner) -> std::io::Result<()> {
         if self.fsync_poisoned.load(Ordering::SeqCst) {
             return Err(std::io::Error::other(
                 "poisoned temp-dir path: fsync injection",
             ));
         }
-        inner.file.sync_data()
+        let ns = timed_sync(&inner.file)?;
+        self.fsyncs.fetch_add(1, Ordering::SeqCst);
+        self.fsync_ns.fetch_add(ns, Ordering::SeqCst);
+        Ok(())
     }
 
     /// Records a failed fsync: warns once, flips the sticky flag, and
@@ -475,6 +490,13 @@ impl Drop for Journal {
             let _ = inner.file.sync_data();
         }
     }
+}
+
+/// fsyncs `file`'s data and returns how long that took, in nanoseconds.
+pub(crate) fn timed_sync(file: &File) -> std::io::Result<u64> {
+    let t = std::time::Instant::now();
+    file.sync_data()?;
+    Ok(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
 }
 
 /// Whether `bytes` open with this format version's header. A file that

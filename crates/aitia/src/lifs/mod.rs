@@ -34,6 +34,7 @@
 pub mod tree;
 
 use crate::{
+    causality::flip::FlipIndex,
     enforce::{
         EnforceConfig,
         RunResult,
@@ -307,6 +308,9 @@ pub struct FailingRun {
     pub finals: Vec<ThreadFinal>,
     /// Runtime-thread → selector map for the failing run.
     pub sel_of_tid: HashMap<ThreadId, ThreadSel>,
+    /// Flip planning's index of `trace`, `sel_of_tid`, `finals` and `solo`,
+    /// built once when LIFS assembles the run and shared by its clones.
+    pub(crate) flip_index: Arc<FlipIndex>,
 }
 
 impl FailingRun {
@@ -1414,6 +1418,12 @@ impl Lifs {
             }
         }
         races.sort_by_key(ObservedRace::backward_key);
+        let flip_index = Arc::new(FlipIndex::new(
+            &run.trace,
+            &sel_of,
+            &run.threads,
+            &knowledge.solo,
+        ));
         FailingRun {
             program: Arc::clone(&self.program),
             schedule,
@@ -1423,6 +1433,7 @@ impl Lifs {
             solo: knowledge.solo.clone(),
             finals: run.threads.clone(),
             sel_of_tid: sel_of,
+            flip_index,
         }
     }
 }

@@ -510,7 +510,7 @@ pub fn critical_section_span(trace: &Trace, seq: usize) -> Option<(usize, usize)
     }
     // Scan forward for the release.
     let mut end = seq;
-    for r in trace.iter().skip(seq) {
+    for r in trace.iter_from(seq) {
         if r.tid != tid {
             continue;
         }

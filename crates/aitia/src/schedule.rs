@@ -4,9 +4,10 @@
 //! i) a system call to be started initially and ii) scheduling points",
 //! where a scheduling point "specifies an instruction address and
 //! interleaving order (e.g., Thread A is interleaved to Thread B at address
-//! 0x601020)" (§4.3). This module defines exactly that representation plus
-//! a compressor that turns a desired total order of steps into the minimal
-//! scheduling points realizing it.
+//! 0x601020)" (§4.3). This module defines exactly that representation;
+//! LIFS plans its schedules point by point, and Causality Analysis cuts
+//! its flip schedules out of the failing run
+//! ([`crate::causality::flip::plan_flip`]).
 //!
 //! Threads are named by [`ThreadSel`] — program id plus instantiation
 //! ordinal — rather than runtime ids, because runtime ids depend on spawn
@@ -18,7 +19,6 @@ use ksim::{
     ThreadId,
     ThreadProgId, //
 };
-use std::collections::HashMap;
 
 /// Stable thread naming across runs: the `occurrence`-th runtime instance
 /// of a thread program.
@@ -120,88 +120,9 @@ impl Schedule {
     }
 }
 
-/// Compresses a desired total order of `(thread, instruction)` steps into a
-/// [`Schedule`]: one scheduling point per context switch, anchored *before*
-/// the suspended thread's next step in the order (or before its next
-/// pending instruction when it never runs again).
-///
-/// `pending_next` supplies, for threads that are suspended at a boundary and
-/// have no later step in the order, the instruction they are parked at.
-#[must_use]
-pub fn schedule_from_order(
-    order: &[(ThreadSel, InstrAddr)],
-    pending_next: &HashMap<ThreadSel, InstrAddr>,
-) -> Schedule {
-    let mut points = Vec::new();
-    let mut exec_counts: HashMap<(ThreadSel, InstrAddr), u32> = HashMap::new();
-    for i in 0..order.len() {
-        let (cur, at) = order[i];
-        *exec_counts.entry((cur, at)).or_insert(0) += 1;
-        let Some(&(next, _)) = order.get(i + 1) else {
-            break;
-        };
-        if next == cur {
-            continue;
-        }
-        // Context switch: anchor on `cur`'s next step in the order.
-        let anchor = order[i + 1..]
-            .iter()
-            .find(|(t, _)| *t == cur)
-            .map(|&(_, a)| a)
-            .or_else(|| pending_next.get(&cur).copied());
-        if let Some(anchor_at) = anchor {
-            let nth = exec_counts.get(&(cur, anchor_at)).copied().unwrap_or(0);
-            points.push(SchedPoint {
-                thread: cur,
-                at: anchor_at,
-                nth,
-                when: Anchor::Before,
-                switch_to: next,
-            });
-        }
-        // No anchor: `cur` exits naturally before the boundary; the
-        // fallback order hands control to `next`.
-    }
-    // Fallback: threads ordered by their *last* step's position — when a
-    // thread exits naturally at a segment boundary (no anchor can be
-    // placed on it), the enforcer must hand control to whichever thread's
-    // remaining work comes next in the intended order, and the thread
-    // whose work ends earliest is never wrongly resumed ahead of one whose
-    // segment is still pending.
-    let mut last_pos: Vec<(ThreadSel, usize)> = Vec::new();
-    for (i, (t, _)) in order.iter().enumerate() {
-        match last_pos.iter_mut().find(|(s, _)| s == t) {
-            Some(entry) => entry.1 = i,
-            None => last_pos.push((*t, i)),
-        }
-    }
-    last_pos.sort_by_key(|&(_, i)| i);
-    let fallback: Vec<ThreadSel> = last_pos.into_iter().map(|(t, _)| t).collect();
-    // The segment sequence: consecutive runs of one thread collapse.
-    let mut segments: Vec<ThreadSel> = Vec::new();
-    for (t, _) in order {
-        if segments.last() != Some(t) {
-            segments.push(*t);
-        }
-    }
-    Schedule {
-        start: order.first().map(|&(t, _)| t),
-        points,
-        fallback,
-        segments,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn at(prog: u16, index: usize) -> InstrAddr {
-        InstrAddr {
-            prog: ThreadProgId(prog),
-            index,
-        }
-    }
 
     fn sel(prog: u16) -> ThreadSel {
         ThreadSel::first(ThreadProgId(prog))
@@ -213,68 +134,5 @@ mod tests {
         assert!(s.points.is_empty());
         assert_eq!(s.start, Some(sel(0)));
         assert_eq!(s.fallback.len(), 2);
-    }
-
-    #[test]
-    fn order_compression_emits_one_point_per_switch() {
-        // A0 A1 | B0 B1 | A2 — two switches, A has a later step at the
-        // first one, B exits naturally at the second (no later B step, no
-        // pending entry → no point).
-        let order = vec![
-            (sel(0), at(0, 0)),
-            (sel(0), at(0, 1)),
-            (sel(1), at(1, 0)),
-            (sel(1), at(1, 1)),
-            (sel(0), at(0, 2)),
-        ];
-        let s = schedule_from_order(&order, &HashMap::new());
-        assert_eq!(s.points.len(), 1);
-        let p = &s.points[0];
-        assert_eq!(p.thread, sel(0));
-        assert_eq!(p.at, at(0, 2));
-        assert_eq!(p.when, Anchor::Before);
-        assert_eq!(p.switch_to, sel(1));
-        assert_eq!(s.start, Some(sel(0)));
-    }
-
-    #[test]
-    fn pending_next_supplies_anchor_for_final_suspension() {
-        // A0 | B0 B1 — A never runs again but is parked at A1.
-        let order = vec![(sel(0), at(0, 0)), (sel(1), at(1, 0)), (sel(1), at(1, 1))];
-        let mut pend = HashMap::new();
-        pend.insert(sel(0), at(0, 1));
-        let s = schedule_from_order(&order, &pend);
-        assert_eq!(s.points.len(), 1);
-        assert_eq!(s.points[0].at, at(0, 1));
-        assert_eq!(s.points[0].switch_to, sel(1));
-    }
-
-    #[test]
-    fn nth_counts_prior_executions_of_anchor() {
-        // A executes at(0,0) twice (a loop), switch anchored on its third
-        // arrival.
-        let order = vec![
-            (sel(0), at(0, 0)),
-            (sel(0), at(0, 0)),
-            (sel(1), at(1, 0)),
-            (sel(0), at(0, 0)),
-        ];
-        let s = schedule_from_order(&order, &HashMap::new());
-        assert_eq!(s.points.len(), 1);
-        assert_eq!(s.points[0].nth, 2);
-    }
-
-    #[test]
-    fn fallback_lists_threads_by_last_step_position() {
-        let order = vec![
-            (sel(2), at(2, 0)),
-            (sel(0), at(0, 0)),
-            (sel(2), at(2, 1)),
-            (sel(1), at(1, 0)),
-        ];
-        let s = schedule_from_order(&order, &HashMap::new());
-        // sel(0)'s work ends first (index 1), then sel(2) (index 2), then
-        // sel(1) (index 3).
-        assert_eq!(s.fallback, vec![sel(0), sel(2), sel(1)]);
     }
 }

@@ -262,6 +262,24 @@ pub struct ServerStats {
     /// Sum of per-campaign simulated pool makespans, in nanoseconds —
     /// the deterministic cost basis for throughput comparisons.
     pub sim_makespan_ns: u64,
+    /// Full reads of the queue file through [`JobQueue::fold`] (submits,
+    /// status writes, polls and the startup recovery).
+    pub queue_folds: u64,
+    /// Their total duration in nanoseconds, file reads included.
+    pub queue_fold_ns: u64,
+    /// Queue frames decoded by those folds.
+    pub queue_frames_folded: u64,
+    /// Queue frames scanned by the torn-tail check before every append.
+    pub queue_frames_repaired: u64,
+    /// fsyncs of the queue file: its header and every append.
+    pub queue_fsyncs: u64,
+    /// Their total duration in nanoseconds.
+    pub queue_fsync_ns: u64,
+    /// fsyncs of the campaigns' run journals (headers, batched appends and
+    /// each campaign's final flush), summed over finished attempts.
+    pub journal_fsyncs: u64,
+    /// Their total duration in nanoseconds.
+    pub journal_fsync_ns: u64,
 }
 
 impl ServerStats {
@@ -287,11 +305,14 @@ struct StatCells {
     no_reproduction: AtomicU64,
     dead_lettered: AtomicU64,
     sim_makespan_ns: AtomicU64,
+    journal_fsyncs: AtomicU64,
+    journal_fsync_ns: AtomicU64,
 }
 
 impl StatCells {
-    fn snapshot(&self) -> ServerStats {
+    fn snapshot(&self, queue: &JobQueue) -> ServerStats {
         let load = |c: &AtomicU64| c.load(Ordering::SeqCst);
+        let io = queue.io();
         ServerStats {
             submitted: load(&self.submitted),
             rejected_full: load(&self.rejected_full),
@@ -305,6 +326,14 @@ impl StatCells {
             no_reproduction: load(&self.no_reproduction),
             dead_lettered: load(&self.dead_lettered),
             sim_makespan_ns: load(&self.sim_makespan_ns),
+            queue_folds: load(&io.folds),
+            queue_fold_ns: load(&io.fold_ns),
+            queue_frames_folded: load(&io.frames_folded),
+            queue_frames_repaired: load(&io.frames_repaired),
+            queue_fsyncs: load(&io.fsyncs),
+            queue_fsync_ns: load(&io.fsync_ns),
+            journal_fsyncs: load(&self.journal_fsyncs),
+            journal_fsync_ns: load(&self.journal_fsync_ns),
         }
     }
 }
@@ -422,7 +451,7 @@ impl CampaignServer {
     /// Counter snapshot.
     #[must_use]
     pub fn stats(&self) -> ServerStats {
-        self.stats.snapshot()
+        self.stats.snapshot(&self.queue)
     }
 
     /// The folded per-job lifecycle states, by id.
@@ -642,6 +671,13 @@ impl CampaignServer {
             };
             let campaign = Campaign::with_journal_path(config, &journal_path);
             let out = campaign.diagnose_program(Arc::clone(&resolved.program));
+            if let Some(js) = campaign.journal_stats() {
+                let cells = &self.stats;
+                cells.journal_fsyncs.fetch_add(js.fsyncs, Ordering::SeqCst);
+                cells
+                    .journal_fsync_ns
+                    .fetch_add(js.fsync_ns, Ordering::SeqCst);
+            }
             let sim_ns = campaign.manager().exec_stats().sim_makespan_ns;
             let (state, digest, text) = classify(&resolved.program, &out);
             if let Some(text) = text {
@@ -745,7 +781,7 @@ impl CampaignServer {
     fn write_status(&self) {
         let Ok(jobs) = self.queue.fold() else { return };
         let status = ServerStatus {
-            stats: self.stats.snapshot(),
+            stats: self.stats(),
             jobs: jobs.into_values().collect(),
         };
         if let Ok(json) = serde_json::to_string_pretty(&status) {
@@ -916,6 +952,46 @@ mod tests {
             Some(report_digest(text).as_str())
         );
         assert!(dir.join("status.json").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The drain's timing-free I/O counts: one worker runs three jobs, so
+    /// the queue appends happen in a fixed order. The queue syncs its
+    /// header, three submits and two transitions per job; each append
+    /// scans the frames before it. Each fresh job journal syncs its header,
+    /// every full batch of appends and its final flush.
+    #[test]
+    fn drain_counts_queue_and_journal_fsyncs() {
+        let dir = temp_dir("io-counts");
+        let server = CampaignServer::open(fast_config(&dir, 1), Arc::new(TestResolver)).unwrap();
+        let ids: Vec<u64> = ["fig1#a", "fig1#b", "fig1#c"]
+            .iter()
+            .map(|p| server.submit(p).unwrap())
+            .collect();
+        let stats = server.run();
+        assert_eq!(stats.completed, 3);
+        assert_eq!(stats.queue_fsyncs, 1 + 3 + 3 * 2);
+        // Submits scan 0, 1 and 2 frames; the six transitions 3 through 8.
+        assert_eq!(stats.queue_frames_repaired, (0..9).sum::<u64>());
+        assert!(
+            stats.queue_folds >= 3 + 3,
+            "every submit and status write folds"
+        );
+        let journal_fsyncs: usize = ids
+            .iter()
+            .map(|id| {
+                let path = dir.join(format!("journals/job-{id}.wal"));
+                let records = crate::journal::record_count(path).unwrap();
+                2 + records / crate::journal::FSYNC_EVERY
+            })
+            .sum();
+        assert_eq!(stats.journal_fsyncs, journal_fsyncs as u64);
+        let status = std::fs::read_to_string(dir.join("status.json")).unwrap();
+        let field = format!("\"journal_fsyncs\": {journal_fsyncs}");
+        assert!(
+            status.contains(&field),
+            "status.json lacks {field}: {status}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -48,7 +48,8 @@
 
 use crate::journal::{
     frame_record,
-    scan_frames, //
+    scan_frames,
+    timed_sync, //
 };
 use serde::{
     Deserialize,
@@ -74,7 +75,10 @@ use std::{
         AtomicU64,
         Ordering, //
     },
-    time::Duration,
+    time::{
+        Duration,
+        Instant, //
+    },
 };
 
 /// The queue file magic.
@@ -239,6 +243,24 @@ pub struct JobQueue {
     dir: PathBuf,
     path: PathBuf,
     truncations: AtomicU64,
+    io: QueueIo,
+}
+
+/// What one queue handle has read and synced, for [`super::ServerStats`].
+#[derive(Default)]
+pub(crate) struct QueueIo {
+    /// Calls of [`JobQueue::fold`].
+    pub(crate) folds: AtomicU64,
+    /// Their total duration in nanoseconds, file read included.
+    pub(crate) fold_ns: AtomicU64,
+    /// Frames decoded by those folds.
+    pub(crate) frames_folded: AtomicU64,
+    /// Frames scanned by the torn-tail check before every append.
+    pub(crate) frames_repaired: AtomicU64,
+    /// fsyncs of the queue file (header writes and appends).
+    pub(crate) fsyncs: AtomicU64,
+    /// Their total duration in nanoseconds.
+    pub(crate) fsync_ns: AtomicU64,
 }
 
 impl JobQueue {
@@ -257,6 +279,7 @@ impl JobQueue {
             path: dir.join(QUEUE_FILE),
             dir,
             truncations: AtomicU64::new(0),
+            io: QueueIo::default(),
         };
         let _lock = LockGuard::acquire(&queue.dir)?;
         let mut file = queue.open_file()?;
@@ -282,6 +305,19 @@ impl JobQueue {
         self.truncations.load(Ordering::SeqCst)
     }
 
+    /// The handle's read and sync counters.
+    pub(crate) fn io(&self) -> &QueueIo {
+        &self.io
+    }
+
+    /// fsyncs the queue file's data, counting the sync and its duration.
+    fn sync(&self, file: &File) -> std::io::Result<()> {
+        let ns = timed_sync(file)?;
+        self.io.fsyncs.fetch_add(1, Ordering::SeqCst);
+        self.io.fsync_ns.fetch_add(ns, Ordering::SeqCst);
+        Ok(())
+    }
+
     fn open_file(&self) -> std::io::Result<File> {
         OpenOptions::new()
             .read(true)
@@ -300,7 +336,7 @@ impl JobQueue {
         if bytes.is_empty() {
             file.write_all(&MAGIC)?;
             file.write_all(&VERSION.to_le_bytes())?;
-            file.sync_data()?;
+            self.sync(file)?;
             return Ok(HEADER_LEN);
         }
         if bytes.len() < HEADER_LEN as usize
@@ -317,10 +353,13 @@ impl JobQueue {
             file.seek(SeekFrom::Start(0))?;
             file.write_all(&MAGIC)?;
             file.write_all(&VERSION.to_le_bytes())?;
-            file.sync_data()?;
+            self.sync(file)?;
             return Ok(HEADER_LEN);
         }
-        let (_, good_end, torn) = scan_frames(&bytes, HEADER_LEN);
+        let (frames, good_end, torn) = scan_frames(&bytes, HEADER_LEN);
+        self.io
+            .frames_repaired
+            .fetch_add(frames.len() as u64, Ordering::SeqCst);
         if torn {
             eprintln!(
                 "aitia-queue: {} has a torn or corrupt tail at byte {good_end}; \
@@ -340,12 +379,25 @@ impl JobQueue {
     ///
     /// Returns the underlying I/O error when the file cannot be read.
     pub fn fold(&self) -> std::io::Result<BTreeMap<u64, JobSnapshot>> {
+        let t = Instant::now();
+        let jobs = self.fold_file();
+        let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.io.folds.fetch_add(1, Ordering::SeqCst);
+        self.io.fold_ns.fetch_add(ns, Ordering::SeqCst);
+        jobs
+    }
+
+    /// [`JobQueue::fold`] without its counters.
+    fn fold_file(&self) -> std::io::Result<BTreeMap<u64, JobSnapshot>> {
         let mut bytes = Vec::new();
         File::open(&self.path)?.read_to_end(&mut bytes)?;
         if bytes.len() < HEADER_LEN as usize || bytes[..8] != MAGIC {
             return Ok(BTreeMap::new());
         }
         let (frames, _, _) = scan_frames(&bytes, HEADER_LEN);
+        self.io
+            .frames_folded
+            .fetch_add(frames.len() as u64, Ordering::SeqCst);
         let mut jobs = BTreeMap::new();
         for frame in frames {
             let Ok(record) = std::str::from_utf8(frame.payload)
@@ -413,8 +465,7 @@ impl JobQueue {
         let end = self.repair_locked(&mut file)?;
         file.seek(SeekFrom::Start(end))?;
         file.write_all(&framed)?;
-        file.sync_data()?;
-        Ok(())
+        self.sync(&file)
     }
 
     /// Submits a job. Idempotent by payload: re-submitting an existing
@@ -624,6 +675,33 @@ mod tests {
         let jobs = q.fold().unwrap();
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[&1].state, JobState::Queued);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The I/O counters count what the file holds, not how long it took:
+    /// a fold of K frames decodes K frames, and every append scans the
+    /// frames before it and syncs once.
+    #[test]
+    fn io_counters_count_folds_frames_and_fsyncs() {
+        let dir = temp_dir("io-counters");
+        let q = JobQueue::open(&dir).unwrap();
+        let load = |c: &AtomicU64| c.load(Ordering::SeqCst);
+        // Creating the file syncs its header; nothing is folded or scanned.
+        assert_eq!(load(&q.io().fsyncs), 1);
+        assert_eq!(load(&q.io().folds), 0);
+        for k in 0..5 {
+            q.submit(&format!("gen:{k}"), 16).unwrap();
+        }
+        // Each submit folds the k frames before it, and its append scans
+        // them again before syncing its own.
+        assert_eq!(load(&q.io().folds), 5);
+        assert_eq!(load(&q.io().frames_folded), 10);
+        assert_eq!(load(&q.io().frames_repaired), 10);
+        assert_eq!(load(&q.io().fsyncs), 6);
+        q.fold().unwrap();
+        assert_eq!(load(&q.io().folds), 6);
+        assert_eq!(load(&q.io().frames_folded), 15);
+        assert_eq!(load(&q.io().fsyncs), 6, "a fold syncs nothing");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -89,12 +89,31 @@ impl Trace {
     }
 
     /// Iterates the records in execution order.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &StepRecord> {
-        self.sealed
-            .iter()
-            .flat_map(|c| c.iter())
-            .chain(self.tail.iter())
-            .map(|r| &**r)
+    #[must_use]
+    pub fn iter(&self) -> Iter<'_> {
+        self.iter_from(0)
+    }
+
+    /// Iterates the records from index `start` on, in execution order.
+    /// The seek costs one division: the iterator starts inside the chunk
+    /// holding `start` instead of stepping over every earlier record.
+    /// `start` at or past [`Trace::len`] yields nothing.
+    #[must_use]
+    pub fn iter_from(&self, start: usize) -> Iter<'_> {
+        let chunk = start / CHUNK;
+        let (current, sealed, tail): (&[_], &[_], &[_]) = match self.sealed.get(chunk) {
+            Some(c) => (&c[start % CHUNK..], &self.sealed[chunk + 1..], &self.tail),
+            None => {
+                let skip = (start - self.sealed.len() * CHUNK).min(self.tail.len());
+                (&self.tail[skip..], &[], &[])
+            }
+        };
+        Iter {
+            current: current.iter(),
+            sealed: sealed.iter(),
+            tail,
+            back: [].iter(),
+        }
     }
 
     /// Materializes the trace as a flat owned vector (one deep copy of
@@ -105,12 +124,71 @@ impl Trace {
     }
 }
 
+/// The records of a [`Trace`] in execution order, walked chunk by chunk.
+#[derive(Clone, Debug)]
+pub struct Iter<'a> {
+    /// What is left of the chunk being walked from the front.
+    current: std::slice::Iter<'a, Arc<StepRecord>>,
+    /// The sealed chunks after it.
+    sealed: std::slice::Iter<'a, Arc<[Arc<StepRecord>]>>,
+    /// The unsealed tail, walked once the sealed chunks run out (empty
+    /// once it has been taken up as `current`).
+    tail: &'a [Arc<StepRecord>],
+    /// What is left of the chunk being walked from the back.
+    back: std::slice::Iter<'a, Arc<StepRecord>>,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a StepRecord;
+
+    fn next(&mut self) -> Option<&'a StepRecord> {
+        loop {
+            if let Some(rec) = self.current.next() {
+                return Some(rec);
+            }
+            if let Some(chunk) = self.sealed.next() {
+                self.current = chunk.iter();
+            } else if !self.tail.is_empty() {
+                self.current = std::mem::take(&mut self.tail).iter();
+            } else {
+                return self.back.next().map(|r| &**r);
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.current.len() + self.sealed.len() * CHUNK + self.tail.len() + self.back.len();
+        (n, Some(n))
+    }
+}
+
+impl DoubleEndedIterator for Iter<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(rec) = self.back.next_back() {
+                return Some(rec);
+            }
+            if let Some((last, rest)) = self.tail.split_last() {
+                self.tail = rest;
+                return Some(last);
+            }
+            if let Some(chunk) = self.sealed.next_back() {
+                self.back = chunk.iter();
+            } else {
+                return self.current.next_back().map(|r| &**r);
+            }
+        }
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
 impl<'a> IntoIterator for &'a Trace {
     type Item = &'a StepRecord;
-    type IntoIter = Box<dyn Iterator<Item = &'a StepRecord> + 'a>;
+    type IntoIter = Iter<'a>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
     }
 }
 
@@ -204,6 +282,32 @@ mod tests {
         }
         assert_eq!(snap.len(), CHUNK + 3);
         assert_eq!(snap.last().unwrap().seq, CHUNK + 2);
+    }
+
+    #[test]
+    fn iter_from_equals_skip_across_sealed_chunks_and_the_tail() {
+        for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17] {
+            let t: Trace = (0..n).map(|i| (*rec(i)).clone()).collect();
+            for k in 0..=n + 1 {
+                let want: Vec<usize> = t.iter().skip(k).map(|r| r.seq).collect();
+                let got: Vec<usize> = t.iter_from(k).map(|r| r.seq).collect();
+                assert_eq!(got, want, "len {n}, start {k}");
+                assert_eq!(t.iter_from(k).len(), want.len(), "len {n}, start {k}");
+                let back: Vec<usize> = t.iter_from(k).rev().map(|r| r.seq).collect();
+                assert_eq!(back, want.iter().rev().copied().collect::<Vec<_>>());
+            }
+            // Walking from both ends meets in the middle exactly once.
+            let mut it = t.iter();
+            let mut seen = Vec::new();
+            while let Some(r) = it.next() {
+                seen.push(r.seq);
+                if let Some(r) = it.next_back() {
+                    seen.push(r.seq);
+                }
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, (0..n).collect::<Vec<_>>(), "len {n}");
+        }
     }
 
     #[test]

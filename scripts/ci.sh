@@ -21,6 +21,12 @@ echo "==> cargo test"
 # (tests/backend_conformance.rs).
 cargo test --workspace -q
 
+echo "==> flip-planning differential at scale 0.3 (release)"
+# tests/flip_plan.rs checks plan_flip against the earlier planner at small
+# scales in the stage above; its ignored variant repeats the check over all
+# 22 corpus bugs at scale 0.3, where perfbench measures.
+cargo test --release --test flip_plan -- --ignored
+
 echo "==> perfbench self-tests"
 # The wall-clock benchmark (perfbench/, its own workspace) checks every
 # diagnosis of its tiny-size runs against the report digests stored in
