@@ -77,9 +77,6 @@ flags:
   --sim-deadline-s <float>
                         per-campaign simulated-time budget, finite and
                         positive
-  --fault-rate <int>    injected VM fault rate in permille, 0..=1000
-                        (default 0: off)
-  --fault-seed <int>    VM fault injection seed (default 0)
   --drain               exit once every job is terminal (batch mode)
   -h | --help           this message
 
@@ -118,8 +115,6 @@ fn main() {
     let mut dir: Option<String> = None;
     let mut config = ServerConfig::default();
     let mut backoff = RetryBackoff::default();
-    let mut fault_rate = 0u32;
-    let mut fault_seed = 0u64;
     let mut payloads: Vec<String> = Vec::new();
     let mut i = 1;
     while i < args.len() {
@@ -141,8 +136,6 @@ fn main() {
             "--sim-deadline-s" => {
                 config.sim_deadline_s = Some(flag_value(&args, &mut i, "--sim-deadline-s"));
             }
-            "--fault-rate" => fault_rate = flag_value(&args, &mut i, "--fault-rate"),
-            "--fault-seed" => fault_seed = flag_value(&args, &mut i, "--fault-seed"),
             "--drain" => config.drain = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -158,9 +151,6 @@ fn main() {
     };
     config.dir = dir.into();
     config.backoff = backoff;
-    if fault_rate > 1000 {
-        usage_exit("--fault-rate must be at most 1000 permille");
-    }
     if let Err(e) = config.validate() {
         usage_exit(&e);
     }
@@ -170,14 +160,7 @@ fn main() {
             if !payloads.is_empty() {
                 usage_exit("run takes no payloads; use the submit subcommand");
             }
-            let resolver = CorpusJobResolver {
-                fault: (fault_rate > 0).then(|| aitia::FaultInjection {
-                    seed: fault_seed,
-                    rate_permille: fault_rate,
-                    ..aitia::FaultInjection::default()
-                }),
-            };
-            let server = match CampaignServer::open(config, Arc::new(resolver)) {
+            let server = match CampaignServer::open(config, Arc::new(CorpusJobResolver)) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("campaignd: cannot open server state: {e}");

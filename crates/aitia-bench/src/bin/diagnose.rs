@@ -7,8 +7,8 @@
 //! ```
 //!
 //! The diagnosis runs through the crash-safe campaign driver
-//! ([`aitia::Campaign`]): `--journal` makes every conclusive schedule
-//! execution durable so a killed run resumes at zero VM cost, and
+//! ([`aitia::Campaign`]): `--journal` makes every schedule execution
+//! durable so a killed run resumes at zero VM cost, and
 //! `--deadline-s` bounds the campaign's wall clock, degrading gracefully to
 //! a partial diagnosis (exit 0) instead of running forever.
 //!
@@ -39,7 +39,7 @@ flags:
                         information-gain flip ordering); verdicts and
                         chains are identical at both levels (default
                         exhaustive)
-  --journal <path>      append conclusive runs to a durable journal and
+  --journal <path>      append every run to a durable journal and
                         replay it on startup (kill-and-resume)
   --deadline-s <float>  wall-clock budget in seconds, finite and positive;
                         on expiry the diagnosis degrades to best-so-far

@@ -16,10 +16,6 @@
 //! `--vms` sizes the shared VM pool the tables run on; the same number
 //! parameterizes the simulated-time cost model, so reported seconds always
 //! describe the pool that actually executed the schedules.
-//!
-//! `--fault-rate` (permille) and `--fault-seed` enable deterministic VM
-//! fault injection in the pool; the robustness counter block printed at
-//! the end shows how many retries and give-ups they cost.
 
 use aitia::{
     causality::{
@@ -29,8 +25,7 @@ use aitia::{
     exec::{
         DeadlineBudget,
         Executor,
-        ExecutorConfig,
-        FaultInjection, //
+        ExecutorConfig, //
     },
     journal::Journal,
     lifs::{
@@ -73,9 +68,7 @@ flags:
   --vms <int>           VM-pool worker count, at least 1 (default 8)
   --no-memo             no memo table and no checkpoint restores: every
                         run boots fresh (the oracle; may run slower)
-  --fault-rate <int>    injected VM-fault rate in permille (default 0 = off)
-  --fault-seed <int>    fault-injection seed (default 0)
-  --journal <path>      append conclusive runs to a durable journal and
+  --journal <path>      append every run to a durable journal and
                         replay nothing (tables build fresh programs); the
                         journal counter block prints at the end
   --deadline-s <float>  wall-clock budget in seconds, finite and positive;
@@ -113,8 +106,6 @@ fn main() {
     let mut samples = 400usize;
     let mut vms = 8usize;
     let mut memo = true;
-    let mut fault_rate = 0u32;
-    let mut fault_seed = 0u64;
     let mut journal_path: Option<String> = None;
     let mut deadline_s: Option<f64> = None;
     let mut seeds = 200usize;
@@ -129,8 +120,6 @@ fn main() {
             "--samples" => samples = flag_value(&args, &mut i, "--samples"),
             "--vms" => vms = flag_value(&args, &mut i, "--vms"),
             "--no-memo" => memo = false,
-            "--fault-rate" => fault_rate = flag_value(&args, &mut i, "--fault-rate"),
-            "--fault-seed" => fault_seed = flag_value(&args, &mut i, "--fault-seed"),
             "--journal" => journal_path = Some(flag_value(&args, &mut i, "--journal")),
             "--deadline-s" => deadline_s = Some(flag_value(&args, &mut i, "--deadline-s")),
             "--seeds" => seeds = flag_value(&args, &mut i, "--seeds"),
@@ -158,11 +147,6 @@ fn main() {
             usage_exit("--deadline-s must be a finite number greater than 0");
         }
     }
-    let fault = (fault_rate > 0).then(|| FaultInjection {
-        seed: fault_seed,
-        rate_permille: fault_rate,
-        ..FaultInjection::default()
-    });
     let journal = journal_path.as_ref().and_then(|p| match Journal::open(p) {
         Ok(j) => Some(Arc::new(j)),
         Err(e) => {
@@ -182,7 +166,6 @@ fn main() {
     });
     let exec = Arc::new(Executor::with_config(ExecutorConfig {
         vms,
-        fault,
         memo,
         journal: journal.clone(),
         deadline,

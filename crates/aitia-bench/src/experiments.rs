@@ -148,35 +148,24 @@ pub fn cost_model_for(exec: &Executor) -> CostModel {
     }
 }
 
-/// Renders the pool's robustness counter block ([`aitia::ExecStats`]) —
-/// the `report` binary prints this after every run so the perf trajectory
-/// tracks robustness alongside speed.
+/// Renders the pool's counter block ([`aitia::ExecStats`]) — the `report`
+/// binary prints this after every run.
 #[must_use]
 pub fn render_exec_stats(stats: &aitia::ExecStats) -> String {
     format!(
         "VM-pool execution stats\n\
         \x20 enforced runs:       {}\n\
         \x20 discarded runs:      {} (past an early stop)\n\
-        \x20 retries:             {}\n\
-        \x20 faults:              {} crash / {} hang\n\
-        \x20 gave up (no result): {}\n\
-        \x20 VM restarts:         {}\n\
         \x20 checkpoints:         {} restored / {} booted fresh\n\
-        \x20 memo table:          {} hits / {} misses / {} excluded\n\
+        \x20 memo table:          {} hits / {} misses\n\
         \x20 throughput:          {:.0} schedules/s, {:.0} instrs/s (per busy worker)\n\
         \x20 deadline fired:      {}\n",
         stats.runs,
         stats.discarded_runs,
-        stats.retries,
-        stats.crash_faults,
-        stats.hang_faults,
-        stats.gave_up,
-        stats.vm_restarts,
         stats.snapshot_hits,
         stats.snapshot_misses,
         stats.memo_hits,
         stats.memo_misses,
-        stats.memo_excluded,
         stats.schedules_per_sec(),
         stats.instrs_per_sec(),
         stats.deadline_fired,
@@ -1191,12 +1180,7 @@ pub fn bench_corpus(seed_start: u64, seeds: usize, repro_dir: Option<&str>) -> C
 /// else is a resolver error, which the server counts as a supervisor fault
 /// (and eventually dead-letters).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct CorpusJobResolver {
-    /// Deterministic VM fault injection applied to every resolved job
-    /// (`None` disables). Faults only cost simulated retry time — the
-    /// diagnosis itself is fault-invariant.
-    pub fault: Option<aitia::FaultInjection>,
-}
+pub struct CorpusJobResolver;
 
 impl aitia::server::JobResolver for CorpusJobResolver {
     fn resolve(&self, payload: &str) -> Result<aitia::server::ResolvedJob, String> {
@@ -1221,7 +1205,7 @@ impl aitia::server::JobResolver for CorpusJobResolver {
                     program: bug.program_scaled(scale),
                     lifs: bug.lifs_config(),
                     causality: CausalityConfig::default(),
-                    fault: self.fault,
+                    fault: None,
                 })
             }
             "gen" => {
@@ -1248,7 +1232,7 @@ impl aitia::server::JobResolver for CorpusJobResolver {
                     program: Arc::clone(&bug.program),
                     lifs: bug.lifs_config(),
                     causality: CausalityConfig::default(),
-                    fault: self.fault,
+                    fault: None,
                 })
             }
             _ => Err(format!(

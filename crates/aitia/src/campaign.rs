@@ -4,8 +4,8 @@
 //! A [`Campaign`] wraps [`Manager`] with the two robustness properties a
 //! long-running diagnosis needs:
 //!
-//! * **Durability.** With a [`Journal`] configured, every conclusive
-//!   schedule execution is appended to a write-ahead log before the
+//! * **Durability.** With a [`Journal`] configured, every schedule
+//!   execution is appended to a write-ahead log before the
 //!   campaign consumes it. A relaunched campaign replays the journal into
 //!   its substrate's memo table, so every previously-executed schedule is
 //!   answered at zero VM cost — and because consumers are memo-invariant

@@ -109,9 +109,9 @@ pub enum Verdict {
     Benign,
     /// The race's contribution cannot be determined: either it surrounds a
     /// causal nested race (Figure 7 — flipping it necessarily flipped the
-    /// nested race too), or the flip run was inconclusive (timed out,
-    /// crashed, or lost to a VM fault) and its non-failure must not be
-    /// read as "the failure was averted".
+    /// nested race too), or the flip run was inconclusive (it livelocked
+    /// until the step budget ran out) and its non-failure must not be read
+    /// as "the failure was averted".
     Ambiguous,
     /// The race's flip was never executed — a deadline budget expired (or
     /// the analysis was cancelled) before its run could start. Distinct
@@ -135,8 +135,8 @@ pub struct TestedRace {
     pub vanished: Vec<(InstrAddr, InstrAddr)>,
     /// Whether the flip's window had to grow to a whole critical section.
     pub cs_expanded: bool,
-    /// Classification of the flip run (a [`RunOutcome::Timeout`] or
-    /// [`RunOutcome::Crashed`] run forces an ambiguous verdict). `None`
+    /// Classification of the flip run (a [`RunOutcome::Timeout`] run
+    /// forces an ambiguous verdict). `None`
     /// when the flip never executed — deadline expiry, cancellation, or a
     /// static benign proof — which forces [`Verdict::Unverified`] unless
     /// [`TestedRace::static_proof`] holds.
@@ -198,8 +198,7 @@ pub struct CaStats {
 }
 
 impl CaStats {
-    /// Folds one executor output's memo accounting. Faulted placeholders
-    /// contribute nothing (`memo_hit` false).
+    /// Folds one executor output's memo accounting.
     fn note_exec(&mut self, out: &crate::exec::ExecOutput) {
         self.memo_hits += usize::from(out.memo_hit);
         if out.memo_hit {
@@ -417,12 +416,9 @@ impl CausalityAnalysis {
             // cancellation) before this flip's turn came: its race stays
             // `None` → Unverified in phase B (unless statically proved).
             let Some(out) = res else { continue };
-            stats.sim.add_retries(out.retries as usize);
             stats.note_exec(&out);
-            if out.vm_faulted.is_none() {
-                stats.schedules_executed += 1;
-                stats.sim.add_run(out.run.steps, out.run.failure.is_some());
-            }
+            stats.schedules_executed += 1;
+            stats.sim.add_run(out.run.steps, out.run.failure.is_some());
             let outcome = flip_outcome(run, &watch, &out);
             // Agreement audit: a proved flip's conclusive run must still
             // manifest the failure, exactly as the invariant promised.
@@ -460,9 +456,9 @@ impl CausalityAnalysis {
                     progress = true;
                     continue;
                 };
-                // An inconclusive run (timeout, crash, VM fault) observed
-                // nothing: its lack of a failure must not read as "averted"
-                // nor its silence as "benign" — the verdict is ambiguous.
+                // An inconclusive (timed-out) run observed nothing: its lack
+                // of a failure must not read as "averted" nor its silence
+                // as "benign" — the verdict is ambiguous.
                 if outcome.outcome.is_inconclusive() {
                     verdicts[i] = Some(Verdict::Ambiguous);
                     progress = true;
@@ -585,12 +581,9 @@ impl CausalityAnalysis {
             // evidence, which is degradation, not invention.
             let Some(out) = res else { continue };
             let plan = &plans_by_race[root_idx[ri]];
-            stats.sim.add_retries(out.retries as usize);
             stats.note_exec(&out);
-            if out.vm_faulted.is_none() {
-                stats.schedules_executed += 1;
-                stats.sim.add_run(out.run.steps, out.run.failure.is_some());
-            }
+            stats.schedules_executed += 1;
+            stats.sim.add_run(out.run.steps, out.run.failure.is_some());
             let outcome = flip_outcome(run, &watch, &out);
             // An inconclusive re-run observed nothing: its empty `occurred`
             // set would manufacture a "vanished" edge to every other root
@@ -894,35 +887,6 @@ mod tests {
         assert!(result.root_causes.is_empty());
         assert!(result.edges.is_empty());
         assert_eq!(result.chain.race_count(), 0);
-    }
-
-    #[test]
-    fn faulted_flips_yield_ambiguous_verdicts() {
-        let run = Lifs::new(fig1_program(), LifsConfig::default())
-            .search()
-            .failing
-            .expect("fig1 reproduces");
-        // Every flip attempt faults; placeholders are inconclusive.
-        let exec = Arc::new(crate::exec::Executor::with_config(
-            crate::exec::ExecutorConfig {
-                vms: 1,
-                fault: Some(crate::exec::FaultInjection {
-                    seed: 3,
-                    rate_permille: 1000,
-                    max_retries: 1,
-                }),
-                ..crate::exec::ExecutorConfig::default()
-            },
-        ));
-        let result =
-            CausalityAnalysis::with_executor(CausalityConfig::default(), exec).analyze(&run);
-        assert!(result
-            .tested
-            .iter()
-            .all(|t| t.verdict == Verdict::Ambiguous));
-        assert!(result.root_causes.is_empty());
-        assert_eq!(result.stats.schedules_executed, 0);
-        assert!(result.stats.sim.retries > 0, "retry backoff was charged");
     }
 
     /// Fig1 plus prologue noise counters both threads bump — the shape the

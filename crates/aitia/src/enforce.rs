@@ -81,13 +81,12 @@ pub struct ThreadFinal {
 
 /// Classification of one run's observable outcome (DESIGN.md §5).
 ///
-/// Enforced schedules on real VMs do not just pass or fail: race-steered
-/// control flow can make an awaited instruction never arrive (the schedule
-/// *diverges*), a livelock can eat the whole step budget (the run *times
-/// out*), and the VM itself can die under the run (the exec layer's
-/// *crashed* — never produced by enforcement itself). Every consumer —
-/// LIFS round folding, causality flip verdicts, the manager's fan-out —
-/// branches on this taxonomy instead of re-deriving it from raw fields.
+/// Enforced schedules do not just pass or fail: race-steered control flow
+/// can make an awaited instruction never arrive (the schedule *diverges*),
+/// and a livelock can eat the whole step budget (the run *times out*).
+/// Every consumer — LIFS round folding, causality flip verdicts, the
+/// manager's fan-out — branches on this taxonomy instead of re-deriving it
+/// from raw fields.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RunOutcome {
     /// The run completed with no failure and every scheduling point fired.
@@ -99,12 +98,11 @@ pub enum RunOutcome {
     /// enforced interleaving was not realized.
     Diverged,
     /// The step budget ran out (livelock / hang). A timed-out run proves
-    /// nothing in either direction: it neither passed nor failed.
+    /// nothing in either direction: it neither passed nor failed. It is
+    /// still a deterministic result of its program, schedule and step
+    /// budget, so the memo table and the run journal keep it like any
+    /// other.
     Timeout,
-    /// The worker VM died under the run (exec-layer fault injection or a
-    /// real crash). Only [`crate::exec`] produces this variant;
-    /// [`RunResult::outcome`] never returns it.
-    Crashed,
 }
 
 impl RunOutcome {
@@ -113,7 +111,7 @@ impl RunOutcome {
     /// "did not fail" may be concluded from it.
     #[must_use]
     pub fn is_inconclusive(self) -> bool {
-        matches!(self, RunOutcome::Timeout | RunOutcome::Crashed)
+        self == RunOutcome::Timeout
     }
 }
 
@@ -124,7 +122,6 @@ impl std::fmt::Display for RunOutcome {
             RunOutcome::Failed => "failed",
             RunOutcome::Diverged => "diverged",
             RunOutcome::Timeout => "timeout",
-            RunOutcome::Crashed => "crashed",
         };
         f.write_str(s)
     }
@@ -173,8 +170,7 @@ impl RunResult {
     /// Classifies this run. Priority: a manifested failure wins (a failing
     /// run is diagnostic signal even if the budget also ran out), then
     /// budget exhaustion, then divergence (some point never fired), then a
-    /// clean pass. Never [`RunOutcome::Crashed`] — VM death is observed by
-    /// the exec layer, not by enforcement.
+    /// clean pass.
     #[must_use]
     pub fn outcome(&self) -> RunOutcome {
         if self.failure.is_some() {
@@ -895,9 +891,8 @@ mod outcome_tests {
     }
 
     #[test]
-    fn inconclusive_covers_timeout_and_crashed_only() {
+    fn inconclusive_covers_timeout_only() {
         assert!(RunOutcome::Timeout.is_inconclusive());
-        assert!(RunOutcome::Crashed.is_inconclusive());
         assert!(!RunOutcome::Passed.is_inconclusive());
         assert!(!RunOutcome::Failed.is_inconclusive());
         assert!(!RunOutcome::Diverged.is_inconclusive());
@@ -906,7 +901,7 @@ mod outcome_tests {
     #[test]
     fn outcome_display_is_lowercase() {
         assert_eq!(RunOutcome::Passed.to_string(), "passed");
-        assert_eq!(RunOutcome::Crashed.to_string(), "crashed");
+        assert_eq!(RunOutcome::Timeout.to_string(), "timeout");
     }
 }
 

@@ -18,6 +18,13 @@
 //! * results beyond the final stop bound are discarded (speculative work),
 //!   never folded.
 //!
+//! Each job takes one path: a lookup in the substrate's memo table, and on
+//! a miss a run on the worker's engine, a memo insert and a journal append.
+//! The engine is a deterministic interpreter that cannot crash; its one way
+//! to hang, a livelock, ends at the step budget as [`RunOutcome::Timeout`],
+//! which is as much a pure function of the job as a pass or a failure, so
+//! it is memoized and journaled like any other output.
+//!
 //! Cancellation is checked at schedule boundaries (job claim time): an
 //! in-flight search stops submitting work but completed results still form
 //! a contiguous prefix that callers can fold deterministically.
@@ -48,10 +55,6 @@ use std::{
         BTreeMap,
         HashMap, //
     },
-    hash::{
-        Hash,
-        Hasher, //
-    },
     sync::{
         atomic::{
             AtomicBool,
@@ -64,7 +67,10 @@ use std::{
         OnceLock,
         Weak, //
     },
-    time::Instant,
+    time::{
+        Duration,
+        Instant, //
+    },
 };
 
 /// A cooperative cancellation flag, checked at schedule boundaries.
@@ -109,9 +115,8 @@ impl CancelToken {
 ///
 /// The simulated budget is spent by executed runs only (memo hits are free,
 /// exactly like [`ExecStats`] cost accounting): each run charges its
-/// [`CostModel::serial_run_s`] divided by the model's VM count, each fault
-/// retry charges the model's backoff, so the simulated clock advances the
-/// way the reported campaign seconds do.
+/// [`CostModel::serial_run_s`] divided by the model's VM count, so the
+/// simulated clock advances the way the reported campaign seconds do.
 #[derive(Debug)]
 pub struct DeadlineBudget {
     /// Wall-clock expiry instant, when a wall deadline was configured.
@@ -134,12 +139,13 @@ pub struct DeadlineBudget {
 impl DeadlineBudget {
     /// A budget expiring after `wall_s` wall-clock seconds and/or `sim_s`
     /// simulated seconds (under `model`), whichever comes first. With both
-    /// `None` the budget never fires.
+    /// `None` the budget never fires, and neither does a wall deadline that
+    /// is negative, not finite, or too far away for an [`Instant`] to hold.
     #[must_use]
     pub fn new(wall_s: Option<f64>, sim_s: Option<f64>, model: CostModel) -> DeadlineBudget {
         let wall = wall_s
-            .filter(|s| s.is_finite() && *s >= 0.0)
-            .map(|s| Instant::now() + std::time::Duration::from_secs_f64(s));
+            .and_then(|s| Duration::try_from_secs_f64(s).ok())
+            .and_then(|d| Instant::now().checked_add(d));
         let sim_budget_us = sim_s
             .filter(|s| s.is_finite() && *s >= 0.0)
             .map(|s| (s * 1e6) as u64);
@@ -241,11 +247,6 @@ impl DeadlineBudget {
         self.charge_s(serial / f64::from(self.model.vms.max(1)));
     }
 
-    /// Charges one fault retry's backoff.
-    pub(crate) fn charge_retry(&self) {
-        self.charge_s(self.model.retry_backoff_s / f64::from(self.model.vms.max(1)));
-    }
-
     fn charge_s(&self, seconds: f64) {
         let us = (seconds * 1e6) as u64;
         self.sim_spent_us.fetch_add(us, Ordering::SeqCst);
@@ -268,25 +269,12 @@ pub struct ExecJob {
 #[derive(Clone, Debug)]
 pub struct ExecOutput {
     /// The enforced run, exactly as [`crate::enforce::run`] on a fresh
-    /// engine would report it. For a job that exhausted its retry budget
-    /// (`vm_faulted` is `Some`), this is an empty placeholder — no trace,
-    /// no failure — that must not be read as a passing run; check
-    /// `outcome` first.
+    /// engine would report it.
     pub run: RunResult,
     /// Stable selector of every runtime thread the run spawned.
     pub sel_of: HashMap<ThreadId, ThreadSel>,
-    /// Classification of the run, including the exec-layer-only
-    /// [`RunOutcome::Crashed`].
+    /// Classification of the run ([`RunResult::outcome`]).
     pub outcome: RunOutcome,
-    /// How many times the job was retried after an injected VM fault
-    /// before this result was produced. Deterministic: fault decisions
-    /// depend only on the job's content and the attempt number.
-    pub retries: u32,
-    /// `Some` when every attempt (initial + `max_retries` retries)
-    /// faulted and the executor gave up on the job; `run` is then a
-    /// placeholder and `outcome` is [`RunOutcome::Crashed`] or
-    /// [`RunOutcome::Timeout`].
-    pub vm_faulted: Option<FaultKind>,
     /// Whether this output came from the substrate's result memo table
     /// instead of a VM execution. Memoized outputs are bit-identical to
     /// what the execution would have produced (enforcement is a pure
@@ -303,106 +291,17 @@ pub struct ExecOutput {
     pub memo_hit: bool,
 }
 
-/// The kind of a (simulated) VM fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum FaultKind {
-    /// The guest died under the run (panic outside the enforced scenario,
-    /// QEMU crash). The worker's engine is lost.
-    Crash,
-    /// The guest stopped responding (hypervisor watchdog fired). The run
-    /// is abandoned and the VM restarted; the attempt reads as a timeout.
-    Hang,
-}
-
-/// Deterministic, seed-driven VM-fault injection (DESIGN.md §5).
+/// A snapshot of the pool's counters (surfaced via `report`).
 ///
-/// Real AITIA deployments lose VMs routinely: enforced schedules hang the
-/// guest, crash it outright, or wedge QEMU. The simulator has no real
-/// flakiness, so the retry machinery is exercised by *injecting*
-/// faults instead — at a configurable rate, decided by a hash of the
-/// **job's content and the attempt number only**. Worker identity, batch
-/// position, and wall-clock never enter the decision, so whether a given
-/// job faults (and on which attempt it recovers) is identical at any
-/// worker count — the canonical-prefix determinism guarantee survives
-/// fault injection unchanged.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultInjection {
-    /// Seed mixed into every fault decision.
-    pub seed: u64,
-    /// Fault probability per attempt, in permille (0 disables, 1000 faults
-    /// every attempt).
-    pub rate_permille: u32,
-    /// Retries granted per job after its first faulted attempt. When the
-    /// budget is exhausted the job publishes a placeholder output with
-    /// [`ExecOutput::vm_faulted`] set.
-    pub max_retries: u32,
-}
-
-impl Default for FaultInjection {
-    fn default() -> Self {
-        FaultInjection {
-            seed: 0,
-            rate_permille: 0,
-            max_retries: 3,
-        }
-    }
-}
-
-impl FaultInjection {
-    /// Decides whether attempt `attempt` of `job` faults, and if so how
-    /// (kind) and where (the index of the schedule point the VM dies at —
-    /// purely cosmetic in the simulator, but logged).
-    ///
-    /// Pure over `(self, job content, attempt)`: never consults worker
-    /// identity, batch index, pointers, or time.
-    #[must_use]
-    pub fn decide(&self, job: &ExecJob, attempt: u32) -> Option<(FaultKind, usize)> {
-        if self.rate_permille == 0 {
-            return None;
-        }
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.seed.hash(&mut h);
-        attempt.hash(&mut h);
-        job.enforce.step_budget.hash(&mut h);
-        match job.schedule.start {
-            Some(s) => (1u8, s).hash(&mut h),
-            None => 0u8.hash(&mut h),
-        }
-        for p in &job.schedule.points {
-            p.thread.hash(&mut h);
-            (p.at.prog.0, p.at.index).hash(&mut h);
-            p.nth.hash(&mut h);
-            u8::from(p.when == crate::schedule::Anchor::After).hash(&mut h);
-            p.switch_to.hash(&mut h);
-        }
-        job.schedule.fallback.hash(&mut h);
-        job.schedule.segments.hash(&mut h);
-        let v = h.finish();
-        if v % 1000 >= u64::from(self.rate_permille.min(1000)) {
-            return None;
-        }
-        let kind = if (v >> 10) & 1 == 0 {
-            FaultKind::Crash
-        } else {
-            FaultKind::Hang
-        };
-        let k = ((v >> 11) as usize) % (job.schedule.points.len() + 1);
-        Some((kind, k))
-    }
-}
-
-/// A snapshot of the pool's robustness counters (surfaced via `report`).
-///
-/// At one worker every count is deterministic (fault decisions are
-/// content-keyed). A wider pool may also run jobs past a batch's early
-/// stop whose results are then discarded: `runs`, `retries`, the fault
-/// counts, `steps_executed` and `busy_ns` include that speculative work,
+/// At one worker every count is deterministic. A wider pool may also run
+/// jobs past a batch's early stop whose results are then discarded:
+/// `runs`, `steps_executed` and `busy_ns` include that speculative work,
 /// `discarded_runs` counts the runs it made, and the snapshot and memo
 /// counters further depend on which worker claimed which job. All of them
 /// are diagnostics, never folded into results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Enforced runs actually executed (faulted attempts execute nothing).
+    /// Enforced runs actually executed (memo hits execute nothing).
     pub runs: u64,
     /// Of `runs`, those executed past a batch's early stop whose results
     /// the fold then discarded: speculative work of a pool of two or more
@@ -410,16 +309,6 @@ pub struct ExecStats {
     /// discarded_runs` is the executions the folded results hold. Counted
     /// by the calling thread once the batch's workers have joined.
     pub discarded_runs: u64,
-    /// Attempts re-run after an injected fault.
-    pub retries: u64,
-    /// Injected faults of kind [`FaultKind::Crash`].
-    pub crash_faults: u64,
-    /// Injected faults of kind [`FaultKind::Hang`].
-    pub hang_faults: u64,
-    /// Jobs that faulted on every attempt and published a placeholder.
-    pub gave_up: u64,
-    /// Worker VMs discarded and restarted after a fault.
-    pub vm_restarts: u64,
     /// Executed runs that resumed from a prefix checkpoint in the
     /// substrate's snapshot forest — deposited by any worker of any
     /// executor sharing the substrate.
@@ -436,11 +325,6 @@ pub struct ExecStats {
     /// Jobs that consulted the memo table and executed (fingerprint not
     /// yet seen).
     pub memo_misses: u64,
-    /// Executed runs whose outcome was inconclusive (timeout / crash) and
-    /// were therefore *excluded* from the memo table — the fault-exclusion
-    /// rule: an inconclusive result proves nothing and must not shadow a
-    /// future conclusive execution.
-    pub memo_excluded: u64,
     /// Whether this executor's deadline budget fired: in-flight batches
     /// stopped claiming work and consumers folded best-so-far prefixes.
     /// Always `false` without a configured [`DeadlineBudget`].
@@ -454,10 +338,9 @@ pub struct ExecStats {
     /// slot load. Unlike `SimCost::seconds` (which divides total serial
     /// cost by the pool width, i.e. assumes perfect utilization), this
     /// accounts for slot idleness — a 3-job batch on an 8-wide pool pays
-    /// one job's duration while 5 slots sit idle. Memo/journal hits cost
-    /// nothing but their retries; fault placeholders cost their retry
-    /// backoff. Deterministic at any OS-thread count (it is computed from
-    /// the canonical fold, not from which worker ran what).
+    /// one job's duration while 5 slots sit idle. Memo and journal hits
+    /// cost nothing. Deterministic at any OS-thread count (it is computed
+    /// from the canonical fold, not from which worker ran what).
     pub sim_makespan_ns: u64,
     /// Engine steps executed across all workers (memo hits execute none).
     pub steps_executed: u64,
@@ -498,16 +381,10 @@ fn per_second(count: u64, ns: u64) -> f64 {
 struct StatCells {
     runs: AtomicU64,
     discarded_runs: AtomicU64,
-    retries: AtomicU64,
-    crash_faults: AtomicU64,
-    hang_faults: AtomicU64,
-    gave_up: AtomicU64,
-    vm_restarts: AtomicU64,
     snapshot_hits: AtomicU64,
     snapshot_misses: AtomicU64,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
-    memo_excluded: AtomicU64,
     batches: AtomicU64,
     sim_makespan_ns: AtomicU64,
     steps_executed: AtomicU64,
@@ -519,16 +396,10 @@ impl StatCells {
         ExecStats {
             runs: self.runs.load(Ordering::SeqCst),
             discarded_runs: self.discarded_runs.load(Ordering::SeqCst),
-            retries: self.retries.load(Ordering::SeqCst),
-            crash_faults: self.crash_faults.load(Ordering::SeqCst),
-            hang_faults: self.hang_faults.load(Ordering::SeqCst),
-            gave_up: self.gave_up.load(Ordering::SeqCst),
-            vm_restarts: self.vm_restarts.load(Ordering::SeqCst),
             snapshot_hits: self.snapshot_hits.load(Ordering::SeqCst),
             snapshot_misses: self.snapshot_misses.load(Ordering::SeqCst),
             memo_hits: self.memo_hits.load(Ordering::SeqCst),
             memo_misses: self.memo_misses.load(Ordering::SeqCst),
-            memo_excluded: self.memo_excluded.load(Ordering::SeqCst),
             deadline_fired: false,
             batches: self.batches.load(Ordering::SeqCst),
             sim_makespan_ns: self.sim_makespan_ns.load(Ordering::SeqCst),
@@ -551,8 +422,6 @@ pub struct ExecutorConfig {
     /// bit-for-bit identical at any value (tests force it above the host
     /// count to exercise the concurrent path on small machines).
     pub os_threads: Option<usize>,
-    /// Deterministic VM-fault injection; `None` disables it.
-    pub fault: Option<FaultInjection>,
     /// Whether jobs consult the substrate's result memo table and snapshot
     /// forest. Off, every job boots and pays full VM execution, reusing
     /// nothing (the oracle behind `report --no-memo`); results are
@@ -563,9 +432,9 @@ pub struct ExecutorConfig {
     /// clones of one [`Substrate`] to several executors to share results
     /// and checkpoints between them. Ignored when `memo` is off.
     pub substrate: Substrate,
-    /// Durable run journal: every fresh conclusive output (and every memo
-    /// hit, deduplicated by key) is appended so a killed campaign can
-    /// resume at zero VM cost. `None` disables journaling.
+    /// Durable run journal: every executed output (and every memo hit,
+    /// deduplicated by key) is appended so a killed campaign can resume at
+    /// zero VM cost. `None` disables journaling.
     pub journal: Option<Arc<Journal>>,
     /// Campaign deadline budget, checked at every job-claim boundary and
     /// charged by executed runs. `None` disables deadlines.
@@ -577,7 +446,6 @@ impl Default for ExecutorConfig {
         ExecutorConfig {
             vms: 8,
             os_threads: None,
-            fault: None,
             memo: true,
             substrate: Substrate::default(),
             journal: None,
@@ -679,13 +547,13 @@ const MEMO_SHARDS: usize = 16;
 /// A substrate's result memo table (DESIGN.md §6).
 ///
 /// Enforcement is a pure function of `(program, schedule, step budget)`:
-/// once any worker of any executor has driven a job to a *conclusive*
-/// outcome, every later job with the same canonical fingerprint can return
-/// the cached [`ExecOutput`] — full trace included, so downstream trace
-/// consumers (causality edge extraction) see exactly what a re-execution
-/// would have shown — at zero simulated cost. Inconclusive outcomes
-/// (timeout, crash) are never inserted, and exec-layer fault placeholders
-/// never reach the table at all (faults are decided *before* the lookup).
+/// once any worker of any executor has run a job, every later job with the
+/// same canonical fingerprint can return the cached [`ExecOutput`] — full
+/// trace included, so downstream trace consumers (causality edge
+/// extraction) see exactly what a re-execution would have shown — at zero
+/// simulated cost. That holds for a [`RunOutcome::Timeout`] too: the step
+/// budget is part of the key, so a livelock exhausts it identically on
+/// every run.
 ///
 /// Concurrency: the table is striped into [`MEMO_SHARDS`] independently
 /// locked shards keyed by `fingerprint % MEMO_SHARDS`, so lookups for
@@ -889,7 +757,7 @@ impl Executor {
         self.slots.len()
     }
 
-    /// A snapshot of the pool's robustness counters.
+    /// A snapshot of the pool's counters.
     #[must_use]
     pub fn stats(&self) -> ExecStats {
         ExecStats {
@@ -995,7 +863,7 @@ impl Executor {
                 if workers > 1 && !self.memo_answers(job) {
                     break;
                 }
-                let res = self.run_job_ft(&mut slot, job);
+                let res = self.run_job(&mut slot, job);
                 done = stop(&res);
                 out.push(Some(res));
                 if done {
@@ -1054,7 +922,7 @@ impl Executor {
                         if i >= n || i > stop_at.load(Ordering::SeqCst) {
                             return;
                         }
-                        let res = self.run_job_ft(&mut slot, &jobs[i]);
+                        let res = self.run_job(&mut slot, &jobs[i]);
                         if stop(&res) {
                             stop_at.fetch_min(i, Ordering::SeqCst);
                         }
@@ -1074,7 +942,7 @@ impl Executor {
             .iter()
             .skip(cut.saturating_add(1))
             .flatten()
-            .filter(|o| !o.memo_hit && o.vm_faulted.is_none())
+            .filter(|o| !o.memo_hit)
             .count();
         self.stats
             .discarded_runs
@@ -1099,10 +967,11 @@ impl Executor {
         let mut any = false;
         for res in out.iter().flatten() {
             any = true;
-            let mut s = f64::from(res.retries) * model.retry_backoff_s;
-            if !res.memo_hit && res.vm_faulted.is_none() {
-                s += model.serial_run_s(res.run.steps, res.run.failure.is_some());
-            }
+            let s = if res.memo_hit {
+                0.0
+            } else {
+                model.serial_run_s(res.run.steps, res.run.failure.is_some())
+            };
             let slot = loads
                 .iter()
                 .enumerate()
@@ -1121,94 +990,44 @@ impl Executor {
             .fetch_add((makespan * 1e9) as u64, Ordering::SeqCst);
     }
 
-    /// Executes one job with the fault-tolerance wrapper: injected faults
-    /// are retried **inside the owning worker, before the result is
-    /// published** — so job `i`'s slot in the canonical fold never observes
-    /// an intermediate attempt, and fold order / worker-count invariance
-    /// are exactly as without fault injection. A job whose every attempt
-    /// faults publishes a placeholder output with `vm_faulted` set.
-    ///
-    /// The memo lookup sits strictly *after* the fault decision: an
-    /// attempt that faults burns its retry exactly as if the memo did not
-    /// exist, so memoization can never mask a fault. Only a fault-free
-    /// attempt may be served from the table, with `retries` set to the
-    /// locally observed count — equal to the cached one by content-keyed
-    /// determinism, but correct by construction.
-    fn run_job_ft(&self, slot: &mut Option<Engine>, job: &ExecJob) -> ExecOutput {
-        let mut retries = 0u32;
-        loop {
-            let injected = self.config.fault.and_then(|f| f.decide(job, retries));
-            let Some((kind, k)) = injected else {
-                let memo = self
-                    .config
-                    .memo
-                    .then(|| self.config.substrate.memo.as_ref());
-                let fp = schedule_fingerprint(&job.schedule, &job.enforce);
-                if let Some(memo) = memo {
-                    if let Some(mut out) = memo.get(job, fp) {
-                        self.stats.memo_hits.fetch_add(1, Ordering::SeqCst);
-                        out.retries = retries;
-                        out.memo_hit = true;
-                        // A hit is journaled too (deduplicated inside): the
-                        // table may have been seeded by an executor without
-                        // a journal, and a resume must not re-pay for it.
-                        if let Some(journal) = &self.config.journal {
-                            journal.append(job, &out);
-                        }
-                        return out;
-                    }
-                    self.stats.memo_misses.fetch_add(1, Ordering::SeqCst);
-                }
-                let forest = self
-                    .config
-                    .memo
-                    .then(|| self.config.substrate.forest.as_ref());
-                let out = run_job(slot, job, forest, &self.stats, retries);
-                if let Some(deadline) = &self.config.deadline {
-                    deadline.charge_run(out.run.steps, out.run.failure.is_some());
-                }
-                if let Some(memo) = memo {
-                    if out.outcome.is_inconclusive() {
-                        self.stats.memo_excluded.fetch_add(1, Ordering::SeqCst);
-                    } else {
-                        memo.put(fp, job, &out);
-                    }
-                }
-                // Conclusive outputs are made durable; inconclusive ones are
-                // excluded exactly like `memo_excluded` — a timeout or crash
-                // proves nothing and must not shadow a future conclusive
-                // execution on resume.
-                if !out.outcome.is_inconclusive() {
-                    if let Some(journal) = &self.config.journal {
-                        journal.append(job, &out);
-                    }
+    /// Runs one job: answers it from the memo table when it holds the
+    /// job's output, and otherwise executes it on the worker's engine,
+    /// memoizes the output and appends it to the journal.
+    fn run_job(&self, slot: &mut Option<Engine>, job: &ExecJob) -> ExecOutput {
+        let memo = self
+            .config
+            .memo
+            .then(|| self.config.substrate.memo.as_ref());
+        let fp = schedule_fingerprint(&job.schedule, &job.enforce);
+        if let Some(memo) = memo {
+            if let Some(mut out) = memo.get(job, fp) {
+                self.stats.memo_hits.fetch_add(1, Ordering::SeqCst);
+                out.memo_hit = true;
+                // A hit is journaled too (deduplicated inside): the table
+                // may have been seeded by an executor without a journal,
+                // and a resume must not re-pay for it.
+                if let Some(journal) = &self.config.journal {
+                    journal.append(job, &out);
                 }
                 return out;
-            };
-            match kind {
-                FaultKind::Crash => &self.stats.crash_faults,
-                FaultKind::Hang => &self.stats.hang_faults,
             }
-            .fetch_add(1, Ordering::SeqCst);
-            // The VM died under the attempt: the worker's engine is lost
-            // with it.
-            *slot = None;
-            self.stats.vm_restarts.fetch_add(1, Ordering::SeqCst);
-            let budget = self.config.fault.map_or(0, |f| f.max_retries);
-            if retries >= budget {
-                self.stats.gave_up.fetch_add(1, Ordering::SeqCst);
-                eprintln!(
-                    "aitia-exec: giving up on job after {retries} retries \
-                     ({kind:?} at schedule point {k})",
-                );
-                return faulted_output(job, kind, retries);
-            }
-            retries += 1;
-            self.stats.retries.fetch_add(1, Ordering::SeqCst);
-            if let Some(deadline) = &self.config.deadline {
-                deadline.charge_retry();
-            }
+            self.stats.memo_misses.fetch_add(1, Ordering::SeqCst);
         }
+        let forest = self
+            .config
+            .memo
+            .then(|| self.config.substrate.forest.as_ref());
+        let out = execute(slot, job, forest, &self.stats);
+        if let Some(deadline) = &self.config.deadline {
+            deadline.charge_run(out.run.steps, out.run.failure.is_some());
+        }
+        if let Some(memo) = memo {
+            memo.put(fp, job, &out);
+        }
+        if let Some(journal) = &self.config.journal {
+            journal.append(job, &out);
+        }
+        out
     }
 }
 
@@ -1224,12 +1043,11 @@ fn hardware_threads() -> usize {
 
 /// Executes one job on a worker's persistent VM, booting a new engine when
 /// the job's program differs from the VM's.
-fn run_job(
+fn execute(
     slot: &mut Option<Engine>,
     job: &ExecJob,
     forest: Option<&SnapshotForest>,
     stats: &StatCells,
-    retries: u32,
 ) -> ExecOutput {
     let engine = match slot {
         Some(engine) if Arc::ptr_eq(engine.program(), &job.program) => engine,
@@ -1273,35 +1091,6 @@ fn run_job(
         run,
         sel_of,
         outcome,
-        retries,
-        vm_faulted: None,
-        memo_hit: false,
-    }
-}
-
-/// The placeholder output published when a job faults on every attempt.
-/// Its `run` is empty (no trace, no failure, nothing triggered) so no
-/// consumer can mistake it for an observation; `outcome` carries the
-/// fault's flavour.
-fn faulted_output(job: &ExecJob, kind: FaultKind, retries: u32) -> ExecOutput {
-    let run = RunResult {
-        trace: ksim::Trace::new(),
-        failure: None,
-        triggered: vec![false; job.schedule.points.len()],
-        forced: Vec::new(),
-        steps: 0,
-        budget_exhausted: kind == FaultKind::Hang,
-        threads: Vec::new(),
-    };
-    ExecOutput {
-        run,
-        sel_of: HashMap::new(),
-        outcome: match kind {
-            FaultKind::Crash => RunOutcome::Crashed,
-            FaultKind::Hang => RunOutcome::Timeout,
-        },
-        retries,
-        vm_faulted: Some(kind),
         memo_hit: false,
     }
 }
@@ -1442,12 +1231,11 @@ mod tests {
     }
 
     #[test]
-    fn worker_counts_agree_under_fault_injection_and_memo() {
-        // Fault decisions are content-keyed and the memo serves full
-        // records, so neither may perturb the worker-count identity.
+    fn worker_counts_agree_with_memo_on_and_off() {
+        // The memo serves full records, so it may not perturb the
+        // worker-count identity.
         let program = fig1_program();
         let jobs = fig1_jobs(&program);
-        let fault = Some(recovering_fault(&jobs));
         for memo in [false, true] {
             let mut digests = Vec::new();
             for vms in [1, 2, 8] {
@@ -1455,7 +1243,6 @@ mod tests {
                     vms,
                     os_threads: Some(vms),
                     memo,
-                    fault,
                     ..ExecutorConfig::default()
                 })
                 .run_batch(&jobs, &CancelToken::new());
@@ -1561,115 +1348,6 @@ mod tests {
         assert!(out.iter().all(Option::is_some));
     }
 
-    fn faulty_pool(vms: usize, fault: FaultInjection) -> Executor {
-        Executor::with_config(ExecutorConfig {
-            vms,
-            os_threads: Some(vms),
-            fault: Some(fault),
-            ..ExecutorConfig::default()
-        })
-    }
-
-    /// A seed where at least one fig1 job faults on its first attempt but
-    /// recovers within the retry budget (fault decisions are pure over the
-    /// job content, so the search itself is deterministic).
-    fn recovering_fault(jobs: &[ExecJob]) -> FaultInjection {
-        for seed in 0..10_000u64 {
-            let f = FaultInjection {
-                seed,
-                rate_permille: 400,
-                max_retries: 3,
-            };
-            let recovers = |job: &ExecJob| {
-                f.decide(job, 0).is_some()
-                    && (1..=f.max_retries).any(|a| f.decide(job, a).is_none())
-            };
-            if jobs.iter().any(recovers)
-                && jobs
-                    .iter()
-                    .all(|j| (0..4).any(|a| f.decide(j, a).is_none()))
-            {
-                return f;
-            }
-        }
-        panic!("no recovering seed found");
-    }
-
-    #[test]
-    fn injected_fault_is_retried_deterministically() {
-        let program = fig1_program();
-        let jobs = fig1_jobs(&program);
-        let fault = recovering_fault(&jobs);
-        let baseline = Executor::new(1).run_batch(&jobs, &CancelToken::new());
-        let exec = faulty_pool(1, fault);
-        let got = exec.run_batch(&jobs, &CancelToken::new());
-        // Retries happen in-worker before publishing: results match the
-        // fault-free baseline bit for bit.
-        assert_eq!(digest(&baseline), digest(&got));
-        let retried: u32 = got.iter().flatten().map(|o| o.retries).sum();
-        assert!(retried > 0, "the chosen seed faults at least one job");
-        assert!(got.iter().flatten().all(|o| o.vm_faulted.is_none()));
-        let stats = exec.stats();
-        assert_eq!(stats.retries, u64::from(retried));
-        assert_eq!(stats.vm_restarts, stats.crash_faults + stats.hang_faults);
-        assert_eq!(stats.gave_up, 0);
-        // Re-running reproduces the identical retry pattern.
-        let again = faulty_pool(1, fault).run_batch(&jobs, &CancelToken::new());
-        let retries_of = |out: &[Option<ExecOutput>]| -> Vec<u32> {
-            out.iter().flatten().map(|o| o.retries).collect()
-        };
-        assert_eq!(retries_of(&got), retries_of(&again));
-    }
-
-    #[test]
-    fn fault_injection_preserves_worker_count_invariance() {
-        let program = fig1_program();
-        let jobs = fig1_jobs(&program);
-        let fault = recovering_fault(&jobs);
-        let baseline = faulty_pool(1, fault).run_batch(&jobs, &CancelToken::new());
-        for vms in [2, 4, 8] {
-            let got = faulty_pool(vms, fault).run_batch(&jobs, &CancelToken::new());
-            assert_eq!(digest(&baseline), digest(&got), "vms={vms}");
-            let rb: Vec<u32> = baseline.iter().flatten().map(|o| o.retries).collect();
-            let rg: Vec<u32> = got.iter().flatten().map(|o| o.retries).collect();
-            assert_eq!(rb, rg, "vms={vms}");
-        }
-    }
-
-    /// Faults every attempt of every job.
-    fn always_fault() -> FaultInjection {
-        FaultInjection {
-            seed: 7,
-            rate_permille: 1000,
-            max_retries: 2,
-        }
-    }
-
-    #[test]
-    fn exhausted_retry_budget_publishes_a_placeholder() {
-        let program = fig1_program();
-        let jobs = fig1_jobs(&program);
-        let exec = faulty_pool(1, always_fault());
-        let out = exec.run_batch(&jobs, &CancelToken::new());
-        for o in out.iter().flatten() {
-            let kind = o.vm_faulted.expect("every job gives up");
-            assert_eq!(o.retries, always_fault().max_retries);
-            assert!(o.run.trace.is_empty());
-            assert!(o.run.failure.is_none());
-            match kind {
-                FaultKind::Crash => assert_eq!(o.outcome, RunOutcome::Crashed),
-                FaultKind::Hang => {
-                    assert_eq!(o.outcome, RunOutcome::Timeout);
-                    assert!(o.run.budget_exhausted);
-                }
-            }
-            assert!(o.outcome.is_inconclusive());
-        }
-        let stats = exec.stats();
-        assert_eq!(stats.gave_up, jobs.len() as u64);
-        assert_eq!(stats.runs, 0, "faulted attempts execute nothing");
-    }
-
     #[test]
     fn stats_track_runs_and_snapshot_lookups() {
         let program = fig1_program();
@@ -1682,8 +1360,6 @@ mod tests {
         assert_eq!(stats.runs, jobs.len() as u64 - 1);
         assert_eq!(stats.memo_hits, 1);
         assert_eq!(stats.memo_misses, jobs.len() as u64 - 1);
-        assert_eq!(stats.memo_excluded, 0);
-        assert_eq!(stats.crash_faults + stats.hang_faults, 0);
         // Only the failing job has scheduling points to look up, and the
         // fresh substrate holds no checkpoint for it yet.
         assert_eq!((stats.snapshot_hits, stats.snapshot_misses), (0, 1));
@@ -1786,7 +1462,6 @@ mod tests {
         }
         for (b, s) in base.iter().flatten().zip(second.iter().flatten()) {
             assert!(s.memo_hit);
-            assert_eq!(s.retries, b.retries);
             assert_eq!(s.outcome, b.outcome);
             assert_eq!(s.run.trace.len(), b.run.trace.len());
             assert_eq!(s.run.triggered, b.run.triggered);
@@ -1842,7 +1517,7 @@ mod tests {
     }
 
     #[test]
-    fn inconclusive_outcomes_are_never_memoized() {
+    fn timed_out_jobs_are_memoized_like_any_output() {
         let program = fig1_program();
         // A one-step budget times out every schedule.
         let jobs: Vec<ExecJob> = fig1_jobs(&program)
@@ -1853,49 +1528,36 @@ mod tests {
             })
             .collect();
         let exec = threaded_pool(1);
-        let _ = exec.run_batch(&jobs, &CancelToken::new());
-        let _ = exec.run_batch(&jobs, &CancelToken::new());
+        let first = exec.run_batch(&jobs, &CancelToken::new());
+        assert!(first
+            .iter()
+            .flatten()
+            .all(|o| o.outcome == RunOutcome::Timeout));
+        // Jobs 0 and 3 share a schedule: the second is already a hit.
+        let runs = exec.stats().runs;
+        assert_eq!(runs, jobs.len() as u64 - 1);
+        let second = exec.run_batch(&jobs, &CancelToken::new());
         let stats = exec.stats();
-        // Both batches executed everything: timeouts are excluded from the
-        // table, so even the duplicate schedule re-executes every time.
-        assert_eq!(stats.runs, 2 * jobs.len() as u64);
-        assert_eq!(stats.memo_hits, 0);
-        assert_eq!(stats.memo_excluded, 2 * jobs.len() as u64);
-    }
-
-    #[test]
-    fn gave_up_placeholders_are_never_memoized() {
-        let program = fig1_program();
-        let jobs = fig1_jobs(&program);
-        // Exhaust every attempt; placeholders must not poison the memo.
-        let faulty = faulty_pool(1, always_fault());
-        let out = faulty.run_batch(&jobs, &CancelToken::new());
-        assert!(out.iter().flatten().all(|o| o.vm_faulted.is_some()));
-        assert_eq!(faulty.stats().memo_hits + faulty.stats().memo_misses, 0);
-        // A fault-free pool over the same jobs misses the memo (nothing
-        // was inserted) and produces real results.
-        let clean = threaded_pool(1);
-        let out = clean.run_batch(&jobs, &CancelToken::new());
-        assert!(out.iter().flatten().all(|o| o.vm_faulted.is_none()));
-        assert!(clean.stats().runs > 0);
-    }
-
-    #[test]
-    fn fault_decision_ignores_worker_identity() {
-        let program = fig1_program();
-        let jobs = fig1_jobs(&program);
-        let f = always_fault();
-        for job in &jobs {
-            // Same job, same attempt: same decision, every time.
-            assert_eq!(f.decide(job, 0), f.decide(job, 0));
-            assert_eq!(f.decide(job, 1), f.decide(job, 1));
+        assert_eq!(stats.runs, runs, "the second batch executes nothing");
+        assert_eq!(stats.memo_hits, 1 + jobs.len() as u64);
+        for (a, b) in first.iter().flatten().zip(second.iter().flatten()) {
+            assert!(b.memo_hit);
+            assert_eq!(a.outcome, b.outcome);
+            assert_eq!(a.run, b.run);
+            assert_eq!(a.sel_of, b.sel_of);
         }
-        // rate 0 disables injection outright.
-        let off = FaultInjection {
-            rate_permille: 0,
-            ..always_fault()
-        };
-        assert!(jobs.iter().all(|j| off.decide(j, 0).is_none()));
+    }
+
+    #[test]
+    fn a_deadline_past_instants_range_never_fires() {
+        // `Instant + Duration` panics past the clock's range; such a
+        // deadline is as good as none.
+        for wall_s in [1e20, f64::MAX] {
+            let budget = DeadlineBudget::new(Some(wall_s), None, CostModel::default());
+            assert!(!budget.check(), "{wall_s} s");
+        }
+        let budget = DeadlineBudget::new(Some(0.0), None, CostModel::default());
+        assert!(budget.check(), "an expired deadline still fires");
     }
 
     #[test]
@@ -1927,7 +1589,7 @@ mod tests {
     #[test]
     fn memo_shard_entries_stay_bounded_under_fingerprint_churn() {
         let program = fig1_program();
-        // One real conclusive output to cache (content is irrelevant to
+        // One real output to cache (content is irrelevant to
         // the occupancy invariant; only the keys matter).
         let pool = threaded_pool(1);
         let jobs = fig1_jobs(&program);

@@ -5,7 +5,7 @@
 //! the in-memory memo table dies with the process. Because enforcement is a
 //! pure function of `(program, schedule, step budget)`, the campaign is
 //! restartable by construction: this journal appends one record per
-//! *conclusive* [`ExecOutput`], keyed exactly like the memo table, and a
+//! executed [`ExecOutput`], keyed exactly like the memo table, and a
 //! resumed campaign replays the journal into the memo so every
 //! previously-executed schedule is answered at zero VM cost. Consumers are
 //! memo-invariant, so the resumed diagnosis is bit-identical to an
@@ -56,13 +56,12 @@
 //! payload, and it refuses any count larger than the bytes left in the
 //! payload before it allocates for that count.
 //!
-//! # What is never journaled
+//! # Timeouts are journaled
 //!
-//! Inconclusive outcomes — [`RunOutcome::Timeout`], [`RunOutcome::Crashed`],
-//! and exec-layer fault placeholders — are never appended, mirroring the
-//! memo table's `memo_excluded` rule: an inconclusive run proves nothing in
-//! either direction, and making it durable would let it shadow a future
-//! conclusive execution across process lifetimes.
+//! A [`RunOutcome::Timeout`] is appended like any other outcome. The step
+//! budget is part of the record's key, and a livelock exhausts it on every
+//! run of the same schedule, so a replayed timeout is exactly what a
+//! re-execution would produce, and a resume does not pay the budget again.
 
 use crate::{
     enforce::{
@@ -147,7 +146,7 @@ const HEADER_LEN: u64 = 12;
 pub(crate) const FSYNC_EVERY: usize = 32;
 /// Sanity bound on a record's framed length; anything larger reads as
 /// corruption (no schedule run encodes to a gigabyte).
-const MAX_RECORD_LEN: u32 = 1 << 30;
+pub(crate) const MAX_RECORD_LEN: u32 = 1 << 30;
 
 /// Journal observability counters (surfaced in the `report` stats block).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -188,7 +187,7 @@ struct RecordPayload {
     run: RunResult,
     /// Runtime-thread → selector map of the run, as pairs sorted by thread.
     sel_of: Vec<(ThreadId, ThreadSel)>,
-    /// Conclusive classification of the run.
+    /// Classification of the run.
     outcome: RunOutcome,
 }
 
@@ -205,8 +204,8 @@ struct Inner {
     unsynced: usize,
 }
 
-/// A durable, fsync-batched, CRC-checked write-ahead journal of conclusive
-/// schedule executions. Thread-safe: the executor appends from any worker.
+/// A durable, fsync-batched, CRC-checked write-ahead journal of schedule
+/// executions. Thread-safe: the executor appends from any worker.
 pub struct Journal {
     path: PathBuf,
     inner: Mutex<Inner>,
@@ -381,13 +380,10 @@ impl Journal {
         }
     }
 
-    /// Appends one conclusive output. Inconclusive outcomes and duplicate
-    /// keys are silently skipped; I/O errors are warned about and swallowed
-    /// (a failing journal degrades durability, never the campaign).
+    /// Appends one output. Duplicate keys are silently skipped; I/O errors
+    /// are warned about and swallowed (a failing journal degrades
+    /// durability, never the campaign).
     pub fn append(&self, job: &ExecJob, out: &ExecOutput) {
-        if out.outcome.is_inconclusive() {
-            return;
-        }
         // A journal whose fsync failed is disabled: appending records that
         // may be torn would hand a future resume corrupt durability.
         if self.fsync_failed() {
@@ -472,8 +468,6 @@ impl Journal {
                 run: r.run.clone(),
                 sel_of: r.sel_of.iter().copied().collect(),
                 outcome: r.outcome,
-                retries: 0,
-                vm_faulted: None,
                 memo_hit: false,
             };
             memo_preload(substrate, &job, &out);
@@ -681,12 +675,11 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
 // so its record reads as torn.
 
 /// [`RunOutcome`]s by their one-byte tag.
-const OUTCOMES: [RunOutcome; 5] = [
+const OUTCOMES: [RunOutcome; 4] = [
     RunOutcome::Passed,
     RunOutcome::Failed,
     RunOutcome::Diverged,
     RunOutcome::Timeout,
-    RunOutcome::Crashed,
 ];
 /// [`Anchor`]s by their one-byte tag.
 const ANCHORS: [Anchor; 2] = [Anchor::Before, Anchor::After];
@@ -1340,22 +1333,49 @@ mod tests {
     }
 
     #[test]
-    fn inconclusive_outcomes_are_never_journaled() {
-        let path = tmp_path("inconclusive");
-        let program = fig1_program();
+    fn timed_out_runs_are_journaled_and_replay_bit_identically() {
+        let path = tmp_path("timeout");
         // A one-step budget times out every schedule.
-        let jobs: Vec<ExecJob> = fig1_jobs(&program)
-            .into_iter()
-            .map(|j| ExecJob {
-                enforce: EnforceConfig { step_budget: 1 },
-                ..j
-            })
-            .collect();
-        let journal = Arc::new(Journal::open(&path).unwrap());
-        let _ = journaling_pool(&journal).run_batch(&jobs, &CancelToken::new());
-        assert_eq!(journal.stats().records_appended, 0);
-        journal.flush();
-        assert_eq!(record_count(&path).unwrap(), 0);
+        let one_step = |program: &Arc<Program>| -> Vec<ExecJob> {
+            fig1_jobs(program)
+                .into_iter()
+                .map(|j| ExecJob {
+                    enforce: EnforceConfig { step_budget: 1 },
+                    ..j
+                })
+                .collect()
+        };
+        let program = fig1_program();
+        let first = {
+            let journal = Arc::new(Journal::open(&path).unwrap());
+            let out = journaling_pool(&journal).run_batch(&one_step(&program), &CancelToken::new());
+            // Jobs 0 and 3 share a key, so three records.
+            assert_eq!(journal.stats().records_appended, 3);
+            journal.flush();
+            out
+        };
+        assert!(first
+            .iter()
+            .flatten()
+            .all(|o| o.outcome == RunOutcome::Timeout));
+        assert_eq!(record_count(&path).unwrap(), 3);
+        let fresh = fig1_program();
+        let substrate = Substrate::default();
+        let journal = Journal::open(&path).unwrap();
+        assert_eq!(journal.replay_into_substrate(&fresh, &substrate), 3);
+        let exec = Executor::with_config(ExecutorConfig {
+            vms: 1,
+            substrate,
+            ..ExecutorConfig::default()
+        });
+        let resumed = exec.run_batch(&one_step(&fresh), &CancelToken::new());
+        assert_eq!(exec.stats().runs, 0, "the resume executes nothing");
+        for (a, b) in first.iter().flatten().zip(resumed.iter().flatten()) {
+            assert!(b.memo_hit);
+            assert_eq!(a.outcome, b.outcome);
+            assert_eq!(a.run, b.run);
+            assert_eq!(a.sel_of, b.sel_of);
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -118,8 +118,6 @@ pub use exec::{
     ExecStats,
     Executor,
     ExecutorConfig,
-    FaultInjection,
-    FaultKind,
     Substrate, //
 };
 pub use journal::{

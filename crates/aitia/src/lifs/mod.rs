@@ -234,12 +234,9 @@ pub struct LifsStats {
     /// Candidates skipped by the DPOR persistent-set rule: the plan is
     /// provably equivalent to an already-explored serial order.
     pub pruned_persistent: usize,
-    /// Schedules whose every execution attempt hit a VM fault; they
-    /// contribute no observation (not counted in `schedules_executed`).
-    pub faulted: usize,
     /// The interleaving count at which the failure reproduced.
     pub interleaving_count: u32,
-    /// Simulated cost (schedule setups, steps, reboots, retry backoff).
+    /// Simulated cost (schedule setups, steps, reboots).
     pub sim: SimCost,
     /// Schedules served from the substrate's result memo table (counted
     /// in `schedules_executed` and `sim` exactly like executed ones, so
@@ -264,7 +261,6 @@ impl LifsStats {
         self.pruned_equivalent += other.pruned_equivalent;
         self.pruned_sleep_set += other.pruned_sleep_set;
         self.pruned_persistent += other.pruned_persistent;
-        self.faulted += other.faulted;
         self.interleaving_count = self.interleaving_count.max(other.interleaving_count);
         self.sim.merge(&other.sim);
         self.memo_hits += other.memo_hits;
@@ -379,16 +375,12 @@ struct Knowledge {
     /// *first* (uninterrupted from the initial state) — the exact
     /// prediction of a count-1 plan's pre-preemption prefix, which is what
     /// the DPOR rules validate against. Absent when every serial run with
-    /// the thread first faulted or failed, in which case no DPOR rule may
-    /// fire for that victim (a faulted node must not seed a sleep set).
+    /// the thread first failed, in which case no DPOR rule may fire for
+    /// that victim.
     solo_first: HashMap<ThreadSel, Vec<StepRecord>>,
     /// Write-aware per-thread address sets over every absorbed run; the
     /// static conflict index the DPOR rules query.
     conflicts: crate::race::ConflictIndex,
-    /// Whether any serial (count-0) permutation was lost to a VM fault.
-    /// The persistent-set rule compares plans against serial runs, so it
-    /// is disabled when a serial observation is missing.
-    serial_faults: bool,
     /// Knowledge version (bumped per absorbed run) for cache invalidation.
     version: u64,
 }
@@ -601,9 +593,8 @@ struct TargetCtx {
     /// The smallest `m` such that every step in `[m, len)` is ok.
     tail_start: usize,
     /// Whether the persistent-set rule may fire for this target at all:
-    /// the target is an initial thread (its serial permutation exists),
-    /// every serial run was observed (no VM faults), and the target's
-    /// footprint commutes with every background thread's.
+    /// the target is an initial thread (its serial permutation exists) and
+    /// the target's footprint commutes with every background thread's.
     persist_ok: bool,
 }
 
@@ -626,9 +617,8 @@ struct TargetCtx {
 ///   the plan is equivalent to the serial permutation `[v, T, …]` explored
 ///   at count 0; the class already has its serial representative.
 ///
-/// Victims without a `solo_first` projection (their serial run faulted or
-/// failed) get no context and no DPOR pruning — a faulted node never seeds
-/// a sleep set.
+/// Victims without a `solo_first` projection (their serial run failed) get
+/// no context and no DPOR pruning.
 struct DporCtx<'a> {
     solo: &'a [StepRecord],
     /// Candidate point `(at, nth)` → index into the solo trace.
@@ -639,8 +629,6 @@ struct DporCtx<'a> {
     /// Observed background (spawned) threads.
     bg: Vec<ThreadSel>,
     conflicts: &'a crate::race::ConflictIndex,
-    /// Whether every serial permutation executed (no VM faults).
-    serial_ok: bool,
     initial: &'a [ThreadSel],
     /// Lazily computed per-target data.
     targets: HashMap<ThreadSel, TargetCtx>,
@@ -704,7 +692,6 @@ impl<'a> DporCtx<'a> {
             base_ok,
             bg,
             conflicts: &k.conflicts,
-            serial_ok: !k.serial_faults,
             initial,
             targets: HashMap::new(),
         })
@@ -741,8 +728,7 @@ impl<'a> DporCtx<'a> {
                     break;
                 }
             }
-            let persist_ok = self.serial_ok
-                && self.initial.contains(&target)
+            let persist_ok = self.initial.contains(&target)
                 && self
                     .bg
                     .iter()
@@ -865,25 +851,7 @@ impl Lifs {
                 };
             };
             order += 1;
-            stats.sim.add_retries(out.retries as usize);
             stats.note_exec(&out);
-            if out.vm_faulted.is_some() {
-                // The run produced no observation: nothing to absorb, no
-                // failure to check — record the loss and move on. A missing
-                // serial observation also disables the persistent-set rule
-                // (it compares plans against serial runs).
-                knowledge.serial_faults = true;
-                stats.faulted += 1;
-                tree.nodes.push(SearchNode {
-                    order,
-                    interleavings: 0,
-                    plan: vec![],
-                    serial_order: perm.clone(),
-                    outcome: NodeOutcome::Faulted,
-                    steps: 0,
-                });
-                continue;
-            }
             stats.schedules_executed += 1;
             stats.sim.add_run(out.run.steps, out.run.failure.is_some());
             let fresh = knowledge.absorb(&out.run, &out.sel_of);
@@ -954,20 +922,7 @@ impl Lifs {
                 };
             };
             order += 1;
-            stats.sim.add_retries(out.retries as usize);
             stats.note_exec(&out);
-            if out.vm_faulted.is_some() {
-                stats.faulted += 1;
-                tree.nodes.push(SearchNode {
-                    order,
-                    interleavings: 0,
-                    plan: vec![],
-                    serial_order: vec![*irq],
-                    outcome: NodeOutcome::Faulted,
-                    steps: 0,
-                });
-                continue;
-            }
             stats.schedules_executed += 1;
             stats.sim.add_run(out.run.steps, out.run.failure.is_some());
             knowledge.absorb(&out.run, &out.sel_of);
@@ -1043,20 +998,7 @@ impl Lifs {
                         break;
                     };
                     order += 1;
-                    stats.sim.add_retries(out.retries as usize);
                     stats.note_exec(&out);
-                    if out.vm_faulted.is_some() {
-                        stats.faulted += 1;
-                        tree.nodes.push(SearchNode {
-                            order,
-                            interleavings: c,
-                            plan: describe(plan),
-                            serial_order: vec![],
-                            outcome: NodeOutcome::Faulted,
-                            steps: 0,
-                        });
-                        continue;
-                    }
                     stats.schedules_executed += 1;
                     stats.sim.add_run(out.run.steps, out.run.failure.is_some());
                     let fresh = knowledge.absorb(&out.run, &out.sel_of);
@@ -1831,30 +1773,6 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn faulted_schedules_are_counted_but_never_absorbed() {
-        // Every attempt of every job faults: the search observes nothing,
-        // reproduces nothing, and records every loss.
-        let exec = Arc::new(crate::exec::Executor::with_config(
-            crate::exec::ExecutorConfig {
-                vms: 1,
-                fault: Some(crate::exec::FaultInjection {
-                    seed: 1,
-                    rate_permille: 1000,
-                    max_retries: 1,
-                }),
-                ..crate::exec::ExecutorConfig::default()
-            },
-        ));
-        let out = Lifs::with_executor(fig1_program(), LifsConfig::default(), exec).search();
-        assert!(out.failing.is_none());
-        assert_eq!(out.stats.schedules_executed, 0);
-        assert_eq!(out.stats.faulted, 2, "both serial permutations lost");
-        assert_eq!(out.tree.faulted(), 2);
-        // Each faulted job burned its full retry budget.
-        assert_eq!(out.stats.sim.retries, 2);
     }
 
     #[test]

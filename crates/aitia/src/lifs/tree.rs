@@ -31,9 +31,6 @@ pub enum NodeOutcome {
     /// representative (here: it is equivalent to a serial order because
     /// everything after the point commutes).
     PrunedPersistent,
-    /// Submitted for execution but every attempt hit a VM fault and the
-    /// executor gave up; the run produced no observation.
-    Faulted,
 }
 
 /// One preemption of a candidate plan, for display.
@@ -101,15 +98,6 @@ impl SearchTree {
             .count()
     }
 
-    /// Number of nodes lost to VM faults.
-    #[must_use]
-    pub fn faulted(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.outcome == NodeOutcome::Faulted)
-            .count()
-    }
-
     /// Renders the tree walkthrough (one line per node).
     #[must_use]
     pub fn render(&self, program: &ksim::Program) -> String {
@@ -143,7 +131,6 @@ impl SearchTree {
                 NodeOutcome::PrunedEquivalent => "skip (equivalent)",
                 NodeOutcome::PrunedSleepSet => "skip (sleep set)",
                 NodeOutcome::PrunedPersistent => "skip (persistent set)",
-                NodeOutcome::Faulted => "VM FAULT (gave up)",
             };
             out.push_str(&format!(
                 "{:>4}. c={} {:<48} {}\n",
@@ -176,13 +163,11 @@ mod tests {
                 mk(2, NodeOutcome::PrunedEquivalent),
                 mk(3, NodeOutcome::Failure),
                 mk(4, NodeOutcome::PrunedNonConflicting),
-                mk(5, NodeOutcome::Faulted),
-                mk(6, NodeOutcome::PrunedSleepSet),
-                mk(7, NodeOutcome::PrunedPersistent),
+                mk(5, NodeOutcome::PrunedSleepSet),
+                mk(6, NodeOutcome::PrunedPersistent),
             ],
         };
         assert_eq!(tree.executed(), 2);
         assert_eq!(tree.pruned(), 4);
-        assert_eq!(tree.faulted(), 1);
     }
 }

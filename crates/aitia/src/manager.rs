@@ -25,7 +25,6 @@ use crate::{
         ExecStats,
         Executor,
         ExecutorConfig,
-        FaultInjection,
         Substrate, //
     },
     journal::Journal,
@@ -51,8 +50,6 @@ pub struct ManagerConfig {
     pub lifs: LifsConfig,
     /// Causality Analysis configuration for diagnosers.
     pub causality: CausalityConfig,
-    /// Deterministic VM-fault injection for the pool; `None` disables it.
-    pub fault: Option<FaultInjection>,
     /// Cross-run schedule memoization and the shared snapshot forest
     /// ([`crate::exec::ExecutorConfig::memo`]) for the pool. Diagnoses are
     /// bit-identical either way; disabling it gives the reuse-nothing
@@ -74,8 +71,8 @@ pub struct ManagerConfig {
     /// wall-clock budget, charged only by actually-executed runs (memo and
     /// journal hits are free). `None` = unbounded.
     pub sim_deadline_s: Option<f64>,
-    /// Durable run journal: every conclusive execution is appended, and a
-    /// resumed campaign replays it into the memo table. `None` disables
+    /// Durable run journal: every execution is appended, and a resumed
+    /// campaign replays it into the memo table. `None` disables
     /// durability.
     pub journal: Option<Arc<Journal>>,
 }
@@ -86,7 +83,6 @@ impl Default for ManagerConfig {
             vms: 8,
             lifs: LifsConfig::default(),
             causality: CausalityConfig::default(),
-            fault: None,
             memo: true,
             substrate: Substrate::default(),
             wall_deadline_s: None,
@@ -150,7 +146,6 @@ impl Manager {
             });
         let exec = Arc::new(Executor::with_config(ExecutorConfig {
             vms: config.vms,
-            fault: config.fault,
             memo: config.memo,
             substrate: config.substrate.clone(),
             journal: config.journal.clone(),
@@ -182,8 +177,8 @@ impl Manager {
         &self.config.substrate
     }
 
-    /// Robustness counters of the manager's pool, which runs every schedule
-    /// of every stage.
+    /// Counters of the manager's pool, which runs every schedule of every
+    /// stage.
     #[must_use]
     pub fn exec_stats(&self) -> ExecStats {
         self.exec.stats()

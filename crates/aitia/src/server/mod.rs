@@ -56,10 +56,7 @@ use crate::campaign::{
     CampaignOutcome, //
 };
 use crate::causality::CausalityConfig;
-use crate::exec::{
-    FaultInjection,
-    Substrate, //
-};
+use crate::exec::Substrate;
 use crate::lifs::LifsConfig;
 use crate::manager::ManagerConfig;
 use crate::report;
@@ -107,8 +104,10 @@ pub struct ResolvedJob {
     pub lifs: LifsConfig,
     /// Causality Analysis configuration for the flipping stage.
     pub causality: CausalityConfig,
-    /// Optional deterministic fault injection for the VM pool.
-    pub fault: Option<FaultInjection>,
+    /// Can hold no value: VM faults are not simulated. The field stays
+    /// only because the benchmark still names it; ROADMAP item 2 stops
+    /// that and deletes the field.
+    pub fault: Option<std::convert::Infallible>,
 }
 
 /// Maps opaque job payloads to diagnosable programs.
@@ -662,7 +661,6 @@ impl CampaignServer {
                 vms: width,
                 lifs: resolved.lifs,
                 causality: resolved.causality,
-                fault: resolved.fault,
                 memo: true,
                 substrate: self.config.substrate.clone(),
                 wall_deadline_s: self.config.wall_deadline_s,

@@ -25,7 +25,9 @@
 //! followed by an fsync, so an acked submit survives SIGKILL at any point.
 //! A crash mid-append leaves a torn final frame; writers truncate it to
 //! the last intact record before appending (warned and counted, never a
-//! panic). Readers simply ignore a torn tail.
+//! panic). Readers simply ignore a torn tail. A file whose header is not
+//! this format's magic and version holds no jobs: every reader sees it as
+//! empty, and [`JobQueue::open`] resets it.
 //!
 //! # Multi-process coordination
 //!
@@ -182,7 +184,7 @@ enum QueueRecord {
 }
 
 /// A job's folded state: the result of applying every record in order.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct JobSnapshot {
     /// Job id (submission order).
     pub id: u64,
@@ -339,10 +341,7 @@ impl JobQueue {
             self.sync(file)?;
             return Ok(HEADER_LEN);
         }
-        if bytes.len() < HEADER_LEN as usize
-            || bytes[..8] != MAGIC
-            || bytes[8..12] != VERSION.to_le_bytes()
-        {
+        if !header_ok(&bytes) {
             eprintln!(
                 "aitia-queue: {} has an unrecognized header; starting fresh \
                  (all queued jobs are lost — resubmit them)",
@@ -391,7 +390,7 @@ impl JobQueue {
     fn fold_file(&self) -> std::io::Result<BTreeMap<u64, JobSnapshot>> {
         let mut bytes = Vec::new();
         File::open(&self.path)?.read_to_end(&mut bytes)?;
-        if bytes.len() < HEADER_LEN as usize || bytes[..8] != MAGIC {
+        if !header_ok(&bytes) {
             return Ok(BTreeMap::new());
         }
         let (frames, _, _) = scan_frames(&bytes, HEADER_LEN);
@@ -534,7 +533,7 @@ impl JobQueue {
     pub fn record_count(dir: impl AsRef<Path>) -> std::io::Result<usize> {
         let mut bytes = Vec::new();
         File::open(dir.as_ref().join(QUEUE_FILE))?.read_to_end(&mut bytes)?;
-        if bytes.len() < HEADER_LEN as usize || bytes[..8] != MAGIC {
+        if !header_ok(&bytes) {
             return Ok(0);
         }
         Ok(scan_frames(&bytes, HEADER_LEN).0.len())
@@ -552,7 +551,7 @@ impl JobQueue {
         let path = dir.as_ref().join(QUEUE_FILE);
         let mut bytes = Vec::new();
         File::open(&path)?.read_to_end(&mut bytes)?;
-        if bytes.len() < HEADER_LEN as usize {
+        if !header_ok(&bytes) {
             return Ok(0);
         }
         let (frames, _, _) = scan_frames(&bytes, HEADER_LEN);
@@ -566,6 +565,15 @@ impl JobQueue {
         OpenOptions::new().write(true).open(&path)?.set_len(end)?;
         Ok(kept)
     }
+}
+
+/// Whether `bytes` open with this format version's header. The one check
+/// every reader applies, so a file [`JobQueue::open`] would reset reads as
+/// empty everywhere.
+fn header_ok(bytes: &[u8]) -> bool {
+    bytes.len() >= HEADER_LEN as usize
+        && bytes[..8] == MAGIC
+        && bytes[8..12] == VERSION.to_le_bytes()
 }
 
 /// RAII guard over the advisory `queue.lock` file: created with
@@ -908,5 +916,161 @@ mod tests {
         let q = JobQueue::open(&dir).unwrap();
         assert_eq!(q.submit("gen:1", 16).unwrap(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Byte-level corruption of a real queue file. Every case writes a
+    /// file and reads it with all four readers, which must agree on an
+    /// intact prefix of the original records; no case may panic.
+    mod fuzz {
+        use super::*;
+        use crate::journal::MAX_RECORD_LEN;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        /// A real queue's bytes, the start of each of its frames, and the
+        /// fold of each record prefix: `folds[k]` is what the first `k`
+        /// records fold to.
+        struct Source {
+            bytes: Vec<u8>,
+            starts: Vec<usize>,
+            folds: Vec<BTreeMap<u64, JobSnapshot>>,
+        }
+
+        fn source() -> &'static Source {
+            static SOURCE: OnceLock<Source> = OnceLock::new();
+            SOURCE.get_or_init(|| {
+                let dir = temp_dir("fuzz-source");
+                let q = JobQueue::open(&dir).unwrap();
+                for id in 1..=3 {
+                    q.submit(&format!("gen:{id}"), 16).unwrap();
+                }
+                q.transition(1, JobState::Running, 0, None, None, None)
+                    .unwrap();
+                q.transition(2, JobState::Queued, 1, None, Some("panic".into()), None)
+                    .unwrap();
+                q.transition(1, JobState::Complete, 0, Some("d1".into()), None, Some(7))
+                    .unwrap();
+                drop(q);
+                let bytes = std::fs::read(dir.join(QUEUE_FILE)).unwrap();
+                let _ = std::fs::remove_dir_all(&dir);
+                let (frames, _, torn) = scan_frames(&bytes, HEADER_LEN);
+                assert!(!torn && frames.len() == 6);
+                let starts: Vec<usize> = frames.iter().map(|f| f.start as usize).collect();
+                let folds = (0..=starts.len())
+                    .map(|k| {
+                        let end = starts.get(k).copied().unwrap_or(bytes.len());
+                        let dir = temp_dir("fuzz-prefix");
+                        std::fs::create_dir_all(&dir).unwrap();
+                        std::fs::write(dir.join(QUEUE_FILE), &bytes[..end]).unwrap();
+                        let fold = JobQueue::open(&dir).unwrap().fold().unwrap();
+                        let _ = std::fs::remove_dir_all(&dir);
+                        fold
+                    })
+                    .collect();
+                Source {
+                    bytes,
+                    starts,
+                    folds,
+                }
+            })
+        }
+
+        /// Writes `bytes` as the queue file and reads it four ways:
+        /// `record_count`, `open` followed by `fold`, and
+        /// `truncate_at_record(keep)` followed by `open` and `fold` must
+        /// all see the same prefix of the original records, whose length
+        /// is returned.
+        fn load(bytes: &[u8], keep: usize) -> usize {
+            let folds = &source().folds;
+            let dir = temp_dir("fuzz");
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(QUEUE_FILE);
+            std::fs::write(&path, bytes).unwrap();
+            let counted = JobQueue::record_count(&dir).unwrap();
+            assert!(counted < folds.len(), "more records than written");
+            let fold = JobQueue::open(&dir).unwrap().fold().unwrap();
+            assert_eq!(
+                fold, folds[counted],
+                "open and fold disagree with record_count"
+            );
+            assert_eq!(JobQueue::record_count(&dir).unwrap(), counted);
+            std::fs::write(&path, bytes).unwrap();
+            let kept = JobQueue::truncate_at_record(&dir, keep).unwrap();
+            assert_eq!(kept, keep.min(counted), "truncate_at_record disagrees");
+            let fold = JobQueue::open(&dir).unwrap().fold().unwrap();
+            assert_eq!(fold, folds[kept]);
+            let _ = std::fs::remove_dir_all(&dir);
+            counted
+        }
+
+        #[test]
+        fn another_version_or_magic_holds_no_jobs() {
+            for at in [0, 7, 8, 11] {
+                let mut bytes = source().bytes.clone();
+                bytes[at] ^= 0x02;
+                assert_eq!(load(&bytes, 5), 0, "header byte {at}");
+            }
+            assert_eq!(load(&source().bytes, 5), source().starts.len());
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Flipped or overwritten bytes anywhere, header included: the
+            /// header check or a frame's CRC catches them, so every reader
+            /// sees the same prefix of the original records.
+            #[test]
+            fn byte_flips_keep_an_intact_prefix(
+                edits in prop::collection::vec((0..usize::MAX, 0u8..=255, 0u8..2), 1..6),
+                keep in 0usize..8,
+            ) {
+                let mut bytes = source().bytes.clone();
+                for (at, b, overwrite) in edits {
+                    let i = at % bytes.len();
+                    if overwrite == 1 {
+                        bytes[i] = b;
+                    } else {
+                        bytes[i] ^= b.max(1);
+                    }
+                }
+                load(&bytes, keep);
+            }
+
+            /// A file cut anywhere keeps exactly the records it still
+            /// holds whole.
+            #[test]
+            fn truncation_keeps_the_whole_records(cut in 0..usize::MAX, keep in 0usize..8) {
+                let Source { bytes, starts, .. } = source();
+                let cut = cut % (bytes.len() + 1);
+                let whole = if cut < HEADER_LEN as usize {
+                    0
+                } else {
+                    starts[1..].iter().filter(|&&end| end <= cut).count()
+                        + usize::from(cut == bytes.len())
+                };
+                prop_assert_eq!(load(&bytes[..cut], keep), whole);
+            }
+
+            /// A length field at `MAX_RECORD_LEN` or above tears the file
+            /// at that frame.
+            #[test]
+            fn oversized_length_fields_tear_at_their_frame(
+                which in 0..usize::MAX,
+                over in prop_oneof![
+                    Just(0u32),
+                    Just(1),
+                    Just(u32::MAX - MAX_RECORD_LEN),
+                    0..=u32::MAX - MAX_RECORD_LEN,
+                ],
+                keep in 0usize..8,
+            ) {
+                let Source { bytes, starts, .. } = source();
+                let i = which % starts.len();
+                let mut bytes = bytes.clone();
+                let start = starts[i];
+                bytes[start..start + 4].copy_from_slice(&(MAX_RECORD_LEN + over).to_le_bytes());
+                prop_assert_eq!(load(&bytes, keep), i);
+            }
+        }
     }
 }

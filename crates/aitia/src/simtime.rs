@@ -32,16 +32,9 @@ pub struct CostModel {
     pub per_step_s: f64,
     /// Seconds to reboot a VM after a failing run.
     pub reboot_s: f64,
-    /// Seconds of backoff charged per retry of a faulted job (VM restart
-    /// plus the deliberate pause before re-enforcing the schedule).
-    pub retry_backoff_s: f64,
     /// Effective parallel VMs working on one bug (the deployment launches
     /// 32 VMs shared across reproducers and diagnosers).
     pub vms: u32,
-}
-
-fn default_retry_backoff_s() -> f64 {
-    5.0
 }
 
 impl Default for CostModel {
@@ -50,7 +43,6 @@ impl Default for CostModel {
             per_schedule_s: 1.5,
             per_step_s: 0.000_2,
             reboot_s: 30.0,
-            retry_backoff_s: default_retry_backoff_s(),
             vms: 8,
         }
     }
@@ -65,17 +57,13 @@ pub struct SimCost {
     pub failing_runs: usize,
     /// Total engine steps executed.
     pub steps: usize,
-    /// Retries of faulted jobs (each costs [`CostModel::retry_backoff_s`]).
-    pub retries: usize,
 }
 
 impl CostModel {
     /// Serial simulated seconds one execution of `steps` steps would cost
     /// under this model (setup, stepping, and — for a failing run — the VM
     /// reboot). This is what a memo hit *saves*: the cached output is
-    /// returned instead of paying any of these terms. Retry backoff is not
-    /// included — faults are decided before the memo lookup, so a memo hit
-    /// still pays its own retries.
+    /// returned instead of paying any of these terms.
     #[must_use]
     pub fn serial_run_s(&self, steps: usize, failed: bool) -> f64 {
         self.per_schedule_s
@@ -94,17 +82,11 @@ impl SimCost {
         }
     }
 
-    /// Charges `n` fault retries to this stage.
-    pub fn add_retries(&mut self, n: usize) {
-        self.retries += n;
-    }
-
     /// Merges another stage's cost.
     pub fn merge(&mut self, other: &SimCost) {
         self.schedules += other.schedules;
         self.failing_runs += other.failing_runs;
         self.steps += other.steps;
-        self.retries += other.retries;
     }
 
     /// Simulated elapsed seconds under `model`, assuming ideal parallelism
@@ -113,8 +95,7 @@ impl SimCost {
     pub fn seconds(&self, model: &CostModel) -> f64 {
         let serial = self.schedules as f64 * model.per_schedule_s
             + self.steps as f64 * model.per_step_s
-            + self.failing_runs as f64 * model.reboot_s
-            + self.retries as f64 * model.retry_backoff_s;
+            + self.failing_runs as f64 * model.reboot_s;
         serial / f64::from(model.vms.max(1))
     }
 }
@@ -149,26 +130,10 @@ mod tests {
         a.add_run(10, true);
         let mut b = SimCost::default();
         b.add_run(5, false);
-        b.add_retries(3);
         a.merge(&b);
         assert_eq!(a.schedules, 2);
         assert_eq!(a.failing_runs, 1);
         assert_eq!(a.steps, 15);
-        assert_eq!(a.retries, 3);
-    }
-
-    #[test]
-    fn retries_charge_backoff_seconds() {
-        let m = CostModel {
-            vms: 1,
-            ..CostModel::default()
-        };
-        let mut quiet = SimCost::default();
-        quiet.add_run(100, false);
-        let mut flaky = quiet;
-        flaky.add_retries(2);
-        let delta = flaky.seconds(&m) - quiet.seconds(&m);
-        assert!((delta - 2.0 * m.retry_backoff_s).abs() < 1e-9, "{delta}");
     }
 
     #[test]

@@ -42,10 +42,10 @@ echo "==> release build"
 cargo build --release -p aitia-bench
 
 echo "==> usage-error smoke"
-# Unknown flags (here --backend and --snapshot-cache, which older builds
-# accepted), deleted subcommands (bench-memo) and out-of-range --scale
-# values must be rejected at startup with the usage exit status 2: never
-# run, succeed, panic or abort.
+# Unknown flags (here --backend, --snapshot-cache and the two
+# fault-injection flags, which older builds accepted), deleted subcommands
+# (bench-memo) and out-of-range --scale values must be rejected at startup
+# with the usage exit status 2: never run, succeed, panic or abort.
 expect_status() {
     local want=$1 rc=0
     shift
@@ -59,10 +59,26 @@ expect_status 2 ./target/release/report table2 --snapshot-cache 8
 expect_status 2 ./target/release/campaignd status --dir target/ci-usage-campaignd \
     --backend ksim
 expect_status 2 ./target/release/report bench-memo
+for gone in rate seed; do
+    expect_status 2 ./target/release/report table2 --fault-"$gone" 5
+    expect_status 2 ./target/release/campaignd run --dir target/ci-usage-campaignd \
+        --fault-"$gone" 5
+done
 expect_status 2 ./target/release/diagnose CVE-2017-15649 --scale 1e12
 for bad_scale in inf nan 0 1e300 101; do
     expect_status 2 ./target/release/report table2 --scale "$bad_scale"
 done
+
+echo "==> deadline smoke"
+# A wall deadline too far away for the clock to hold never fires: the run
+# finishes exactly like one without a deadline instead of panicking.
+./target/release/diagnose CVE-2017-15649 --scale 0.05 --report-only \
+    > target/ci-deadline-reference.txt 2> /dev/null
+./target/release/diagnose CVE-2017-15649 --scale 0.05 --deadline-s 1e20 --report-only \
+    > target/ci-deadline-far.txt 2> /dev/null \
+    || { echo "FAIL: a 1e20 s deadline did not exit 0" >&2; exit 1; }
+diff target/ci-deadline-far.txt target/ci-deadline-reference.txt \
+    || { echo "FAIL: a 1e20 s deadline changed the diagnosis" >&2; exit 1; }
 
 echo "==> no-reproduction smoke"
 # At the largest accepted scale CVE-2019-11486 no longer reproduces:

@@ -1,7 +1,6 @@
 //! Soak test for the `campaignd` server: a stream of generated-corpus
 //! seeds (plus deliberately poisoned payloads) through
-//! [`aitia::server::CampaignServer`] at 1, 2, and 8 workers with VM fault
-//! injection on.
+//! [`aitia::server::CampaignServer`] at 1, 2, and 8 workers.
 //!
 //! The contract: every job reaches a terminal state, diagnoses are
 //! bit-identical to direct single-campaign runs (and across worker
@@ -25,7 +24,6 @@ use aitia_repro::aitia::{
     report,
     Campaign,
     CampaignOutcome,
-    FaultInjection,
     Substrate, //
 };
 use aitia_repro::corpus;
@@ -47,22 +45,6 @@ const OUT_OF_RANGE: [&str; 3] = ["cve:CVE-2017-15649:1e12", "gen:3:1e12", "gen:3
 /// Whether the soak expects `payload` to dead-letter.
 fn is_poison(payload: &str) -> bool {
     payload.starts_with("poison:") || OUT_OF_RANGE.contains(&payload)
-}
-
-/// Recovering VM faults: failures on early attempts, success on a retry,
-/// so campaigns complete while the retry machinery stays exercised.
-fn fault() -> FaultInjection {
-    FaultInjection {
-        seed: 11,
-        rate_permille: 120,
-        ..FaultInjection::default()
-    }
-}
-
-fn resolver() -> CorpusJobResolver {
-    CorpusJobResolver {
-        fault: Some(fault()),
-    }
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -89,12 +71,13 @@ fn soak_config(dir: &Path, workers: usize) -> ServerConfig {
 /// The digest a direct, single-campaign run of `payload` produces — the
 /// reference every server run must match bit-for-bit.
 fn direct_digest(payload: &str) -> String {
-    let resolved = resolver().resolve(payload).expect("payload resolves");
+    let resolved = CorpusJobResolver
+        .resolve(payload)
+        .expect("payload resolves");
     let campaign = Campaign::new(ManagerConfig {
         vms: 8,
         lifs: resolved.lifs,
         causality: resolved.causality,
-        fault: resolved.fault,
         substrate: Substrate::private(4096, 64),
         ..ManagerConfig::default()
     });
@@ -132,7 +115,7 @@ fn soak_fifty_seeds_at_one_two_and_eight_workers() {
     let mut per_worker_digests: Vec<BTreeMap<String, String>> = Vec::new();
     for workers in [1usize, 2, 8] {
         let dir = temp_dir(&format!("w{workers}"));
-        let server = CampaignServer::open(soak_config(&dir, workers), Arc::new(resolver()))
+        let server = CampaignServer::open(soak_config(&dir, workers), Arc::new(CorpusJobResolver))
             .expect("server opens");
         for p in &payloads {
             server.submit(p).expect("soak submits fit the queue");
@@ -204,7 +187,7 @@ fn backpressure_rejects_past_the_bound_and_recovers_as_jobs_finish() {
         max_queued: 4,
         ..soak_config(&dir, 2)
     };
-    let server = CampaignServer::open(config, Arc::new(resolver())).expect("server opens");
+    let server = CampaignServer::open(config, Arc::new(CorpusJobResolver)).expect("server opens");
     for s in 0..4u64 {
         server.submit(&format!("gen:{s}")).expect("under the bound");
     }
@@ -243,8 +226,8 @@ fn eight_concurrent_campaigns_finish_table2_one_and_a_half_times_sooner() {
             poll_ms: 5,
             ..ServerConfig::at(&dir)
         };
-        let server = CampaignServer::open(config, Arc::new(CorpusJobResolver::default()))
-            .expect("server opens");
+        let server =
+            CampaignServer::open(config, Arc::new(CorpusJobResolver)).expect("server opens");
         let ids: Vec<u64> = payloads
             .iter()
             .map(|p| server.submit(p).expect("gate submits fit the queue"))

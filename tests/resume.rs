@@ -3,7 +3,7 @@
 //! The kill-and-resume contract: a campaign killed at ANY point — between
 //! journal records or mid-append (a torn tail) — and relaunched over the
 //! surviving journal produces a diagnosis bit-identical to an uninterrupted
-//! campaign, at any worker count, with VM-fault injection on. And the
+//! campaign, at any worker count. And the
 //! deadline contract: a budget that expires mid-analysis degrades to a
 //! partial diagnosis whose un-flipped races are all `Unverified`, never
 //! `Benign`. And the resume gate: on a corpus bug, a resume from half the
@@ -17,7 +17,6 @@ use aitia_repro::aitia::{
     },
     Campaign,
     CampaignOutcome,
-    FaultInjection,
     Substrate,
     Verdict, //
 };
@@ -64,20 +63,9 @@ fn noisy_fig1() -> Arc<Program> {
     Arc::new(p.build().unwrap())
 }
 
-/// Recovering VM faults: failures on early attempts, success on a retry, so
-/// campaigns complete while the retry machinery stays exercised.
-fn fault() -> FaultInjection {
-    FaultInjection {
-        seed: 11,
-        rate_permille: 120,
-        ..FaultInjection::default()
-    }
-}
-
 fn config(vms: usize) -> ManagerConfig {
     ManagerConfig {
         vms,
-        fault: Some(fault()),
         ..ManagerConfig::default()
     }
 }

@@ -15,7 +15,6 @@ use aitia_repro::aitia::server::{
     RetryBackoff,
     ServerConfig, //
 };
-use aitia_repro::aitia::FaultInjection;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{
@@ -23,18 +22,6 @@ use std::path::{
     PathBuf, //
 };
 use std::sync::Arc;
-
-/// Recovering VM faults, as in `tests/resume.rs`: the retry machinery
-/// stays exercised while campaigns still complete.
-fn resolver() -> CorpusJobResolver {
-    CorpusJobResolver {
-        fault: Some(FaultInjection {
-            seed: 11,
-            rate_permille: 120,
-            ..FaultInjection::default()
-        }),
-    }
-}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let mut dir = std::env::temp_dir();
@@ -90,7 +77,7 @@ proptest! {
         let dir = temp_dir(&format!("p{percent}-t{tear}-s{seed_base}"));
 
         // Uninterrupted reference run.
-        let server = CampaignServer::open(config(&dir), Arc::new(resolver()))
+        let server = CampaignServer::open(config(&dir), Arc::new(CorpusJobResolver))
             .expect("server opens");
         for p in &payloads {
             server.submit(p).expect("submits fit");
@@ -124,7 +111,7 @@ proptest! {
         // whose Submit survived keep their id), and the drain must land
         // every payload on the reference digest. Journals surviving under
         // journals/ make resumed campaigns replay rather than re-run.
-        let server = CampaignServer::open(config(&dir), Arc::new(resolver()))
+        let server = CampaignServer::open(config(&dir), Arc::new(CorpusJobResolver))
             .expect("recovery opens");
         for p in &payloads {
             server.submit(p).expect("idempotent resubmit");
