@@ -31,14 +31,14 @@ flags:
   --scale <float>       benign-race noise scale, greater than 0 and at
                         most 100 (default 0.2)
   --vms <int>           VM-pool worker count, at least 1 (default 8)
-  --prune-level <level> LIFS pruning: off, conflict or dpor (default:
-                        the bug's calibrated config, normally conflict)
+  --prune-level <level> LIFS pruning: off, conflict or dpor (default
+                        dpor; report's tables use conflict)
   --causality-level <level>
                         causal intervention strategy: exhaustive (flip
                         every race) or adaptive (static benign proofs +
                         information-gain flip ordering); verdicts and
                         chains are identical at both levels (default
-                        exhaustive)
+                        adaptive; report's tables use exhaustive)
   --journal <path>      append every run to a durable journal and
                         replay it on startup (kill-and-resume)
   --deadline-s <float>  wall-clock budget in seconds, finite and positive;

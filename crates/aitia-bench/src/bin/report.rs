@@ -18,10 +18,7 @@
 //! describe the pool that actually executed the schedules.
 
 use aitia::{
-    causality::{
-        CausalityAnalysis,
-        CausalityConfig, //
-    },
+    causality::CausalityAnalysis,
     exec::{
         DeadlineBudget,
         Executor,
@@ -35,7 +32,8 @@ use aitia::{
     simtime::CostModel,
 };
 use aitia_bench::experiments::{
-    self, //
+    self,
+    Levels, //
 };
 use std::sync::Arc;
 
@@ -57,13 +55,16 @@ subcommands (default: all):
 flags:
   --scale <float>       benign-race noise scale, greater than 0 and at
                         most 100 (default 1.0)
-  --prune-level <level> LIFS pruning: off, conflict or dpor (default:
-                        each bug's calibrated config, normally conflict)
+  --prune-level <level> LIFS pruning: off, conflict or dpor (default
+                        conflict, the level of the paper's tables;
+                        diagnose and campaignd default to dpor)
   --causality-level <level>
                         causal intervention strategy: exhaustive or
                         adaptive (static benign proofs + information-gain
                         flip ordering); identical diagnoses at both
-                        levels (default exhaustive)
+                        levels (default exhaustive, the paper's
+                        procedure; diagnose and campaignd default to
+                        adaptive)
   --samples <int>       comparison sample count (default 400)
   --vms <int>           VM-pool worker count, at least 1 (default 8)
   --no-memo             no memo table and no checkpoint restores: every
@@ -101,8 +102,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cmd = "all".to_string();
     let mut scale = 1.0f64;
-    let mut prune: Option<aitia::lifs::PruneLevel> = None;
-    let mut causality = aitia::CausalityLevel::default();
+    // Every table and figure runs at these levels: the paper's unless a
+    // flag says otherwise.
+    let mut levels = Levels::PAPER;
     let mut samples = 400usize;
     let mut vms = 8usize;
     let mut memo = true;
@@ -115,8 +117,10 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => scale = flag_value(&args, &mut i, "--scale"),
-            "--prune-level" => prune = Some(flag_value(&args, &mut i, "--prune-level")),
-            "--causality-level" => causality = flag_value(&args, &mut i, "--causality-level"),
+            "--prune-level" => levels.prune = flag_value(&args, &mut i, "--prune-level"),
+            "--causality-level" => {
+                levels.causality = flag_value(&args, &mut i, "--causality-level");
+            }
             "--samples" => samples = flag_value(&args, &mut i, "--samples"),
             "--vms" => vms = flag_value(&args, &mut i, "--vms"),
             "--no-memo" => memo = false,
@@ -173,21 +177,21 @@ fn main() {
     }));
     let model = experiments::cost_model_for(&exec);
     match cmd.as_str() {
-        "table2" => table2(scale, &exec, &model, prune, causality),
-        "table3" => table3(scale, &exec, &model, prune, causality),
+        "table2" => table2(scale, &exec, &model, levels),
+        "table3" => table3(scale, &exec, &model, levels),
         "conciseness" => {
-            let rows = corpus_rows(&corpus::syzkaller(), scale, &exec, prune, causality);
+            let rows = corpus_rows(&corpus::syzkaller(), scale, &exec, levels);
             print_conciseness(&rows);
         }
-        "comparison" | "table1" => comparison(scale, samples),
+        "comparison" | "table1" => comparison(scale, samples, levels),
         // Ablations disable the pruning that makes full-scale noise
         // tractable; they run on reduced noise by construction.
-        "ablations" => ablations(scale.min(0.05)),
-        "fig5" => fig5(),
-        "fig6" => fig6(),
-        "fig7" => fig7(),
-        "fig9" => fig9(),
-        "extensions" => extensions(),
+        "ablations" => ablations(scale.min(0.05), levels),
+        "fig5" => fig5(levels),
+        "fig6" => fig6(levels),
+        "fig7" => fig7(levels),
+        "fig9" => fig9(levels),
+        "extensions" => extensions(levels),
         "fuzz" => {
             // The matrix builds its own pools, so the main pool above
             // stays cold; its memo-on cells share one substrate per seed,
@@ -239,20 +243,20 @@ fn main() {
             return;
         }
         "all" => {
-            table2(scale, &exec, &model, prune, causality);
-            let rows = corpus_rows(&corpus::syzkaller(), scale, &exec, prune, causality);
+            table2(scale, &exec, &model, levels);
+            let rows = corpus_rows(&corpus::syzkaller(), scale, &exec, levels);
             println!("{}", experiments::render_table3(&rows, &model));
             let avg: f64 =
                 rows.iter().map(|r| r.chain_races() as f64).sum::<f64>() / rows.len() as f64;
             println!("average chain length: {avg:.1} (paper: 3.0)\n");
             print_conciseness(&rows);
-            comparison(scale.min(0.1), samples);
-            ablations(scale.min(0.05));
-            fig5();
-            fig6();
-            fig7();
-            fig9();
-            extensions();
+            comparison(scale.min(0.1), samples, levels);
+            ablations(scale.min(0.05), levels);
+            fig5(levels);
+            fig6(levels);
+            fig7(levels);
+            fig9(levels);
+            extensions(levels);
         }
         other => {
             usage_exit(&format!("unknown subcommand {other:?}"));
@@ -277,21 +281,14 @@ fn corpus_rows(
     bugs: &[corpus::BugModel],
     scale: f64,
     exec: &Arc<Executor>,
-    prune: Option<aitia::lifs::PruneLevel>,
-    causality: aitia::CausalityLevel,
+    levels: Levels,
 ) -> Vec<experiments::BugOutcome> {
-    experiments::diagnose_corpus(bugs, scale, exec, prune, causality)
+    experiments::diagnose_corpus(bugs, scale, exec, levels)
         .unwrap_or_else(|id| no_repro_exit(id, scale))
 }
 
-fn table2(
-    scale: f64,
-    exec: &Arc<Executor>,
-    model: &CostModel,
-    prune: Option<aitia::lifs::PruneLevel>,
-    causality: aitia::CausalityLevel,
-) {
-    let rows = corpus_rows(&corpus::cves(), scale, exec, prune, causality);
+fn table2(scale: f64, exec: &Arc<Executor>, model: &CostModel, levels: Levels) {
+    let rows = corpus_rows(&corpus::cves(), scale, exec, levels);
     println!("{}", experiments::render_table2(&rows, model));
     let amb: Vec<&str> = rows
         .iter()
@@ -302,14 +299,8 @@ fn table2(
     println!("{}", experiments::render_ca_stats(&rows));
 }
 
-fn table3(
-    scale: f64,
-    exec: &Arc<Executor>,
-    model: &CostModel,
-    prune: Option<aitia::lifs::PruneLevel>,
-    causality: aitia::CausalityLevel,
-) {
-    let rows = corpus_rows(&corpus::syzkaller(), scale, exec, prune, causality);
+fn table3(scale: f64, exec: &Arc<Executor>, model: &CostModel, levels: Levels) {
+    let rows = corpus_rows(&corpus::syzkaller(), scale, exec, levels);
     println!("{}", experiments::render_table3(&rows, model));
     let avg: f64 = rows.iter().map(|r| r.chain_races() as f64).sum::<f64>() / rows.len() as f64;
     println!("average chain length: {avg:.1} (paper: 3.0)\n");
@@ -337,20 +328,20 @@ fn print_conciseness(rows: &[aitia_bench::experiments::BugOutcome]) {
     );
 }
 
-fn comparison(scale: f64, samples: usize) {
-    let rows =
-        experiments::comparison(scale, samples).unwrap_or_else(|id| no_repro_exit(id, scale));
+fn comparison(scale: f64, samples: usize, levels: Levels) {
+    let rows = experiments::comparison(scale, samples, levels)
+        .unwrap_or_else(|id| no_repro_exit(id, scale));
     println!("{}", experiments::render_comparison(&rows));
 }
 
-fn ablations(scale: f64) {
-    let rows = experiments::ablations(scale);
+fn ablations(scale: f64, levels: Levels) {
+    let rows = experiments::ablations(scale, levels);
     println!("{}", experiments::render_ablations(&rows));
 }
 
-fn fig5() {
+fn fig5(levels: Levels) {
     let prog = Arc::new(corpus::figures::fig5());
-    let out = Lifs::new(Arc::clone(&prog), LifsConfig::default()).search();
+    let out = Lifs::new(Arc::clone(&prog), levels.lifs(LifsConfig::default())).search();
     println!("Figure 5 — LIFS search tree walkthrough");
     print!("{}", out.tree.render(&prog));
     println!(
@@ -359,17 +350,17 @@ fn fig5() {
     );
 }
 
-fn fig6() {
+fn fig6(levels: Levels) {
     let bug = corpus::cves()
         .into_iter()
         .find(|b| b.id == "CVE-2017-15649")
         .expect("15649 in corpus");
     let prog = bug.program(corpus::noise::NoiseSpec::silent());
-    let run = Lifs::new(Arc::clone(&prog), bug.lifs_config())
+    let run = Lifs::new(Arc::clone(&prog), levels.lifs(bug.lifs_config()))
         .search()
         .failing
         .expect("reproduces");
-    let res = CausalityAnalysis::new(CausalityConfig::default()).analyze(&run);
+    let res = CausalityAnalysis::new(levels.causality()).analyze(&run);
     println!("Figure 6 — Causality Analysis of CVE-2017-15649");
     println!(
         "failure-causing sequence ({} steps), races tested backward:",
@@ -390,17 +381,17 @@ fn fig6() {
     );
 }
 
-fn fig7() {
+fn fig7(levels: Levels) {
     for (name, prog) in [
         ("ambiguous", corpus::figures::fig7_ambiguous()),
         ("decidable", corpus::figures::fig7_clear()),
     ] {
         let prog = Arc::new(prog);
-        let run = Lifs::new(Arc::clone(&prog), LifsConfig::default())
+        let run = Lifs::new(Arc::clone(&prog), levels.lifs(LifsConfig::default()))
             .search()
             .failing
             .expect("reproduces");
-        let res = CausalityAnalysis::new(CausalityConfig::default()).analyze(&run);
+        let res = CausalityAnalysis::new(levels.causality()).analyze(&run);
         println!(
             "Figure 7 ({name}): chain {} | ambiguous races: {}",
             res.chain,
@@ -410,28 +401,21 @@ fn fig7() {
     println!();
 }
 
-fn extensions() {
+fn extensions(levels: Levels) {
     println!("Extensions beyond the paper (§4.6 future work and substrate depth)");
+    let lifs = levels.lifs(LifsConfig::default());
     // Hardware-IRQ injection.
     let prog = Arc::new(corpus::figures::irq_scenario());
-    let out = Lifs::new(Arc::clone(&prog), LifsConfig::default()).search();
+    let out = Lifs::new(Arc::clone(&prog), lifs.clone()).search();
     let run = out.failing.expect("irq scenario reproduces");
-    let res = CausalityAnalysis::new(CausalityConfig::default()).analyze(&run);
+    let res = CausalityAnalysis::new(levels.causality()).analyze(&run);
     println!(
         "  IRQ injection: {} → chain {}",
         run.failure.kind, res.chain
     );
     // RCU grace periods.
-    let safe = Lifs::new(
-        Arc::new(corpus::figures::rcu_scenario(true)),
-        LifsConfig::default(),
-    )
-    .search();
-    let unsafe_ = Lifs::new(
-        Arc::new(corpus::figures::rcu_scenario(false)),
-        LifsConfig::default(),
-    )
-    .search();
+    let safe = Lifs::new(Arc::new(corpus::figures::rcu_scenario(true)), lifs.clone()).search();
+    let unsafe_ = Lifs::new(Arc::new(corpus::figures::rcu_scenario(false)), lifs.clone()).search();
     println!(
         "  RCU grace period: protected reader {} | unprotected reader {}",
         if safe.failing.is_none() {
@@ -445,14 +429,11 @@ fn extensions() {
             .unwrap_or_else(|| "no failure".into())
     );
     // ABBA deadlock as a hung task.
-    let run = Lifs::new(
-        Arc::new(corpus::figures::abba_deadlock_scenario()),
-        LifsConfig::default(),
-    )
-    .search()
-    .failing
-    .expect("deadlock reproduces");
-    let res = CausalityAnalysis::new(CausalityConfig::default()).analyze(&run);
+    let run = Lifs::new(Arc::new(corpus::figures::abba_deadlock_scenario()), lifs)
+        .search()
+        .failing
+        .expect("deadlock reproduces");
+    let res = CausalityAnalysis::new(levels.causality()).analyze(&run);
     println!(
         "  ABBA deadlock: {} → chain {}
 ",
@@ -460,17 +441,17 @@ fn extensions() {
     );
 }
 
-fn fig9() {
+fn fig9(levels: Levels) {
     let bug = corpus::syzkaller()
         .into_iter()
         .find(|b| b.id == "#4")
         .expect("#4 in corpus");
     let prog = bug.program(corpus::noise::NoiseSpec::silent());
-    let run = Lifs::new(Arc::clone(&prog), bug.lifs_config())
+    let run = Lifs::new(Arc::clone(&prog), levels.lifs(bug.lifs_config()))
         .search()
         .failing
         .expect("reproduces");
-    let res = CausalityAnalysis::new(CausalityConfig::default()).analyze(&run);
+    let res = CausalityAnalysis::new(levels.causality()).analyze(&run);
     println!("Figure 9 — the irqfd case study (bug #4)");
     println!("{}", aitia::report::render(&prog, &run, &res));
 }

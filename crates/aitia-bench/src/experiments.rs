@@ -19,13 +19,16 @@ use aitia::{
     journal::JournalStats,
     lifs::{
         Lifs,
-        LifsStats, //
+        LifsConfig,
+        LifsStats,
+        PruneLevel, //
     },
     report::{
         conciseness,
         Conciseness, //
     },
     simtime::CostModel,
+    CausalityLevel,
     CausalityResult,
     FailingRun, //
 };
@@ -38,6 +41,45 @@ use corpus::{
     MultiVar, //
 };
 use std::sync::Arc;
+
+/// The LIFS prune level and the causality level an experiment runs at.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Levels {
+    /// LIFS schedule-space pruning.
+    pub prune: PruneLevel,
+    /// Causal intervention strategy.
+    pub causality: CausalityLevel,
+}
+
+impl Levels {
+    /// The levels of the paper's tables and figures: `conflict` pruning
+    /// and `exhaustive` causality. EXPERIMENTS.md compares their schedule
+    /// counts with the paper's, so `report` starts from these and not from
+    /// the library defaults (`dpor` and `adaptive`), which diagnose the
+    /// same with fewer runs.
+    pub const PAPER: Levels = Levels {
+        prune: PruneLevel::Conflict,
+        causality: CausalityLevel::Exhaustive,
+    };
+
+    /// `base` at this prune level.
+    #[must_use]
+    pub fn lifs(self, base: LifsConfig) -> LifsConfig {
+        LifsConfig {
+            prune: self.prune,
+            ..base
+        }
+    }
+
+    /// The default analysis at this causality level.
+    #[must_use]
+    pub fn causality(self) -> CausalityConfig {
+        CausalityConfig {
+            level: self.causality,
+            ..CausalityConfig::default()
+        }
+    }
+}
 
 /// The diagnosis of one corpus bug.
 pub struct BugOutcome {
@@ -85,10 +127,10 @@ pub fn diagnose_program(
     bug: &BugModel,
     prog: Arc<ksim::Program>,
     exec: &Arc<Executor>,
-    prune: aitia::lifs::PruneLevel,
+    prune: PruneLevel,
     causality: CausalityConfig,
 ) -> Option<BugOutcome> {
-    let cfg = aitia::lifs::LifsConfig {
+    let cfg = LifsConfig {
         prune,
         ..bug.lifs_config()
     };
@@ -111,14 +153,12 @@ pub fn diagnose_program(
 
 /// Diagnoses every bug of a corpus table ([`corpus::cves`] for Table 2,
 /// [`corpus::syzkaller`] for Table 3) at noise scale `scale` over a shared
-/// VM pool. `prune` overrides each bug's calibrated prune level when given.
-/// `Err` names the first bug that did not reproduce.
+/// VM pool, at `levels`. `Err` names the first bug that did not reproduce.
 pub fn diagnose_corpus(
     bugs: &[BugModel],
     scale: f64,
     exec: &Arc<Executor>,
-    prune: Option<aitia::lifs::PruneLevel>,
-    causality: aitia::CausalityLevel,
+    levels: Levels,
 ) -> Result<Vec<BugOutcome>, &'static str> {
     bugs.iter()
         .map(|b| {
@@ -126,11 +166,8 @@ pub fn diagnose_corpus(
                 b,
                 b.program_scaled(scale),
                 exec,
-                prune.unwrap_or(b.lifs_config().prune),
-                CausalityConfig {
-                    level: causality,
-                    ..CausalityConfig::default()
-                },
+                levels.prune,
+                levels.causality(),
             )
             .ok_or(b.id)
         })
@@ -386,9 +423,13 @@ pub struct ComparisonRow {
     pub replay_agreement: f64,
 }
 
-/// Runs the §5.3 baseline comparison over Table 3's bugs. `Err` names the
-/// first bug that did not reproduce.
-pub fn comparison(scale: f64, samples: usize) -> Result<Vec<ComparisonRow>, &'static str> {
+/// Runs the §5.3 baseline comparison over Table 3's bugs, diagnosing each
+/// at `levels`. `Err` names the first bug that did not reproduce.
+pub fn comparison(
+    scale: f64,
+    samples: usize,
+    levels: Levels,
+) -> Result<Vec<ComparisonRow>, &'static str> {
     use baselines::sampler::{
         sample_runs,
         sample_runs_guided,
@@ -402,8 +443,8 @@ pub fn comparison(scale: f64, samples: usize) -> Result<Vec<ComparisonRow>, &'st
             &bug,
             Arc::clone(&prog),
             &Arc::new(Executor::new(1)),
-            bug.lifs_config().prune,
-            CausalityConfig::default(),
+            levels.prune,
+            levels.causality(),
         )
         .ok_or(bug.id)?;
         // Blind random runs plus failure-guided runs (the production site
@@ -599,9 +640,11 @@ pub struct Ablation {
     pub both_succeed: bool,
 }
 
-/// Design-choice ablations over a representative bug subset.
+/// Design-choice ablations over a representative bug subset. The
+/// pruning ablation compares `conflict` with `off`; the other two
+/// diagnose at `levels`.
 #[must_use]
-pub fn ablations(scale: f64) -> Vec<Ablation> {
+pub fn ablations(scale: f64, levels: Levels) -> Vec<Ablation> {
     let bugs = corpus::cves();
     let sample: Vec<&BugModel> = bugs
         .iter()
@@ -615,9 +658,9 @@ pub fn ablations(scale: f64) -> Vec<Ablation> {
     for bug in &sample {
         let prog = bug.program_scaled(scale);
         let mut cfg = bug.lifs_config();
-        cfg.prune = aitia::lifs::PruneLevel::Conflict;
+        cfg.prune = PruneLevel::Conflict;
         let a = Lifs::new(Arc::clone(&prog), cfg.clone()).search();
-        cfg.prune = aitia::lifs::PruneLevel::Off;
+        cfg.prune = PruneLevel::Off;
         let b = Lifs::new(prog, cfg).search();
         with += a.stats.schedules_executed;
         without += b.stats.schedules_executed;
@@ -635,18 +678,18 @@ pub fn ablations(scale: f64) -> Vec<Ablation> {
     let mut ok = true;
     for bug in &sample {
         let prog = bug.program_scaled(scale);
-        let run = Lifs::new(prog, bug.lifs_config())
+        let run = Lifs::new(prog, levels.lifs(bug.lifs_config()))
             .search()
             .failing
             .expect("reproduces");
         let a = CausalityAnalysis::new(CausalityConfig {
             backward: true,
-            ..CausalityConfig::default()
+            ..levels.causality()
         })
         .analyze(&run);
         let b = CausalityAnalysis::new(CausalityConfig {
             backward: false,
-            ..CausalityConfig::default()
+            ..levels.causality()
         })
         .analyze(&run);
         with += a.stats.schedules_executed;
@@ -667,18 +710,18 @@ pub fn ablations(scale: f64) -> Vec<Ablation> {
     // configuration recovers.
     {
         let prog = Arc::new(corpus::figures::locked_cs_scenario());
-        let run = Lifs::new(Arc::clone(&prog), aitia::lifs::LifsConfig::default())
+        let run = Lifs::new(Arc::clone(&prog), levels.lifs(LifsConfig::default()))
             .search()
             .failing
             .expect("locked scenario reproduces");
         let a = CausalityAnalysis::new(CausalityConfig {
             cs_as_unit: true,
-            ..CausalityConfig::default()
+            ..levels.causality()
         })
         .analyze(&run);
         let b = CausalityAnalysis::new(CausalityConfig {
             cs_as_unit: false,
-            ..CausalityConfig::default()
+            ..levels.causality()
         })
         .analyze(&run);
         out.push(Ablation {
@@ -712,9 +755,9 @@ pub fn render_ablations(rows: &[Ablation]) -> String {
 #[derive(Clone, Copy, Debug)]
 pub struct MatrixCell {
     /// LIFS prune level.
-    pub prune: aitia::lifs::PruneLevel,
+    pub prune: PruneLevel,
     /// Causality Analysis intervention level.
-    pub causality: aitia::CausalityLevel,
+    pub causality: CausalityLevel,
     /// Memo table and checkpoint restores on/off.
     pub memo: bool,
     /// Worker count.
@@ -757,14 +800,13 @@ impl MatrixCell {
 /// gate.
 #[must_use]
 pub fn corpus_matrix() -> Vec<MatrixCell> {
-    use aitia::lifs::PruneLevel;
     let mut cells = Vec::new();
     for prune in [PruneLevel::Off, PruneLevel::Conflict, PruneLevel::Dpor] {
         for memo in [true, false] {
             for vms in [1usize, 2, 8] {
                 cells.push(MatrixCell {
                     prune,
-                    causality: aitia::CausalityLevel::Exhaustive,
+                    causality: CausalityLevel::Exhaustive,
                     memo,
                     vms,
                 });
@@ -775,7 +817,7 @@ pub fn corpus_matrix() -> Vec<MatrixCell> {
         for vms in [1usize, 8] {
             cells.push(MatrixCell {
                 prune,
-                causality: aitia::CausalityLevel::Adaptive,
+                causality: CausalityLevel::Adaptive,
                 memo: true,
                 vms,
             });
@@ -793,10 +835,10 @@ pub fn corpus_matrix() -> Vec<MatrixCell> {
 pub fn diagnose_generated(
     bug: &corpus::generate::GeneratedBug,
     exec: &Arc<Executor>,
-    prune: aitia::lifs::PruneLevel,
-    causality: aitia::CausalityLevel,
+    prune: PruneLevel,
+    causality: CausalityLevel,
 ) -> Option<(FailingRun, CausalityResult)> {
-    let cfg = aitia::lifs::LifsConfig {
+    let cfg = LifsConfig {
         prune,
         ..bug.lifs_config()
     };
@@ -978,7 +1020,7 @@ fn fuzz_one(
     };
     let first_adaptive = cells
         .iter()
-        .position(|c| c.causality == aitia::CausalityLevel::Adaptive);
+        .position(|c| c.causality == CausalityLevel::Adaptive);
     for (i, (cell, exec)) in cells.iter().zip(execs).enumerate() {
         let outcome = diagnose_generated(bug, exec, cell.prune, cell.causality);
         out.full.push(generated_digest(&bug.name, outcome.as_ref()));
@@ -997,7 +1039,7 @@ fn fuzz_one(
 /// must agree across the entire matrix, and the full digest (which pins
 /// the CA schedule count) across every cell of the same causality level.
 fn fuzz_mismatch(cells: &[MatrixCell], out: &FuzzOutcomes) -> Option<usize> {
-    let mut level_ref: Vec<(aitia::CausalityLevel, usize)> = Vec::new();
+    let mut level_ref: Vec<(CausalityLevel, usize)> = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
         if out.base[i] != out.base[0] {
             return Some(i);

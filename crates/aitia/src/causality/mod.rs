@@ -67,13 +67,13 @@ use std::sync::Arc;
 pub enum CausalityLevel {
     /// Flip every observed race, submitted in canonical (backward) test
     /// order — the paper's §3.4 procedure, verbatim.
-    #[default]
     Exhaustive,
-    /// Skip flips the static prover ([`invariants`]) discharges — their
-    /// races are Benign with a `"static-invariant"` provenance — and submit
-    /// the remaining flips in descending information-gain order ([`gain`]),
-    /// so a deadline leaves [`Verdict::Unverified`] only on the
-    /// lowest-value races.
+    /// The default. Skip flips the static prover ([`invariants`])
+    /// discharges — their races are Benign with a `"static-invariant"`
+    /// provenance — and submit the remaining flips in descending
+    /// information-gain order ([`gain`]), so a deadline leaves
+    /// [`Verdict::Unverified`] only on the lowest-value races.
+    #[default]
     Adaptive,
 }
 
@@ -219,9 +219,9 @@ pub struct CausalityConfig {
     /// Flip critical sections as units (§3.4 liveness). Disabling is the
     /// ablation.
     pub cs_as_unit: bool,
-    /// How much intervention to run (static proofs + gain ordering at
-    /// [`CausalityLevel::Adaptive`]; the default is the exhaustive paper
-    /// procedure).
+    /// How much intervention to run: static proofs + gain ordering at
+    /// [`CausalityLevel::Adaptive`] (the default), every flip in test order
+    /// at [`CausalityLevel::Exhaustive`] (the paper's procedure).
     pub level: CausalityLevel,
     /// Debug agreement mode: still execute flips the static prover
     /// discharged and assert the run agrees (failure manifested). Costs the
@@ -1016,7 +1016,7 @@ mod tests {
         );
         assert!(CausalityLevel::from_str("eager").is_err());
         assert_eq!(CausalityLevel::Adaptive.to_string(), "adaptive");
-        assert_eq!(CausalityLevel::default(), CausalityLevel::Exhaustive);
+        assert_eq!(CausalityLevel::default(), CausalityLevel::Adaptive);
     }
 
     #[test]

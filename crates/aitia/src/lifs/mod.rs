@@ -140,23 +140,26 @@ impl FailureTarget {
 /// equivalent to a plan scheduled earlier in the canonical generation
 /// order (or to a serial run), so the first failing schedule — and with it
 /// the entire diagnosis — is identical at every level. The differential
-/// harness in `tests/properties.rs` checks exactly that.
+/// harness in `tests/properties.rs` checks exactly that, and
+/// `tests/prune_golden.rs` and `tests/default_levels.rs` check the first
+/// failing schedule and its races on every corpus bug.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PruneLevel {
     /// No pruning: every candidate preemption point × target is executed.
     Off,
-    /// Conflict-based pruning (the seed behaviour, and the default):
-    /// points whose accesses conflict with no other thread are skipped, as
-    /// are preemptions after a thread's final memory access.
-    #[default]
+    /// Conflict-based pruning (the level of the paper's tables): points
+    /// whose accesses conflict with no other thread are skipped, as are
+    /// preemptions after a thread's final memory access.
     Conflict,
-    /// Full dynamic partial-order reduction: conflict pruning plus
-    /// sleep-set pruning (a preemption that re-creates an interleaving
-    /// already explored from an equivalent earlier prefix is never
-    /// regenerated) and persistent-set pruning (plans provably equivalent
-    /// to a serial order are cut), both validated step-by-step against the
-    /// victim's solo trace through the write-aware
+    /// Full dynamic partial-order reduction, and the default: conflict
+    /// pruning plus a refined point filter that sees through commuting
+    /// add/add meetings, sleep-set pruning (a preemption that re-creates an
+    /// interleaving already explored from an equivalent earlier prefix is
+    /// never regenerated) and persistent-set pruning (plans provably
+    /// equivalent to a serial order are cut), both validated step-by-step
+    /// against the victim's solo trace through the write-aware
     /// [`crate::race::ConflictIndex`].
+    #[default]
     Dpor,
 }
 
@@ -365,8 +368,11 @@ struct Knowledge {
     point_addrs: FxHashMap<(ThreadSel, InstrAddr, u32), BTreeSet<Addr>>,
     /// Address footprint per thread.
     footprints: BTreeMap<ThreadSel, BTreeSet<Addr>>,
-    /// Racing instruction pairs (unordered, normalized) seen in any run.
-    known_pairs: HashSet<(InstrAddr, InstrAddr)>,
+    /// Racing instruction pairs (unordered, normalized) seen in any run,
+    /// in sorted order: `finish` turns them into pending races, and two of
+    /// those at one failing-adjacent access tie in the backward order, so
+    /// the order they are found in is the order they are tested in.
+    known_pairs: BTreeSet<(InstrAddr, InstrAddr)>,
     /// Conflict-order signatures of executed runs.
     signatures: HashSet<u64>,
     /// Latest complete solo-ish trace per thread.
@@ -381,6 +387,14 @@ struct Knowledge {
     /// Write-aware per-thread address sets over every absorbed run; the
     /// static conflict index the DPOR rules query.
     conflicts: crate::race::ConflictIndex,
+    /// The program's `rcu_read_lock`/`rcu_read_unlock` instructions: an
+    /// unlock can end a grace period and make waiting `call_rcu` callbacks
+    /// runnable, which the step record does not show.
+    rcu_edges: HashSet<InstrAddr>,
+    /// Each thread's first memory point after each spawn, lock event or
+    /// RCU read-side edge it performs: the points from which the refined
+    /// filter keeps the first survivor ([`Lifs::extensions`]).
+    after_sync: HashSet<(ThreadSel, InstrAddr, u32)>,
     /// Knowledge version (bumped per absorbed run) for cache invalidation.
     version: u64,
 }
@@ -421,9 +435,19 @@ impl Knowledge {
             let mut counts: FxHashMap<InstrAddr, u32> = FxHashMap::default();
             let mut points = Vec::new();
             let mut footprint = Vec::new();
-            for rec in steps.iter().filter(|r| !r.accesses.is_empty()) {
+            let mut synced = false;
+            for rec in &steps {
+                synced |= rec.spawned.is_some()
+                    || rec.lock_event.is_some()
+                    || self.rcu_edges.contains(&rec.at);
+                if rec.accesses.is_empty() {
+                    continue;
+                }
                 let nth = *counts.entry(rec.at).and_modify(|c| *c += 1).or_insert(0);
                 points.push((rec.at, nth));
+                if std::mem::take(&mut synced) {
+                    self.after_sync.insert((sel, rec.at, nth));
+                }
                 let addrs = self.point_addrs.entry((sel, rec.at, nth)).or_default();
                 for acc in &rec.accesses {
                     addrs.insert(acc.addr);
@@ -570,7 +594,7 @@ impl PruneLog {
                     victim: key.victim,
                     at: key.at,
                     nth: key.nth,
-                    target: key.target.unwrap_or(key.victim),
+                    target: key.target,
                 }],
                 serial_order: vec![],
                 outcome: reason,
@@ -584,7 +608,7 @@ impl PruneLog {
 /// Per-target commutation data computed lazily by [`DporCtx`].
 struct TargetCtx {
     /// Per solo step: the step is clean (no locks held, no lock event, no
-    /// spawn) and every access is write-aware non-conflicting with the
+    /// spawn, no RCU read-side edge) and every access is write-aware non-conflicting with the
     /// target and with every thread the shared set names.
     ok: Vec<bool>,
     /// For each step `j` with `ok[j]`: the smallest `m` such that every
@@ -679,6 +703,7 @@ impl<'a> DporCtx<'a> {
                 rec.locks_held.is_empty()
                     && rec.lock_event.is_none()
                     && rec.spawned.is_none()
+                    && !k.rcu_edges.contains(&rec.at)
                     && rec.accesses.iter().all(|a| {
                         shared
                             .iter()
@@ -817,6 +842,7 @@ impl Lifs {
         let mut tree = SearchTree::default();
         let mut knowledge = Knowledge {
             conflicts: crate::race::ConflictIndex::for_program(&self.program),
+            rcu_edges: rcu_edges(&self.program),
             ..Knowledge::default()
         };
         let mut order = 0usize;
@@ -1178,7 +1204,13 @@ impl Lifs {
             // Solo positions of conflict-surviving points already emitted
             // for this victim — the sleep-set rule's backtrack anchors.
             let mut surv: Vec<usize> = Vec::new();
+            // Set at the victim's first point after a spawn, lock event or
+            // RCU read-side edge and taken by the first point from there on that passes the
+            // conflict rules. A prefix preemption of this victim passed them
+            // too, so an event before `min_pos` has had its point already.
+            let mut after_sync = false;
             for &(at, nth) in points.iter().skip(min_pos) {
+                after_sync |= k.after_sync.contains(&(victim, at, nth));
                 let point_key = PruneKey {
                     victim,
                     at,
@@ -1195,11 +1227,22 @@ impl Lifs {
                         continue;
                     }
                 }
-                // The refined filter is as static and depth-independent as
-                // the footprint test above — it merely sees through
-                // commutative add/add meetings — so it applies at every
-                // plan depth, not just count 1.
-                if dpor_static && !k.conflicts_somewhere_refined(victim, at, nth) {
+                // The refined filter drops a point whose accesses meet other
+                // threads only in commuting add/add pairs: preempting after
+                // it is equivalent to preempting after the victim's previous
+                // surviving point, which comes earlier in generation order.
+                // That holds only when the victim neither spawned a thread,
+                // nor took or dropped a lock, nor entered or left an RCU
+                // read-side section in between: the spawned thread does not
+                // exist at the earlier point, a target that needs the lock
+                // runs (or blocks) differently there, and a `call_rcu`
+                // callback waiting for the victim's grace period cannot run
+                // before the unlock. So the first survivor after such an
+                // event always stays. The
+                // filter is as static and depth-independent as the footprint
+                // test above, so it applies at every plan depth.
+                let sync_first = std::mem::take(&mut after_sync);
+                if dpor_static && !sync_first && !k.conflicts_somewhere_refined(victim, at, nth) {
                     pruned.note(point_key, k.version, NodeOutcome::PrunedNonConflicting);
                     continue;
                 }
@@ -1397,6 +1440,23 @@ pub fn initial_sels(program: &Program) -> Vec<ThreadSel> {
         .collect()
 }
 
+/// The addresses of a program's `rcu_read_lock` and `rcu_read_unlock`
+/// instructions.
+fn rcu_edges(program: &Program) -> HashSet<InstrAddr> {
+    let mut edges = HashSet::new();
+    for (p, prog) in program.progs.iter().enumerate() {
+        for (index, instr) in prog.instrs.iter().enumerate() {
+            if matches!(instr, ksim::Instr::RcuReadLock | ksim::Instr::RcuReadUnlock) {
+                edges.insert(InstrAddr {
+                    prog: ksim::ThreadProgId(p as u16),
+                    index,
+                });
+            }
+        }
+    }
+    edges
+}
+
 fn permutations(sels: &[ThreadSel]) -> Vec<Vec<ThreadSel>> {
     if sels.len() <= 1 {
         return vec![sels.to_vec()];
@@ -1420,7 +1480,7 @@ fn describe(plan: &[Preemption]) -> Vec<PreemptionDesc> {
             victim: p.victim,
             at: p.at,
             nth: p.nth,
-            target: p.target,
+            target: Some(p.target),
         })
         .collect()
 }
@@ -1686,7 +1746,7 @@ mod tests {
             assert_eq!(l.to_string(), s);
         }
         assert!(PruneLevel::from_str("banana").is_err());
-        assert_eq!(PruneLevel::default(), PruneLevel::Conflict);
+        assert_eq!(PruneLevel::default(), PruneLevel::Dpor);
         assert!(PruneLevel::Dpor > PruneLevel::Conflict);
         assert!(PruneLevel::Conflict > PruneLevel::Off);
     }
@@ -2010,6 +2070,198 @@ mod target_tests {
         );
         assert!(dpor.stats.schedules_executed < conflict.stats.schedules_executed);
         assert_eq!(conflict.failing.is_none(), dpor.failing.is_none());
+    }
+
+    /// The first failing schedule and its races at `off` and at `dpor`.
+    fn first_failing_at_off_and_dpor(program: &Arc<Program>) -> [(Schedule, Vec<ObservedRace>); 2] {
+        [PruneLevel::Off, PruneLevel::Dpor].map(|prune| {
+            let cfg = LifsConfig {
+                prune,
+                ..LifsConfig::default()
+            };
+            let run = Lifs::new(Arc::clone(program), cfg)
+                .search()
+                .failing
+                .unwrap_or_else(|| panic!("no failure at {prune}"));
+            (run.schedule, run.races)
+        })
+    }
+
+    /// Syzkaller #5's shape: A queues the worker, then bumps a counter the
+    /// worker bumps too (an add/add meeting only), then uses the object
+    /// the worker frees. The class "worker runs before A's use" is first
+    /// reached by preempting A after the counter, which the refined filter
+    /// would merge into A's previous point, where the worker does not
+    /// exist yet.
+    #[test]
+    fn dpor_keeps_the_first_point_after_a_spawn() {
+        let mut p = ProgramBuilder::new("spawn-then-add");
+        let stats = p.global("stats", 0);
+        let obj = p.static_obj("obj", 8);
+        let ptr = p.global_ptr("ptr", obj);
+        let w = {
+            let mut k = p.kworker_thread("kworker");
+            k.n("K1").fetch_add_global(stats, 1u64);
+            k.n("K2").load_global("r0", ptr);
+            k.n("K3").free("r0");
+            k.ret();
+            k.id()
+        };
+        {
+            let mut a = p.syscall_thread("A", "sendmsg");
+            a.n("A1").queue_work(w, None);
+            a.n("A2").fetch_add_global(stats, 1u64);
+            a.n("A3").load_global("r1", ptr);
+            a.n("A4").store_ind("r1", 0, 1u64);
+            a.ret();
+        }
+        let prog = Arc::new(p.build().unwrap());
+        let [off, dpor] = first_failing_at_off_and_dpor(&prog);
+        assert_eq!(prog.instr_name(off.0.points[0].at), "A2");
+        assert_eq!(off, dpor);
+    }
+
+    /// The lock-event twin: A takes `l` and then bumps a counter B bumps
+    /// too. Preempting A right there makes B block on `l` after reading
+    /// `flag`, so B's critical section runs after A's and sees `state`
+    /// set: the assertion fires. Merged into an earlier point (before the
+    /// lock), B would take `l` first and pass.
+    #[test]
+    fn dpor_keeps_the_first_point_after_a_lock_event() {
+        let mut p = ProgramBuilder::new("lock-then-add");
+        let stats = p.global("stats", 0);
+        let flag = p.global("flag", 0);
+        let state = p.global("state", 0);
+        let l = p.lock("l");
+        {
+            let mut a = p.syscall_thread("A", "update");
+            a.lock(l);
+            a.n("A1").fetch_add_global(stats, 1u64);
+            a.n("A2").store_global(flag, 1u64);
+            a.n("A3").store_global(state, 1u64);
+            a.unlock(l);
+            a.ret();
+        }
+        {
+            let mut b = p.syscall_thread("B", "check");
+            let out = b.new_label();
+            b.n("B1").load_global("r0", flag);
+            b.n("B2").fetch_add_global(stats, 1u64);
+            b.lock(l);
+            b.n("B3").load_global("r1", state);
+            b.unlock(l);
+            b.jmp_if(cond_reg("r0", CmpOp::Ne, 0), out);
+            b.bug_on(cond_reg("r1", CmpOp::Eq, 1));
+            b.place(out);
+            b.ret();
+        }
+        let prog = Arc::new(p.build().unwrap());
+        let [off, dpor] = first_failing_at_off_and_dpor(&prog);
+        assert_eq!(prog.instr_name(off.0.points[0].at), "A1");
+        assert_eq!(off, dpor);
+    }
+
+    /// The RCU twin: A's `call_rcu` callback C waits for the grace period
+    /// A's read-side section holds open, so C first exists as a runnable
+    /// target at A's first point after `rcu_read_unlock`. That point only
+    /// bumps a counter C bumps too; merged into A's previous point (inside
+    /// the section, where C cannot run), the class "C frees before A's
+    /// use" would first be reached one point later.
+    #[test]
+    fn dpor_keeps_the_first_point_after_an_rcu_unlock() {
+        let mut p = ProgramBuilder::new("rcu-unlock-then-add");
+        let stats = p.global("stats", 0);
+        let obj = p.static_obj("obj", 8);
+        let ptr = p.global_ptr("ptr", obj);
+        let cb = {
+            let mut c = p.rcu_thread("C");
+            c.n("C1").fetch_add_global(stats, 1u64);
+            c.n("C2").load_global("r0", ptr);
+            c.n("C3").free("r0");
+            c.ret();
+            c.id()
+        };
+        {
+            let mut a = p.syscall_thread("A", "sendmsg");
+            a.rcu_read_lock();
+            a.call_rcu(cb, None);
+            a.n("A1").fetch_add_global(stats, 1u64);
+            a.rcu_read_unlock();
+            a.n("A2").fetch_add_global(stats, 1u64);
+            a.n("A3").load_global("r1", ptr);
+            a.n("A4").store_ind("r1", 0, 1u64);
+            a.ret();
+        }
+        let prog = Arc::new(p.build().unwrap());
+        let [off, dpor] = first_failing_at_off_and_dpor(&prog);
+        assert_eq!(prog.instr_name(off.0.points[0].at), "A2");
+        assert_eq!(off, dpor);
+    }
+
+    /// Two pending races at T0's last access before its assertion tie in
+    /// the backward order, so the order `finish` finds them in is the
+    /// order they are tested in. Every search of one program must find
+    /// them in one order (a random-program property found this shape).
+    #[test]
+    fn tied_pending_races_come_out_in_one_order() {
+        let mut p = ProgramBuilder::new("tied-pending");
+        let v1 = p.global("v1", 0);
+        let v2 = p.global("v2", 0);
+        let v3 = p.global("v3", 0);
+        let (l0, l1) = (p.lock("l0"), p.lock("l1"));
+        let k = {
+            let mut k = p.kworker_thread("K");
+            k.load_global("r2", v1);
+            k.bug_on(cond_reg("r2", CmpOp::Eq, 5));
+            k.lock(l1);
+            k.store_global(v2, 0u64);
+            k.unlock(l1);
+            k.load_global("r0", v1);
+            k.ret();
+            k.id()
+        };
+        {
+            let mut t = p.syscall_thread("T0", "check");
+            let skip = t.new_label();
+            t.load_global("r1", v2);
+            t.jmp_if(cond_reg("r1", CmpOp::Ne, 0), skip);
+            t.store_global(v3, 3u64);
+            t.place(skip);
+            t.store_global(v2, 2u64);
+            t.lock(l0);
+            t.store_global(v2, 3u64);
+            t.unlock(l0);
+            t.load_global("r2", v2);
+            t.bug_on(cond_reg("r2", CmpOp::Eq, 5));
+            t.ret();
+        }
+        {
+            let mut t = p.syscall_thread("T1", "update");
+            t.queue_work(k, None);
+            for val in [5u64, 1] {
+                t.lock(l1);
+                t.store_global(v2, val);
+                t.unlock(l1);
+            }
+            t.ret();
+        }
+        let prog = Arc::new(p.build().unwrap());
+        let races = || {
+            Lifs::new(Arc::clone(&prog), LifsConfig::default())
+                .search()
+                .failing
+                .expect("T0's assertion fires")
+                .races
+        };
+        let first = races();
+        let pending = first
+            .iter()
+            .filter(|r| matches!(r.second, RaceEnd::Pending { .. }))
+            .count();
+        assert!(pending >= 2, "only {pending} pending races: nothing ties");
+        for _ in 0..8 {
+            assert_eq!(races(), first);
+        }
     }
 
     /// Sleep-set state survives `SnapshotForest` prefix restores: with the

@@ -42,8 +42,9 @@ pub struct PreemptionDesc {
     pub at: InstrAddr,
     /// Occurrence ordinal of `at` in the victim (loops).
     pub nth: u32,
-    /// The thread switched to.
-    pub target: ThreadSel,
+    /// The thread switched to; `None` on a point-level skip, which prunes
+    /// the preemption toward every target at once.
+    pub target: Option<ThreadSel>,
 }
 
 /// One node of the LIFS search tree.
@@ -118,7 +119,8 @@ impl SearchTree {
                             "{}@{} → {}",
                             program.prog(p.victim.prog).name,
                             program.instr_name(p.at),
-                            program.prog(p.target.prog).name
+                            p.target
+                                .map_or("any", |t| program.prog(t.prog).name.as_str())
                         )
                     })
                     .collect::<Vec<_>>()
@@ -144,7 +146,65 @@ impl SearchTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ksim::ThreadProgId;
+    use ksim::{
+        builder::ProgramBuilder,
+        ThreadProgId, //
+    };
+
+    /// A point-level skip prunes the point toward every thread, so its line
+    /// names no target; a pair-level skip and an executed plan name theirs.
+    #[test]
+    fn point_level_skips_render_without_a_target() {
+        let mut p = ProgramBuilder::new("render");
+        let x = p.global("x", 0);
+        let a = {
+            let mut a = p.syscall_thread("A", "a");
+            a.n("A1").store_global(x, 1u64);
+            a.ret();
+            a.id()
+        };
+        let b = {
+            let mut b = p.syscall_thread("B", "b");
+            b.load_global("r0", x);
+            b.ret();
+            b.id()
+        };
+        let program = p.build().unwrap();
+        let (sel_a, sel_b) = (ThreadSel::first(a), ThreadSel::first(b));
+        let node = |order, target, outcome| SearchNode {
+            order,
+            interleavings: 1,
+            plan: vec![PreemptionDesc {
+                victim: sel_a,
+                at: InstrAddr { prog: a, index: 0 },
+                nth: 0,
+                target,
+            }],
+            serial_order: vec![],
+            outcome,
+            steps: 0,
+        };
+        let tree = SearchTree {
+            nodes: vec![
+                node(4, None, NodeOutcome::PrunedNonConflicting),
+                node(5, Some(sel_b), NodeOutcome::PrunedSleepSet),
+                node(6, Some(sel_b), NodeOutcome::NoFailure),
+            ],
+        };
+        let lines: Vec<String> = tree
+            .render(&program)
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "4. c=1 A@A1 → any skip (non-conflicting)",
+                "5. c=1 A@A1 → B skip (sleep set)",
+                "6. c=1 A@A1 → B ok",
+            ]
+        );
+    }
 
     #[test]
     fn executed_and_pruned_counts() {

@@ -263,6 +263,7 @@ mod tests {
         CausalityConfig,
         Lifs,
         LifsConfig,
+        PruneLevel,
         Verdict, //
     };
     use std::sync::Arc;
@@ -308,9 +309,14 @@ mod tests {
         assert!(res.chain.race_count() >= 1);
     }
 
+    /// At `conflict`, the level of the paper's Figure 5 tree.
     #[test]
     fn fig5_failure_needs_exactly_one_interleaving() {
-        let out = Lifs::new(Arc::new(fig5()), LifsConfig::default()).search();
+        let config = LifsConfig {
+            prune: PruneLevel::Conflict,
+            ..LifsConfig::default()
+        };
+        let out = Lifs::new(Arc::new(fig5()), config).search();
         let run = out.failing.expect("reproduces");
         assert_eq!(out.stats.interleaving_count, 1);
         assert_eq!(run.failure.kind, ksim::FailureKind::NullDeref);

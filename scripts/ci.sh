@@ -85,6 +85,33 @@ echo "==> no-reproduction smoke"
 # report must say so and exit 1, as diagnose does, instead of panicking.
 expect_status 1 ./target/release/report table2 --scale 100
 
+echo "==> paper levels smoke"
+# report pins the paper's levels (conflict pruning, exhaustive causality)
+# for every table and figure, while diagnose and campaignd default to dpor
+# and adaptive: report's tables must not move with the library defaults.
+# Only the VM-pool stats block at the end may differ between two runs.
+./target/release/report table2 --scale 0.05 \
+    | sed '/^VM-pool execution stats/,$d' > target/ci-report-default.txt
+./target/release/report table2 --scale 0.05 --prune-level conflict \
+    --causality-level exhaustive \
+    | sed '/^VM-pool execution stats/,$d' > target/ci-report-paper.txt
+diff target/ci-report-default.txt target/ci-report-paper.txt \
+    || { echo "FAIL: report table2 left the paper's levels" >&2; exit 1; }
+
+echo "==> default levels smoke"
+# diagnose at its default levels (dpor + adaptive) must print the report
+# of a diagnosis at the paper's levels byte for byte: on the Packet socket
+# bug, on the ambiguity case of Figure 7 and on Syzkaller #5, whose
+# victim spawns the thread it is preempted toward.
+for bug in CVE-2017-15649 CVE-2016-10200 "#5"; do
+    ./target/release/diagnose "$bug" --report-only \
+        > target/ci-levels-default.txt 2> /dev/null
+    ./target/release/diagnose "$bug" --report-only --prune-level conflict \
+        --causality-level exhaustive > target/ci-levels-paper.txt 2> /dev/null
+    diff target/ci-levels-default.txt target/ci-levels-paper.txt \
+        || { echo "FAIL: $bug: the default levels changed the diagnosis" >&2; exit 1; }
+done
+
 echo "==> prune ablation smoke"
 # The same bug diagnosed with pruning fully off and with full DPOR pruning
 # must print byte-identical reports: pruning only skips equivalent
@@ -150,12 +177,12 @@ resume_matches_reference "version 1 journal" 0.05
 grep -q 'unrecognized header' target/ci-resume-resumed.err \
     || { echo "FAIL: a version 1 journal did not cold-start with a warning" >&2; exit 1; }
 # SIGKILL a journaled run partway through and resume over what survived.
-# At scale 0.2 the run takes about 0.35 s on 2 hardware threads, so the
-# kill at 0.1 s lands mid-run. The kill is still racy by design: if the
-# run finishes first, the resume replays a complete journal and the diff
-# must still be clean.
+# At scale 1.0 the cold run takes about 0.6 s on 2 hardware threads (at
+# the default levels; 0.1 s at scale 0.2), so the kill at 0.1 s lands
+# mid-run. The kill is still racy by design: if the run finishes first,
+# the resume replays a complete journal and the diff must still be clean.
 rm -f "$SMOKE_JOURNAL"
-./target/release/diagnose "$SMOKE_BUG" --scale 0.2 --journal "$SMOKE_JOURNAL" \
+./target/release/diagnose "$SMOKE_BUG" --scale 1.0 --journal "$SMOKE_JOURNAL" \
     > /dev/null 2> /dev/null &
 SMOKE_PID=$!
 sleep 0.1
@@ -167,35 +194,44 @@ if [ "$SMOKE_STATUS" -eq 137 ]; then
 else
     echo "    the run finished before the kill (status $SMOKE_STATUS)"
 fi
-resume_matches_reference "SIGKILLed journal" 0.2
+resume_matches_reference "SIGKILLed journal" 1.0
 
 echo "==> campaignd smoke"
 # Submit a batch of corpus bugs to the daemon's durable queue, start the
 # daemon, SIGKILL it partway through, restart it in drain mode, and require
 # every result file to diff clean against direct `diagnose --report-only`
-# runs. The kill is racy by design: whether it lands mid-campaign, between
-# campaigns, or after the drain, the restart must recover the queue and
-# land every job on the same bytes.
+# runs. At scale 0.4 the whole drain takes about 1.0 s on 2 hardware
+# threads (at the default levels; 0.1 s at scale 0.05), so the kill at
+# 0.2 s lands mid-drain. The kill is still racy by design: whether it
+# lands mid-campaign, between campaigns, or after the drain, the restart
+# must recover the queue and land every job on the same bytes.
 CDIR=target/ci-campaignd
+CD_SCALE=0.4
 rm -rf "$CDIR"
 SMOKE_BUGS="CVE-2017-15649 CVE-2017-10661 CVE-2018-12232 CVE-2019-6974 \
     CVE-2016-8655 CVE-2017-2636 CVE-2017-7533 CVE-2019-11486"
 for bug in $SMOKE_BUGS; do
-    ./target/release/campaignd submit --dir "$CDIR" "cve:$bug:0.05" > /dev/null
+    ./target/release/campaignd submit --dir "$CDIR" "cve:$bug:$CD_SCALE" > /dev/null
 done
 ./target/release/campaignd run --dir "$CDIR" --drain --poll-ms 5 \
     2> target/ci-campaignd-first.err &
 CD_PID=$!
 sleep 0.2
 kill -9 "$CD_PID" 2> /dev/null || true
-wait "$CD_PID" 2> /dev/null || true
+CD_STATUS=0
+wait "$CD_PID" 2> /dev/null || CD_STATUS=$?
+if [ "$CD_STATUS" -eq 137 ]; then
+    echo "    the kill landed mid-drain"
+else
+    echo "    the drain finished before the kill (status $CD_STATUS)"
+fi
 ./target/release/campaignd run --dir "$CDIR" --drain --poll-ms 5 \
     2> target/ci-campaignd-restart.err
 ./target/release/campaignd status --dir "$CDIR" > target/ci-campaignd-status.json
 id=0
 for bug in $SMOKE_BUGS; do
     id=$((id + 1))
-    ./target/release/diagnose "$bug" --scale 0.05 --report-only \
+    ./target/release/diagnose "$bug" --scale "$CD_SCALE" --report-only \
         > target/ci-campaignd-ref.txt 2> /dev/null
     diff "$CDIR/results/job-$id.report.txt" target/ci-campaignd-ref.txt \
         || { echo "FAIL: campaignd job $id ($bug) diverged from direct diagnose" >&2; exit 1; }

@@ -17,6 +17,7 @@ use aitia_repro::aitia::{
         initial_sels,
         tree::{
             NodeOutcome,
+            PreemptionDesc,
             SearchNode, //
         },
     },
@@ -25,8 +26,8 @@ use aitia_repro::aitia::{
         cs_order_races,
         races_in_trace, //
     },
-    Anchor, CancelToken, ExecJob, Executor, ExecutorConfig, Lifs, LifsConfig, SchedPoint, Schedule,
-    Substrate, ThreadSel,
+    Anchor, CancelToken, ExecJob, Executor, ExecutorConfig, Lifs, LifsConfig, PruneLevel,
+    SchedPoint, Schedule, Substrate, ThreadSel,
 };
 use aitia_repro::corpus;
 use aitia_repro::ksim::{
@@ -99,8 +100,9 @@ fn node_schedule(node: &SearchNode, initial: &[ThreadSel]) -> Schedule {
             order => Schedule::serial(order.to_vec()),
         };
     };
-    let mut fallback = vec![last.target];
-    fallback.extend(initial.iter().filter(|&&s| s != last.target));
+    let target = |p: &PreemptionDesc| p.target.expect("an executed plan names its targets");
+    let mut fallback = vec![target(last)];
+    fallback.extend(initial.iter().filter(|&&s| s != target(last)));
     Schedule {
         start: node.plan.first().map(|p| p.victim),
         points: node
@@ -111,7 +113,7 @@ fn node_schedule(node: &SearchNode, initial: &[ThreadSel]) -> Schedule {
                 at: p.at,
                 nth: p.nth,
                 when: Anchor::After,
-                switch_to: p.target,
+                switch_to: target(p),
             })
             .collect(),
         fallback,
@@ -165,15 +167,18 @@ fn folded_traces(program: &Arc<Program>, config: LifsConfig) -> Vec<Trace> {
         .collect()
 }
 
+/// The traces come from `conflict` searches: `dpor` folds too few of them
+/// to reach the floors below.
 #[test]
 fn fold_matches_reference_on_every_table2_trace() {
     let mut folded = 0;
     for bug in corpus::cves() {
         let program = bug.program_scaled(0.05);
-        for (i, trace) in folded_traces(&program, bug.lifs_config())
-            .iter()
-            .enumerate()
-        {
+        let config = LifsConfig {
+            prune: PruneLevel::Conflict,
+            ..bug.lifs_config()
+        };
+        for (i, trace) in folded_traces(&program, config).iter().enumerate() {
             assert_fold_matches(trace, &format!("{} run {i}", bug.id));
             folded += 1;
         }
@@ -186,10 +191,11 @@ fn fold_matches_reference_on_every_generated_bug_trace() {
     let mut folded = 0;
     for seed in 0..64 {
         let bug = corpus::generate::generate(seed);
-        for (i, trace) in folded_traces(&bug.program, bug.lifs_config())
-            .iter()
-            .enumerate()
-        {
+        let config = LifsConfig {
+            prune: PruneLevel::Conflict,
+            ..bug.lifs_config()
+        };
+        for (i, trace) in folded_traces(&bug.program, config).iter().enumerate() {
             assert_fold_matches(trace, &format!("gen:{seed} run {i}"));
             folded += 1;
         }

@@ -1,18 +1,24 @@
 //! Figure-for-figure assertions against the paper.
 
 use aitia_repro::aitia::{
-    lifs::tree::NodeOutcome, CausalityAnalysis, CausalityConfig, Lifs, LifsConfig, Verdict,
+    lifs::tree::NodeOutcome, CausalityAnalysis, CausalityConfig, Lifs, LifsConfig, PruneLevel,
+    Verdict,
 };
 use aitia_repro::corpus::figures;
 use std::sync::Arc;
 
 /// Figure 5: serial orders first, then count-1 preemptions; the failure
 /// reproduces at interleaving count 1 via the A1 preemption; non-conflicting
-/// and equivalent candidates are pruned.
+/// and equivalent candidates are pruned. The search runs at `conflict`, the
+/// level of the paper's tree (and of `report fig5`).
 #[test]
 fn fig5_search_order_matches_paper() {
     let prog = Arc::new(figures::fig5());
-    let out = Lifs::new(Arc::clone(&prog), LifsConfig::default()).search();
+    let config = LifsConfig {
+        prune: PruneLevel::Conflict,
+        ..LifsConfig::default()
+    };
+    let out = Lifs::new(Arc::clone(&prog), config).search();
     let nodes = &out.tree.nodes;
     // Orders 1 and 2: the serial executions, no failure.
     assert_eq!(nodes[0].interleavings, 0);

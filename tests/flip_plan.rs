@@ -38,6 +38,7 @@ use aitia_repro::aitia::{
     Anchor,
     CausalityAnalysis,
     CausalityConfig,
+    CausalityLevel,
     FailingRun,
     Lifs,
     LifsConfig,
@@ -306,7 +307,8 @@ fn check_plan(run: &FailingRun, race: &ObservedRace, others: &[ObservedRace], re
 
 /// Checks every race of `run` against the reference planner, then runs
 /// the analysis and re-derives each tested race's vanished races from a
-/// fresh execution of its flip.
+/// fresh execution of its flip. The analysis is `exhaustive`, so every
+/// race has a flip run to check; `adaptive` skips the statically proved.
 fn check_run(run: &FailingRun, reach: &mut Reach) {
     for race in &run.races {
         check_plan(run, race, &run.races, reach);
@@ -314,6 +316,7 @@ fn check_run(run: &FailingRun, reach: &mut Reach) {
     for cs_as_unit in [true, false] {
         let result = CausalityAnalysis::new(CausalityConfig {
             cs_as_unit,
+            level: CausalityLevel::Exhaustive,
             ..CausalityConfig::default()
         })
         .analyze(run);

@@ -1,8 +1,9 @@
 //! Property-based tests over the substrate and the algorithms.
 //!
 //! Random programs are generated from a small grammar (stores, loads,
-//! counters, branches, locks over a handful of globals across two or three
-//! threads) and the core invariants are checked:
+//! counters, branches, locks and assertions over a handful of globals
+//! across two or three threads, which may queue a kworker with ops of its
+//! own) and the core invariants are checked:
 //!
 //! * engine determinism — the same schedule always yields the same trace;
 //! * snapshot/restore — a restored engine replays identically;
@@ -31,15 +32,18 @@ use aitia_repro::corpus;
 use aitia_repro::ksim::{
     builder::{
         cond_reg,
-        ProgramBuilder, //
+        ProgramBuilder,
+        ThreadBuilder, //
     },
-    CmpOp, Engine, Program,
+    CmpOp, Engine, GlobalId, LockId, Program, ThreadProgId,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// One generated instruction of the random-program grammar.
+/// One generated instruction of the random-program grammar. `Assert` is
+/// `BUG_ON(var == val)`, the failure a search can reproduce; `QueueWork`
+/// queues the program's kworker, which runs [`GenSpec::worker`].
 #[derive(Clone, Debug)]
 enum GenOp {
     Store { var: u8, val: u8 },
@@ -47,56 +51,114 @@ enum GenOp {
     FetchAdd { var: u8 },
     GuardedStore { guard: u8, var: u8, val: u8 },
     Locked { lock: u8, var: u8, val: u8 },
+    Assert { var: u8, val: u8 },
+    QueueWork,
 }
 
-fn gen_op() -> impl Strategy<Value = GenOp> {
-    prop_oneof![
-        (0u8..4, 0u8..8).prop_map(|(var, val)| GenOp::Store { var, val }),
-        (0u8..4).prop_map(|var| GenOp::Load { var }),
-        (0u8..4).prop_map(|var| GenOp::FetchAdd { var }),
-        (0u8..4, 0u8..4, 0u8..8).prop_map(|(guard, var, val)| GenOp::GuardedStore {
-            guard,
-            var,
-            val
-        }),
-        (0u8..2, 0u8..4, 0u8..8).prop_map(|(lock, var, val)| GenOp::Locked { lock, var, val }),
+/// A generated program: syscall threads, and the ops of the kworker their
+/// `QueueWork` ops spawn (built only when some thread queues it).
+#[derive(Clone, Debug)]
+struct GenSpec {
+    threads: Vec<Vec<GenOp>>,
+    worker: Vec<GenOp>,
+}
+
+/// The ops of every thread, the kworker's included (it queues nothing).
+fn common_ops() -> Vec<BoxedStrategy<GenOp>> {
+    vec![
+        (0u8..4, 0u8..8)
+            .prop_map(|(var, val)| GenOp::Store { var, val })
+            .boxed(),
+        (0u8..4).prop_map(|var| GenOp::Load { var }).boxed(),
+        (0u8..4).prop_map(|var| GenOp::FetchAdd { var }).boxed(),
+        (0u8..4, 0u8..4, 0u8..8)
+            .prop_map(|(guard, var, val)| GenOp::GuardedStore { guard, var, val })
+            .boxed(),
+        (0u8..2, 0u8..4, 0u8..8)
+            .prop_map(|(lock, var, val)| GenOp::Locked { lock, var, val })
+            .boxed(),
+        (0u8..4, 1u8..8)
+            .prop_map(|(var, val)| GenOp::Assert { var, val })
+            .boxed(),
     ]
 }
 
-fn gen_program() -> impl Strategy<Value = Vec<Vec<GenOp>>> {
-    prop::collection::vec(prop::collection::vec(gen_op(), 1..8), 2..4)
+/// A syscall thread's op: one of [`common_ops`], or `QueueWork`.
+fn gen_op() -> Union<GenOp> {
+    let mut ops = common_ops();
+    ops.push(Just(GenOp::QueueWork).boxed());
+    Union::new(ops)
 }
 
-fn build(threads: &[Vec<GenOp>]) -> Arc<Program> {
+fn gen_program() -> impl Strategy<Value = GenSpec> {
+    (
+        prop::collection::vec(prop::collection::vec(gen_op(), 1..8), 2..4),
+        prop::collection::vec(Union::new(common_ops()), 1..6),
+    )
+        .prop_map(|(threads, worker)| GenSpec { threads, worker })
+}
+
+/// Appends `op` to a thread under construction.
+fn emit(
+    t: &mut ThreadBuilder<'_>,
+    op: &GenOp,
+    vars: &[GlobalId],
+    locks: &[LockId],
+    worker: Option<ThreadProgId>,
+) {
+    match op {
+        GenOp::Store { var, val } => {
+            t.store_global(vars[*var as usize], u64::from(*val));
+        }
+        GenOp::Load { var } => {
+            t.load_global("r0", vars[*var as usize]);
+        }
+        GenOp::FetchAdd { var } => {
+            t.fetch_add_global(vars[*var as usize], 1u64);
+        }
+        GenOp::GuardedStore { guard, var, val } => {
+            let skip = t.new_label();
+            t.load_global("r1", vars[*guard as usize]);
+            t.jmp_if(cond_reg("r1", CmpOp::Ne, 0), skip);
+            t.store_global(vars[*var as usize], u64::from(*val));
+            t.place(skip);
+        }
+        GenOp::Locked { lock, var, val } => {
+            t.lock(locks[*lock as usize]);
+            t.store_global(vars[*var as usize], u64::from(*val));
+            t.unlock(locks[*lock as usize]);
+        }
+        GenOp::Assert { var, val } => {
+            t.load_global("r2", vars[*var as usize]);
+            t.bug_on(cond_reg("r2", CmpOp::Eq, u64::from(*val)));
+        }
+        GenOp::QueueWork => {
+            t.queue_work(worker.expect("the kworker is built when queued"), None);
+        }
+    }
+}
+
+fn build(spec: &GenSpec) -> Arc<Program> {
     let mut p = ProgramBuilder::new("generated");
     let vars: Vec<_> = (0..4).map(|i| p.global(&format!("v{i}"), 0)).collect();
     let locks: Vec<_> = (0..2).map(|i| p.lock(&format!("l{i}"))).collect();
-    for (ti, ops) in threads.iter().enumerate() {
+    let queued = spec
+        .threads
+        .iter()
+        .flatten()
+        .any(|op| matches!(op, GenOp::QueueWork));
+    let worker = queued.then(|| {
+        let mut k = p.kworker_thread("K");
+        for op in &spec.worker {
+            emit(&mut k, op, &vars, &locks, None);
+        }
+        k.ret();
+        k.id()
+    });
+    for (ti, ops) in spec.threads.iter().enumerate() {
         let mut t = p.syscall_thread(&format!("T{ti}"), "gen");
         for op in ops {
-            match op {
-                GenOp::Store { var, val } => {
-                    t.store_global(vars[*var as usize], u64::from(*val));
-                }
-                GenOp::Load { var } => {
-                    t.load_global("r0", vars[*var as usize]);
-                }
-                GenOp::FetchAdd { var } => {
-                    t.fetch_add_global(vars[*var as usize], 1u64);
-                }
-                GenOp::GuardedStore { guard, var, val } => {
-                    let skip = t.new_label();
-                    t.load_global("r1", vars[*guard as usize]);
-                    t.jmp_if(cond_reg("r1", CmpOp::Ne, 0), skip);
-                    t.store_global(vars[*var as usize], u64::from(*val));
-                    t.place(skip);
-                }
-                GenOp::Locked { lock, var, val } => {
-                    t.lock(locks[*lock as usize]);
-                    t.store_global(vars[*var as usize], u64::from(*val));
-                    t.unlock(locks[*lock as usize]);
-                }
-            }
+            emit(&mut t, op, &vars, &locks, worker);
         }
         t.ret();
     }
@@ -117,8 +179,8 @@ proptest! {
 
     /// The same schedule yields the same trace, twice.
     #[test]
-    fn engine_is_deterministic(threads in gen_program()) {
-        let program = build(&threads);
+    fn engine_is_deterministic(spec in gen_program()) {
+        let program = build(&spec);
         let schedule = serial_schedule(&program);
         let mut e1 = Engine::new(Arc::clone(&program));
         let mut e2 = Engine::new(Arc::clone(&program));
@@ -130,8 +192,8 @@ proptest! {
 
     /// A snapshot taken before a run restores to an identical replay.
     #[test]
-    fn snapshot_restore_replays(threads in gen_program()) {
-        let program = build(&threads);
+    fn snapshot_restore_replays(spec in gen_program()) {
+        let program = build(&spec);
         let schedule = serial_schedule(&program);
         let mut e = Engine::new(Arc::clone(&program));
         let snap = e.snapshot();
@@ -143,23 +205,25 @@ proptest! {
 
     /// Lock-protected conflicting accesses never appear as data races.
     #[test]
-    fn locked_accesses_never_race(threads in gen_program()) {
-        // Restrict to locked stores on one variable plus arbitrary reads.
-        let locked_only: Vec<Vec<GenOp>> = threads
-            .iter()
-            .map(|ops| {
-                ops.iter()
-                    .map(|op| match op {
-                        GenOp::Store { var, val } | GenOp::GuardedStore { var, val, .. } => {
-                            GenOp::Locked { lock: 0, var: *var, val: *val }
-                        }
-                        GenOp::FetchAdd { var } => GenOp::Locked { lock: 0, var: *var, val: 1 },
-                        GenOp::Locked { var, val, .. } => GenOp::Locked { lock: 0, var: *var, val: *val },
-                        other => other.clone(),
-                    })
-                    .collect()
-            })
-            .collect();
+    fn locked_accesses_never_race(spec in gen_program()) {
+        // Restrict to locked stores on one variable plus arbitrary reads,
+        // in the kworker too.
+        let locked = |ops: &[GenOp]| -> Vec<GenOp> {
+            ops.iter()
+                .map(|op| match op {
+                    GenOp::Store { var, val } | GenOp::GuardedStore { var, val, .. } => {
+                        GenOp::Locked { lock: 0, var: *var, val: *val }
+                    }
+                    GenOp::FetchAdd { var } => GenOp::Locked { lock: 0, var: *var, val: 1 },
+                    GenOp::Locked { var, val, .. } => GenOp::Locked { lock: 0, var: *var, val: *val },
+                    other => other.clone(),
+                })
+                .collect()
+        };
+        let locked_only = GenSpec {
+            threads: spec.threads.iter().map(|ops| locked(ops)).collect(),
+            worker: locked(&spec.worker),
+        };
         let program = build(&locked_only);
         let mut e = Engine::new(Arc::clone(&program));
         let _ = enforce::run(&mut e, &serial_schedule(&program), &EnforceConfig::default());
@@ -180,8 +244,8 @@ proptest! {
     /// identically, and Causality Analysis produces a chain whose flips all
     /// avert the failure.
     #[test]
-    fn lifs_and_causality_are_sound(threads in gen_program()) {
-        let program = build(&threads);
+    fn lifs_and_causality_are_sound(spec in gen_program()) {
+        let program = build(&spec);
         let out = Lifs::new(Arc::clone(&program), LifsConfig {
             max_interleavings: 2,
             max_schedules: 3_000,
@@ -298,8 +362,8 @@ proptest! {
     /// 1, 2, and 8 workers. The wide pools run on the serial run's
     /// substrate, so they also answer from its memo entries.
     #[test]
-    fn diagnosis_is_identical_across_worker_counts(threads in gen_program()) {
-        let program = build(&threads);
+    fn diagnosis_is_identical_across_worker_counts(spec in gen_program()) {
+        let program = build(&spec);
         let substrate = Substrate::default();
         let serial = diagnose_at(&program, 1, &substrate);
         for vms in [2usize, 8] {
@@ -321,8 +385,8 @@ proptest! {
     /// the 2- and 8-worker runs answer repeated schedules from entries and
     /// checkpoints the 1-worker run stored.
     #[test]
-    fn memoized_diagnosis_is_bit_identical_to_memo_off(threads in gen_program()) {
-        let program = build(&threads);
+    fn memoized_diagnosis_is_bit_identical_to_memo_off(spec in gen_program()) {
+        let program = build(&spec);
         let substrate = Substrate::default();
         let baseline = diagnose_with(&program, 1, false, &substrate);
         for vms in [1usize, 2, 8] {
@@ -443,8 +507,8 @@ proptest! {
     /// one explored earlier in canonical order, so the first survivor is
     /// the first failure.
     #[test]
-    fn prune_levels_agree_on_diagnosis(threads in gen_program()) {
-        let program = build(&threads);
+    fn prune_levels_agree_on_diagnosis(spec in gen_program()) {
+        let program = build(&spec);
         let substrate = Substrate::default();
         let baseline = diagnose_pruned(&program, 1, true, PruneLevel::Off, &substrate);
         for level in [PruneLevel::Conflict, PruneLevel::Dpor] {
@@ -471,8 +535,8 @@ proptest! {
     /// proves a memo hit feeds the sleep-set machinery the same step
     /// records a real execution would.
     #[test]
-    fn prune_levels_agree_without_memoization(threads in gen_program()) {
-        let program = build(&threads);
+    fn prune_levels_agree_without_memoization(spec in gen_program()) {
+        let program = build(&spec);
         let substrate = Substrate::default();
         let baseline = diagnose_pruned(&program, 1, false, PruneLevel::Off, &substrate);
         for memo in [false, true] {
@@ -544,8 +608,8 @@ proptest! {
     /// chain and verdict list as the exhaustive level, at every prune
     /// level and worker count.
     #[test]
-    fn causality_levels_agree_on_diagnosis(threads in gen_program()) {
-        let program = build(&threads);
+    fn causality_levels_agree_on_diagnosis(spec in gen_program()) {
+        let program = build(&spec);
         let substrate = Substrate::default();
         for prune in [PruneLevel::Off, PruneLevel::Conflict, PruneLevel::Dpor] {
             let baseline = diagnose_causal(
@@ -576,8 +640,8 @@ proptest! {
     /// memo-on adaptive proves a skipped flip is equivalent whether the
     /// executed baseline answered it from a VM or from the table.
     #[test]
-    fn causality_levels_agree_without_memoization(threads in gen_program()) {
-        let program = build(&threads);
+    fn causality_levels_agree_without_memoization(spec in gen_program()) {
+        let program = build(&spec);
         let substrate = Substrate::default();
         let baseline = diagnose_causal(
             &program, 1, false, PruneLevel::Conflict, CausalityLevel::Exhaustive, &substrate,
@@ -625,10 +689,10 @@ proptest! {
     /// workers; cancelling before the first job yields all `None`.
     #[test]
     fn cancelled_run_until_keeps_a_contiguous_prefix(
-        threads in gen_program(),
+        spec in gen_program(),
         c in 0usize..6,
     ) {
-        let program = build(&threads);
+        let program = build(&spec);
         let jobs = repeated_jobs(&program, 6);
         let substrate = Substrate::default();
         for vms in [1usize, 2, 8] {
@@ -664,10 +728,10 @@ proptest! {
     /// the memo-off uncancelled baseline at the same index.
     #[test]
     fn cancelled_memoized_batch_matches_memo_off_prefix(
-        threads in gen_program(),
+        spec in gen_program(),
         c in 0usize..6,
     ) {
-        let program = build(&threads);
+        let program = build(&spec);
         let jobs = repeated_jobs(&program, 6);
         let substrate = Substrate::default();
         let baseline = memo_pool(1, false, &substrate).run_batch(&jobs, &CancelToken::new());
@@ -761,8 +825,8 @@ proptest! {
     /// the table. The name's fault axis is historical: the executor no
     /// longer simulates VM faults.
     #[test]
-    fn pooled_runs_are_identical_across_workers_memo_and_faults(threads in gen_program()) {
-        let program = build(&threads);
+    fn pooled_runs_are_identical_across_workers_memo_and_faults(spec in gen_program()) {
+        let program = build(&spec);
         let jobs = repeated_jobs(&program, 3);
         let substrate = Substrate::default();
         let base = memo_pool(1, false, &substrate).run_batch(&jobs, &CancelToken::new());
@@ -806,8 +870,8 @@ proptest! {
     /// prune levels × memoization × worker counts. The memo-on cells share
     /// one substrate, so each answers from what the cells before it stored.
     #[test]
-    fn diagnosis_digest_is_invariant_across_prune_memo_and_workers(threads in gen_program()) {
-        let program = build(&threads);
+    fn diagnosis_digest_is_invariant_across_prune_memo_and_workers(spec in gen_program()) {
+        let program = build(&spec);
         let substrate = Substrate::default();
         let baseline = diagnose_causal(
             &program, 1, false, PruneLevel::Off, CausalityLevel::Exhaustive, &substrate,

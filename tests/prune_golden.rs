@@ -1,7 +1,8 @@
 //! Golden-corpus regression for DPOR pruning: the exact number of
-//! schedules LIFS executes per Table 2 bug, at every prune level. The same
-//! runs carry the pruning gate: every level diagnoses every bug
-//! identically, and over the corpus `dpor` executes at least 30% fewer
+//! schedules LIFS executes per Table 2 and Table 3 bug, at every prune
+//! level. The same runs carry the pruning gate: every level reaches the
+//! same first failing run (schedule and race list) and diagnoses every bug
+//! identically, and over Table 2 `dpor` executes at least 30% fewer
 //! schedules than `conflict`.
 //!
 //! These numbers are a behavioural snapshot, not a performance budget:
@@ -23,7 +24,13 @@ use std::sync::Arc;
 
 const SCALE: f64 = 0.02;
 
-/// `(bug id, [schedules_executed at off, conflict, dpor])`.
+/// The `off` slot of a bug whose unpruned search does not finish in a
+/// debug build (#8 runs over 12,000 schedules without reproducing); the
+/// test runs only `conflict` and `dpor` for it.
+const NOT_RUN: usize = usize::MAX;
+
+/// `(bug id, [schedules_executed at off, conflict, dpor])`, Table 2's ten
+/// CVE bugs and then Table 3's twelve Syzkaller bugs.
 const GOLDEN: &[(&str, [usize; 3])] = &[
     ("CVE-2019-11486", [35, 4, 3]),
     ("CVE-2019-6974", [60, 7, 3]),
@@ -35,6 +42,18 @@ const GOLDEN: &[(&str, [usize; 3])] = &[
     ("CVE-2017-2636", [25, 6, 4]),
     ("CVE-2016-10200", [38, 7, 4]),
     ("CVE-2016-8655", [21, 4, 3]),
+    ("#1", [45, 4, 3]),
+    ("#2", [199, 8, 5]),
+    ("#3", [106, 5, 3]),
+    ("#4", [107, 5, 3]),
+    ("#5", [33, 2, 2]),
+    ("#6", [189, 7, 5]),
+    ("#7", [168, 7, 5]),
+    ("#8", [NOT_RUN, 49, 26]),
+    ("#9", [86, 5, 3]),
+    ("#10", [32, 6, 5]),
+    ("#11", [4, 4, 3]),
+    ("#12", [224, 163, 4]),
 ];
 
 #[test]
@@ -49,16 +68,21 @@ fn schedules_executed_per_bug_and_level_match_golden() {
             ..ExecutorConfig::default()
         }))
     });
-    let bugs = corpus::cves();
+    let bugs = corpus::all_bugs();
     assert_eq!(bugs.len(), GOLDEN.len(), "corpus and golden table differ");
+    let table2: Vec<&str> = corpus::cves().iter().map(|b| b.id).collect();
     let mut actual = Vec::new();
     let mut diffs = Vec::new();
+    // Table 2's schedules per level: the 30% gate's sums.
     let mut totals = [0usize; 3];
     for (bug, (gid, golden)) in bugs.iter().zip(GOLDEN) {
         assert_eq!(&bug.id, gid, "corpus order changed; regenerate the table");
-        let mut got = [0usize; 3];
+        let mut got = [NOT_RUN; 3];
         let mut diagnoses = Vec::new();
         for (slot, (prune, exec)) in levels.into_iter().zip(&pools).enumerate() {
+            if golden[slot] == NOT_RUN {
+                continue;
+            }
             let out = Lifs::with_executor(
                 bug.program_scaled(SCALE),
                 LifsConfig {
@@ -77,9 +101,10 @@ fn schedules_executed_per_bug_and_level_match_golden() {
                     .analyze(&run);
             let verdicts: Vec<_> = result.tested.iter().map(|t| t.verdict).collect();
             diagnoses.push(format!(
-                "chain={} verdicts={verdicts:?} sched={:?} steps={} ca={}",
+                "chain={} verdicts={verdicts:?} sched={:?} races={:?} steps={} ca={}",
                 result.chain,
                 run.schedule,
+                run.races,
                 run.trace.len(),
                 result.stats.schedules_executed,
             ));
@@ -90,8 +115,10 @@ fn schedules_executed_per_bug_and_level_match_golden() {
             bug.id,
             diagnoses.join("\n")
         );
-        for (total, n) in totals.iter_mut().zip(got) {
-            *total += n;
+        if table2.contains(&bug.id) {
+            for (total, n) in totals.iter_mut().zip(got) {
+                *total += n;
+            }
         }
         assert!(
             got[2] <= got[1] && got[1] <= got[0],
@@ -101,12 +128,19 @@ fn schedules_executed_per_bug_and_level_match_golden() {
         if &got != golden {
             diffs.push(format!("{}: golden {golden:?}, actual {got:?}", bug.id));
         }
-        actual.push(format!("    ({:?}, {got:?}),", bug.id));
+        let row = got.map(|n| {
+            if n == NOT_RUN {
+                "NOT_RUN".to_string()
+            } else {
+                n.to_string()
+            }
+        });
+        actual.push(format!("    ({:?}, [{}]),", bug.id, row.join(", ")));
     }
     let [_, conflict, dpor] = totals;
     assert!(
         10 * dpor <= 7 * conflict,
-        "dpor executed {dpor} schedules against conflict's {conflict}: \
+        "over Table 2 dpor executed {dpor} schedules against conflict's {conflict}: \
          under the gate's 30% reduction"
     );
     assert!(

@@ -17,6 +17,9 @@ use aitia_repro::aitia::{
     },
     Campaign,
     CampaignOutcome,
+    CausalityConfig,
+    CausalityLevel,
+    PartialDiagnosis,
     Substrate,
     Verdict, //
 };
@@ -222,20 +225,21 @@ fn corpus_resume_from_half_the_journal_saves_forty_percent_of_vm_executions() {
     let _ = std::fs::remove_file(&full);
 }
 
-/// The degradation invariant at the campaign level: when a deadline expires
-/// mid-analysis, the partial diagnosis marks every un-flipped race
-/// `Unverified` — never `Benign` — and the outcome still carries the chain
-/// built from what did run.
-#[test]
-fn deadline_partial_diagnosis_never_labels_unflipped_races_benign() {
+/// Diagnoses [`noisy_fig1`] at causality `level` under a simulated
+/// deadline that covers LIFS plus half a schedule, so the causality pass is
+/// cut mid-flight, and returns the partial diagnosis.
+fn partial_fig1_diagnosis(level: CausalityLevel) -> PartialDiagnosis {
     use aitia_repro::aitia::simtime::CostModel;
-    // Probe the un-budgeted campaign to size a budget that covers LIFS
-    // plus half a schedule, so the causality pass is cut mid-flight.
-    // memo off: every run executes, and so charges the budget; none is
-    // answered from a memo table.
+    // Probe the un-budgeted campaign to size the budget. memo off: every
+    // run executes, and so charges the budget; none is answered from a
+    // memo table.
     let base = ManagerConfig {
         vms: 1,
         memo: false,
+        causality: CausalityConfig {
+            level,
+            ..CausalityConfig::default()
+        },
         ..ManagerConfig::default()
     };
     let probe = Campaign::new(base.clone()).diagnose_program(noisy_fig1());
@@ -255,10 +259,21 @@ fn deadline_partial_diagnosis_never_labels_unflipped_races_benign() {
     })
     .diagnose_program(noisy_fig1());
     let CampaignOutcome::Partial(p) = outcome else {
-        panic!("expected a partial diagnosis, got {outcome:?}");
+        panic!("expected a partial diagnosis at {level}, got {outcome:?}");
     };
     assert!(p.deadline_fired);
     assert!(p.unverified > 0, "some flips must have been cut off");
+    p
+}
+
+/// The degradation invariant at the campaign level: when a deadline expires
+/// mid-analysis, the partial diagnosis marks every un-flipped race
+/// `Unverified` — never `Benign` — and the outcome still carries the chain
+/// built from what did run. At the exhaustive level every race is flipped
+/// or cut off, so no race without an outcome has any other verdict.
+#[test]
+fn deadline_partial_diagnosis_never_labels_unflipped_races_benign() {
+    let p = partial_fig1_diagnosis(CausalityLevel::Exhaustive);
     for t in &p.diagnosis.result.tested {
         if t.outcome.is_none() {
             assert_eq!(
@@ -269,4 +284,34 @@ fn deadline_partial_diagnosis_never_labels_unflipped_races_benign() {
             );
         }
     }
+}
+
+/// The same invariant at the adaptive level (the default), where a race
+/// can also go unflipped because the static prover discharged it: such a
+/// race is `Benign` with the `static-invariant` provenance, and every other
+/// race without an outcome is `Unverified`.
+#[test]
+fn adaptive_deadline_partial_diagnosis_is_benign_only_by_static_proof() {
+    let p = partial_fig1_diagnosis(CausalityLevel::Adaptive);
+    let mut proved = 0;
+    for t in &p.diagnosis.result.tested {
+        if t.outcome.is_some() {
+            continue;
+        }
+        if t.provenance() == "static-invariant" {
+            assert_eq!(t.verdict, Verdict::Benign, "race {:?}", t.race.key());
+            proved += 1;
+        } else {
+            assert_eq!(
+                t.verdict,
+                Verdict::Unverified,
+                "un-flipped race {:?} without a static proof must stay a suspect",
+                t.race.key()
+            );
+        }
+    }
+    assert!(
+        proved > 0,
+        "the prover discharged no race: the twin tests nothing new"
+    );
 }
