@@ -74,9 +74,6 @@ flags:
   --wall-deadline-s <float>
                         per-campaign wall budget, finite and positive;
                         on expiry the diagnosis degrades to partial
-  --sim-deadline-s <float>
-                        per-campaign simulated-time budget, finite and
-                        positive
   --drain               exit once every job is terminal (batch mode)
   -h | --help           this message
 
@@ -132,9 +129,6 @@ fn main() {
             "--poll-ms" => config.poll_ms = flag_value(&args, &mut i, "--poll-ms"),
             "--wall-deadline-s" => {
                 config.wall_deadline_s = Some(flag_value(&args, &mut i, "--wall-deadline-s"));
-            }
-            "--sim-deadline-s" => {
-                config.sim_deadline_s = Some(flag_value(&args, &mut i, "--sim-deadline-s"));
             }
             "--drain" => config.drain = true,
             "--help" | "-h" => {

@@ -185,11 +185,10 @@ fn main() {
     );
     eprintln!(
         "causality: {} flip schedules, {} skipped by static proof, \
-         {} submitted out of canonical order, {:.1}s simulated time saved",
+         {} submitted out of canonical order",
         d.result.stats.schedules_executed,
         d.result.stats.flips_skipped_static,
-        d.result.stats.flips_reordered,
-        d.result.stats.sim_time_saved_s
+        d.result.stats.flips_reordered
     );
     if let CampaignOutcome::Partial(p) = &outcome {
         eprintln!(

@@ -20,11 +20,10 @@
 use aitia::{
     causality::CausalityAnalysis,
     exec::{
-        DeadlineBudget,
+        CancelToken,
         Executor,
         ExecutorConfig, //
     },
-    journal::Journal,
     lifs::{
         Lifs,
         LifsConfig, //
@@ -69,9 +68,6 @@ flags:
   --vms <int>           VM-pool worker count, at least 1 (default 8)
   --no-memo             no memo table and no checkpoint restores: every
                         run boots fresh (the oracle; may run slower)
-  --journal <path>      append every run to a durable journal and
-                        replay nothing (tables build fresh programs); the
-                        journal counter block prints at the end
   --deadline-s <float>  wall-clock budget in seconds, finite and positive;
                         on expiry tables degrade to best-so-far results
   --seeds <int>         fuzz: consecutive generator seeds to run (default 200)
@@ -108,7 +104,6 @@ fn main() {
     let mut samples = 400usize;
     let mut vms = 8usize;
     let mut memo = true;
-    let mut journal_path: Option<String> = None;
     let mut deadline_s: Option<f64> = None;
     let mut seeds = 200usize;
     let mut seed_start = 0u64;
@@ -124,7 +119,6 @@ fn main() {
             "--samples" => samples = flag_value(&args, &mut i, "--samples"),
             "--vms" => vms = flag_value(&args, &mut i, "--vms"),
             "--no-memo" => memo = false,
-            "--journal" => journal_path = Some(flag_value(&args, &mut i, "--journal")),
             "--deadline-s" => deadline_s = Some(flag_value(&args, &mut i, "--deadline-s")),
             "--seeds" => seeds = flag_value(&args, &mut i, "--seeds"),
             "--seed-start" => seed_start = flag_value(&args, &mut i, "--seed-start"),
@@ -151,36 +145,21 @@ fn main() {
             usage_exit("--deadline-s must be a finite number greater than 0");
         }
     }
-    let journal = journal_path.as_ref().and_then(|p| match Journal::open(p) {
-        Ok(j) => Some(Arc::new(j)),
-        Err(e) => {
-            eprintln!("report: cannot open journal {p} ({e}); running without durability");
-            None
-        }
-    });
-    let deadline = deadline_s.map(|d| {
-        Arc::new(DeadlineBudget::new(
-            Some(d),
-            None,
-            CostModel {
-                vms: u32::try_from(vms).unwrap_or(u32::MAX),
-                ..CostModel::default()
-            },
-        ))
-    });
+    // The deadline stops the table diagnoses on the main pool; the other
+    // experiments build their own pools and run unbounded.
+    let cancel =
+        deadline_s.map_or_else(CancelToken::new, |d| CancelToken::new().with_deadline_s(d));
     let exec = Arc::new(Executor::with_config(ExecutorConfig {
         vms,
         memo,
-        journal: journal.clone(),
-        deadline,
         ..ExecutorConfig::default()
     }));
     let model = experiments::cost_model_for(&exec);
     match cmd.as_str() {
-        "table2" => table2(scale, &exec, &model, levels),
-        "table3" => table3(scale, &exec, &model, levels),
+        "table2" => table2(scale, &exec, &model, levels, &cancel),
+        "table3" => table3(scale, &exec, &model, levels, &cancel),
         "conciseness" => {
-            let rows = corpus_rows(&corpus::syzkaller(), scale, &exec, levels);
+            let rows = corpus_rows(&corpus::syzkaller(), scale, &exec, levels, &cancel);
             print_conciseness(&rows);
         }
         "comparison" | "table1" => comparison(scale, samples, levels),
@@ -243,8 +222,8 @@ fn main() {
             return;
         }
         "all" => {
-            table2(scale, &exec, &model, levels);
-            let rows = corpus_rows(&corpus::syzkaller(), scale, &exec, levels);
+            table2(scale, &exec, &model, levels, &cancel);
+            let rows = corpus_rows(&corpus::syzkaller(), scale, &exec, levels, &cancel);
             println!("{}", experiments::render_table3(&rows, &model));
             let avg: f64 =
                 rows.iter().map(|r| r.chain_races() as f64).sum::<f64>() / rows.len() as f64;
@@ -262,11 +241,10 @@ fn main() {
             usage_exit(&format!("unknown subcommand {other:?}"));
         }
     }
-    println!("{}", experiments::render_exec_stats(&exec.stats()));
-    if let Some(journal) = &journal {
-        journal.flush();
-        println!("{}", experiments::render_journal_stats(&journal.stats()));
-    }
+    println!(
+        "{}",
+        experiments::render_exec_stats(&exec.stats(), cancel.deadline_fired())
+    );
 }
 
 /// Prints `diagnose`'s message for a bug that did not reproduce and exits 1.
@@ -282,13 +260,20 @@ fn corpus_rows(
     scale: f64,
     exec: &Arc<Executor>,
     levels: Levels,
+    cancel: &CancelToken,
 ) -> Vec<experiments::BugOutcome> {
-    experiments::diagnose_corpus(bugs, scale, exec, levels)
+    experiments::diagnose_corpus(bugs, scale, exec, levels, cancel)
         .unwrap_or_else(|id| no_repro_exit(id, scale))
 }
 
-fn table2(scale: f64, exec: &Arc<Executor>, model: &CostModel, levels: Levels) {
-    let rows = corpus_rows(&corpus::cves(), scale, exec, levels);
+fn table2(
+    scale: f64,
+    exec: &Arc<Executor>,
+    model: &CostModel,
+    levels: Levels,
+    cancel: &CancelToken,
+) {
+    let rows = corpus_rows(&corpus::cves(), scale, exec, levels, cancel);
     println!("{}", experiments::render_table2(&rows, model));
     let amb: Vec<&str> = rows
         .iter()
@@ -299,8 +284,14 @@ fn table2(scale: f64, exec: &Arc<Executor>, model: &CostModel, levels: Levels) {
     println!("{}", experiments::render_ca_stats(&rows));
 }
 
-fn table3(scale: f64, exec: &Arc<Executor>, model: &CostModel, levels: Levels) {
-    let rows = corpus_rows(&corpus::syzkaller(), scale, exec, levels);
+fn table3(
+    scale: f64,
+    exec: &Arc<Executor>,
+    model: &CostModel,
+    levels: Levels,
+    cancel: &CancelToken,
+) {
+    let rows = corpus_rows(&corpus::syzkaller(), scale, exec, levels, cancel);
     println!("{}", experiments::render_table3(&rows, model));
     let avg: f64 = rows.iter().map(|r| r.chain_races() as f64).sum::<f64>() / rows.len() as f64;
     println!("average chain length: {avg:.1} (paper: 3.0)\n");

@@ -12,11 +12,11 @@ use aitia::{
         CausalityConfig, //
     },
     exec::{
+        CancelToken,
         Executor,
         ExecutorConfig,
         Substrate, //
     },
-    journal::JournalStats,
     lifs::{
         Lifs,
         LifsConfig,
@@ -113,7 +113,8 @@ impl BugOutcome {
 
 /// Diagnoses an already-built program of `bug` on the given pool, at LIFS
 /// prune level `prune` and with Causality Analysis configured by
-/// `causality`. `None` when the failure did not reproduce.
+/// `causality`, whose token stops both stages. `None` when the failure did
+/// not reproduce.
 ///
 /// Results are bit-for-bit identical at any worker count (the executor
 /// folds in canonical order); only wall-clock time changes. Callers that
@@ -132,6 +133,7 @@ pub fn diagnose_program(
 ) -> Option<BugOutcome> {
     let cfg = LifsConfig {
         prune,
+        cancel: causality.cancel.clone(),
         ..bug.lifs_config()
     };
     let out = Lifs::with_executor(prog, cfg, Arc::clone(exec)).search();
@@ -153,23 +155,23 @@ pub fn diagnose_program(
 
 /// Diagnoses every bug of a corpus table ([`corpus::cves`] for Table 2,
 /// [`corpus::syzkaller`] for Table 3) at noise scale `scale` over a shared
-/// VM pool, at `levels`. `Err` names the first bug that did not reproduce.
+/// VM pool, at `levels`, every diagnosis stopping on `cancel` (`report
+/// --deadline-s` gives it an expiry). `Err` names the first bug that did
+/// not reproduce.
 pub fn diagnose_corpus(
     bugs: &[BugModel],
     scale: f64,
     exec: &Arc<Executor>,
     levels: Levels,
+    cancel: &CancelToken,
 ) -> Result<Vec<BugOutcome>, &'static str> {
     bugs.iter()
         .map(|b| {
-            diagnose_program(
-                b,
-                b.program_scaled(scale),
-                exec,
-                levels.prune,
-                levels.causality(),
-            )
-            .ok_or(b.id)
+            let causality = CausalityConfig {
+                cancel: cancel.clone(),
+                ..levels.causality()
+            };
+            diagnose_program(b, b.program_scaled(scale), exec, levels.prune, causality).ok_or(b.id)
         })
         .collect()
 }
@@ -185,10 +187,11 @@ pub fn cost_model_for(exec: &Executor) -> CostModel {
     }
 }
 
-/// Renders the pool's counter block ([`aitia::ExecStats`]) — the `report`
-/// binary prints this after every run.
+/// Renders the pool's counter block ([`aitia::ExecStats`]) and whether
+/// the tables' deadline fired — the `report` binary prints this after
+/// every run.
 #[must_use]
-pub fn render_exec_stats(stats: &aitia::ExecStats) -> String {
+pub fn render_exec_stats(stats: &aitia::ExecStats, deadline_fired: bool) -> String {
     format!(
         "VM-pool execution stats\n\
         \x20 enforced runs:       {}\n\
@@ -205,7 +208,7 @@ pub fn render_exec_stats(stats: &aitia::ExecStats) -> String {
         stats.memo_misses,
         stats.schedules_per_sec(),
         stats.instrs_per_sec(),
-        stats.deadline_fired,
+        deadline_fired,
     )
 }
 
@@ -222,35 +225,10 @@ pub fn render_ca_stats(rows: &[BugOutcome]) -> String {
         "Causality-intervention stats\n\
         \x20 flip schedules:      {}\n\
         \x20 skipped (static):    {}\n\
-        \x20 reordered (gain):    {}\n\
-        \x20 sim time saved:      {:.1}s\n",
+        \x20 reordered (gain):    {}\n",
         sum(|s| s.schedules_executed),
         sum(|s| s.flips_skipped_static),
         sum(|s| s.flips_reordered),
-        rows.iter()
-            .map(|r| r.result.stats.sim_time_saved_s)
-            .sum::<f64>(),
-    )
-}
-
-/// Renders the journal counter block, appended to the stats block whenever
-/// a run journal is configured.
-#[must_use]
-pub fn render_journal_stats(stats: &JournalStats) -> String {
-    format!(
-        "Run-journal stats\n\
-        \x20 records replayed:    {}\n\
-        \x20 records appended:    {}\n\
-        \x20 torn-tail truncs:    {}\n\
-        \x20 fsync failed:        {}\n",
-        stats.records_replayed,
-        stats.records_appended,
-        stats.torn_tail_truncations,
-        if stats.fsync_failed {
-            "yes (journal disabled; campaign ran without crash-safety)"
-        } else {
-            "no"
-        },
     )
 }
 

@@ -13,10 +13,10 @@
 //!   one. A truncated or corrupt journal degrades to a cold start with a
 //!   warning, never a panic or a wrong diagnosis.
 //!
-//! * **Bounded time.** With a wall-clock or simulated-time deadline
-//!   configured ([`ManagerConfig::wall_deadline_s`],
-//!   [`ManagerConfig::sim_deadline_s`]), an expired budget stops in-flight
-//!   batches and the campaign returns best-so-far results as a
+//! * **Bounded time.** With a wall-clock deadline configured
+//!   ([`ManagerConfig::wall_deadline_s`]), the campaign's LIFS and
+//!   causality tokens carry one expiry. Once it passes, in-flight batches
+//!   stop claiming work and the campaign returns best-so-far results as a
 //!   [`PartialDiagnosis`]: LIFS keeps its deepest frontier, and every race
 //!   whose flip never ran is marked [`Verdict::Unverified`] — never
 //!   silently `Benign`, because the absence of a flip is not evidence of
@@ -41,9 +41,9 @@ use ksim::Program;
 use std::path::Path;
 use std::sync::Arc;
 
-/// A diagnosis cut short by an expired deadline budget: everything the
-/// campaign established before the budget ran out, with the unverified
-/// remainder accounted for explicitly.
+/// A diagnosis cut short by an expired deadline: everything the campaign
+/// established before the deadline passed, with the unverified remainder
+/// accounted for explicitly.
 #[derive(Debug)]
 pub struct PartialDiagnosis {
     /// The best-so-far diagnosis (chain, verdicts, statistics).
@@ -51,7 +51,7 @@ pub struct PartialDiagnosis {
     /// How many tested races are [`Verdict::Unverified`] — their flips
     /// never executed.
     pub unverified: usize,
-    /// Whether the manager's deadline budget fired (as opposed to a
+    /// Whether a deadline on the campaign's tokens fired (as opposed to a
     /// partial result from an external cancellation).
     pub deadline_fired: bool,
 }
@@ -83,7 +83,7 @@ impl CampaignOutcome {
         }
     }
 
-    /// Whether a deadline budget fired during the campaign.
+    /// Whether a deadline fired during the campaign.
     #[must_use]
     pub fn deadline_fired(&self) -> bool {
         match self {
@@ -190,10 +190,7 @@ impl Campaign {
             .iter()
             .filter(|t| t.verdict == Verdict::Unverified)
             .count();
-        let partial = deadline_fired
-            || d.lifs_stats.deadline_fired
-            || d.result.stats.deadline_fired
-            || unverified > 0;
+        let partial = deadline_fired || unverified > 0;
         if partial {
             CampaignOutcome::Partial(PartialDiagnosis {
                 diagnosis: d,
@@ -209,8 +206,10 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Substrate;
-    use crate::simtime::CostModel;
+    use crate::exec::{
+        CancelToken,
+        Substrate, //
+    };
     use ksim::builder::ProgramBuilder;
 
     fn fig1_program() -> Arc<Program> {
@@ -238,8 +237,8 @@ mod tests {
     }
 
     fn serial_config() -> ManagerConfig {
-        // memo off keeps every run executed (and so deadline-charged),
-        // even the schedules the search repeats.
+        // memo off keeps every run executed, even the schedules the search
+        // repeats.
         ManagerConfig {
             vms: 1,
             memo: false,
@@ -261,23 +260,13 @@ mod tests {
     }
 
     #[test]
-    fn sim_deadline_mid_analysis_yields_partial_with_unverified_never_benign() {
-        // Measure the un-budgeted campaign, then rerun with a simulated-time
-        // budget that covers LIFS plus a sliver: the budget expires during
-        // the causality pass, leaving later flips unexecuted.
-        let complete = Campaign::new(serial_config()).diagnose_program(fig1_program());
-        let d = complete.diagnosis().expect("fig1 reproduces");
-        let model = CostModel {
-            vms: 1,
-            ..CostModel::default()
-        };
-        let lifs_s = d.lifs_stats.sim.seconds(&model);
-        let budget = lifs_s + model.per_schedule_s * 0.5;
-        let outcome = Campaign::new(ManagerConfig {
-            sim_deadline_s: Some(budget),
-            ..serial_config()
-        })
-        .diagnose_program(fig1_program());
+    fn expired_analysis_deadline_yields_partial_with_unverified_never_benign() {
+        // A causality token whose deadline has already passed: LIFS
+        // reproduces, and the analysis is cut at its first claim, leaving
+        // the flips unexecuted.
+        let mut config = serial_config();
+        config.causality.cancel = CancelToken::new().with_deadline_s(0.0);
+        let outcome = Campaign::new(config).diagnose_program(fig1_program());
         let CampaignOutcome::Partial(p) = outcome else {
             panic!("expected a partial diagnosis, got {outcome:?}");
         };

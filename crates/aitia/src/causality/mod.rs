@@ -168,16 +168,12 @@ impl TestedRace {
 pub struct CaStats {
     /// Schedules executed across both passes. Memo hits are counted here
     /// (and in [`CaStats::sim`]) exactly like executed schedules, so the
-    /// diagnosis-facing statistics are invariant to memoization; the avoided
-    /// cost is tracked separately in [`CaStats::sim_time_saved_s`].
+    /// diagnosis-facing statistics are invariant to memoization.
     pub schedules_executed: usize,
     /// Simulated cost.
     pub sim: SimCost,
     /// Flip runs answered from the cross-run memo table instead of a VM.
     pub memo_hits: usize,
-    /// Serial simulated seconds the memo hits and statically skipped flips
-    /// avoided paying.
-    pub sim_time_saved_s: f64,
     /// Flip runs skipped outright because the static prover
     /// ([`invariants`]) discharged the race as Benign. Unlike memo hits,
     /// skipped flips are *not* counted in [`CaStats::schedules_executed`]:
@@ -191,9 +187,11 @@ pub struct CaStats {
     /// countable under [`CausalityConfig::verify_static`], and always zero
     /// if the prover is sound.
     pub static_disagreements: usize,
-    /// Whether a deadline budget fired during the analysis, degrading some
-    /// verdicts to [`Verdict::Unverified`]. Always false without a
-    /// configured [`crate::exec::DeadlineBudget`].
+    /// Whether a deadline on the analysis's token
+    /// ([`CausalityConfig::cancel`]) had fired when the analysis ended,
+    /// degrading un-flipped verdicts to [`Verdict::Unverified`]. A
+    /// campaign's stages share one expiry, so a deadline LIFS observed
+    /// counts here even when the analysis submitted no flip.
     pub deadline_fired: bool,
 }
 
@@ -201,10 +199,6 @@ impl CaStats {
     /// Folds one executor output's memo accounting.
     fn note_exec(&mut self, out: &crate::exec::ExecOutput) {
         self.memo_hits += usize::from(out.memo_hit);
-        if out.memo_hit {
-            self.sim_time_saved_s += crate::simtime::CostModel::default()
-                .serial_run_s(out.run.steps, out.run.failure.is_some());
-        }
     }
 }
 
@@ -229,8 +223,9 @@ pub struct CausalityConfig {
     /// agreement gate in `tests/causality_golden.rs`, not production use.
     pub verify_static: bool,
     /// Cancellation root for the analysis's flip batches. The default is a
-    /// fresh, never-cancelled token; the manager subscribes this token to
-    /// its deadline budget so an expired deadline stops in-flight batches.
+    /// fresh, never-cancelled token; a campaign deadline gives it the same
+    /// expiry as the LIFS token, so an expired deadline stops in-flight
+    /// batches.
     pub cancel: CancelToken,
 }
 
@@ -382,10 +377,6 @@ impl CausalityAnalysis {
                 static_benign[i] = prover.prove_benign(race, self.config.cs_as_unit);
             }
             stats.flips_skipped_static = static_benign.iter().filter(|&&p| p).count();
-            // A skipped flip would have re-enforced (roughly) the failing
-            // interleaving; credit its estimated serial cost as saved.
-            stats.sim_time_saved_s += stats.flips_skipped_static as f64
-                * crate::simtime::CostModel::default().serial_run_s(run.trace.len(), true);
         }
 
         // Gain scores decide batch submission order at the adaptive level.
@@ -605,7 +596,7 @@ impl CausalityAnalysis {
 
         let failure_desc = describe_failure(run);
         let chain = build_chain(&root_causes, &edges, &run.program, &failure_desc);
-        stats.deadline_fired = self.exec.deadline_fired();
+        stats.deadline_fired = self.config.cancel.deadline_fired();
         CausalityResult {
             chain,
             tested,
@@ -958,7 +949,6 @@ mod tests {
         );
         assert_eq!(ex.stats.flips_skipped_static, 0);
         assert_eq!(ex.stats.flips_reordered, 0);
-        assert!(ad.stats.sim_time_saved_s > 0.0);
     }
 
     #[test]

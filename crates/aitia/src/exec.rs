@@ -27,7 +27,9 @@
 //!
 //! Cancellation is checked at schedule boundaries (job claim time): an
 //! in-flight search stops submitting work but completed results still form
-//! a contiguous prefix that callers can fold deterministically.
+//! a contiguous prefix that callers can fold deterministically. The batch's
+//! [`CancelToken`] is the one stop signal: a campaign deadline is a
+//! wall-clock expiry carried by the token, not a second check.
 
 use crate::{
     enforce::{
@@ -43,7 +45,6 @@ use crate::{
         Schedule,
         ThreadSel, //
     },
-    simtime::CostModel,
 };
 use ksim::{
     Engine,
@@ -64,8 +65,7 @@ use std::{
         },
         Arc,
         Mutex,
-        OnceLock,
-        Weak, //
+        OnceLock, //
     },
     time::{
         Duration,
@@ -73,14 +73,28 @@ use std::{
     },
 };
 
-/// A cooperative cancellation flag, checked at schedule boundaries.
+/// A cooperative cancellation flag, checked at schedule boundaries, with
+/// an optional wall-clock expiry.
 ///
-/// Clones share the one flag: cancelling any clone cancels them all, which
-/// is how a deadline reaches the searches and flip batches running on its
-/// campaign's pool.
+/// Clones share the one flag and the one expiry: cancelling any clone
+/// cancels them all, and an expiry that any holder observes has fired for
+/// every token carrying it. A campaign deadline is one such expiry, shared
+/// by the campaign's LIFS and causality tokens
+/// ([`crate::manager::ManagerConfig::wall_deadline_s`]), so it stops the
+/// searches and flip batches running on the campaign's pool.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    /// The deadline, shared by every token it was handed to.
+    pub(crate) expiry: Option<Arc<Expiry>>,
+}
+
+/// A wall-clock instant past which every token carrying it reads as
+/// cancelled, and whether a holder has observed it passed.
+#[derive(Debug)]
+pub(crate) struct Expiry {
+    at: Instant,
+    fired: AtomicBool,
 }
 
 impl CancelToken {
@@ -90,166 +104,62 @@ impl CancelToken {
         CancelToken::default()
     }
 
+    /// This token (sharing its flag) with a fresh expiry `wall_s` seconds
+    /// from now, in place of any expiry it carried. A deadline that is
+    /// negative, not finite, or too far away for an [`Instant`] to hold
+    /// never expires.
+    #[must_use]
+    pub fn with_deadline_s(&self, wall_s: f64) -> CancelToken {
+        let at = Duration::try_from_secs_f64(wall_s)
+            .ok()
+            .and_then(|d| Instant::now().checked_add(d));
+        CancelToken {
+            flag: Arc::clone(&self.flag),
+            expiry: at.map(|at| {
+                Arc::new(Expiry {
+                    at,
+                    fired: AtomicBool::new(false),
+                })
+            }),
+        }
+    }
+
     /// Requests cancellation (of this token and every clone of it).
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::SeqCst);
     }
 
-    /// Whether this token (through any clone) has been cancelled.
+    /// Whether this token (through any clone) has been cancelled or its
+    /// expiry has passed. The first observation of a passed expiry fires
+    /// it.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
-}
-
-/// A wall-clock and/or simulated-time budget for a whole campaign, checked
-/// by every executor claim loop at schedule boundaries (DESIGN.md §7).
-///
-/// When either budget runs out the deadline *fires* exactly once: it marks
-/// itself fired and cancels every subscribed [`CancelToken`] (the
-/// campaign's LIFS and causality tokens). In-flight batches then stop
-/// claiming work, so consumers fold a contiguous best-so-far prefix and
-/// degrade gracefully instead of being killed mid-result: LIFS returns its
-/// frontier, Causality Analysis marks un-flipped races
-/// [`crate::causality::Verdict::Unverified`].
-///
-/// The simulated budget is spent by executed runs only (memo hits are free,
-/// exactly like [`ExecStats`] cost accounting): each run charges its
-/// [`CostModel::serial_run_s`] divided by the model's VM count, so the
-/// simulated clock advances the way the reported campaign seconds do.
-#[derive(Debug)]
-pub struct DeadlineBudget {
-    /// Wall-clock expiry instant, when a wall deadline was configured.
-    wall: Option<Instant>,
-    /// Simulated-seconds budget, in microseconds, when configured.
-    sim_budget_us: Option<u64>,
-    /// Cost model translating executed runs into simulated seconds.
-    model: CostModel,
-    /// Simulated microseconds spent so far.
-    sim_spent_us: AtomicU64,
-    /// Whether the deadline has fired.
-    fired: AtomicBool,
-    /// Tokens cancelled when the deadline fires, held weakly: a budget
-    /// outliving its campaigns (or subscribed to repeatedly) must not pin
-    /// dead tokens forever, so dropped subscribers are pruned on
-    /// [`DeadlineBudget::subscribe`] and [`DeadlineBudget::check`].
-    subscribers: Mutex<Vec<Weak<AtomicBool>>>,
-}
-
-impl DeadlineBudget {
-    /// A budget expiring after `wall_s` wall-clock seconds and/or `sim_s`
-    /// simulated seconds (under `model`), whichever comes first. With both
-    /// `None` the budget never fires, and neither does a wall deadline that
-    /// is negative, not finite, or too far away for an [`Instant`] to hold.
-    #[must_use]
-    pub fn new(wall_s: Option<f64>, sim_s: Option<f64>, model: CostModel) -> DeadlineBudget {
-        let wall = wall_s
-            .and_then(|s| Duration::try_from_secs_f64(s).ok())
-            .and_then(|d| Instant::now().checked_add(d));
-        let sim_budget_us = sim_s
-            .filter(|s| s.is_finite() && *s >= 0.0)
-            .map(|s| (s * 1e6) as u64);
-        DeadlineBudget {
-            wall,
-            sim_budget_us,
-            model,
-            sim_spent_us: AtomicU64::new(0),
-            fired: AtomicBool::new(false),
-            subscribers: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Registers a token to be cancelled when the deadline fires. The
-    /// registration is weak: once every clone of the token is dropped its
-    /// slot is reclaimed, so subscriber count is bounded by *live* tokens,
-    /// not by subscription history.
-    pub fn subscribe(&self, token: &CancelToken) {
-        let mut subs = self.subscribers.lock().unwrap();
-        subs.retain(|w| w.strong_count() > 0);
-        subs.push(Arc::downgrade(&token.flag));
-    }
-
-    /// Live subscriber count (dead weak registrations excluded). Exposed so
-    /// long-running processes can assert the subscriber list stays bounded.
-    #[must_use]
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|w| w.strong_count() > 0)
-            .count()
-    }
-
-    /// Whether the deadline has fired.
-    #[must_use]
-    pub fn fired(&self) -> bool {
-        self.fired.load(Ordering::SeqCst)
-    }
-
-    /// Simulated seconds spent against the budget so far.
-    #[must_use]
-    pub fn sim_spent_s(&self) -> f64 {
-        self.sim_spent_us.load(Ordering::SeqCst) as f64 / 1e6
-    }
-
-    /// Evaluates both budgets, firing the deadline if either has run out.
-    /// Returns whether the deadline has fired (now or earlier).
-    pub fn check(&self) -> bool {
-        if self.fired() {
+        if self.flag.load(Ordering::SeqCst) {
             return true;
         }
-        // Opportunistic pruning keeps the weak list bounded even on budgets
-        // that never fire; try_lock so claim loops never convoy here.
-        if let Ok(mut subs) = self.subscribers.try_lock() {
-            subs.retain(|w| w.strong_count() > 0);
-        }
-        let wall_hit = self.wall.is_some_and(|w| Instant::now() >= w);
-        let sim_hit = self
-            .sim_budget_us
-            .is_some_and(|b| self.sim_spent_us.load(Ordering::SeqCst) >= b);
-        if wall_hit || sim_hit {
-            self.fire(if wall_hit {
-                "wall-clock"
-            } else {
-                "simulated-time"
-            });
-            return true;
-        }
-        false
-    }
-
-    /// Fires exactly once: marks the budget expired and cancels subscribers.
-    /// The subscriber list is snapshotted before any `cancel` runs: cancel
-    /// observers may re-enter the budget (subscribe a cleanup token, query
-    /// counts), which would deadlock against a lock held across the loop.
-    fn fire(&self, which: &str) {
-        if self.fired.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let live: Vec<Arc<AtomicBool>> = {
-            let subs = self.subscribers.lock().unwrap();
-            subs.iter().filter_map(Weak::upgrade).collect()
+        let Some(e) = &self.expiry else {
+            return false;
         };
-        for flag in live {
-            flag.store(true, Ordering::SeqCst);
+        if e.fired.load(Ordering::SeqCst) {
+            return true;
         }
-        eprintln!(
-            "aitia-exec: {which} deadline fired after {:.1} simulated seconds; \
-             degrading to best-so-far results",
-            self.sim_spent_s()
-        );
+        if Instant::now() < e.at {
+            return false;
+        }
+        if !e.fired.swap(true, Ordering::SeqCst) {
+            eprintln!("aitia-exec: wall-clock deadline fired; degrading to best-so-far results");
+        }
+        true
     }
 
-    /// Charges one executed run's simulated cost.
-    pub(crate) fn charge_run(&self, steps: usize, failed: bool) {
-        let serial = self.model.serial_run_s(steps, failed);
-        self.charge_s(serial / f64::from(self.model.vms.max(1)));
-    }
-
-    fn charge_s(&self, seconds: f64) {
-        let us = (seconds * 1e6) as u64;
-        self.sim_spent_us.fetch_add(us, Ordering::SeqCst);
+    /// Whether this token's expiry has fired: a holder observed it passed,
+    /// so in-flight batches stopped claiming work and consumers folded
+    /// best-so-far prefixes. Always `false` without an expiry.
+    #[must_use]
+    pub fn deadline_fired(&self) -> bool {
+        self.expiry
+            .as_ref()
+            .is_some_and(|e| e.fired.load(Ordering::SeqCst))
     }
 }
 
@@ -325,23 +235,9 @@ pub struct ExecStats {
     /// Jobs that consulted the memo table and executed (fingerprint not
     /// yet seen).
     pub memo_misses: u64,
-    /// Whether this executor's deadline budget fired: in-flight batches
-    /// stopped claiming work and consumers folded best-so-far prefixes.
-    /// Always `false` without a configured [`DeadlineBudget`].
-    pub deadline_fired: bool,
-    /// Batches (canonical folds) this pool completed.
+    /// Batches (canonical folds) this pool completed that returned at
+    /// least one result.
     pub batches: u64,
-    /// Deterministic simulated wall-clock of this pool, in nanoseconds
-    /// under the default [`CostModel`] rates: per batch, each canonical
-    /// (folded) job's serial cost is assigned greedily to the least-loaded
-    /// of the pool's `vms` slots, and the batch contributes the maximum
-    /// slot load. Unlike `SimCost::seconds` (which divides total serial
-    /// cost by the pool width, i.e. assumes perfect utilization), this
-    /// accounts for slot idleness — a 3-job batch on an 8-wide pool pays
-    /// one job's duration while 5 slots sit idle. Memo and journal hits
-    /// cost nothing. Deterministic at any OS-thread count (it is computed
-    /// from the canonical fold, not from which worker ran what).
-    pub sim_makespan_ns: u64,
     /// Engine steps executed across all workers (memo hits execute none).
     pub steps_executed: u64,
     /// Wall-clock nanoseconds workers spent inside VM execution, summed
@@ -386,7 +282,6 @@ struct StatCells {
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     batches: AtomicU64,
-    sim_makespan_ns: AtomicU64,
     steps_executed: AtomicU64,
     busy_ns: AtomicU64,
 }
@@ -400,9 +295,7 @@ impl StatCells {
             snapshot_misses: self.snapshot_misses.load(Ordering::SeqCst),
             memo_hits: self.memo_hits.load(Ordering::SeqCst),
             memo_misses: self.memo_misses.load(Ordering::SeqCst),
-            deadline_fired: false,
             batches: self.batches.load(Ordering::SeqCst),
-            sim_makespan_ns: self.sim_makespan_ns.load(Ordering::SeqCst),
             steps_executed: self.steps_executed.load(Ordering::SeqCst),
             busy_ns: self.busy_ns.load(Ordering::SeqCst),
         }
@@ -436,9 +329,6 @@ pub struct ExecutorConfig {
     /// deduplicated by key) is appended so a killed campaign can resume at
     /// zero VM cost. `None` disables journaling.
     pub journal: Option<Arc<Journal>>,
-    /// Campaign deadline budget, checked at every job-claim boundary and
-    /// charged by executed runs. `None` disables deadlines.
-    pub deadline: Option<Arc<DeadlineBudget>>,
 }
 
 impl Default for ExecutorConfig {
@@ -449,7 +339,6 @@ impl Default for ExecutorConfig {
             memo: true,
             substrate: Substrate::default(),
             journal: None,
-            deadline: None,
         }
     }
 }
@@ -760,23 +649,7 @@ impl Executor {
     /// A snapshot of the pool's counters.
     #[must_use]
     pub fn stats(&self) -> ExecStats {
-        ExecStats {
-            deadline_fired: self.deadline_fired(),
-            ..self.stats.snapshot()
-        }
-    }
-
-    /// Whether this executor's configured deadline budget has fired.
-    /// Always `false` without one.
-    #[must_use]
-    pub fn deadline_fired(&self) -> bool {
-        self.config.deadline.as_ref().is_some_and(|d| d.fired())
-    }
-
-    /// Evaluates the deadline budget at a claim boundary, firing it if
-    /// either budget ran out. `false` without a configured deadline.
-    fn deadline_expired(&self) -> bool {
-        self.config.deadline.as_ref().is_some_and(|d| d.check())
+        self.stats.snapshot()
     }
 
     /// The OS-thread budget actually used for a batch (see
@@ -856,7 +729,7 @@ impl Executor {
         {
             let mut slot = self.slots[0].lock().unwrap();
             for job in jobs {
-                if cancel.is_cancelled() || self.deadline_expired() {
+                if cancel.is_cancelled() {
                     done = true;
                     break;
                 }
@@ -875,8 +748,10 @@ impl Executor {
             let rest = &jobs[out.len()..];
             out.extend(self.fan_out(rest, workers.min(rest.len()), cancel, &stop));
         }
+        if out.iter().any(Option::is_some) {
+            self.stats.batches.fetch_add(1, Ordering::SeqCst);
+        }
         out.resize_with(n, || None);
-        self.charge_batch_makespan(&out);
         out
     }
 
@@ -910,7 +785,7 @@ impl Executor {
                 scope.spawn(move || {
                     let mut slot = slot.lock().unwrap();
                     loop {
-                        if cancel.is_cancelled() || self.deadline_expired() {
+                        if cancel.is_cancelled() {
                             return;
                         }
                         // Indices are claimed in ascending order and
@@ -954,42 +829,6 @@ impl Executor {
             .collect()
     }
 
-    /// Charges one batch's deterministic simulated makespan (see
-    /// [`ExecStats::sim_makespan_ns`]): each canonical job's serial cost is
-    /// placed on the least-loaded of the pool's slots (ties to the lowest
-    /// index), and the batch contributes the maximum slot load. Computed
-    /// from the canonical fold only — speculative executions beyond a stop
-    /// bound are never charged — so the value is identical at any OS-thread
-    /// count for a given pool width.
-    fn charge_batch_makespan(&self, out: &[Option<ExecOutput>]) {
-        let model = CostModel::default();
-        let mut loads = vec![0f64; self.slots.len()];
-        let mut any = false;
-        for res in out.iter().flatten() {
-            any = true;
-            let s = if res.memo_hit {
-                0.0
-            } else {
-                model.serial_run_s(res.run.steps, res.run.failure.is_some())
-            };
-            let slot = loads
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                .map_or(0, |(i, _)| i);
-            loads[slot] += s;
-        }
-        if !any {
-            return;
-        }
-        let makespan = loads.iter().copied().fold(0f64, f64::max);
-        self.stats.batches.fetch_add(1, Ordering::SeqCst);
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        self.stats
-            .sim_makespan_ns
-            .fetch_add((makespan * 1e9) as u64, Ordering::SeqCst);
-    }
-
     /// Runs one job: answers it from the memo table when it holds the
     /// job's output, and otherwise executes it on the worker's engine,
     /// memoizes the output and appends it to the journal.
@@ -1018,9 +857,6 @@ impl Executor {
             .memo
             .then(|| self.config.substrate.forest.as_ref());
         let out = execute(slot, job, forest, &self.stats);
-        if let Some(deadline) = &self.config.deadline {
-            deadline.charge_run(out.run.steps, out.run.failure.is_some());
-        }
         if let Some(memo) = memo {
             memo.put(fp, job, &out);
         }
@@ -1551,39 +1387,27 @@ mod tests {
     #[test]
     fn a_deadline_past_instants_range_never_fires() {
         // `Instant + Duration` panics past the clock's range; such a
-        // deadline is as good as none.
-        for wall_s in [1e20, f64::MAX] {
-            let budget = DeadlineBudget::new(Some(wall_s), None, CostModel::default());
-            assert!(!budget.check(), "{wall_s} s");
+        // deadline is as good as none, and so is one that is not a
+        // duration at all.
+        for wall_s in [1e20, f64::MAX, f64::NAN, -1.0] {
+            let token = CancelToken::new().with_deadline_s(wall_s);
+            assert!(!token.is_cancelled(), "{wall_s} s");
+            assert!(!token.deadline_fired(), "{wall_s} s");
         }
-        let budget = DeadlineBudget::new(Some(0.0), None, CostModel::default());
-        assert!(budget.check(), "an expired deadline still fires");
-    }
-
-    #[test]
-    fn deadline_subscribers_stay_bounded_across_repeated_campaigns() {
-        // A long-lived budget subscribed to by many short-lived campaigns
-        // (each dropping its tokens when it finishes) must not accumulate
-        // dead registrations: subscribe prunes, so the raw list length is
-        // bounded by live tokens plus the one just pushed.
-        let budget = DeadlineBudget::new(Some(3600.0), None, CostModel::default());
-        for _ in 0..1000 {
-            let token = CancelToken::new();
-            budget.subscribe(&token);
-            assert!(budget.subscribers.lock().unwrap().len() <= 2);
-            drop(token);
+        // An expired deadline fires on its first observation, and every
+        // clone and every token sharing it reads it fired and cancelled.
+        let token = CancelToken::new().with_deadline_s(0.0);
+        let clone = token.clone();
+        let sharer = CancelToken {
+            expiry: token.expiry.clone(),
+            ..CancelToken::new()
+        };
+        assert!(!sharer.deadline_fired(), "nobody observed it yet");
+        assert!(token.is_cancelled(), "an expired deadline still fires");
+        for t in [&token, &clone, &sharer] {
+            assert!(t.deadline_fired());
+            assert!(t.is_cancelled());
         }
-        assert_eq!(budget.subscriber_count(), 0);
-        // check() also prunes dead weak slots.
-        budget.check();
-        assert!(budget.subscribers.lock().unwrap().is_empty());
-        // Live tokens still get cancelled when the budget fires, and a
-        // subscribe from inside the post-fire world must not deadlock.
-        let live = CancelToken::new();
-        budget.subscribe(&live);
-        budget.fire("test");
-        assert!(live.is_cancelled());
-        budget.subscribe(&CancelToken::new());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   enforced runs with deterministic canonical-order folding;
 //! * [`lifs`] — Least Interleaving First Search (§3.3);
 //! * [`causality`] — Causality Analysis and chain construction (§3.4);
-//! * [`simtime`] — the deterministic cost model standing in for the paper's
-//!   wall-clock measurements (32 VMs, reboot-on-failure);
+//! * [`simtime`] — the deterministic cost model pricing the seconds
+//!   columns of the paper's Tables 2 and 3 (32 VMs, reboot-on-failure);
 //! * [`manager`] — parallel reproducer/diagnoser orchestration (§4.1, §4.5);
 //! * [`journal`] — the durable write-ahead run journal backing kill-and-resume;
 //! * [`campaign`] — crash-safe, deadline-budgeted campaign driver;
@@ -112,7 +112,6 @@ pub use enforce::{
 };
 pub use exec::{
     CancelToken,
-    DeadlineBudget,
     ExecJob,
     ExecOutput,
     ExecStats,

@@ -202,8 +202,9 @@ pub struct LifsConfig {
     /// The reported failure to reproduce. `None` accepts any failure.
     pub target: Option<FailureTarget>,
     /// Cooperative cancellation: an in-flight search aborts at the next
-    /// schedule boundary. Statistics still count the deterministically
-    /// folded prefix of completed schedules.
+    /// schedule boundary, as it does once the token's deadline passes.
+    /// Statistics still count the deterministically folded prefix of
+    /// completed schedules.
     pub cancel: CancelToken,
 }
 
@@ -243,15 +244,11 @@ pub struct LifsStats {
     pub sim: SimCost,
     /// Schedules served from the substrate's result memo table (counted
     /// in `schedules_executed` and `sim` exactly like executed ones, so
-    /// diagnosis statistics stay memo-invariant; the avoided cost is
-    /// tracked in `sim_time_saved_s` instead).
+    /// diagnosis statistics stay memo-invariant).
     pub memo_hits: usize,
-    /// Simulated seconds of serial execution the memo hits avoided (at
-    /// default cost-model rates; see `CostModel::serial_run_s`).
-    pub sim_time_saved_s: f64,
-    /// Whether a deadline budget fired during the search, making its
-    /// result a best-so-far frontier rather than an exhausted one. Always
-    /// false without a configured [`crate::exec::DeadlineBudget`].
+    /// Whether a deadline on the search's token
+    /// ([`LifsConfig::cancel`]) had fired when the search ended, making its
+    /// result a best-so-far frontier rather than an exhausted one.
     pub deadline_fired: bool,
 }
 
@@ -267,7 +264,6 @@ impl LifsStats {
         self.interleaving_count = self.interleaving_count.max(other.interleaving_count);
         self.sim.merge(&other.sim);
         self.memo_hits += other.memo_hits;
-        self.sim_time_saved_s += other.sim_time_saved_s;
         self.deadline_fired |= other.deadline_fired;
     }
 
@@ -277,10 +273,6 @@ impl LifsStats {
     /// caller either way — so this touches only the hit diagnostics.
     pub(crate) fn note_exec(&mut self, out: &crate::exec::ExecOutput) {
         self.memo_hits += usize::from(out.memo_hit);
-        if out.memo_hit {
-            self.sim_time_saved_s += crate::simtime::CostModel::default()
-                .serial_run_s(out.run.steps, out.run.failure.is_some());
-        }
     }
 }
 
@@ -833,7 +825,7 @@ impl Lifs {
         // One stamping point for the deadline flag covers every early
         // return inside the search body.
         let mut out = self.search_inner();
-        out.stats.deadline_fired = self.exec.deadline_fired();
+        out.stats.deadline_fired = self.config.cancel.deadline_fired();
         out
     }
 

@@ -21,7 +21,6 @@ use crate::{
         CausalityResult, //
     },
     exec::{
-        DeadlineBudget,
         ExecStats,
         Executor,
         ExecutorConfig,
@@ -34,7 +33,6 @@ use crate::{
         LifsConfig,
         LifsStats, //
     },
-    simtime::CostModel,
 };
 use khist::ExecHistory;
 use ksim::Program;
@@ -43,8 +41,7 @@ use std::sync::Arc;
 /// Manager configuration.
 #[derive(Clone, Debug)]
 pub struct ManagerConfig {
-    /// Worker ("VM") count — the one pool size shared by the executor and
-    /// the simulated-time cost model ([`Manager::cost_model`]).
+    /// Worker ("VM") count of the pool that runs every stage.
     pub vms: usize,
     /// LIFS configuration for reproducers.
     pub lifs: LifsConfig,
@@ -61,16 +58,14 @@ pub struct ManagerConfig {
     /// handle to several managers to share on purpose (`campaignd`'s
     /// cross-campaign substrate).
     pub substrate: Substrate,
-    /// Wall-clock budget for the whole campaign, in seconds. When it
-    /// expires, in-flight batches stop and the diagnosis degrades to
-    /// best-so-far results (un-flipped races become
-    /// [`crate::causality::Verdict::Unverified`]). `None` = unbounded.
+    /// Wall-clock budget for the whole campaign, in seconds, counted from
+    /// [`Manager::new`]. The manager gives the LIFS and causality tokens
+    /// one shared expiry ([`crate::exec::CancelToken::with_deadline_s`]),
+    /// in place of any they carried. When it expires, in-flight batches
+    /// stop and the diagnosis degrades to best-so-far results (un-flipped
+    /// races become [`crate::causality::Verdict::Unverified`]). `None` =
+    /// unbounded.
     pub wall_deadline_s: Option<f64>,
-    /// Simulated-time budget, in serial seconds under [`CostModel`] rates
-    /// divided by the pool size — the deterministic analogue of the
-    /// wall-clock budget, charged only by actually-executed runs (memo and
-    /// journal hits are free). `None` = unbounded.
-    pub sim_deadline_s: Option<f64>,
     /// Durable run journal: every execution is appended, and a resumed
     /// campaign replays it into the memo table. `None` disables
     /// durability.
@@ -86,7 +81,6 @@ impl Default for ManagerConfig {
             memo: true,
             substrate: Substrate::default(),
             wall_deadline_s: None,
-            sim_deadline_s: None,
             journal: None,
         }
     }
@@ -120,55 +114,33 @@ pub struct Diagnosis {
 pub struct Manager {
     config: ManagerConfig,
     exec: Arc<Executor>,
-    deadline: Option<Arc<DeadlineBudget>>,
 }
 
 impl Manager {
     /// Creates a manager owning a VM pool of `config.vms` workers.
     #[must_use]
-    pub fn new(config: ManagerConfig) -> Self {
-        let deadline =
-            (config.wall_deadline_s.is_some() || config.sim_deadline_s.is_some()).then(|| {
-                let d = Arc::new(DeadlineBudget::new(
-                    config.wall_deadline_s,
-                    config.sim_deadline_s,
-                    CostModel {
-                        vms: u32::try_from(config.vms.max(1)).unwrap_or(u32::MAX),
-                        ..CostModel::default()
-                    },
-                ));
-                // When the deadline fires, both stages' cancellation roots
-                // trip, so LIFS rounds and causality flips stop folding at
-                // the first hole.
-                d.subscribe(&config.lifs.cancel);
-                d.subscribe(&config.causality.cancel);
-                d
-            });
+    pub fn new(mut config: ManagerConfig) -> Self {
+        if let Some(wall_s) = config.wall_deadline_s {
+            // One expiry for both stages: a deadline LIFS observes has
+            // fired for the analysis too, so LIFS rounds and causality
+            // flips stop folding at the first hole.
+            config.lifs.cancel = config.lifs.cancel.with_deadline_s(wall_s);
+            config.causality.cancel.expiry = config.lifs.cancel.expiry.clone();
+        }
         let exec = Arc::new(Executor::with_config(ExecutorConfig {
             vms: config.vms,
             memo: config.memo,
             substrate: config.substrate.clone(),
             journal: config.journal.clone(),
-            deadline: deadline.clone(),
             ..ExecutorConfig::default()
         }));
-        Manager {
-            config,
-            exec,
-            deadline,
-        }
+        Manager { config, exec }
     }
 
-    /// Whether a configured deadline budget has fired.
+    /// Whether a deadline on either stage's token has fired.
     #[must_use]
     pub fn deadline_fired(&self) -> bool {
-        self.deadline.as_ref().is_some_and(|d| d.fired())
-    }
-
-    /// The journal's counters, when one is configured.
-    #[must_use]
-    pub fn journal_stats(&self) -> Option<crate::journal::JournalStats> {
-        self.config.journal.as_ref().map(|j| j.stats())
+        self.config.lifs.cancel.deadline_fired() || self.config.causality.cancel.deadline_fired()
     }
 
     /// The substrate this manager's executors consult.
@@ -184,34 +156,15 @@ impl Manager {
         self.exec.stats()
     }
 
-    /// The simulated-time cost model for this manager's pool: `vms`
-    /// reflects the configured worker count, so reports derived from
-    /// [`crate::simtime::SimCost::seconds`] describe the pool that actually
-    /// ran the schedules.
-    #[must_use]
-    pub fn cost_model(&self) -> CostModel {
-        CostModel {
-            vms: u32::try_from(self.config.vms.max(1)).unwrap_or(u32::MAX),
-            ..CostModel::default()
-        }
-    }
-
     /// Reproducing stage: searches the candidate slices (each a
     /// [`Program`]) in priority order on the pool, each search spreading
     /// its batches over every worker, and returns the first failing run.
-    /// No later slice is searched once one reproduces, the LIFS token is
-    /// cancelled or the deadline has fired.
+    /// No later slice is searched once one reproduces or the LIFS token is
+    /// cancelled (an expired deadline cancels it).
     #[must_use]
     pub fn reproduce(&self, slices: &[Arc<Program>]) -> ReproduceOutcome {
         let mut stats = LifsStats::default();
         for (i, slice) in slices.iter().enumerate() {
-            // Checking the budget fires an expired deadline, which cancels
-            // the LIFS token.
-            if self.deadline.as_ref().is_some_and(|d| d.check())
-                || self.config.lifs.cancel.is_cancelled()
-            {
-                break;
-            }
             let out = Lifs::with_executor(
                 Arc::clone(slice),
                 self.config.lifs.clone(),
@@ -225,6 +178,9 @@ impl Manager {
                     slice_index: Some(i),
                     stats,
                 };
+            }
+            if self.config.lifs.cancel.is_cancelled() {
+                break;
             }
         }
         ReproduceOutcome {
@@ -366,15 +322,6 @@ mod tests {
         let m = Manager::new(ManagerConfig::default());
         assert!(m.reproduce(&[]).failing.is_none());
         assert!(m.diagnose(&[]).is_none());
-    }
-
-    #[test]
-    fn cost_model_reflects_configured_pool_size() {
-        let m = Manager::new(ManagerConfig {
-            vms: 3,
-            ..ManagerConfig::default()
-        });
-        assert_eq!(m.cost_model().vms, 3);
     }
 
     #[test]
@@ -564,17 +511,16 @@ mod tests {
 
     /// A deadline that fires while the first slice is searched ends the
     /// reproduction there: the later, failing slice never runs, so no
-    /// failing slice is reported.
+    /// failing slice is reported. The deadline has expired before the
+    /// search starts, so the first slice's first claim observes it.
     #[test]
     fn a_deadline_during_the_first_slice_searches_no_later_slice() {
         let failing = fig1_program();
         let slices = vec![benign_program(), Arc::clone(&failing)];
         for vms in [1, 2, 8] {
-            // Each run charges at least `per_schedule_s / vms` (1.5 s / 8),
-            // so the budget is spent by the first run.
             let m = Manager::new(ManagerConfig {
                 vms,
-                sim_deadline_s: Some(0.1),
+                wall_deadline_s: Some(0.0),
                 ..ManagerConfig::default()
             });
             let out = m.reproduce(&slices);
@@ -582,7 +528,6 @@ mod tests {
             assert!(out.stats.deadline_fired);
             assert!(out.failing.is_none(), "{vms} workers");
             assert_eq!(out.slice_index, None);
-            assert!(out.stats.schedules_executed > 0, "the first slice ran");
             // Had the failing slice run, its schedules would be in the
             // manager's memo table.
             let probe = Executor::with_config(ExecutorConfig {
@@ -596,5 +541,50 @@ mod tests {
             assert!(rerun.failing.is_some());
             assert_eq!(rerun.stats.memo_hits, 0, "{vms} workers");
         }
+    }
+
+    /// A program that fails on every schedule and has no data race: its
+    /// analysis submits no flip.
+    fn race_free_failing_program() -> Arc<Program> {
+        let mut p = ProgramBuilder::new("null-deref");
+        let ptr = p.global("ptr", 0);
+        {
+            let mut a = p.syscall_thread("A", "reader");
+            a.load_global("r0", ptr);
+            a.load_ind("r1", "r0", 0);
+            a.ret();
+        }
+        {
+            let mut b = p.syscall_thread("B", "idle");
+            b.ret();
+        }
+        Arc::new(p.build().unwrap())
+    }
+
+    /// The stages share one expiry: at two or more workers a LIFS claim can
+    /// observe the deadline while another worker's run is the failing one,
+    /// and an analysis that then submits no flip still reports the deadline
+    /// (so the report carries the PARTIAL banner).
+    #[test]
+    fn a_deadline_lifs_observed_fires_for_an_analysis_that_runs_no_flip() {
+        let m = Manager::new(ManagerConfig {
+            wall_deadline_s: Some(0.0),
+            ..ManagerConfig::default()
+        });
+        let run = Lifs::new(race_free_failing_program(), LifsConfig::default())
+            .search()
+            .failing
+            .expect("the null dereference reproduces");
+        assert!(run.races.is_empty());
+        // A LIFS claim loop observes the expired deadline.
+        assert!(m.config.lifs.cancel.is_cancelled());
+        let result =
+            CausalityAnalysis::with_executor(m.config.causality.clone(), Arc::clone(&m.exec))
+                .analyze(&run);
+        assert_eq!(result.stats.schedules_executed, 0, "no flip was submitted");
+        assert!(result.stats.deadline_fired);
+        assert!(m.deadline_fired());
+        let report = crate::report::render(&run.program, &run, &result);
+        assert!(report.contains("PARTIAL diagnosis"), "{report}");
     }
 }

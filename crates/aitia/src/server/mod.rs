@@ -146,8 +146,6 @@ pub struct ServerConfig {
     /// Per-campaign wall-clock deadline in seconds (degrades to
     /// [`JobState::Partial`]).
     pub wall_deadline_s: Option<f64>,
-    /// Per-campaign simulated-time deadline in seconds.
-    pub sim_deadline_s: Option<f64>,
     /// Exit [`CampaignServer::run`] once the queue is drained (tests,
     /// batch mode) instead of idling for more submits.
     pub drain: bool,
@@ -169,7 +167,6 @@ impl Default for ServerConfig {
             max_faults: 3,
             backoff: RetryBackoff::default(),
             wall_deadline_s: None,
-            sim_deadline_s: None,
             drain: false,
             poll_ms: 50,
             substrate: Substrate::default(),
@@ -217,14 +214,9 @@ impl ServerConfig {
         if self.backoff.max_ms < self.backoff.base_ms {
             return Err("--backoff-max-ms must be at least --backoff-base-ms".into());
         }
-        for (name, v) in [
-            ("--wall-deadline-s", self.wall_deadline_s),
-            ("--sim-deadline-s", self.sim_deadline_s),
-        ] {
-            if let Some(d) = v {
-                if !d.is_finite() || d <= 0.0 {
-                    return Err(format!("{name} must be a finite positive number"));
-                }
+        if let Some(d) = self.wall_deadline_s {
+            if !d.is_finite() || d <= 0.0 {
+                return Err("--wall-deadline-s must be a finite positive number".into());
             }
         }
         Ok(())
@@ -258,9 +250,6 @@ pub struct ServerStats {
     pub no_reproduction: u64,
     /// Jobs quarantined as [`JobState::DeadLettered`].
     pub dead_lettered: u64,
-    /// Sum of per-campaign simulated pool makespans, in nanoseconds —
-    /// the deterministic cost basis for throughput comparisons.
-    pub sim_makespan_ns: u64,
     /// Full reads of the queue file through [`JobQueue::fold`] (submits,
     /// status writes, polls and the startup recovery).
     pub queue_folds: u64,
@@ -303,7 +292,6 @@ struct StatCells {
     partial: AtomicU64,
     no_reproduction: AtomicU64,
     dead_lettered: AtomicU64,
-    sim_makespan_ns: AtomicU64,
     journal_fsyncs: AtomicU64,
     journal_fsync_ns: AtomicU64,
 }
@@ -324,7 +312,6 @@ impl StatCells {
             partial: load(&self.partial),
             no_reproduction: load(&self.no_reproduction),
             dead_lettered: load(&self.dead_lettered),
-            sim_makespan_ns: load(&self.sim_makespan_ns),
             queue_folds: load(&io.folds),
             queue_fold_ns: load(&io.fold_ns),
             queue_frames_folded: load(&io.frames_folded),
@@ -389,7 +376,6 @@ struct Dispatch {
 struct JobDone {
     state: JobState,
     digest: String,
-    sim_ns: u64,
 }
 
 /// The long-lived multi-campaign diagnosis service.
@@ -648,7 +634,7 @@ impl CampaignServer {
         self.stats.admitted.fetch_add(1, Ordering::SeqCst);
         let _ = self
             .queue
-            .transition(id, JobState::Running, attempt, None, None, None);
+            .transition(id, JobState::Running, attempt, None, None);
         self.write_status();
         let journal_path = self
             .config
@@ -664,7 +650,6 @@ impl CampaignServer {
                 memo: true,
                 substrate: self.config.substrate.clone(),
                 wall_deadline_s: self.config.wall_deadline_s,
-                sim_deadline_s: self.config.sim_deadline_s,
                 journal: None,
             };
             let campaign = Campaign::with_journal_path(config, &journal_path);
@@ -676,7 +661,6 @@ impl CampaignServer {
                     .journal_fsync_ns
                     .fetch_add(js.fsync_ns, Ordering::SeqCst);
             }
-            let sim_ns = campaign.manager().exec_stats().sim_makespan_ns;
             let (state, digest, text) = classify(&resolved.program, &out);
             if let Some(text) = text {
                 let path = self
@@ -687,11 +671,7 @@ impl CampaignServer {
                 write_atomic(&path, format!("{text}\n").as_bytes())
                     .map_err(|e| format!("writing {}: {e}", path.display()))?;
             }
-            Ok(JobDone {
-                state,
-                digest,
-                sim_ns,
-            })
+            Ok(JobDone { state, digest })
         })
         .and_then(|r| r);
         match outcome {
@@ -702,17 +682,9 @@ impl CampaignServer {
                     _ => &self.stats.no_reproduction,
                 };
                 cell.fetch_add(1, Ordering::SeqCst);
-                self.stats
-                    .sim_makespan_ns
-                    .fetch_add(done.sim_ns, Ordering::SeqCst);
-                let _ = self.queue.transition(
-                    id,
-                    done.state,
-                    attempt,
-                    Some(done.digest),
-                    None,
-                    Some(done.sim_ns),
-                );
+                let _ = self
+                    .queue
+                    .transition(id, done.state, attempt, Some(done.digest), None);
             }
             Err(fault) => {
                 self.stats.supervisor_faults.fetch_add(1, Ordering::SeqCst);
@@ -721,14 +693,9 @@ impl CampaignServer {
                     self.dead_letter(id, payload, attempt, &fault);
                 } else {
                     self.stats.retried.fetch_add(1, Ordering::SeqCst);
-                    let _ = self.queue.transition(
-                        id,
-                        JobState::Queued,
-                        attempt,
-                        None,
-                        Some(fault),
-                        None,
-                    );
+                    let _ = self
+                        .queue
+                        .transition(id, JobState::Queued, attempt, None, Some(fault));
                     let delay = self.config.backoff.delay(id, attempt);
                     let mut d = self.dispatch.lock().expect("dispatch poisoned");
                     d.pending.insert(
@@ -770,7 +737,6 @@ impl CampaignServer {
             attempt,
             None,
             Some(fault.to_string()),
-            None,
         );
     }
 
@@ -1073,7 +1039,7 @@ mod tests {
         // mid-campaign) and restart.
         let queue = JobQueue::open(&dir).unwrap();
         queue
-            .transition(b, JobState::Running, 0, None, None, None)
+            .transition(b, JobState::Running, 0, None, None)
             .unwrap();
         drop(queue);
         let server = CampaignServer::open(fast_config(&dir, 1), Arc::new(TestResolver)).unwrap();
@@ -1170,7 +1136,7 @@ mod tests {
                 ..base.clone()
             },
             ServerConfig {
-                sim_deadline_s: Some(f64::NAN),
+                wall_deadline_s: Some(f64::NAN),
                 ..base.clone()
             },
         ] {

@@ -116,8 +116,8 @@ pub enum JobState {
     Running,
     /// Terminal: every race was flipped and judged.
     Complete,
-    /// Terminal: a deadline budget degraded the diagnosis to best-so-far
-    /// results with explicit unverified accounting.
+    /// Terminal: a deadline degraded the diagnosis to best-so-far results
+    /// with explicit unverified accounting.
     Partial,
     /// Terminal: no slice reproduced the failure.
     NoReproduction,
@@ -175,11 +175,9 @@ enum QueueRecord {
         /// Diagnosis digest (terminal, diagnosed states only).
         digest: Option<String>,
         /// Human-readable detail (dead-letter reason, resolver error).
+        /// Frames from older builds also carry the campaign's simulated
+        /// makespan; decoding skips that field.
         detail: Option<String>,
-        /// The campaign's simulated pool makespan, in nanoseconds
-        /// (terminal states only) — the deterministic cost the server
-        /// throughput gate in `tests/campaignd.rs` aggregates.
-        sim_makespan_ns: Option<u64>,
     },
 }
 
@@ -198,9 +196,6 @@ pub struct JobSnapshot {
     pub digest: Option<String>,
     /// Dead-letter reason or resolver error, when recorded.
     pub detail: Option<String>,
-    /// The campaign's simulated pool makespan in nanoseconds, once
-    /// terminal.
-    pub sim_makespan_ns: Option<u64>,
 }
 
 /// Why a submit was rejected.
@@ -416,7 +411,6 @@ impl JobQueue {
                         attempt: 0,
                         digest: None,
                         detail: None,
-                        sim_makespan_ns: None,
                     });
                 }
                 QueueRecord::Transition {
@@ -425,7 +419,6 @@ impl JobQueue {
                     attempt,
                     digest,
                     detail,
-                    sim_makespan_ns,
                 } => {
                     if let Some(job) = jobs.get_mut(&id) {
                         job.state = state;
@@ -435,9 +428,6 @@ impl JobQueue {
                         }
                         if detail.is_some() {
                             job.detail = detail;
-                        }
-                        if sim_makespan_ns.is_some() {
-                            job.sim_makespan_ns = sim_makespan_ns;
                         }
                     }
                 }
@@ -512,7 +502,6 @@ impl JobQueue {
         attempt: u32,
         digest: Option<String>,
         detail: Option<String>,
-        sim_makespan_ns: Option<u64>,
     ) -> std::io::Result<()> {
         self.append(&QueueRecord::Transition {
             id,
@@ -520,7 +509,6 @@ impl JobQueue {
             attempt,
             digest,
             detail,
-            sim_makespan_ns,
         })
     }
 
@@ -718,23 +706,14 @@ mod tests {
         let dir = temp_dir("transitions");
         let q = JobQueue::open(&dir).unwrap();
         q.submit("gen:1", 16).unwrap();
-        q.transition(1, JobState::Running, 0, None, None, None)
+        q.transition(1, JobState::Running, 0, None, None).unwrap();
+        q.transition(1, JobState::Complete, 0, Some("abcd".into()), None)
             .unwrap();
-        q.transition(
-            1,
-            JobState::Complete,
-            0,
-            Some("abcd".into()),
-            None,
-            Some(42),
-        )
-        .unwrap();
         drop(q);
         let q = JobQueue::open(&dir).unwrap();
         let jobs = q.fold().unwrap();
         assert_eq!(jobs[&1].state, JobState::Complete);
         assert_eq!(jobs[&1].digest.as_deref(), Some("abcd"));
-        assert_eq!(jobs[&1].sim_makespan_ns, Some(42));
         assert!(jobs[&1].state.is_terminal());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -769,9 +748,40 @@ mod tests {
         assert_eq!((jobs[&1].state, jobs[&1].attempt), (JobState::Queued, 0));
         assert_eq!((jobs[&2].state, jobs[&2].attempt), (JobState::Queued, 1));
         // The queue keeps working past the skipped frames.
-        q.transition(1, JobState::Running, 0, None, None, None)
-            .unwrap();
+        q.transition(1, JobState::Running, 0, None, None).unwrap();
         assert_eq!(q.fold().unwrap()[&1].state, JobState::Running);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A terminal frame of an older build carries the campaign's simulated
+    /// makespan. Decoding skips the field: the job folds to its state and
+    /// digest, nothing is truncated, and the record counters agree with
+    /// the fold.
+    #[test]
+    fn terminal_frames_with_a_simulated_makespan_still_fold() {
+        let dir = temp_dir("makespan");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        for record in [
+            r#"{"Submit":{"id":1,"payload":"gen:1"}}"#,
+            r#"{"Transition":{"id":1,"state":"Complete","attempt":0,"digest":"0123456789abcdef","detail":null,"sim_makespan_ns":42}}"#,
+        ] {
+            bytes.extend_from_slice(&frame_record(record.as_bytes()));
+        }
+        std::fs::write(dir.join(QUEUE_FILE), bytes).unwrap();
+        let q = JobQueue::open(&dir).unwrap();
+        assert_eq!(q.truncations(), 0);
+        let jobs = q.fold().unwrap();
+        assert_eq!(jobs[&1].state, JobState::Complete);
+        assert_eq!(jobs[&1].digest.as_deref(), Some("0123456789abcdef"));
+        assert_eq!(JobQueue::record_count(&dir).unwrap(), 2);
+        assert_eq!(JobQueue::truncate_at_record(&dir, 1).unwrap(), 1);
+        let jobs = q.fold().unwrap();
+        assert_eq!(
+            (jobs[&1].state, jobs[&1].digest.as_deref()),
+            (JobState::Queued, None)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -785,8 +795,7 @@ mod tests {
             Err(SubmitError::Full { queued: 2, max: 2 }) => {}
             other => panic!("expected Full, got {other:?}"),
         }
-        q.transition(1, JobState::Complete, 0, None, None, None)
-            .unwrap();
+        q.transition(1, JobState::Complete, 0, None, None).unwrap();
         assert_eq!(q.submit("gen:3", 2).unwrap(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -871,8 +880,7 @@ mod tests {
                         for i in 0..SUBMITS {
                             let payload = format!("gen:{w}-{i}");
                             let id = q.submit(&payload, usize::MAX).unwrap();
-                            q.transition(id, JobState::Running, 1, None, None, None)
-                                .unwrap();
+                            q.transition(id, JobState::Running, 1, None, None).unwrap();
                             acked.push((id, payload));
                         }
                         assert_eq!(q.truncations(), 0, "writer {w} truncated a frame");
@@ -944,11 +952,10 @@ mod tests {
                 for id in 1..=3 {
                     q.submit(&format!("gen:{id}"), 16).unwrap();
                 }
-                q.transition(1, JobState::Running, 0, None, None, None)
+                q.transition(1, JobState::Running, 0, None, None).unwrap();
+                q.transition(2, JobState::Queued, 1, None, Some("panic".into()))
                     .unwrap();
-                q.transition(2, JobState::Queued, 1, None, Some("panic".into()), None)
-                    .unwrap();
-                q.transition(1, JobState::Complete, 0, Some("d1".into()), None, Some(7))
+                q.transition(1, JobState::Complete, 0, Some("d1".into()), None)
                     .unwrap();
                 drop(q);
                 let bytes = std::fs::read(dir.join(QUEUE_FILE)).unwrap();

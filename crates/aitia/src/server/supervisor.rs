@@ -125,8 +125,8 @@ impl RetryBackoff {
     }
 }
 
-/// SplitMix64 — the same tiny deterministic mixer the executor's fault
-/// injection uses; good enough jitter with zero dependencies.
+/// SplitMix64 — a tiny deterministic mixer; good enough jitter with zero
+/// dependencies.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -42,10 +42,11 @@ echo "==> release build"
 cargo build --release -p aitia-bench
 
 echo "==> usage-error smoke"
-# Unknown flags (here --backend, --snapshot-cache and the two
-# fault-injection flags, which older builds accepted), deleted subcommands
-# (bench-memo) and out-of-range --scale values must be rejected at startup
-# with the usage exit status 2: never run, succeed, panic or abort.
+# Unknown flags (here --backend, --snapshot-cache, the two fault-injection
+# flags, campaignd's --sim-deadline-s and report's --journal, which older
+# builds accepted), deleted subcommands (bench-memo) and out-of-range
+# --scale values must be rejected at startup with the usage exit status 2:
+# never run, succeed, panic or abort.
 expect_status() {
     local want=$1 rc=0
     shift
@@ -59,6 +60,9 @@ expect_status 2 ./target/release/report table2 --snapshot-cache 8
 expect_status 2 ./target/release/campaignd status --dir target/ci-usage-campaignd \
     --backend ksim
 expect_status 2 ./target/release/report bench-memo
+expect_status 2 ./target/release/campaignd run --dir target/ci-usage-campaignd \
+    --sim-deadline-s 5
+expect_status 2 ./target/release/report table2 --journal target/ci-usage-report.wal
 for gone in rate seed; do
     expect_status 2 ./target/release/report table2 --fault-"$gone" 5
     expect_status 2 ./target/release/campaignd run --dir target/ci-usage-campaignd \
@@ -79,6 +83,16 @@ echo "==> deadline smoke"
     || { echo "FAIL: a 1e20 s deadline did not exit 0" >&2; exit 1; }
 diff target/ci-deadline-far.txt target/ci-deadline-reference.txt \
     || { echo "FAIL: a 1e20 s deadline changed the diagnosis" >&2; exit 1; }
+# A deadline that has passed by the first claim (1 ns) cuts the search
+# before any schedule runs: no reproduction, exit 1, and the message says
+# the deadline is why.
+DEADLINE_STATUS=0
+./target/release/diagnose CVE-2017-15649 --scale 0.05 --deadline-s 1e-9 \
+    > /dev/null 2> target/ci-deadline-expired.err || DEADLINE_STATUS=$?
+[ "$DEADLINE_STATUS" -eq 1 ] \
+    || { echo "FAIL: a 1 ns deadline exited $DEADLINE_STATUS, want 1" >&2; exit 1; }
+grep -q 'before the deadline expired' target/ci-deadline-expired.err \
+    || { echo "FAIL: a 1 ns deadline did not report its expiry" >&2; exit 1; }
 
 echo "==> no-reproduction smoke"
 # At the largest accepted scale CVE-2019-11486 no longer reproduces:

@@ -4,8 +4,8 @@
 //! journal records or mid-append (a torn tail) — and relaunched over the
 //! surviving journal produces a diagnosis bit-identical to an uninterrupted
 //! campaign, at any worker count. And the
-//! deadline contract: a budget that expires mid-analysis degrades to a
-//! partial diagnosis whose un-flipped races are all `Unverified`, never
+//! deadline contract: a deadline that cuts the analysis short degrades to
+//! a partial diagnosis whose un-flipped races are all `Unverified`, never
 //! `Benign`. And the resume gate: on a corpus bug, a resume from half the
 //! journal saves at least 40% of the VM executions.
 
@@ -17,6 +17,7 @@ use aitia_repro::aitia::{
     },
     Campaign,
     CampaignOutcome,
+    CancelToken,
     CausalityConfig,
     CausalityLevel,
     PartialDiagnosis,
@@ -225,37 +226,18 @@ fn corpus_resume_from_half_the_journal_saves_forty_percent_of_vm_executions() {
     let _ = std::fs::remove_file(&full);
 }
 
-/// Diagnoses [`noisy_fig1`] at causality `level` under a simulated
-/// deadline that covers LIFS plus half a schedule, so the causality pass is
-/// cut mid-flight, and returns the partial diagnosis.
+/// Diagnoses [`noisy_fig1`] at causality `level` with an analysis token
+/// whose deadline has already passed: LIFS reproduces, and the causality
+/// pass is cut at its first claim. Returns the partial diagnosis.
 fn partial_fig1_diagnosis(level: CausalityLevel) -> PartialDiagnosis {
-    use aitia_repro::aitia::simtime::CostModel;
-    // Probe the un-budgeted campaign to size the budget. memo off: every
-    // run executes, and so charges the budget; none is answered from a
-    // memo table.
-    let base = ManagerConfig {
+    let outcome = Campaign::new(ManagerConfig {
         vms: 1,
-        memo: false,
         causality: CausalityConfig {
             level,
+            cancel: CancelToken::new().with_deadline_s(0.0),
             ..CausalityConfig::default()
         },
         ..ManagerConfig::default()
-    };
-    let probe = Campaign::new(base.clone()).diagnose_program(noisy_fig1());
-    let model = CostModel {
-        vms: 1,
-        ..CostModel::default()
-    };
-    let lifs_s = probe
-        .diagnosis()
-        .expect("fig1 reproduces")
-        .lifs_stats
-        .sim
-        .seconds(&model);
-    let outcome = Campaign::new(ManagerConfig {
-        sim_deadline_s: Some(lifs_s + model.per_schedule_s * 0.5),
-        ..base
     })
     .diagnose_program(noisy_fig1());
     let CampaignOutcome::Partial(p) = outcome else {
@@ -266,8 +248,8 @@ fn partial_fig1_diagnosis(level: CausalityLevel) -> PartialDiagnosis {
     p
 }
 
-/// The degradation invariant at the campaign level: when a deadline expires
-/// mid-analysis, the partial diagnosis marks every un-flipped race
+/// The degradation invariant at the campaign level: when a deadline cuts
+/// the analysis short, the partial diagnosis marks every un-flipped race
 /// `Unverified` — never `Benign` — and the outcome still carries the chain
 /// built from what did run. At the exhaustive level every race is flipped
 /// or cut off, so no race without an outcome has any other verdict.
