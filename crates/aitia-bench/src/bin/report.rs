@@ -69,7 +69,9 @@ flags:
   --no-memo             no memo table and no checkpoint restores: every
                         run boots fresh (the oracle; may run slower)
   --deadline-s <float>  wall-clock budget in seconds, finite and positive;
-                        on expiry tables degrade to best-so-far results
+                        on expiry tables degrade to best-so-far results,
+                        and a bug cut off before it reproduces ends the
+                        run with exit 1
   --seeds <int>         fuzz: consecutive generator seeds to run (default 200)
   --seed-start <int>    fuzz: first generator seed (default 0)
   --repro-dir <path>    fuzz: where divergence reproducers are written
@@ -247,9 +249,14 @@ fn main() {
     );
 }
 
-/// Prints `diagnose`'s message for a bug that did not reproduce and exits 1.
-fn no_repro_exit(id: &str, scale: f64) -> ! {
-    eprintln!("report: {id} did not reproduce at scale {scale}");
+/// Prints `diagnose`'s message for a bug that did not reproduce and exits
+/// 1; when `cancel`'s deadline fired, the message blames the deadline.
+fn no_repro_exit(id: &str, scale: f64, cancel: &CancelToken) -> ! {
+    if cancel.deadline_fired() {
+        eprintln!("report: {id} did not reproduce at scale {scale} before the deadline expired");
+    } else {
+        eprintln!("report: {id} did not reproduce at scale {scale}");
+    }
     std::process::exit(1);
 }
 
@@ -263,7 +270,7 @@ fn corpus_rows(
     cancel: &CancelToken,
 ) -> Vec<experiments::BugOutcome> {
     experiments::diagnose_corpus(bugs, scale, exec, levels, cancel)
-        .unwrap_or_else(|id| no_repro_exit(id, scale))
+        .unwrap_or_else(|id| no_repro_exit(id, scale, cancel))
 }
 
 fn table2(
@@ -321,7 +328,7 @@ fn print_conciseness(rows: &[aitia_bench::experiments::BugOutcome]) {
 
 fn comparison(scale: f64, samples: usize, levels: Levels) {
     let rows = experiments::comparison(scale, samples, levels)
-        .unwrap_or_else(|id| no_repro_exit(id, scale));
+        .unwrap_or_else(|id| no_repro_exit(id, scale, &CancelToken::new()));
     println!("{}", experiments::render_comparison(&rows));
 }
 

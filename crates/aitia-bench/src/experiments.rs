@@ -197,6 +197,7 @@ pub fn render_exec_stats(stats: &aitia::ExecStats, deadline_fired: bool) -> Stri
         \x20 enforced runs:       {}\n\
         \x20 discarded runs:      {} (past an early stop)\n\
         \x20 checkpoints:         {} restored / {} booted fresh\n\
+        \x20 engine steps:        {} logical / {} interpreted\n\
         \x20 memo table:          {} hits / {} misses\n\
         \x20 throughput:          {:.0} schedules/s, {:.0} instrs/s (per busy worker)\n\
         \x20 deadline fired:      {}\n",
@@ -204,6 +205,8 @@ pub fn render_exec_stats(stats: &aitia::ExecStats, deadline_fired: bool) -> Stri
         stats.discarded_runs,
         stats.snapshot_hits,
         stats.snapshot_misses,
+        stats.steps_executed,
+        stats.steps_interpreted,
         stats.memo_hits,
         stats.memo_misses,
         stats.schedules_per_sec(),

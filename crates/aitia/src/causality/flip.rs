@@ -31,10 +31,12 @@
 //! not depend on how the plan was built.
 
 use crate::enforce::{
+    EnforceConfig,
     RunResult,
     ThreadFinal, //
 };
 use crate::{
+    exec::ExecJob,
     fxhash::FxHashMap,
     lifs::FailingRun,
     race::{
@@ -56,6 +58,7 @@ use ksim::{
     Trace, //
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Whether a flip run averted `original`. A different failure (other kind
 /// or site) still counts as averting the original one; livelock/budget
@@ -128,6 +131,28 @@ pub struct FlipPlan {
     pub schedule: Schedule,
     /// Whether a critical section forced the window to grow.
     pub cs_expanded: bool,
+    /// How many leading steps the flipped order shares with the failing
+    /// trace: the window's start. The flip's run executes the failing run's
+    /// first `shared_steps` steps and leaves its trace right there
+    /// (`tests/flip_plan.rs` checks both on every corpus and generated
+    /// race), so flips of one run can resume from each other's checkpoints;
+    /// [`FlipPlan::job`] hands it to the executor as
+    /// [`ExecJob::shared_steps`].
+    pub shared_steps: usize,
+}
+
+impl FlipPlan {
+    /// The executor job of this flip on `run`'s program, hinted with
+    /// [`FlipPlan::shared_steps`].
+    #[must_use]
+    pub fn job(&self, run: &FailingRun, enforce: EnforceConfig) -> ExecJob {
+        ExecJob {
+            program: Arc::clone(&run.program),
+            schedule: self.schedule.clone(),
+            enforce,
+            shared_steps: Some(self.shared_steps),
+        }
+    }
 }
 
 /// Plans the flip of `race` against the failing run, preserving the orders
@@ -228,6 +253,7 @@ pub fn plan_flip(
         also_flipped,
         schedule,
         cs_expanded,
+        shared_steps: window_start,
     }
 }
 

@@ -392,11 +392,7 @@ impl CausalityAnalysis {
             .collect();
         let jobs: Vec<ExecJob> = positions
             .iter()
-            .map(|&p| ExecJob {
-                program: Arc::clone(&run.program),
-                schedule: plans_by_race[order[p]].schedule.clone(),
-                enforce: self.config.enforce,
-            })
+            .map(|&p| plans_by_race[order[p]].job(run, self.config.enforce))
             .collect();
         let submit = self.submission(&positions, &order, scores.as_deref(), &mut stats);
         let results = self.exec.run_batch_permuted(&jobs, &submit, &cancel);
@@ -551,11 +547,7 @@ impl CausalityAnalysis {
             root_idx.iter().map(|&i| run.races[i].clone()).collect();
         let root_jobs: Vec<ExecJob> = root_idx
             .iter()
-            .map(|&i| ExecJob {
-                program: Arc::clone(&run.program),
-                schedule: plans_by_race[i].schedule.clone(),
-                enforce: self.config.enforce,
-            })
+            .map(|&i| plans_by_race[i].job(run, self.config.enforce))
             .collect();
         // Phase C reuses the same gain ordering for the re-runs; edges are
         // still extracted in canonical root order.

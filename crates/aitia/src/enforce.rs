@@ -17,6 +17,11 @@
 //!   (the §3.4 liveness rule that motivates flipping whole critical
 //!   sections).
 
+use crate::fxhash::{
+    FxHashMap,
+    FxHasher, //
+};
+use crate::lru::LruBuckets;
 use crate::schedule::{
     Anchor,
     SchedPoint,
@@ -34,7 +39,10 @@ use ksim::{
     ThreadStatus,
     Trace, //
 };
-use std::collections::HashMap;
+use std::hash::{
+    Hash,
+    Hasher, //
+};
 use std::sync::{
     Arc,
     Mutex, //
@@ -186,26 +194,32 @@ impl RunResult {
 }
 
 /// Live enforcement-loop state, extracted so a run can *resume* from a
-/// snapshot taken at a point boundary (the executor's [`SnapshotForest`])
-/// instead of always starting from a fresh boot.
+/// checkpoint in the executor's [`SnapshotForest`] instead of always
+/// starting from a fresh boot.
 struct LoopState {
     triggered: Vec<bool>,
     forced: Vec<ForcedResume>,
     steps: usize,
     budget_exhausted: bool,
     point_idx: usize,
-    exec_counts: HashMap<(ThreadId, InstrAddr), u32>,
+    exec_counts: FxHashMap<(ThreadId, InstrAddr), u32>,
     current: Option<ThreadId>,
     /// Cursor into the schedule's intended segment sequence (when present).
+    /// Decisions so far consulted the segments up to and including it.
     seg_cursor: usize,
+    /// Whether a segment search ran off the end of the sequence, so the
+    /// run consulted all of it.
+    seg_exhausted: bool,
     /// Consecutive forced-resume hops without an executed step: a chain
     /// longer than the thread count is a lock cycle (ABBA deadlock).
     forced_chain: usize,
-    /// Whether every scheduling decision so far was dictated by the
-    /// schedule's points alone (no fallback/segment consultation). Only
-    /// clean prefixes are deposited in the snapshot forest: a fallback
-    /// decision depends on schedule parts *outside* the point prefix, so
-    /// the resulting state would not be reusable across sibling schedules.
+    /// `steps` when the last point was consumed (0 before the first).
+    consumed_at: usize,
+    /// Whether no scheduling decision so far came from the fallback list.
+    /// Only clean states are deposited in the snapshot forest: a fallback
+    /// decision depends on the whole schedule, so the resulting state is
+    /// not reusable by sibling schedules. A decision of the segment cursor
+    /// is covered by the checkpoint's consulted segment prefix.
     clean: bool,
     /// Points already checkpointed this run (avoids duplicate deposits).
     checkpointed: usize,
@@ -223,32 +237,95 @@ impl LoopState {
             steps: 0,
             budget_exhausted: false,
             point_idx: 0,
-            exec_counts: HashMap::new(),
+            exec_counts: FxHashMap::default(),
             current,
             seg_cursor: 0,
+            seg_exhausted: false,
             forced_chain: 0,
+            consumed_at: 0,
             clean: true,
             checkpointed: 0,
         }
     }
+
+    /// Marks the point at `point_idx` consumed (fired or skipped as gone).
+    fn consume(&mut self) {
+        self.point_idx += 1;
+        self.consumed_at = self.steps;
+    }
 }
 
-/// An engine checkpoint plus the enforcement-loop state at the moment the
-/// `consumed`-th scheduling point was consumed. Restoring both resumes the
-/// run exactly where a from-scratch execution of the same prefix would be.
-#[derive(Clone)]
-struct SavedPrefix {
-    consumed: usize,
+/// An engine checkpoint plus the loop state of the run that took it, and
+/// everything of its schedule that run consulted on the way there: its
+/// program, step budget and start, the points it consumed, and the segment
+/// prefix up to its cursor. A schedule agreeing on all of it reaches the
+/// same state at the same step, so restoring both resumes the run exactly
+/// where a fresh execution would be.
+struct Checkpoint {
+    program: Arc<ksim::Program>,
+    step_budget: usize,
+    start: Option<ThreadSel>,
+    /// The consumed points: `points[..k]` of the depositing schedule.
+    points: Vec<SchedPoint>,
+    /// The consulted segments: up to and including the cursor, or the whole
+    /// sequence when a search ran off its end (`seg_exhausted`).
+    segments: Vec<ThreadSel>,
+    seg_exhausted: bool,
+    /// The depositing schedule's next point, which its run watched without
+    /// firing since `consumed_at`.
+    next: Option<SchedPoint>,
+    /// Every runtime thread: its id, selector, and whether it is done.
+    threads: Vec<(ThreadId, ThreadSel, bool)>,
     snapshot: Snapshot,
     triggered: Vec<bool>,
     forced: Vec<ForcedResume>,
     steps: usize,
-    exec_counts: HashMap<(ThreadId, InstrAddr), u32>,
+    exec_counts: FxHashMap<(ThreadId, InstrAddr), u32>,
     current: Option<ThreadId>,
+    seg_cursor: usize,
     forced_chain: usize,
+    consumed_at: usize,
 }
 
-impl SavedPrefix {
+impl Checkpoint {
+    fn take(engine: &Engine, schedule: &Schedule, cfg: &EnforceConfig, state: &LoopState) -> Self {
+        let k = state.point_idx;
+        let seen = if state.seg_exhausted {
+            schedule.segments.len()
+        } else {
+            (state.seg_cursor + 1).min(schedule.segments.len())
+        };
+        Checkpoint {
+            program: Arc::clone(engine.program()),
+            step_budget: cfg.step_budget,
+            start: schedule.start,
+            points: schedule.points[..k].to_vec(),
+            segments: schedule.segments[..seen].to_vec(),
+            seg_exhausted: state.seg_exhausted,
+            next: schedule.points.get(k).cloned(),
+            threads: engine
+                .threads()
+                .iter()
+                .map(|t| {
+                    let sel = ThreadSel {
+                        prog: t.prog,
+                        occurrence: t.occurrence,
+                    };
+                    (t.id, sel, t.is_done())
+                })
+                .collect(),
+            snapshot: engine.snapshot(),
+            triggered: state.triggered[..k].to_vec(),
+            forced: state.forced.clone(),
+            steps: state.steps,
+            exec_counts: state.exec_counts.clone(),
+            current: state.current,
+            seg_cursor: state.seg_cursor,
+            forced_chain: state.forced_chain,
+            consumed_at: state.consumed_at,
+        }
+    }
+
     fn resume(&self, schedule: &Schedule) -> LoopState {
         let mut triggered = self.triggered.clone();
         triggered.resize(schedule.points.len(), false);
@@ -257,40 +334,117 @@ impl SavedPrefix {
             forced: self.forced.clone(),
             steps: self.steps,
             budget_exhausted: false,
-            point_idx: self.consumed,
+            point_idx: self.points.len(),
             exec_counts: self.exec_counts.clone(),
             current: self.current,
-            seg_cursor: 0,
+            seg_cursor: self.seg_cursor,
+            seg_exhausted: self.seg_exhausted,
             forced_chain: self.forced_chain,
+            consumed_at: self.consumed_at,
             clean: true,
-            checkpointed: self.consumed,
+            checkpointed: self.points.len(),
         }
+    }
+
+    /// Whether a run of `schedule` under `cfg` on `program` passes through
+    /// this checkpoint's state: it agrees on everything the depositing run
+    /// consulted, and its own next point would have stayed inert over the
+    /// steps that run made since it consumed its last point.
+    fn serves(
+        &self,
+        program: &Arc<ksim::Program>,
+        schedule: &Schedule,
+        cfg: &EnforceConfig,
+    ) -> bool {
+        let segments_agree = if self.seg_exhausted {
+            schedule.segments == self.segments
+        } else {
+            schedule.segments.starts_with(&self.segments)
+        };
+        Arc::ptr_eq(&self.program, program)
+            && self.step_budget == cfg.step_budget
+            && self.start == schedule.start
+            && schedule.points.starts_with(&self.points)
+            && segments_agree
+            && match schedule.points.get(self.points.len()) {
+                Some(p) if self.steps > self.consumed_at && self.next.as_ref() != Some(p) => {
+                    self.inert(p)
+                }
+                _ => true,
+            }
+    }
+
+    /// Whether point `p` would neither have fired nor been skipped as gone
+    /// at any loop iteration since `consumed_at`. Conservative: a thread
+    /// that is done, has run past the anchor, or blocked since may have
+    /// met `p`, so the checkpoint is refused.
+    fn inert(&self, p: &SchedPoint) -> bool {
+        let Some(&(tid, _, done)) = self.threads.iter().find(|t| t.1 == p.thread) else {
+            // Never spawned: nothing could have matched it.
+            return true;
+        };
+        if done {
+            return false;
+        }
+        let count = self.exec_counts.get(&(tid, p.at)).copied().unwrap_or(0);
+        match p.when {
+            // A before-anchor fires when its thread is about to execute
+            // the anchor for the `nth` time: every such moment either
+            // executed it (the count passed `nth`) or blocked on it (a
+            // forced resume since the last point).
+            Anchor::Before => {
+                count < p.nth
+                    || (count == p.nth
+                        && !self
+                            .forced
+                            .iter()
+                            .any(|f| f.seq >= self.consumed_at && f.blocked == p.thread))
+            }
+            Anchor::After => count <= p.nth,
+        }
+    }
+
+    /// Whether `other` holds the same state: the same consulted schedule
+    /// parts at the same step.
+    fn same_state(&self, other: &Checkpoint) -> bool {
+        Arc::ptr_eq(&self.program, &other.program)
+            && self.steps == other.steps
+            && self.consumed_at == other.consumed_at
+            && self.step_budget == other.step_budget
+            && self.start == other.start
+            && self.points == other.points
+            && self.segments == other.segments
+            && self.seg_exhausted == other.seg_exhausted
     }
 }
 
-/// Hash of everything a clean prefix's engine state can depend on: the
-/// start selector, the first `k` scheduling points (all fields), and the
-/// step budget.
-fn prefix_key(schedule: &Schedule, k: usize, cfg: &EnforceConfig) -> u64 {
-    use std::hash::{
-        Hash,
-        Hasher, //
-    };
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+/// The forest key of each point prefix of `schedule`: `keys[k]` hashes the
+/// program's identity, the step budget, the start selector and
+/// `points[..k]` (all fields). A checkpoint of a run that had consumed `k`
+/// points lives under `keys[k]`.
+fn prefix_keys(program: &Arc<ksim::Program>, schedule: &Schedule, cfg: &EnforceConfig) -> Vec<u64> {
+    let mut h = FxHasher::default();
+    (Arc::as_ptr(program) as usize).hash(&mut h);
     cfg.step_budget.hash(&mut h);
     match schedule.start {
         Some(s) => (1u8, s.prog.0, s.occurrence).hash(&mut h),
         None => 0u8.hash(&mut h),
     }
-    k.hash(&mut h);
-    for p in &schedule.points[..k] {
-        (p.thread.prog.0, p.thread.occurrence).hash(&mut h);
-        (p.at.prog.0, p.at.index).hash(&mut h);
-        p.nth.hash(&mut h);
-        u8::from(p.when == Anchor::After).hash(&mut h);
-        (p.switch_to.prog.0, p.switch_to.occurrence).hash(&mut h);
+    let mut keys = Vec::with_capacity(schedule.points.len() + 1);
+    keys.push(h.finish());
+    for p in &schedule.points {
+        hash_point(p, &mut h);
+        keys.push(h.finish());
     }
-    h.finish()
+    keys
+}
+
+fn hash_point<H: Hasher>(p: &SchedPoint, h: &mut H) {
+    (p.thread.prog.0, p.thread.occurrence).hash(h);
+    (p.at.prog.0, p.at.index).hash(h);
+    p.nth.hash(h);
+    u8::from(p.when == Anchor::After).hash(h);
+    (p.switch_to.prog.0, p.switch_to.occurrence).hash(h);
 }
 
 /// Canonical fingerprint of everything an execution's outcome can depend
@@ -301,10 +455,6 @@ fn prefix_key(schedule: &Schedule, k: usize, cfg: &EnforceConfig) -> u64 {
 /// schedules) agree drive the engine identically and their outputs are
 /// interchangeable — the keying rule of the exec-layer memo table.
 pub(crate) fn schedule_fingerprint(schedule: &Schedule, cfg: &EnforceConfig) -> u64 {
-    use std::hash::{
-        Hash,
-        Hasher, //
-    };
     let mut h = std::collections::hash_map::DefaultHasher::new();
     cfg.step_budget.hash(&mut h);
     match schedule.start {
@@ -313,11 +463,7 @@ pub(crate) fn schedule_fingerprint(schedule: &Schedule, cfg: &EnforceConfig) -> 
     }
     schedule.points.len().hash(&mut h);
     for p in &schedule.points {
-        (p.thread.prog.0, p.thread.occurrence).hash(&mut h);
-        (p.at.prog.0, p.at.index).hash(&mut h);
-        p.nth.hash(&mut h);
-        u8::from(p.when == Anchor::After).hash(&mut h);
-        (p.switch_to.prog.0, p.switch_to.occurrence).hash(&mut h);
+        hash_point(p, &mut h);
     }
     schedule.fallback.len().hash(&mut h);
     for s in &schedule.fallback {
@@ -330,38 +476,34 @@ pub(crate) fn schedule_fingerprint(schedule: &Schedule, cfg: &EnforceConfig) -> 
     h.finish()
 }
 
-/// One forest entry: prefix hash, pinned program identity, and the
-/// checkpoint itself.
-type ForestEntry = (u64, Arc<ksim::Program>, SavedPrefix);
-
-/// A thread-safe store of engine checkpoints keyed by schedule-point
-/// prefix — the executor's only checkpoint store.
+/// A thread-safe store of engine checkpoints — the executor's only
+/// checkpoint store.
 ///
 /// LIFS explores many sibling schedules that differ only in their final
-/// preemptions; the shared prefix of scheduling points produces — by
-/// sequential consistency — bit-identical engine states. Instead of
-/// rebooting and replaying the prefix for every sibling, a worker restores
-/// the longest clean prefix *any* worker of any executor sharing the
-/// forest has built, and executes only the divergent suffix.
-/// [`ksim::Snapshot`] handles are `Arc`-backed, so sharing is a
+/// preemptions, and every flip of a failing run replays that run's first
+/// steps up to its window; by sequential consistency such shared prefixes
+/// produce bit-identical engine states. Instead of rebooting and replaying
+/// the prefix, a worker restores the deepest matching checkpoint *any*
+/// worker of any executor sharing the forest deposited, and executes only
+/// the rest. [`ksim::Snapshot`] handles are `Arc`-backed, so sharing is a
 /// reference-count bump, never a deep copy.
 ///
-/// Invariants (see DESIGN.md §5):
-///
-/// * only **clean** prefixes are stored — every control transfer up to the
-///   checkpoint was dictated by the point list itself, never by the
-///   fallback picker or segment cursor, so the state depends on nothing
-///   but `(program, start, points[..k], step_budget)`;
-/// * schedules carrying a segment sequence are never stored (the segment
-///   cursor consults the whole schedule);
-/// * entries are keyed by the prefix hash and program identity
-///   (`Arc::ptr_eq`): the held `Arc<Program>` pins the allocation, so a
-///   live entry's pointer can never alias a recycled address, and the
-///   forest never needs clearing when an engine switches programs.
+/// A checkpoint records what its run consulted (see DESIGN.md §5): the
+/// program, step budget, start, consumed points, the segment prefix up to
+/// its cursor, and its step count. It is filed under the hash of the first
+/// four and restored only into a schedule that agrees on all of it, whose
+/// own next point would not have fired in the meantime. Only **clean**
+/// states are deposited — no decision came from the fallback list, whose
+/// answer depends on the whole schedule. Unhinted runs of schedules
+/// without segments (LIFS plans) deposit as each point is consumed; runs
+/// with a [`PrefixHint`] (flips) deposit at their batch's deposit steps up
+/// to their shared step. Entries pin their `Arc<Program>`, so a live
+/// entry's pointer can never alias a recycled address, and the forest
+/// never needs clearing when an engine switches programs. Eviction is
+/// least-recently-used.
 pub struct SnapshotForest {
     cap: usize,
-    /// LRU order: least-recently-used first.
-    entries: Mutex<Vec<ForestEntry>>,
+    index: Mutex<LruBuckets<Arc<Checkpoint>>>,
 }
 
 impl SnapshotForest {
@@ -370,7 +512,7 @@ impl SnapshotForest {
     pub fn new(cap: usize) -> SnapshotForest {
         SnapshotForest {
             cap,
-            entries: Mutex::new(Vec::new()),
+            index: Mutex::default(),
         }
     }
 
@@ -381,7 +523,7 @@ impl SnapshotForest {
     /// Panics when the interior lock is poisoned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        self.index.lock().unwrap().len()
     }
 
     /// Whether the forest holds no checkpoints.
@@ -390,62 +532,131 @@ impl SnapshotForest {
         self.len() == 0
     }
 
-    fn get(&self, program: &Arc<ksim::Program>, key: u64) -> Option<SavedPrefix> {
-        let mut entries = self.entries.lock().unwrap();
-        let pos = entries
-            .iter()
-            .position(|(k, p, _)| *k == key && Arc::ptr_eq(p, program))?;
-        let entry = entries.remove(pos);
-        let saved = entry.2.clone();
-        entries.push(entry);
-        Some(saved)
+    /// The deepest checkpoint at or below step `limit` that serves
+    /// `schedule`, searching the point prefixes from the longest: along one
+    /// run, more consumed points never means fewer steps.
+    fn find(
+        &self,
+        schedule: &Schedule,
+        cfg: &EnforceConfig,
+        program: &Arc<ksim::Program>,
+        keys: &[u64],
+        limit: usize,
+    ) -> Option<Arc<Checkpoint>> {
+        let mut index = self.index.lock().unwrap();
+        for (k, &key) in keys.iter().enumerate().rev() {
+            let mut best: Option<(usize, usize)> = None;
+            for (pos, cp) in index.bucket(key).enumerate() {
+                if best.is_none_or(|(_, steps)| cp.steps > steps)
+                    && cp.steps <= limit
+                    && cp.points.len() == k
+                    && cp.serves(program, schedule, cfg)
+                {
+                    best = Some((pos, cp.steps));
+                }
+            }
+            if let Some((pos, _)) = best {
+                return Some(Arc::clone(index.touch(key, pos)));
+            }
+        }
+        None
     }
 
-    fn put(&self, key: u64, program: &Arc<ksim::Program>, saved: SavedPrefix) {
+    fn put(&self, key: u64, cp: Checkpoint) {
         if self.cap == 0 {
             return;
         }
-        let mut entries = self.entries.lock().unwrap();
-        if let Some(pos) = entries
-            .iter()
-            .position(|(k, p, _)| *k == key && Arc::ptr_eq(p, program))
-        {
-            entries.remove(pos);
-        }
-        entries.push((key, Arc::clone(program), saved));
-        while entries.len() > self.cap {
-            entries.remove(0);
-        }
+        let cp = Arc::new(cp);
+        let mut index = self.index.lock().unwrap();
+        index.put(key, Arc::clone(&cp), self.cap, |c| c.same_state(&cp));
     }
 }
 
-/// Deposits a checkpoint for the just-consumed point prefix, when eligible.
-fn maybe_checkpoint(
-    engine: &Engine,
-    schedule: &Schedule,
-    cfg: &EnforceConfig,
-    state: &mut LoopState,
-    forest: Option<&SnapshotForest>,
-) {
-    let Some(forest) = forest else {
-        return;
-    };
-    if !state.clean || state.point_idx <= state.checkpointed || engine.halted() {
-        return;
+/// A hinted run's promise about its prefix, and the steps at which its
+/// batch deposits checkpoints.
+///
+/// The executor builds one for each job that carries
+/// [`crate::exec::ExecJob::shared_steps`]. Results never depend on it: a
+/// run restores a checkpoint only when its schedule agrees on everything
+/// the depositing run consulted, so a wrong hint costs time, never a
+/// different result.
+#[derive(Clone, Copy, Debug)]
+pub struct PrefixHint<'a> {
+    /// Leading steps the run is expected to share with the other hinted
+    /// runs of its batch (a flip's window start: its first steps are the
+    /// failing run's). The run restores the deepest matching checkpoint at
+    /// or below this step and deposits none past it.
+    pub shared: usize,
+    /// The batch's deposit steps, ascending: every hinted job's `shared`.
+    pub deposits: &'a [usize],
+}
+
+/// Where a run deposits checkpoints.
+struct Sink<'a> {
+    forest: &'a SnapshotForest,
+    /// `keys[k]`: the forest key of the schedule's first `k` points.
+    keys: Vec<u64>,
+    /// `None`: deposit as each point is consumed (unhinted runs). `Some`:
+    /// deposit at each of these steps, ascending — the batch's deposit
+    /// steps past the run's restore point, up to its shared step.
+    steps: Option<&'a [usize]>,
+}
+
+impl Sink<'_> {
+    fn deposit(
+        &self,
+        engine: &Engine,
+        schedule: &Schedule,
+        cfg: &EnforceConfig,
+        state: &LoopState,
+    ) {
+        let cp = Checkpoint::take(engine, schedule, cfg, state);
+        self.forest.put(self.keys[state.point_idx], cp);
     }
-    let k = state.point_idx;
-    let saved = SavedPrefix {
-        consumed: k,
-        snapshot: engine.snapshot(),
-        triggered: state.triggered[..k].to_vec(),
-        forced: state.forced.clone(),
-        steps: state.steps,
-        exec_counts: state.exec_counts.clone(),
-        current: state.current,
-        forced_chain: state.forced_chain,
-    };
-    forest.put(prefix_key(schedule, k, cfg), engine.program(), saved);
-    state.checkpointed = k;
+
+    /// At the top of the loop: deposits when a hinted run reaches its next
+    /// deposit step.
+    fn at_step(
+        &mut self,
+        engine: &Engine,
+        schedule: &Schedule,
+        cfg: &EnforceConfig,
+        state: &LoopState,
+    ) {
+        let Some(mut steps) = self.steps else {
+            return;
+        };
+        while steps.first().is_some_and(|&d| d < state.steps) {
+            steps = &steps[1..];
+        }
+        let due = steps.first() == Some(&state.steps);
+        if due {
+            steps = &steps[1..];
+        }
+        self.steps = Some(steps);
+        if due && state.clean {
+            self.deposit(engine, schedule, cfg, state);
+        }
+    }
+
+    /// After a point is consumed: deposits for an unhinted run.
+    fn at_point(
+        &self,
+        engine: &Engine,
+        schedule: &Schedule,
+        cfg: &EnforceConfig,
+        state: &mut LoopState,
+    ) {
+        if self.steps.is_some()
+            || !state.clean
+            || state.point_idx <= state.checkpointed
+            || engine.halted()
+        {
+            return;
+        }
+        self.deposit(engine, schedule, cfg, state);
+        state.checkpointed = state.point_idx;
+    }
 }
 
 /// Runs `engine` under `schedule`.
@@ -458,48 +669,72 @@ pub fn run(engine: &mut Engine, schedule: &Schedule, cfg: &EnforceConfig) -> Run
     drive(engine, schedule, cfg, &mut state, None)
 }
 
-/// Runs `engine` under `schedule`, resuming from the longest clean prefix
-/// checkpoint `forest` holds for the engine's program.
+/// How [`run_cached`] began a run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Start {
+    /// Booted fresh without consulting the forest: there was none, or the
+    /// run is unhinted and its schedule has no points or has a segment
+    /// sequence.
+    Unconsulted,
+    /// Found no checkpoint that serves the schedule and booted fresh.
+    Booted,
+    /// Resumed from a checkpoint taken `steps` steps into the run.
+    Restored {
+        /// The steps the checkpoint skipped.
+        steps: usize,
+    },
+}
+
+/// Runs `engine` under `schedule`, resuming from the deepest checkpoint
+/// `forest` holds that serves the schedule.
 ///
 /// Unlike [`run`], the engine need *not* be freshly booted: this function
-/// either restores a checkpoint or reboots the engine itself. While a run
-/// consumes scheduling points cleanly it deposits a checkpoint into the
-/// forest after each, so sibling schedules sharing the prefix skip
-/// straight past it. The returned [`RunResult`] is bit-for-bit what [`run`]
-/// on a fresh engine would produce.
-///
-/// The second value is `Some(restored)` when the forest was consulted and
-/// `None` when it was not: no forest, no scheduling points, or a segment
-/// sequence (the segment cursor makes control flow depend on the whole
-/// schedule rather than the point prefix, so such states are not reusable
-/// across schedules).
+/// either restores a checkpoint or reboots the engine itself. An unhinted
+/// run consults the forest only for a schedule with points and no segment
+/// sequence (a LIFS plan), and deposits a checkpoint after each point it
+/// consumes cleanly. A run with a `hint` restores only at or below its
+/// shared step, and deposits at each of its batch's deposit steps it
+/// passes up to there. The returned [`RunResult`] is bit-for-bit what
+/// [`run`] on a fresh engine would produce.
 #[must_use]
 pub fn run_cached(
     engine: &mut Engine,
     schedule: &Schedule,
     cfg: &EnforceConfig,
     forest: Option<&SnapshotForest>,
-) -> (RunResult, Option<bool>) {
-    let forest = forest.filter(|_| schedule.segments.is_empty() && !schedule.points.is_empty());
-    let Some(f) = forest else {
+    hint: Option<PrefixHint<'_>>,
+) -> (RunResult, Start) {
+    let served = hint.is_some() || (schedule.segments.is_empty() && !schedule.points.is_empty());
+    let Some(forest) = forest.filter(|_| served) else {
         engine.reboot();
-        return (run(engine, schedule, cfg), None);
+        return (run(engine, schedule, cfg), Start::Unconsulted);
     };
-    let saved = (1..=schedule.points.len())
-        .rev()
-        .find_map(|k| f.get(engine.program(), prefix_key(schedule, k, cfg)));
-    let mut state = match &saved {
-        Some(saved) => {
-            engine.restore(&saved.snapshot);
-            saved.resume(schedule)
+    let keys = prefix_keys(engine.program(), schedule, cfg);
+    let limit = hint.map_or(usize::MAX, |h| h.shared);
+    let found = forest.find(schedule, cfg, engine.program(), &keys, limit);
+    let mut state = match &found {
+        Some(cp) => {
+            engine.restore(&cp.snapshot);
+            cp.resume(schedule)
         }
         None => {
             engine.reboot();
             LoopState::fresh(engine, schedule)
         }
     };
-    let run = drive(engine, schedule, cfg, &mut state, forest);
-    (run, Some(saved.is_some()))
+    let steps = hint.map(|h| {
+        let from = h.deposits.partition_point(|&d| d <= state.steps);
+        let to = h.deposits.partition_point(|&d| d <= h.shared).max(from);
+        &h.deposits[from..to]
+    });
+    let mut sink = Sink {
+        forest,
+        keys,
+        steps,
+    };
+    let run = drive(engine, schedule, cfg, &mut state, Some(&mut sink));
+    let start = found.map_or(Start::Booted, |cp| Start::Restored { steps: cp.steps });
+    (run, start)
 }
 
 fn drive(
@@ -507,7 +742,7 @@ fn drive(
     schedule: &Schedule,
     cfg: &EnforceConfig,
     state: &mut LoopState,
-    forest: Option<&SnapshotForest>,
+    mut sink: Option<&mut Sink<'_>>,
 ) -> RunResult {
     loop {
         if engine.halted() {
@@ -518,7 +753,7 @@ fn drive(
             // schedule may still name an unfired IRQ handler (LIFS's
             // handler probe): consult the fallback once, which injects it.
             state.clean = false;
-            match pick_next(engine, schedule, &mut state.seg_cursor, None) {
+            match pick_next(engine, schedule, state, None) {
                 Some(t) => state.current = Some(t),
                 None => break,
             }
@@ -526,6 +761,9 @@ fn drive(
         if state.steps >= cfg.step_budget {
             state.budget_exhausted = true;
             break;
+        }
+        if let Some(sink) = sink.as_deref_mut() {
+            sink.at_step(engine, schedule, cfg, state);
         }
 
         // Skip points whose thread can never reach its anchor any more.
@@ -546,11 +784,8 @@ fn drive(
             if gone {
                 // Disappeared: preserve downstream intent by handing control
                 // to the point's target.
-                state.point_idx += 1;
-                if let Some(t) = schedule.points[state.point_idx - 1]
-                    .switch_to
-                    .resolve(engine)
-                {
+                state.consume();
+                if let Some(t) = p.switch_to.resolve(engine) {
                     if engine.thread(t).is_some_and(ksim::Thread::is_runnable) {
                         state.current = Some(t);
                     }
@@ -559,7 +794,9 @@ fn drive(
                 break;
             }
         }
-        maybe_checkpoint(engine, schedule, cfg, state, forest);
+        if let Some(sink) = sink.as_deref_mut() {
+            sink.at_point(engine, schedule, cfg, state);
+        }
 
         // Validate current; re-pick when it finished.
         let cur = match state.current {
@@ -595,16 +832,13 @@ fn drive(
                     }
                 }
             }
-            _ => {
-                state.clean = false;
-                match pick_next(engine, schedule, &mut state.seg_cursor, None) {
-                    Some(t) => {
-                        state.current = Some(t);
-                        t
-                    }
-                    None => break,
+            _ => match pick_next(engine, schedule, state, None) {
+                Some(t) => {
+                    state.current = Some(t);
+                    t
                 }
-            }
+                None => break,
+            },
         };
 
         // Before-anchored scheduling point?
@@ -612,16 +846,11 @@ fn drive(
             let p = &schedule.points[state.point_idx];
             if p.when == Anchor::Before && matches_point(engine, &state.exec_counts, cur, p) {
                 state.triggered[state.point_idx] = true;
-                state.point_idx += 1;
-                state.current = switch_target(
-                    engine,
-                    schedule,
-                    p,
-                    cur,
-                    &mut state.seg_cursor,
-                    &mut state.clean,
-                );
-                maybe_checkpoint(engine, schedule, cfg, state, forest);
+                state.consume();
+                state.current = switch_target(engine, schedule, p, cur, state);
+                if let Some(sink) = sink.as_deref_mut() {
+                    sink.at_point(engine, schedule, cfg, state);
+                }
                 continue;
             }
         }
@@ -631,6 +860,7 @@ fn drive(
             | Ok(StepOutcome::Exited(rec))
             | Ok(StepOutcome::Failed(rec)) => {
                 state.steps += 1;
+                state.forced_chain = 0;
                 *state.exec_counts.entry((cur, rec.at)).or_insert(0) += 1;
                 // After-anchored scheduling point?
                 if state.point_idx < schedule.points.len() {
@@ -641,16 +871,11 @@ fn drive(
                         && state.exec_counts.get(&(cur, p.at)).copied().unwrap_or(0) == p.nth + 1
                     {
                         state.triggered[state.point_idx] = true;
-                        state.point_idx += 1;
-                        state.current = switch_target(
-                            engine,
-                            schedule,
-                            p,
-                            cur,
-                            &mut state.seg_cursor,
-                            &mut state.clean,
-                        );
-                        maybe_checkpoint(engine, schedule, cfg, state, forest);
+                        state.consume();
+                        state.current = switch_target(engine, schedule, p, cur, state);
+                        if let Some(sink) = sink.as_deref_mut() {
+                            sink.at_point(engine, schedule, cfg, state);
+                        }
                     }
                 }
             }
@@ -674,7 +899,7 @@ fn drive(
             }
             Err(_) => {
                 state.clean = false;
-                state.current = pick_next(engine, schedule, &mut state.seg_cursor, None);
+                state.current = pick_next(engine, schedule, state, None);
                 if state.current.is_none() {
                     break;
                 }
@@ -729,7 +954,7 @@ fn drive(
 
 fn matches_point(
     engine: &Engine,
-    exec_counts: &HashMap<(ThreadId, InstrAddr), u32>,
+    exec_counts: &FxHashMap<(ThreadId, InstrAddr), u32>,
     cur: ThreadId,
     p: &SchedPoint,
 ) -> bool {
@@ -743,16 +968,12 @@ fn switch_target(
     schedule: &Schedule,
     p: &SchedPoint,
     cur: ThreadId,
-    seg_cursor: &mut usize,
-    clean: &mut bool,
+    state: &mut LoopState,
 ) -> Option<ThreadId> {
-    advance_cursor_to(schedule, seg_cursor, p.switch_to);
+    advance_cursor_to(schedule, state, p.switch_to);
     match resolve_or_inject(engine, p.switch_to) {
         Some(t) if engine.thread(t).is_some_and(ksim::Thread::is_runnable) => Some(t),
-        _ => {
-            *clean = false;
-            pick_next(engine, schedule, seg_cursor, Some(cur))
-        }
+        _ => pick_next(engine, schedule, state, Some(cur)),
     }
 }
 
@@ -771,12 +992,13 @@ fn resolve_or_inject(engine: &mut Engine, sel: ThreadSel) -> Option<ThreadId> {
 
 /// Moves the segment cursor to the next segment of `sel` at or after its
 /// current position (a triggered point realizes that segment boundary).
-fn advance_cursor_to(schedule: &Schedule, seg_cursor: &mut usize, sel: ThreadSel) {
-    if let Some(pos) = schedule.segments[(*seg_cursor).min(schedule.segments.len())..]
+fn advance_cursor_to(schedule: &Schedule, state: &mut LoopState, sel: ThreadSel) {
+    match schedule.segments[state.seg_cursor.min(schedule.segments.len())..]
         .iter()
         .position(|&s| s == sel)
     {
-        *seg_cursor += pos;
+        Some(pos) => state.seg_cursor += pos,
+        None => state.seg_exhausted = true,
     }
 }
 
@@ -786,23 +1008,25 @@ fn advance_cursor_to(schedule: &Schedule, seg_cursor: &mut usize, sel: ThreadSel
 /// order (skipping finished threads), then runnable background threads the
 /// schedule never mentions (freshly spawned work runs when its spawner
 /// yields, the paper's serial search orders), then the flat fallback list,
-/// then any runnable thread.
+/// then any runnable thread. Any choice past the segment sequence makes the
+/// run unclean.
 fn pick_next(
     engine: &mut Engine,
     schedule: &Schedule,
-    seg_cursor: &mut usize,
+    state: &mut LoopState,
     exclude: Option<ThreadId>,
 ) -> Option<ThreadId> {
-    let start = (*seg_cursor).min(schedule.segments.len());
-    for off in 0..schedule.segments.len().saturating_sub(start) {
-        let sel = schedule.segments[start + off];
+    let start = state.seg_cursor.min(schedule.segments.len());
+    for (i, &sel) in schedule.segments.iter().enumerate().skip(start) {
         if let Some(t) = resolve_or_inject(engine, sel) {
             if Some(t) != exclude && engine.thread(t).is_some_and(ksim::Thread::is_runnable) {
-                *seg_cursor = start + off;
+                state.seg_cursor = i;
                 return Some(t);
             }
         }
     }
+    state.seg_exhausted = true;
+    state.clean = false;
     pick_fallback_excluding(engine, schedule, exclude)
 }
 
@@ -1108,17 +1332,20 @@ mod tests {
         let forest = SnapshotForest::new(64);
 
         let mut e1 = ksim::Engine::new(Arc::clone(&prog));
-        let (first, looked_up) = run_cached(&mut e1, &failing, &cfg, Some(&forest));
-        assert_eq!(looked_up, Some(false), "an empty forest boots fresh");
+        let (first, start) = run_cached(&mut e1, &failing, &cfg, Some(&forest), None);
+        assert_eq!(start, Start::Booted, "an empty forest boots fresh");
         assert!(!forest.is_empty(), "clean prefix deposited a checkpoint");
 
         let mut e2 = ksim::Engine::new(Arc::clone(&prog));
-        let (second, looked_up) = run_cached(&mut e2, &failing, &cfg, Some(&forest));
-        assert_eq!(looked_up, Some(true), "prefix came from the forest");
+        let (second, start) = run_cached(&mut e2, &failing, &cfg, Some(&forest), None);
+        assert!(
+            matches!(start, Start::Restored { .. }),
+            "prefix came from the forest"
+        );
 
         // Without a forest nothing is looked up or deposited.
-        let (third, looked_up) = run_cached(&mut e2, &failing, &cfg, None);
-        assert_eq!(looked_up, None);
+        let (third, start) = run_cached(&mut e2, &failing, &cfg, None, None);
+        assert_eq!(start, Start::Unconsulted);
 
         let mut fresh = ksim::Engine::new(Arc::clone(&prog));
         let reference = run(&mut fresh, &failing, &cfg);
@@ -1139,13 +1366,84 @@ mod tests {
         let failing = fig1_failing();
         let forest = SnapshotForest::new(64);
         let mut e1 = ksim::Engine::new(fig1_program());
-        let _ = run_cached(&mut e1, &failing, &cfg, Some(&forest));
+        let _ = run_cached(&mut e1, &failing, &cfg, Some(&forest), None);
         assert!(!forest.is_empty());
 
         // Same program *contents*, different allocation: no restore.
         let mut e2 = ksim::Engine::new(fig1_program());
-        let (_, looked_up) = run_cached(&mut e2, &failing, &cfg, Some(&forest));
-        assert_eq!(looked_up, Some(false));
+        let (_, start) = run_cached(&mut e2, &failing, &cfg, Some(&forest), None);
+        assert_eq!(start, Start::Booted);
+    }
+
+    /// A runs six steps, B and C three each; no interleaving fails.
+    fn three_counters() -> Arc<ksim::Program> {
+        let mut p = ProgramBuilder::new("counters");
+        let x = p.global("x", 0);
+        for (name, steps) in [("A", 6), ("B", 3), ("C", 3)] {
+            let mut t = p.syscall_thread(name, "bump");
+            for _ in 0..steps {
+                t.fetch_add_global(x, 1u64);
+            }
+            t.ret();
+        }
+        Arc::new(p.build().unwrap())
+    }
+
+    /// A preempted before its instruction `at` in favour of `to`, then the
+    /// segments A, `to`, A.
+    fn preempt_a(at: usize, to: u16) -> Schedule {
+        Schedule {
+            start: Some(sel(0)),
+            points: vec![SchedPoint {
+                thread: sel(0),
+                at: InstrAddr {
+                    prog: ThreadProgId(0),
+                    index: at,
+                },
+                nth: 0,
+                when: Anchor::Before,
+                switch_to: sel(to),
+            }],
+            fallback: vec![sel(to), sel(0)],
+            segments: vec![sel(0), sel(to), sel(0)],
+        }
+    }
+
+    /// Hinted runs restore a step checkpoint only into a schedule that
+    /// agrees on what the depositing run consulted: a schedule that
+    /// consumed another point on the way, or whose next point would have
+    /// fired before the checkpoint's step, boots fresh instead. Every
+    /// result equals a fresh run's.
+    #[test]
+    fn step_checkpoints_are_refused_by_schedules_that_consumed_another_point() {
+        let prog = three_counters();
+        let cfg = EnforceConfig::default();
+        let forest = SnapshotForest::new(64);
+        let deposits = [3, 4];
+        let hinted = |schedule: &Schedule, shared: usize| {
+            let mut e = ksim::Engine::new(Arc::clone(&prog));
+            let hint = PrefixHint {
+                shared,
+                deposits: &deposits,
+            };
+            let (got, start) = run_cached(&mut e, schedule, &cfg, Some(&forest), Some(hint));
+            let mut fresh = ksim::Engine::new(Arc::clone(&prog));
+            assert_eq!(got, run(&mut fresh, schedule, &cfg), "{schedule:?}");
+            start
+        };
+
+        // A's first four steps, no point consumed: deposits at steps 3 and 4.
+        assert_eq!(hinted(&preempt_a(4, 1), 4), Start::Booted);
+        // Same consumed prefix, another next point that stays inert until
+        // step 4: restored there.
+        assert_eq!(hinted(&preempt_a(4, 2), 4), Start::Restored { steps: 4 });
+        // Its point fires before step 3 (A is preempted after two steps):
+        // both of A's checkpoints are refused.
+        assert_eq!(hinted(&preempt_a(2, 1), 4), Start::Booted);
+        // That run consumed its point at step 2 and deposited at step 4.
+        // Switching to C there instead consumes another point: refused.
+        assert_eq!(hinted(&preempt_a(2, 2), 4), Start::Booted);
+        assert_eq!(hinted(&preempt_a(2, 1), 4), Start::Restored { steps: 4 });
     }
 
     /// The full-schedule fingerprint distinguishes schedules that share a
@@ -1182,6 +1480,84 @@ mod tests {
         assert_ne!(
             schedule_fingerprint(&base, &cfg),
             schedule_fingerprint(&base, &tighter)
+        );
+    }
+
+    /// Three threads contend for two locks over four rounds. In each round
+    /// the holder of L2 is preempted twice, and A, blocked on L2, is
+    /// resumed once through its holder: one forced-resume hop per round,
+    /// each followed by executed steps. Only consecutive hops without a
+    /// step form a lock cycle, so all twenty points fire and nothing hangs.
+    #[test]
+    fn forced_resume_hops_separated_by_steps_are_no_lock_cycle() {
+        const ROUNDS: usize = 4;
+        let mut p = ProgramBuilder::new("hops");
+        let x = p.global("x", 0);
+        let (l1, l2) = (p.lock("l1"), p.lock("l2"));
+        {
+            let mut a = p.syscall_thread("A", "nest");
+            for _ in 0..ROUNDS {
+                a.lock(l1);
+                a.lock(l2);
+                a.unlock(l2);
+                a.unlock(l1);
+            }
+            a.ret();
+        }
+        {
+            let mut b = p.syscall_thread("B", "outer");
+            for _ in 0..ROUNDS {
+                b.lock(l1);
+                b.unlock(l1);
+            }
+            b.ret();
+        }
+        {
+            let mut c = p.syscall_thread("C", "inner");
+            for _ in 0..ROUNDS {
+                c.lock(l2);
+                c.store_global(x, 1u64);
+                c.unlock(l2);
+            }
+            c.ret();
+        }
+        let prog = Arc::new(p.build().unwrap());
+        let point = |thread: u16, index: usize, when: Anchor, to: u16| SchedPoint {
+            thread: sel(thread),
+            at: InstrAddr {
+                prog: ThreadProgId(thread),
+                index,
+            },
+            nth: 0,
+            when,
+            switch_to: sel(to),
+        };
+        // The code is unrolled, so every instruction runs once (`nth` 0);
+        // a round's "next lock" is the final `ret` in the last round.
+        let points = (0..ROUNDS)
+            .flat_map(|r| {
+                [
+                    point(2, 3 * r, Anchor::After, 0),
+                    point(2, 3 * r + 1, Anchor::Before, 1),
+                    point(2, 3 * r + 3, Anchor::Before, 0),
+                    point(0, 4 * r + 4, Anchor::Before, 1),
+                    point(1, 2 * r + 2, Anchor::Before, 2),
+                ]
+            })
+            .collect();
+        let schedule = Schedule {
+            start: Some(sel(2)),
+            points,
+            fallback: vec![sel(2), sel(0), sel(1)],
+            segments: Vec::new(),
+        };
+        let mut e = ksim::Engine::new(prog);
+        let r = run(&mut e, &schedule, &EnforceConfig::default());
+        assert_eq!(r.failure, None, "a false lock cycle");
+        assert_eq!(r.triggered, vec![true; 5 * ROUNDS]);
+        assert_eq!(
+            r.forced.iter().filter(|f| f.blocked == sel(0)).count(),
+            2 * ROUNDS
         );
     }
 

@@ -36,11 +36,14 @@ use crate::{
         run_cached,
         schedule_fingerprint,
         EnforceConfig,
+        PrefixHint,
         RunOutcome,
         RunResult,
-        SnapshotForest, //
+        SnapshotForest,
+        Start, //
     },
     journal::Journal,
+    lru::LruBuckets,
     schedule::{
         Schedule,
         ThreadSel, //
@@ -52,10 +55,7 @@ use ksim::{
     ThreadId, //
 };
 use std::{
-    collections::{
-        BTreeMap,
-        HashMap, //
-    },
+    collections::HashMap,
     sync::{
         atomic::{
             AtomicBool,
@@ -173,6 +173,15 @@ pub struct ExecJob {
     pub schedule: Schedule,
     /// Enforcement limits.
     pub enforce: EnforceConfig,
+    /// A hint, not part of the job's identity: the run is expected to
+    /// execute the same first `shared_steps` steps as the batch's other
+    /// hinted jobs (a flip: its [`crate::causality::flip::FlipPlan::shared_steps`],
+    /// the failing run's steps before the window). With the memo on, the
+    /// run resumes from the deepest checkpoint at or below that step that
+    /// serves its schedule, and deposits checkpoints at the batch's other
+    /// jobs' shared steps on its way there ([`crate::enforce::PrefixHint`]).
+    /// The output, its memo key and its journal record never depend on it.
+    pub shared_steps: Option<usize>,
 }
 
 /// The observable outcome of one job.
@@ -219,13 +228,15 @@ pub struct ExecStats {
     /// discarded_runs` is the executions the folded results hold. Counted
     /// by the calling thread once the batch's workers have joined.
     pub discarded_runs: u64,
-    /// Executed runs that resumed from a prefix checkpoint in the
-    /// substrate's snapshot forest — deposited by any worker of any
-    /// executor sharing the substrate.
+    /// Executed runs that resumed from a checkpoint in the substrate's
+    /// snapshot forest — deposited by any worker of any executor sharing
+    /// the substrate.
     pub snapshot_hits: u64,
-    /// Executed runs that looked a prefix up in the forest, found none and
-    /// booted fresh. Runs that never look one up (memo off, schedules
-    /// without points or with a segment sequence) count in neither.
+    /// Executed runs that looked a checkpoint up in the forest, found none
+    /// that serves their schedule and booted fresh. Runs that never look
+    /// one up count in neither: every run with the memo off, and unhinted
+    /// runs ([`ExecJob::shared_steps`] `None`) of schedules without points
+    /// or with a segment sequence.
     pub snapshot_misses: u64,
     /// Jobs served from the substrate's result memo table without any VM
     /// execution. Worker-count *dependent* (two fingerprint-equal jobs in
@@ -238,8 +249,14 @@ pub struct ExecStats {
     /// Batches (canonical folds) this pool completed that returned at
     /// least one result.
     pub batches: u64,
-    /// Engine steps executed across all workers (memo hits execute none).
+    /// Logical engine steps of the executed runs across all workers: each
+    /// run's [`RunResult::steps`], restored prefixes included (memo hits
+    /// execute none).
     pub steps_executed: u64,
+    /// Of `steps_executed`, those the engine actually interpreted: each
+    /// run's steps past the checkpoint it resumed from. Equal to
+    /// `steps_executed` with the memo off.
+    pub steps_interpreted: u64,
     /// Wall-clock nanoseconds workers spent inside VM execution, summed
     /// across workers — so `runs / (busy_ns / 1e9)` is per-worker-second
     /// throughput, not wall-clock throughput. Timing, hence host-dependent:
@@ -283,6 +300,7 @@ struct StatCells {
     memo_misses: AtomicU64,
     batches: AtomicU64,
     steps_executed: AtomicU64,
+    steps_interpreted: AtomicU64,
     busy_ns: AtomicU64,
 }
 
@@ -297,6 +315,7 @@ impl StatCells {
             memo_misses: self.memo_misses.load(Ordering::SeqCst),
             batches: self.batches.load(Ordering::SeqCst),
             steps_executed: self.steps_executed.load(Ordering::SeqCst),
+            steps_interpreted: self.steps_interpreted.load(Ordering::SeqCst),
             busy_ns: self.busy_ns.load(Ordering::SeqCst),
         }
     }
@@ -365,68 +384,6 @@ impl MemoEntry {
     }
 }
 
-/// One lock-striped shard of the memo table: entries bucketed by
-/// fingerprint for O(bucket) lookup, with a tick-ordered recency index for
-/// O(log n) LRU maintenance — replacing the pre-refactor single
-/// `Mutex<Vec<_>>` whose every `get` paid a linear scan of the whole table
-/// under one process-wide lock.
-#[derive(Default)]
-struct MemoShard {
-    /// Buckets by fingerprint; each entry carries its recency tick.
-    entries: HashMap<u64, Vec<(u64, MemoEntry)>>,
-    /// Recency order: tick → fingerprint (ticks are unique per shard, so
-    /// the smallest tick is always the least-recently-used entry).
-    recency: BTreeMap<u64, u64>,
-    /// Monotone tick source for this shard.
-    tick: u64,
-    /// Live entry count across all buckets.
-    len: usize,
-}
-
-impl MemoShard {
-    fn touch(&mut self, fp: u64, old_tick: u64) -> u64 {
-        self.recency.remove(&old_tick);
-        self.tick += 1;
-        self.recency.insert(self.tick, fp);
-        self.tick
-    }
-
-    fn evict_lru(&mut self) {
-        let Some((&tick, &fp)) = self.recency.iter().next() else {
-            return;
-        };
-        self.recency.remove(&tick);
-        let mut removed = false;
-        if let Some(bucket) = self.entries.get_mut(&fp) {
-            let before = bucket.len();
-            bucket.retain(|(t, _)| *t != tick);
-            removed = bucket.len() < before;
-            // An emptied bucket must leave the map with its key: fingerprint
-            // churn otherwise grows `entries` without bound — every evicted
-            // singleton fingerprint would stay behind as a permanent
-            // zero-length bucket.
-            if bucket.is_empty() {
-                self.entries.remove(&fp);
-            }
-        }
-        if removed {
-            self.len -= 1;
-        }
-    }
-
-    /// `(bucket keys, live entries, recency entries)` — test diagnostics
-    /// for the bounded-occupancy invariant: bucket keys and recency
-    /// entries may never outgrow live entries.
-    #[cfg(test)]
-    fn diag(&self) -> (usize, usize, usize) {
-        (
-            self.entries.len(),
-            self.entries.values().map(Vec::len).sum(),
-            self.recency.len(),
-        )
-    }
-}
-
 /// Number of lock stripes in the memo table. Sixteen shards keep the
 /// workers of an 8-wide pool from convoying on one mutex while staying
 /// small enough that per-shard LRU capacity (`cap / 16`) still covers a
@@ -447,13 +404,14 @@ const MEMO_SHARDS: usize = 16;
 /// Concurrency: the table is striped into [`MEMO_SHARDS`] independently
 /// locked shards keyed by `fingerprint % MEMO_SHARDS`, so lookups for
 /// different schedules contend only when they land on the same stripe.
-/// Capacity is split evenly across shards; eviction is per-shard LRU,
-/// which bounds total occupancy by the same global cap while keeping every
-/// operation free of cross-shard coordination.
+/// Each shard buckets its entries by fingerprint. Capacity is split evenly
+/// across shards; eviction is per-shard LRU, which bounds total occupancy
+/// by the same global cap while keeping every operation free of
+/// cross-shard coordination.
 struct MemoTable {
     /// Per-shard capacity (`ceil(cap / MEMO_SHARDS)`; 0 disables writes).
     shard_cap: usize,
-    shards: Vec<Mutex<MemoShard>>,
+    shards: Vec<Mutex<LruBuckets<MemoEntry>>>,
 }
 
 impl MemoTable {
@@ -464,7 +422,7 @@ impl MemoTable {
         }
     }
 
-    fn shard(&self, fp: u64) -> &Mutex<MemoShard> {
+    fn shard(&self, fp: u64) -> &Mutex<LruBuckets<MemoEntry>> {
         &self.shards[(fp % MEMO_SHARDS as u64) as usize]
     }
 
@@ -475,9 +433,8 @@ impl MemoTable {
                 .shard(fp)
                 .lock()
                 .unwrap()
-                .entries
-                .get(&fp)
-                .is_some_and(|bucket| bucket.iter().any(|(_, e)| e.matches(job)))
+                .bucket(fp)
+                .any(|e| e.matches(job))
     }
 
     fn get(&self, job: &ExecJob, fp: u64) -> Option<ExecOutput> {
@@ -487,46 +444,24 @@ impl MemoTable {
             return None;
         }
         let mut shard = self.shard(fp).lock().unwrap();
-        let bucket = shard.entries.get(&fp)?;
-        let pos = bucket.iter().position(|(_, e)| e.matches(job))?;
-        let old_tick = bucket[pos].0;
-        let tick = shard.touch(fp, old_tick);
-        let bucket = shard.entries.get_mut(&fp).expect("bucket exists");
-        bucket[pos].0 = tick;
-        Some(bucket[pos].1.output.clone())
+        let pos = shard.bucket(fp).position(|e| e.matches(job))?;
+        Some(shard.touch(fp, pos).output.clone())
     }
 
     fn put(&self, fp: u64, job: &ExecJob, output: &ExecOutput) {
         if self.shard_cap == 0 {
             return;
         }
-        let mut shard = self.shard(fp).lock().unwrap();
-        let bucket = shard.entries.entry(fp).or_default();
         let entry = MemoEntry {
             program: Arc::clone(&job.program),
             schedule: job.schedule.clone(),
             step_budget: job.enforce.step_budget,
             output: output.clone(),
         };
-        if let Some(pos) = bucket.iter().position(|(_, e)| e.matches(job)) {
-            let old_tick = bucket[pos].0;
-            bucket[pos].1 = entry;
-            let tick = shard.touch(fp, old_tick);
-            shard.entries.get_mut(&fp).expect("bucket exists")[pos].0 = tick;
-            return;
-        }
-        shard.tick += 1;
-        let tick = shard.tick;
-        shard
-            .entries
-            .get_mut(&fp)
-            .expect("bucket exists")
-            .push((tick, entry));
-        shard.recency.insert(tick, fp);
-        shard.len += 1;
-        while shard.len > self.shard_cap && !shard.recency.is_empty() {
-            shard.evict_lru();
-        }
+        self.shard(fp)
+            .lock()
+            .unwrap()
+            .put(fp, entry, self.shard_cap, |e| e.matches(job));
     }
 }
 
@@ -724,6 +659,7 @@ impl Executor {
     {
         let n = jobs.len();
         let workers = self.slots.len().min(n).min(self.os_threads());
+        let deposits = deposit_steps(jobs);
         let mut out: Vec<Option<ExecOutput>> = Vec::with_capacity(n);
         let mut done = false;
         {
@@ -736,7 +672,7 @@ impl Executor {
                 if workers > 1 && !self.memo_answers(job) {
                     break;
                 }
-                let res = self.run_job(&mut slot, job);
+                let res = self.run_job(&mut slot, job, &deposits);
                 done = stop(&res);
                 out.push(Some(res));
                 if done {
@@ -746,7 +682,7 @@ impl Executor {
         }
         if !done && out.len() < n {
             let rest = &jobs[out.len()..];
-            out.extend(self.fan_out(rest, workers.min(rest.len()), cancel, &stop));
+            out.extend(self.fan_out(rest, workers.min(rest.len()), &deposits, cancel, &stop));
         }
         if out.iter().any(Option::is_some) {
             self.stats.batches.fetch_add(1, Ordering::SeqCst);
@@ -769,6 +705,7 @@ impl Executor {
         &self,
         jobs: &[ExecJob],
         workers: usize,
+        deposits: &[usize],
         cancel: &CancelToken,
         stop: &F,
     ) -> Vec<Option<ExecOutput>>
@@ -797,7 +734,7 @@ impl Executor {
                         if i >= n || i > stop_at.load(Ordering::SeqCst) {
                             return;
                         }
-                        let res = self.run_job(&mut slot, &jobs[i]);
+                        let res = self.run_job(&mut slot, &jobs[i], deposits);
                         if stop(&res) {
                             stop_at.fetch_min(i, Ordering::SeqCst);
                         }
@@ -831,8 +768,9 @@ impl Executor {
 
     /// Runs one job: answers it from the memo table when it holds the
     /// job's output, and otherwise executes it on the worker's engine,
-    /// memoizes the output and appends it to the journal.
-    fn run_job(&self, slot: &mut Option<Engine>, job: &ExecJob) -> ExecOutput {
+    /// memoizes the output and appends it to the journal. `deposits` are
+    /// the batch's deposit steps ([`deposit_steps`]).
+    fn run_job(&self, slot: &mut Option<Engine>, job: &ExecJob, deposits: &[usize]) -> ExecOutput {
         let memo = self
             .config
             .memo
@@ -856,7 +794,10 @@ impl Executor {
             .config
             .memo
             .then(|| self.config.substrate.forest.as_ref());
-        let out = execute(slot, job, forest, &self.stats);
+        let hint = job
+            .shared_steps
+            .map(|shared| PrefixHint { shared, deposits });
+        let out = execute(slot, job, forest, hint, &self.stats);
         if let Some(memo) = memo {
             memo.put(fp, job, &out);
         }
@@ -877,12 +818,26 @@ fn hardware_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+/// The deposit steps of a batch: every hinted job's shared step, ascending
+/// and deduplicated, without 0 (a checkpoint there would skip nothing).
+fn deposit_steps(jobs: &[ExecJob]) -> Vec<usize> {
+    let mut steps: Vec<usize> = jobs
+        .iter()
+        .filter_map(|j| j.shared_steps)
+        .filter(|&s| s > 0)
+        .collect();
+    steps.sort_unstable();
+    steps.dedup();
+    steps
+}
+
 /// Executes one job on a worker's persistent VM, booting a new engine when
 /// the job's program differs from the VM's.
 fn execute(
     slot: &mut Option<Engine>,
     job: &ExecJob,
     forest: Option<&SnapshotForest>,
+    hint: Option<PrefixHint<'_>>,
     stats: &StatCells,
 ) -> ExecOutput {
     let engine = match slot {
@@ -890,23 +845,30 @@ fn execute(
         _ => slot.insert(Engine::new(Arc::clone(&job.program))),
     };
     let started = Instant::now();
-    let (run, restored) = run_cached(engine, &job.schedule, &job.enforce, forest);
+    let (run, start) = run_cached(engine, &job.schedule, &job.enforce, forest, hint);
     let busy = started.elapsed();
+    let count = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
+    let skipped = match start {
+        Start::Restored { steps } => steps,
+        Start::Unconsulted | Start::Booted => 0,
+    };
     stats.runs.fetch_add(1, Ordering::SeqCst);
-    stats.steps_executed.fetch_add(
-        u64::try_from(run.steps).unwrap_or(u64::MAX),
-        Ordering::SeqCst,
-    );
+    stats
+        .steps_executed
+        .fetch_add(count(run.steps), Ordering::SeqCst);
+    stats
+        .steps_interpreted
+        .fetch_add(count(run.steps - skipped), Ordering::SeqCst);
     stats.busy_ns.fetch_add(
         u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX),
         Ordering::SeqCst,
     );
-    if let Some(restored) = restored {
-        let counter = if restored {
-            &stats.snapshot_hits
-        } else {
-            &stats.snapshot_misses
-        };
+    let lookup = match start {
+        Start::Restored { .. } => Some(&stats.snapshot_hits),
+        Start::Booted => Some(&stats.snapshot_misses),
+        Start::Unconsulted => None,
+    };
+    if let Some(counter) = lookup {
         counter.fetch_add(1, Ordering::SeqCst);
     }
     let sel_of = engine
@@ -1011,6 +973,7 @@ mod tests {
             program: Arc::clone(program),
             schedule,
             enforce: EnforceConfig::default(),
+            shared_steps: None,
         })
         .collect()
     }
@@ -1269,6 +1232,71 @@ mod tests {
         assert_eq!((stats.snapshot_hits, stats.snapshot_misses), (1, 0));
     }
 
+    /// Job `i` preempts A before its step `i` in favour of B, so the jobs
+    /// share A's first steps and say so in their hints. With the memo on,
+    /// the first job deposits a checkpoint at each other job's shared step
+    /// and they resume there: fewer steps interpreted than counted.
+    #[test]
+    fn hinted_batches_interpret_only_the_steps_they_do_not_share() {
+        let mut p = ProgramBuilder::new("shared-prefix");
+        let x = p.global("x", 0);
+        for (name, steps) in [("A", 6), ("B", 2)] {
+            let mut t = p.syscall_thread(name, "bump");
+            for _ in 0..steps {
+                t.fetch_add_global(x, 1u64);
+            }
+            t.ret();
+        }
+        let program = Arc::new(p.build().unwrap());
+        let jobs: Vec<ExecJob> = (1..=5)
+            .rev()
+            .map(|i| ExecJob {
+                program: Arc::clone(&program),
+                schedule: Schedule {
+                    start: Some(sel(0)),
+                    points: vec![SchedPoint {
+                        thread: sel(0),
+                        at: InstrAddr {
+                            prog: ThreadProgId(0),
+                            index: i,
+                        },
+                        nth: 0,
+                        when: Anchor::Before,
+                        switch_to: sel(1),
+                    }],
+                    fallback: vec![sel(1), sel(0)],
+                    segments: vec![sel(0), sel(1), sel(0)],
+                },
+                enforce: EnforceConfig::default(),
+                shared_steps: Some(i),
+            })
+            .collect();
+        let batch = |memo| {
+            let exec = Executor::with_config(ExecutorConfig {
+                vms: 1,
+                memo,
+                ..ExecutorConfig::default()
+            });
+            let out = exec.run_batch(&jobs, &CancelToken::new());
+            (out, exec.stats())
+        };
+        let (on, on_stats) = batch(true);
+        let (off, off_stats) = batch(false);
+        assert_eq!(off_stats.steps_interpreted, off_stats.steps_executed);
+        assert_eq!(on_stats.steps_executed, off_stats.steps_executed);
+        // Jobs 4, 3, 2 and 1 resume at their shared steps.
+        assert_eq!(
+            on_stats.steps_executed - on_stats.steps_interpreted,
+            4 + 3 + 2 + 1
+        );
+        assert_eq!((on_stats.snapshot_hits, on_stats.snapshot_misses), (4, 1));
+        for (a, b) in on.iter().flatten().zip(off.iter().flatten()) {
+            assert_eq!(a.run, b.run);
+            assert_eq!(a.sel_of, b.sel_of);
+            assert_eq!(a.outcome, b.outcome);
+        }
+    }
+
     #[test]
     fn memo_hits_return_bit_identical_outputs_at_zero_runs() {
         let program = fig1_program();
@@ -1429,6 +1457,7 @@ mod tests {
                 enforce: EnforceConfig {
                     step_budget: budget,
                 },
+                shared_steps: None,
             };
             let fp = schedule_fingerprint(&job.schedule, &job.enforce);
             table.put(fp, &job, &sample);

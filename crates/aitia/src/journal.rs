@@ -463,6 +463,7 @@ impl Journal {
                 enforce: EnforceConfig {
                     step_budget: r.step_budget,
                 },
+                shared_steps: None,
             };
             let out = ExecOutput {
                 run: r.run.clone(),
@@ -1161,6 +1162,7 @@ mod tests {
             program: Arc::clone(program),
             schedule,
             enforce: EnforceConfig::default(),
+            shared_steps: None,
         })
         .collect()
     }
@@ -1426,6 +1428,7 @@ mod tests {
             program: Arc::clone(&program),
             schedule: Schedule::serial(vec![sel(1), sel(0), sel(1)]),
             enforce: EnforceConfig { step_budget: 77 },
+            shared_steps: None,
         };
         let one = pool.run_batch(std::slice::from_ref(&more), &CancelToken::new());
         assert!(one[0].is_some());

@@ -80,6 +80,7 @@ pub mod exec;
 mod fxhash;
 pub mod journal;
 pub mod lifs;
+mod lru;
 pub mod manager;
 pub mod race;
 pub mod report;

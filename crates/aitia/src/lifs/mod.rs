@@ -1069,6 +1069,7 @@ impl Lifs {
             program: Arc::clone(&self.program),
             schedule,
             enforce: self.config.enforce,
+            shared_steps: None,
         }
     }
 

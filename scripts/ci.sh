@@ -93,6 +93,15 @@ DEADLINE_STATUS=0
     || { echo "FAIL: a 1 ns deadline exited $DEADLINE_STATUS, want 1" >&2; exit 1; }
 grep -q 'before the deadline expired' target/ci-deadline-expired.err \
     || { echo "FAIL: a 1 ns deadline did not report its expiry" >&2; exit 1; }
+# report blames the deadline the same way, not the scale.
+DEADLINE_STATUS=0
+./target/release/report table2 --scale 0.05 --deadline-s 1e-9 \
+    > /dev/null 2> target/ci-report-deadline-expired.err || DEADLINE_STATUS=$?
+[ "$DEADLINE_STATUS" -eq 1 ] \
+    || { echo "FAIL: report's 1 ns deadline exited $DEADLINE_STATUS, want 1" >&2; exit 1; }
+grep -q 'did not reproduce at scale 0.05 before the deadline expired' \
+    target/ci-report-deadline-expired.err \
+    || { echo "FAIL: report's 1 ns deadline did not report its expiry" >&2; exit 1; }
 
 echo "==> no-reproduction smoke"
 # At the largest accepted scale CVE-2019-11486 no longer reproduces:

@@ -150,6 +150,7 @@ fn folded_traces(program: &Arc<Program>, config: LifsConfig) -> Vec<Trace> {
             program: Arc::clone(program),
             schedule: node_schedule(n, &initial),
             enforce,
+            shared_steps: None,
         })
         .collect();
     assert_eq!(jobs.len(), out.stats.schedules_executed, "{}", program.name);

@@ -17,6 +17,12 @@
 //! does not (a window at step 0, loops, pending tails with and without a
 //! solo projection and after diverged control flow, more than four thread
 //! segments) and plan every race geometry their traces admit.
+//!
+//! Every one of those flips also runs through a memo-on executor at one
+//! and two workers, where flips resume from each other's checkpoints at
+//! their [`FlipPlan::shared_steps`]: each output must equal a memo-off
+//! run's. A fresh run of each corpus and generated flip must leave the
+//! failing trace exactly at its shared step, the promise the hint makes.
 
 use aitia_repro::aitia::causality::flip::{
     flip_window,
@@ -36,9 +42,13 @@ use aitia_repro::aitia::race::{
 };
 use aitia_repro::aitia::{
     Anchor,
+    CancelToken,
     CausalityAnalysis,
     CausalityConfig,
     CausalityLevel,
+    ExecOutput,
+    Executor,
+    ExecutorConfig,
     FailingRun,
     Lifs,
     LifsConfig,
@@ -274,6 +284,8 @@ struct Reach {
     window_at_zero: usize,
     nth_above_zero: usize,
     cs_expanded: usize,
+    /// Flip steps that one-worker memo-on runs skipped by resuming.
+    resumed_steps: u64,
 }
 
 /// Plans `race` both ways, with and without critical sections as units,
@@ -305,15 +317,97 @@ fn check_plan(run: &FailingRun, race: &ObservedRace, others: &[ObservedRace], re
     }
 }
 
-/// Checks every race of `run` against the reference planner, then runs
-/// the analysis and re-derives each tested race's vanished races from a
-/// fresh execution of its flip. The analysis is `exhaustive`, so every
-/// race has a flip run to check; `adaptive` skips the statically proved.
+/// Where a flip run left the failing trace: the first step at which the
+/// two differ in thread or instruction, or the shorter one's length.
+fn divergence(failing: &Trace, flip: &Trace) -> usize {
+    failing
+        .iter()
+        .zip(flip)
+        .position(|(a, b)| (a.tid, a.at) != (b.tid, b.at))
+        .unwrap_or(failing.len().min(flip.len()))
+}
+
+/// Runs the flips of `races` as one batch with the memo off, and through
+/// a memo-on executor at one and two workers (OS threads forced), where
+/// they resume from each other's checkpoints at their shared steps: every
+/// output must equal the memo-off one. With `diverge_at_shared`, each
+/// fresh run must also leave the failing trace exactly at its plan's
+/// shared step.
+fn check_resumed_flips(
+    run: &FailingRun,
+    races: &[ObservedRace],
+    cs_as_unit: bool,
+    diverge_at_shared: bool,
+    reach: &mut Reach,
+) {
+    let plans: Vec<FlipPlan> = races
+        .iter()
+        .map(|race| plan_flip(run, race, races, cs_as_unit))
+        .collect();
+    let jobs: Vec<_> = plans
+        .iter()
+        .map(|plan| plan.job(run, EnforceConfig::default()))
+        .collect();
+    let batch = |vms: usize, memo: bool| -> (Vec<ExecOutput>, u64) {
+        let exec = Executor::with_config(ExecutorConfig {
+            vms,
+            os_threads: Some(vms),
+            memo,
+            ..ExecutorConfig::default()
+        });
+        let out = exec
+            .run_batch(&jobs, &CancelToken::new())
+            .into_iter()
+            .map(|o| o.expect("an uncancelled batch runs every job"))
+            .collect();
+        let stats = exec.stats();
+        (out, stats.steps_executed - stats.steps_interpreted)
+    };
+    let (fresh, _) = batch(1, false);
+    let label = |plan: &FlipPlan| {
+        format!(
+            "{}: flip of {:?} at seqs {}..{:?}, cs_as_unit {cs_as_unit}",
+            run.program.name,
+            plan.race.key(),
+            plan.race.first.seq,
+            plan.race.second.seq(),
+        )
+    };
+    if diverge_at_shared {
+        for (plan, out) in plans.iter().zip(&fresh) {
+            assert_eq!(
+                divergence(&run.trace, &out.run.trace),
+                plan.shared_steps,
+                "{}: left the failing trace elsewhere",
+                label(plan)
+            );
+        }
+    }
+    for vms in [1, 2] {
+        let (outs, skipped) = batch(vms, true);
+        if vms == 1 {
+            reach.resumed_steps += skipped;
+        }
+        for ((plan, resumed), fresh) in plans.iter().zip(outs).zip(&fresh) {
+            let label = format!("{} at {vms} workers", label(plan));
+            assert_eq!(resumed.run, fresh.run, "{label}: runs differ");
+            assert_eq!(resumed.sel_of, fresh.sel_of, "{label}: selectors differ");
+            assert_eq!(resumed.outcome, fresh.outcome, "{label}: outcomes differ");
+        }
+    }
+}
+
+/// Checks every race of `run` against the reference planner and its
+/// flips' resumed runs against fresh ones, then runs the analysis and
+/// re-derives each tested race's vanished races from a fresh execution of
+/// its flip. The analysis is `exhaustive`, so every race has a flip run to
+/// check; `adaptive` skips the statically proved.
 fn check_run(run: &FailingRun, reach: &mut Reach) {
     for race in &run.races {
         check_plan(run, race, &run.races, reach);
     }
     for cs_as_unit in [true, false] {
+        check_resumed_flips(run, &run.races, cs_as_unit, true, reach);
         let result = CausalityAnalysis::new(CausalityConfig {
             cs_as_unit,
             level: CausalityLevel::Exhaustive,
@@ -362,7 +456,7 @@ fn check_corpus(scale: f64) -> Reach {
 #[test]
 fn plans_and_vanished_races_match_the_reference_on_every_corpus_race() {
     let reach = check_corpus(0.05);
-    assert!(reach.pending > 0, "{reach:?}");
+    assert!(reach.pending > 0 && reach.resumed_steps > 0, "{reach:?}");
 }
 
 /// The same check at the scale the benchmark measures. Run it with
@@ -371,7 +465,7 @@ fn plans_and_vanished_races_match_the_reference_on_every_corpus_race() {
 #[ignore = "scale 0.3: a release-build check, run by scripts/ci.sh"]
 fn plans_and_vanished_races_match_the_reference_on_every_corpus_race_at_scale_0_3() {
     let reach = check_corpus(0.3);
-    assert!(reach.pending > 0, "{reach:?}");
+    assert!(reach.pending > 0 && reach.resumed_steps > 0, "{reach:?}");
 }
 
 #[test]
@@ -390,7 +484,7 @@ fn plans_and_vanished_races_match_the_reference_on_every_generated_race() {
         check_run(&run, &mut reach);
     }
     assert!(runs >= 48, "only {runs} of 64 generated seeds reproduced");
-    assert!(reach.plans > 0, "{reach:?}");
+    assert!(reach.plans > 0 && reach.resumed_steps > 0, "{reach:?}");
 }
 
 /// Every executed race geometry the trace admits — each pair of steps of
@@ -448,6 +542,12 @@ fn check_synthetic(run: &FailingRun) -> Reach {
         // Every other synthetic race as `others`, so nested ones get
         // dragged along.
         check_plan(run, race, &races, &mut reach);
+    }
+    // Synthetic geometries include races of a thread with itself, whose
+    // flips may follow the failing trace past their window: no divergence
+    // check, only equal results.
+    for cs_as_unit in [true, false] {
+        check_resumed_flips(run, &races, cs_as_unit, false, &mut reach);
     }
     reach
 }
@@ -576,7 +676,7 @@ fn loops_windows_at_step_zero_and_diverged_tails_match_the_reference() {
     let reach = check_synthetic(&run);
     assert!(reach.window_at_zero > 0, "{reach:?}");
     assert!(reach.nth_above_zero > 0, "{reach:?}");
-    assert!(reach.pending > 0, "{reach:?}");
+    assert!(reach.pending > 0 && reach.resumed_steps > 0, "{reach:?}");
 }
 
 #[test]

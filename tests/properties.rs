@@ -677,6 +677,7 @@ fn repeated_jobs(program: &Arc<Program>, n: usize) -> Vec<ExecJob> {
         program: Arc::clone(program),
         schedule: serial_schedule(program),
         enforce: EnforceConfig::default(),
+        shared_steps: None,
     };
     vec![job; n]
 }
