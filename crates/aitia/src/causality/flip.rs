@@ -52,8 +52,8 @@ use crate::{
     },
 };
 use ksim::{
+    trace::Projection,
     InstrAddr,
-    StepRecord,
     ThreadId,
     Trace, //
 };
@@ -337,22 +337,23 @@ impl FlipIndex {
         trace: &Trace,
         sel_of: &HashMap<ThreadId, ThreadSel>,
         finals: &[ThreadFinal],
-        solo: &HashMap<ThreadSel, Vec<StepRecord>>,
+        solo: &HashMap<ThreadSel, Projection>,
     ) -> FlipIndex {
         let mut segments: Vec<Segment> = Vec::new();
         let mut nth = Vec::with_capacity(trace.len());
         let mut totals: FxHashMap<(ThreadSel, InstrAddr), u32> = FxHashMap::default();
         // Per thread: its solo trace, the steps it executed so far, and
         // whether they still follow that trace step for step.
-        let mut follows: Vec<(ThreadSel, &[StepRecord], usize, bool)> = Vec::new();
+        let mut follows: Vec<(ThreadSel, Option<&Projection>, usize, bool)> = Vec::new();
         let mut cur = 0;
         for (seq, rec) in trace.iter().enumerate() {
+            let (tid, at) = (rec.tid(), rec.at());
             match segments.last_mut() {
-                Some(seg) if seg.tid == rec.tid => seg.end = seq + 1,
+                Some(seg) if seg.tid == tid => seg.end = seq + 1,
                 _ => {
-                    let sel = sel_of[&rec.tid];
+                    let sel = sel_of[&tid];
                     segments.push(Segment {
-                        tid: rec.tid,
+                        tid,
                         sel,
                         start: seq,
                         end: seq + 1,
@@ -360,18 +361,19 @@ impl FlipIndex {
                     cur = match follows.iter().position(|f| f.0 == sel) {
                         Some(i) => i,
                         None => {
-                            let steps = solo.get(&sel).map_or(&[][..], Vec::as_slice);
-                            follows.push((sel, steps, 0, true));
+                            follows.push((sel, solo.get(&sel), 0, true));
                             follows.len() - 1
                         }
                     };
                 }
             }
             let (sel, steps, done, matched) = &mut follows[cur];
-            let count = totals.entry((*sel, rec.at)).or_insert(0);
+            let count = totals.entry((*sel, at)).or_insert(0);
             nth.push(*count);
             *count += 1;
-            *matched &= steps.get(*done).is_some_and(|r| r.at == rec.at);
+            *matched &= steps
+                .and_then(|s| s.get(*done))
+                .is_some_and(|r| r.at() == at);
             *done += 1;
         }
         let mut parked: Vec<(ThreadSel, InstrAddr)> = Vec::new();
@@ -399,7 +401,7 @@ impl FlipIndex {
                     parked
                         .iter()
                         .find(|p| p.0 == sel)
-                        .and_then(|p| steps.iter().position(|r| r.at == p.1))
+                        .and_then(|p| steps.iter().position(|r| r.at() == p.1))
                         .unwrap_or(steps.len())
                 };
                 (sel, start)
@@ -434,9 +436,9 @@ impl FlipIndex {
             .map(|s| s.1)
             .expect("the flip index covers every solo trace of its run");
         let mut tail = Vec::new();
-        for rec in &solo[start.min(solo.len())..] {
-            tail.push(rec.at);
-            if rec.at == until {
+        for rec in solo.iter_from(start) {
+            tail.push(rec.at());
+            if rec.at() == until {
                 return tail;
             }
         }
@@ -514,7 +516,10 @@ impl FlipIndex {
             // runs to it), and precedes its delayed steps when it is the
             // delayed thread itself.
             let anchor = match next_turn[k].map(|j| turns[j].from) {
-                Some(TurnStart::Step(seq)) => Some((trace[seq].at, self.nth[seq])),
+                Some(TurnStart::Step(seq)) => {
+                    let step = trace.get(seq).expect("a turn starts at a trace step");
+                    Some((step.at(), self.nth[seq]))
+                }
                 Some(TurnStart::Tail) => {
                     let p = pending.expect("a tail turn has a pending end");
                     let at = p.tail[0];
@@ -563,7 +568,7 @@ impl FlipIndex {
             count += trace
                 .iter_from(from)
                 .take(to - from)
-                .filter(|r| r.at == at)
+                .filter(|r| r.at() == at)
                 .count();
         }
         count as u32
@@ -637,7 +642,7 @@ mod tests {
         let plan = plan_flip(&run, &r, &run.races, true);
         // The plan's schedule must start with the same thread as the
         // original failing schedule ran first (the prefix is preserved).
-        let first_step_sel = run.sel(run.trace[0].tid);
+        let first_step_sel = run.sel(run.trace.first().unwrap().tid());
         if r.first.seq > 0 {
             assert_eq!(plan.schedule.start, Some(first_step_sel));
         }
@@ -670,20 +675,20 @@ mod tests {
         let run = fig1_failing_run();
         // Synthesize a surrounding/nested pair on the failing trace's two
         // threads: outer (t0 early → t1 late), inner (t0 late → t1 early).
-        let t0 = run.trace.first().unwrap().tid;
+        let t0 = run.trace.first().unwrap().tid();
         let t1 = run
             .trace
             .iter()
-            .map(|r| r.tid)
+            .map(|r| r.tid())
             .find(|&t| t != t0)
             .expect("two threads");
         let seq_of = |tid: ksim::ThreadId, k: usize| {
             run.trace
                 .iter()
-                .filter(|r| r.tid == tid)
+                .filter(|r| r.tid() == tid)
                 .nth(k)
                 .unwrap()
-                .seq
+                .seq()
         };
         let mk = |tid: ksim::ThreadId, seq: usize, idx: usize| AccessEvt {
             seq,

@@ -59,18 +59,18 @@ pub fn failure_cone(run: &FailingRun) -> HashSet<Addr> {
     let Some(last) = run.trace.last() else {
         return tainted;
     };
-    cone_tids.insert(last.tid);
+    cone_tids.insert(last.tid());
     for rec in run.trace.iter().rev() {
         let writes_taint = rec
-            .accesses
+            .accesses()
             .iter()
             .any(|a| a.kind.is_write() && tainted.contains(&a.addr));
-        if cone_tids.contains(&rec.tid) || writes_taint {
-            cone_tids.insert(rec.tid);
-            for acc in &rec.accesses {
+        if cone_tids.contains(&rec.tid()) || writes_taint {
+            cone_tids.insert(rec.tid());
+            for acc in rec.accesses() {
                 let observes = match acc.kind {
                     AccessKind::Read => true,
-                    AccessKind::Rmw => conflict.classify(rec.at, acc.kind) != AccessClass::Add,
+                    AccessKind::Rmw => conflict.classify(rec.at(), acc.kind) != AccessClass::Add,
                     AccessKind::Write => false,
                 };
                 if observes {

@@ -84,10 +84,10 @@ impl<'a> StaticProver<'a> {
         let mut observed = HashSet::new();
         let mut movable = Vec::with_capacity(run.trace.len());
         for rec in &run.trace {
-            for acc in &rec.accesses {
+            for acc in rec.accesses() {
                 let observes = match acc.kind {
                     AccessKind::Read => true,
-                    AccessKind::Rmw => conflict.classify(rec.at, acc.kind) != AccessClass::Add,
+                    AccessKind::Rmw => conflict.classify(rec.at(), acc.kind) != AccessClass::Add,
                     AccessKind::Write => false,
                 };
                 if observes {
@@ -95,9 +95,9 @@ impl<'a> StaticProver<'a> {
                 }
             }
             movable.push(
-                rec.lock_event.is_none()
-                    && rec.spawned.is_none()
-                    && is_movable_instr(&run.program, rec.at),
+                rec.lock_event().is_none()
+                    && rec.spawned().is_none()
+                    && is_movable_instr(&run.program, rec.at()),
             );
         }
         StaticProver {
@@ -123,33 +123,33 @@ impl<'a> StaticProver<'a> {
         // touch summary (obligation 2, and the span side of 3).
         let mut span: HashMap<Addr, SpanTouch> = HashMap::new();
         for rec in trace.iter_from(start).take(end - start + 1) {
-            if !self.movable[rec.seq] {
+            if !self.movable[rec.seq()] {
                 return false;
             }
-            if rec.tid == first_tid {
+            if rec.tid() == first_tid {
                 continue;
             }
-            for acc in &rec.accesses {
+            for acc in rec.accesses() {
                 let touch = span.entry(acc.addr).or_default();
                 touch.has_write |= acc.kind.is_write();
-                touch.has_non_add |= self.conflict.classify(rec.at, acc.kind) != AccessClass::Add;
+                touch.has_non_add |= self.conflict.classify(rec.at(), acc.kind) != AccessClass::Add;
             }
         }
 
         // The window side of obligation 3: every reordered conflicting pair
         // must commute or be unobservable.
         for rec in trace.iter_from(start).take(end - start + 1) {
-            if rec.tid != first_tid {
+            if rec.tid() != first_tid {
                 continue;
             }
-            for acc in &rec.accesses {
+            for acc in rec.accesses() {
                 let Some(touch) = span.get(&acc.addr) else {
                     continue; // No span touch: order unchanged w.r.t. nothing.
                 };
                 if !acc.kind.is_write() && !touch.has_write {
                     continue; // Read/read pairs never conflict.
                 }
-                let window_add = self.conflict.classify(rec.at, acc.kind) == AccessClass::Add;
+                let window_add = self.conflict.classify(rec.at(), acc.kind) == AccessClass::Add;
                 if window_add && !touch.has_non_add {
                     continue; // Add/add meetings commute.
                 }
@@ -321,7 +321,7 @@ mod tests {
                 .iter()
                 .skip(start)
                 .take(end - start + 1)
-                .any(|r| r.lock_event.is_some());
+                .any(|r| r.lock_event().is_some());
             if spans_lock {
                 assert!(!prover.prove_benign(race, true));
             }

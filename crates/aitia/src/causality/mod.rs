@@ -674,10 +674,11 @@ impl Watch {
             if unseen == 0 {
                 break;
             }
-            if rec.accesses.is_empty() {
+            if rec.accesses().is_empty() {
                 continue;
             }
-            let s = self.slot[usize::from(rec.at.prog.0)][rec.at.index];
+            let at = rec.at();
+            let s = self.slot[usize::from(at.prog.0)][at.index];
             if s != UNWATCHED && !seen[s as usize] {
                 seen[s as usize] = true;
                 unseen -= 1;

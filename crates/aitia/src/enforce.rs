@@ -855,20 +855,24 @@ fn drive(
             }
         }
 
+        // What the step executes, if it executes: the thread's parked pc,
+        // which a runnable or lock-blocked thread always has.
+        let at = engine.next_instr(cur);
         match engine.step(cur) {
-            Ok(StepOutcome::Executed(rec))
-            | Ok(StepOutcome::Exited(rec))
-            | Ok(StepOutcome::Failed(rec)) => {
+            Ok(StepOutcome::Executed | StepOutcome::Exited | StepOutcome::Failed) => {
+                let at = at.expect("a thread that steps has a next instruction");
                 state.steps += 1;
                 state.forced_chain = 0;
-                *state.exec_counts.entry((cur, rec.at)).or_insert(0) += 1;
+                let count = state.exec_counts.entry((cur, at)).or_insert(0);
+                *count += 1;
+                let count = *count;
                 // After-anchored scheduling point?
                 if state.point_idx < schedule.points.len() {
                     let p = &schedule.points[state.point_idx];
                     if p.when == Anchor::After
+                        && at == p.at
+                        && count == p.nth + 1
                         && ThreadSel::of(engine, cur) == p.thread
-                        && rec.at == p.at
-                        && state.exec_counts.get(&(cur, p.at)).copied().unwrap_or(0) == p.nth + 1
                     {
                         state.triggered[state.point_idx] = true;
                         state.consume();
@@ -1612,7 +1616,7 @@ mod segment_tests {
         let mut e = ksim::Engine::new(Arc::clone(&prog));
         let r = run(&mut e, &schedule, &EnforceConfig::default());
         assert!(r.succeeded());
-        let tids: Vec<u32> = r.trace.iter().map(|rec| rec.tid.0).collect();
+        let tids: Vec<u32> = r.trace.iter().map(|rec| rec.tid().0).collect();
         assert_eq!(tids, vec![1, 1, 1, 0, 0, 0, 2, 2, 2], "{tids:?}");
     }
 

@@ -259,8 +259,14 @@ pub struct ExecStats {
     pub steps_interpreted: u64,
     /// Wall-clock nanoseconds workers spent inside VM execution, summed
     /// across workers — so `runs / (busy_ns / 1e9)` is per-worker-second
-    /// throughput, not wall-clock throughput. Timing, hence host-dependent:
-    /// a diagnostic, never folded into results.
+    /// throughput, not wall-clock throughput. It is wall time, not CPU
+    /// work: when workers slow each other down (contended cache lines,
+    /// shared cores) the same runs take more busy time, so a busy share
+    /// near 1 does not mean the pool is faster than one worker. (Table 2's
+    /// diagnoses once ran slower at 2 workers than at 1 on a 2-vCPU host
+    /// while perfbench's `exec.parallel_eff`, computed from it, read 0.74.)
+    /// Timing, hence host-dependent: a diagnostic, never folded into
+    /// results.
     pub busy_ns: u64,
 }
 
@@ -1354,12 +1360,12 @@ mod tests {
         for (b, s) in base.iter().flatten().zip(second.iter().flatten()) {
             assert!(s.memo_hit);
             for (br, sr) in b.run.trace.iter().zip(&s.run.trace) {
-                assert_eq!(br.at, sr.at);
-                assert_eq!(br.tid, sr.tid);
-                assert_eq!(br.accesses, sr.accesses);
-                assert_eq!(br.lock_event, sr.lock_event);
-                assert_eq!(br.locks_held, sr.locks_held);
-                assert_eq!(br.spawned, sr.spawned);
+                assert_eq!(br.at(), sr.at());
+                assert_eq!(br.tid(), sr.tid());
+                assert_eq!(br.accesses(), sr.accesses());
+                assert_eq!(br.lock_event(), sr.lock_event());
+                assert_eq!(br.locks_held(), sr.locks_held());
+                assert_eq!(br.spawned(), sr.spawned());
             }
             assert_eq!(b.run.trace.len(), s.run.trace.len());
             assert_eq!(b.run.threads, s.run.threads);

@@ -35,12 +35,21 @@
 //! its trace last (trace included, so causality edge extraction sees
 //! exactly what a re-execution would show). Every other integer is an
 //! unsigned LEB128 varint, every enum and `Option` a one-byte tag, and
-//! every sequence a varint count followed by its elements. A trace step
-//! stores its thread, its instruction, one flag byte saying which of its
-//! optional fields follow, its accesses and its lockset; its `seq` is not
-//! stored, because it equals the step's position in the trace.
+//! every sequence a varint count followed by its elements.
 //!
-//! Format version 1 carried the same fields as JSON. Its files read as an
+//! The trace is written as the column chunks [`ksim::Trace`] stores it in:
+//! its step count, then each chunk of [`CHUNK`] steps (the last one
+//! partial, so the count fixes every chunk's length) as its lockset table
+//! after the empty set, its access buffer, and one row per step. A row
+//! holds the step's thread, its instruction, the offset of its accesses in
+//! the chunk's buffer, its lockset id and a one-byte event tag with the
+//! event's lock or spawned thread. A step's position in the trace is not
+//! stored. The reader rebuilds each chunk column by column and refuses a
+//! lockset id outside the table or an offset that falls or runs past the
+//! buffer, so a decoded trace never reads out of bounds.
+//!
+//! Format version 1 carried the same fields as JSON, and version 2 encoded
+//! the trace one step record at a time. Their files read as an
 //! unrecognized header and cold-start.
 //!
 //! # Torn tails and corruption
@@ -87,6 +96,10 @@ use crate::{
 };
 use ksim::{
     events::LockEvent,
+    trace::{
+        Chunk,
+        CHUNK, //
+    },
     AccessKind,
     Addr,
     Failure,
@@ -95,7 +108,7 @@ use ksim::{
     LockId,
     MemAccess,
     Program,
-    StepRecord,
+    StepEvent,
     ThreadId,
     ThreadProgId,
     ThreadStatus,
@@ -137,8 +150,10 @@ use std::{
 const MAGIC: [u8; 8] = *b"AITIAJNL";
 /// The journal format version. Bumping it makes old files read as
 /// unrecognized and resume from a cold start. Version 1 records had JSON
-/// payloads; version 2 records have the binary body of [`Writer::record`].
-const VERSION: u32 = 2;
+/// payloads; version 2 records had the binary body of [`Writer::record`]
+/// with one encoded record per trace step; version 3 encodes the trace as
+/// the column chunks it is stored as.
+const VERSION: u32 = 3;
 /// Header length: magic plus version.
 const HEADER_LEN: u64 = 12;
 /// Records are fsync-batched: the file is synced after this many appends
@@ -700,13 +715,12 @@ const FAILURE_KINDS: [FailureKind; 10] = [
     FailureKind::DoubleFree,
 ];
 
-// A trace step's flag byte says which of its optional fields follow. Bits
-// 0–1 hold its branch (0 none, 1 not taken, 2 taken) and bits 2–3 its lock
-// event (0 none, 1 acquired, 2 released); bit 4 marks a spawned thread and
-// bit 5 a next pc. Bits 6–7 are zero.
-const LOCK_SHIFT: u8 = 2;
-const SPAWNED: u8 = 1 << 4;
-const NEXT_PC: u8 = 1 << 5;
+// A trace step's event byte: 0 none, then a lock acquired or released (its
+// lock follows) or a thread spawned (its id follows).
+const EVENT_NONE: u8 = 0;
+const EVENT_ACQUIRED: u8 = 1;
+const EVENT_RELEASED: u8 = 2;
+const EVENT_SPAWNED: u8 = 3;
 
 /// Encodes record bodies (see the module doc's record format).
 struct Writer {
@@ -821,39 +835,65 @@ impl Writer {
             }
             w.opt(t.next, Self::instr);
         });
-        self.uint(run.trace.len() as u64);
-        for step in run.trace.iter() {
-            self.step(step);
+        self.trace(&run.trace);
+    }
+
+    /// The trace section: the step count, then every chunk of [`CHUNK`]
+    /// steps (the last one partial) as its columns.
+    fn trace(&mut self, trace: &Trace) {
+        self.uint(trace.len() as u64);
+        for chunk in trace.chunks() {
+            self.chunk(chunk);
         }
     }
 
-    fn step(&mut self, s: &StepRecord) {
-        let branch = s.branch_taken.map_or(0, |taken| 1 + u8::from(taken));
-        let lock = match s.lock_event {
-            None => 0,
-            Some(LockEvent::Acquired(_)) => 1,
-            Some(LockEvent::Released(_)) => 2,
-        };
-        let flags = branch
-            | lock << LOCK_SHIFT
-            | if s.spawned.is_some() { SPAWNED } else { 0 }
-            | if s.next_pc.is_some() { NEXT_PC } else { 0 };
-        self.uint(s.tid.0.into());
-        self.instr(s.at);
-        self.out.push(flags);
-        self.seq(&s.accesses, |w, a| {
+    /// A chunk: its lockset table after the empty set, its access buffer,
+    /// then one row per step.
+    fn chunk(&mut self, c: &Chunk) {
+        self.uint((c.lockset_count() - 1) as u64);
+        for id in 1..c.lockset_count() {
+            self.seq(c.lockset(id), |w, l| w.uint(l.0.into()));
+        }
+        self.seq(c.accesses(), |w, a| {
             w.uint(a.addr.0);
             w.tag(&ACCESS_KINDS, a.kind);
         });
-        self.seq(&s.locks_held, |w, l| w.uint(l.0.into()));
-        if let Some(LockEvent::Acquired(l) | LockEvent::Released(l)) = s.lock_event {
-            self.uint(l.0.into());
+        let rows = c.tids().iter().zip(c.ats()).zip(c.access_starts());
+        for (((&tid, at), &start), (&lockset, &event)) in
+            rows.zip(c.lockset_ids().iter().zip(c.events()))
+        {
+            self.step(tid, at, start, lockset, event);
         }
-        if let Some(t) = s.spawned {
-            self.uint(t.0.into());
-        }
-        if let Some(pc) = s.next_pc {
-            self.uint(pc as u64);
+    }
+
+    /// A step's row: its thread, its instruction, where its accesses start
+    /// in the chunk's buffer, its lockset id and its event.
+    fn step(
+        &mut self,
+        tid: ThreadId,
+        at: InstrAddr,
+        access_start: u32,
+        lockset: u8,
+        event: StepEvent,
+    ) {
+        self.uint(tid.0.into());
+        self.instr(at);
+        self.uint(access_start.into());
+        self.uint(lockset.into());
+        match event {
+            StepEvent::None => self.out.push(EVENT_NONE),
+            StepEvent::Lock(LockEvent::Acquired(l)) => {
+                self.out.push(EVENT_ACQUIRED);
+                self.uint(l.0.into());
+            }
+            StepEvent::Lock(LockEvent::Released(l)) => {
+                self.out.push(EVENT_RELEASED);
+                self.uint(l.0.into());
+            }
+            StepEvent::Spawned(t) => {
+                self.out.push(EVENT_SPAWNED);
+                self.uint(t.0.into());
+            }
         }
     }
 }
@@ -1025,10 +1065,7 @@ impl Reader<'_> {
                 next: r.opt(Self::instr)?,
             })
         })?;
-        let mut trace = Trace::new();
-        for seq in 0..self.count()? {
-            trace.push(Arc::new(self.step(seq)?));
-        }
+        let trace = self.trace()?;
         Some(RunResult {
             trace,
             failure,
@@ -1040,53 +1077,51 @@ impl Reader<'_> {
         })
     }
 
-    fn step(&mut self, seq: usize) -> Option<StepRecord> {
-        let tid = ThreadId(self.int()?);
-        let at = self.instr()?;
-        let flags = self.byte()?;
-        if flags >> 6 != 0 {
-            return None;
+    /// The trace section, decoded straight into column chunks.
+    fn trace(&mut self) -> Option<Trace> {
+        let mut left = self.count()?;
+        let mut trace = Trace::new();
+        let mut set = Vec::new();
+        while left > 0 {
+            let n = left.min(CHUNK);
+            trace.push_chunk(self.chunk(n, &mut set)?).then_some(())?;
+            left -= n;
         }
-        let branch_taken = match flags & 0b11 {
-            0 => None,
-            1 => Some(false),
-            2 => Some(true),
-            _ => return None,
-        };
-        let accesses = self.seq(|r| {
-            Some(MemAccess {
-                addr: Addr(r.uint()?),
-                kind: r.tag(&ACCESS_KINDS)?,
-            })
-        })?;
-        let locks_held = self.seq(|r| Some(LockId(r.int()?)))?;
-        let lock_event = match flags >> LOCK_SHIFT & 0b11 {
-            0 => None,
-            1 => Some(LockEvent::Acquired(LockId(self.int()?))),
-            2 => Some(LockEvent::Released(LockId(self.int()?))),
-            _ => return None,
-        };
-        let spawned = if flags & SPAWNED != 0 {
-            Some(ThreadId(self.int()?))
-        } else {
-            None
-        };
-        let next_pc = if flags & NEXT_PC != 0 {
-            Some(self.int()?)
-        } else {
-            None
-        };
-        Some(StepRecord {
-            seq,
-            tid,
-            at,
-            accesses,
-            branch_taken,
-            lock_event,
-            locks_held,
-            spawned,
-            next_pc,
-        })
+        Some(trace)
+    }
+
+    /// A chunk of `n` steps; `set` is scratch space for its locksets.
+    fn chunk(&mut self, n: usize, set: &mut Vec<LockId>) -> Option<Chunk> {
+        let mut c = Chunk::default();
+        for _ in 0..self.count()? {
+            set.clear();
+            for _ in 0..self.count()? {
+                set.push(LockId(self.int()?));
+            }
+            c.push_lockset(set)?;
+        }
+        for _ in 0..self.count()? {
+            c.push_access(MemAccess {
+                addr: Addr(self.uint()?),
+                kind: self.tag(&ACCESS_KINDS)?,
+            });
+        }
+        for _ in 0..n {
+            let tid = ThreadId(self.int()?);
+            let at = self.instr()?;
+            let access_start = self.int()?;
+            let lockset = self.int()?;
+            let event = match self.byte()? {
+                EVENT_NONE => StepEvent::None,
+                EVENT_ACQUIRED => StepEvent::Lock(LockEvent::Acquired(LockId(self.int()?))),
+                EVENT_RELEASED => StepEvent::Lock(LockEvent::Released(LockId(self.int()?))),
+                EVENT_SPAWNED => StepEvent::Spawned(ThreadId(self.int()?)),
+                _ => return None,
+            };
+            c.push_row(tid, at, access_start, lockset, event)
+                .then_some(())?;
+        }
+        Some(c)
     }
 }
 
@@ -1105,6 +1140,7 @@ mod tests {
     use ksim::{
         builder::ProgramBuilder,
         InstrAddr,
+        StepRecord,
         ThreadProgId, //
     };
 
@@ -1446,9 +1482,9 @@ mod tests {
         assert!(!reopened.stats().fsync_failed, "flag is per-process");
         let _ = std::fs::remove_file(&path);
     }
-    /// A record that sets every optional field and uses every status, lock
-    /// event and branch form the codec writes, with integers at their
-    /// type's extremes and a trace that spans sealed chunks.
+    /// A record that sets every optional field and uses every status and
+    /// step event form the codec writes, with integers at their type's
+    /// extremes and a trace that spans sealed chunks.
     fn full_record() -> RecordPayload {
         let sel = |prog: u16, occurrence: u32| ThreadSel {
             prog: ThreadProgId(prog),
@@ -1458,25 +1494,26 @@ mod tests {
             prog: ThreadProgId(prog),
             index,
         };
+        // A step moves a lock or spawns a thread, never both: the spawns
+        // fall on the steps without a lock event.
         let step = |seq: usize| StepRecord {
-            seq,
-            tid: ThreadId([0, 7, u32::MAX][seq % 3]),
-            at: at([0, u16::MAX][seq % 2], seq * 1000),
             accesses: (0..seq % 4)
                 .map(|k| MemAccess {
                     addr: Addr(u64::MAX >> k),
                     kind: ACCESS_KINDS[k % 3],
                 })
                 .collect(),
-            branch_taken: [None, Some(false), Some(true)][seq % 3],
             lock_event: [
                 None,
                 Some(LockEvent::Acquired(LockId(7))),
                 Some(LockEvent::Released(LockId(u16::MAX))),
             ][seq / 2 % 3],
             locks_held: (0..seq % 5).map(|k| LockId(k as u16)).collect(),
-            spawned: seq.is_multiple_of(2).then_some(ThreadId(u32::MAX - 1)),
-            next_pc: (!seq.is_multiple_of(5)).then_some(usize::MAX - seq),
+            spawned: (seq % 6 < 2).then_some(ThreadId(u32::MAX - 1)),
+            ..StepRecord::new(
+                ThreadId([0, 7, u32::MAX][seq % 3]),
+                at([0, u16::MAX][seq % 2], seq * 1000),
+            )
         };
         RecordPayload {
             fp: u64::MAX,
@@ -1577,6 +1614,41 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), HEADER_LEN);
         let journal = Journal::open(&path).unwrap();
         assert_eq!(journal.loaded_records(), 0);
+        assert_eq!(journal.stats().torn_tail_truncations, 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A version 2 journal as that format wrote it: its header and one
+    /// record, the run of Figure 1's failing schedule (the first of
+    /// `fig1_jobs`), whose trace section holds one encoded record per step.
+    const V2_FILE: &str = "41495449414a4e4c02000000880000004454ebe63060776ad04a2ec55b2f0083\
+        b3029e40c09a0c000100000002000001000002000000010100000000080002000003000100030008\
+        000000200180808080010100010000012001888080800100000200000220019080808002000003000003\
+        000000010100200180808080010000010101012100000201010220018880808001010003010103000000";
+
+    #[test]
+    fn version_2_journals_cold_start() {
+        let bytes: Vec<u8> = (0..V2_FILE.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&V2_FILE[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(bytes[8..12], 2u32.to_le_bytes());
+        // Its record frames and checks out, but under this version's header
+        // its trace section does not decode.
+        let mut relabeled = bytes.clone();
+        relabeled[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        let (records, torn) = scan_records(&relabeled);
+        assert!(records.is_empty() && torn);
+        let path = tmp_path("v2");
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(record_count(&path).unwrap(), 0, "another version");
+        let journal = Journal::open(&path).unwrap();
+        assert_eq!(journal.loaded_records(), 0);
+        assert_eq!(journal.stats().torn_tail_truncations, 1);
+        // The rewritten file is a valid empty journal of this version.
+        drop(journal);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), HEADER_LEN);
+        let journal = Journal::open(&path).unwrap();
         assert_eq!(journal.stats().torn_tail_truncations, 0);
         let _ = std::fs::remove_file(&path);
     }
@@ -1708,6 +1780,99 @@ mod tests {
             }
         }
 
+        /// The rows of a raw trace section: each step's access offset and
+        /// lockset id.
+        type Rows = [(u64, u64)];
+
+        /// A one-chunk trace section written column by column, so a test
+        /// can put any value in any column: a lockset table of `sets` sets
+        /// after the empty one, an access buffer of `accesses` accesses,
+        /// and one row per `(access offset, lockset id)`.
+        fn raw_trace(sets: usize, accesses: usize, rows: &Rows) -> Vec<u8> {
+            let mut w = Writer { out: Vec::new() };
+            w.uint(rows.len() as u64);
+            w.uint(sets as u64);
+            for k in 0..sets {
+                w.seq(&[LockId(k as u16)], |w, l| w.uint(l.0.into()));
+            }
+            w.uint(accesses as u64);
+            for k in 0..accesses {
+                w.uint(0x1000 + 8 * k as u64);
+                w.tag(&ACCESS_KINDS, AccessKind::Read);
+            }
+            for &(offset, lockset) in rows {
+                w.uint(0);
+                w.instr(InstrAddr {
+                    prog: ThreadProgId(0),
+                    index: 0,
+                });
+                w.uint(offset);
+                w.uint(lockset);
+                w.out.push(EVENT_NONE);
+            }
+            w.out
+        }
+
+        /// Whether a step view could read every row of [`raw_trace`]: the
+        /// table fits a chunk, every lockset id is in it, and the access
+        /// offsets start at 0, never fall and stay within the buffer.
+        fn readable(sets: usize, accesses: usize, rows: &Rows) -> bool {
+            sets <= CHUNK
+                && rows.iter().all(|&(_, lockset)| lockset <= sets as u64)
+                && rows.first().is_none_or(|r| r.0 == 0)
+                && rows.windows(2).all(|w| w[0].0 <= w[1].0)
+                && rows.iter().all(|r| r.0 <= accesses as u64)
+        }
+
+        /// Record `i` with its trace section replaced by [`raw_trace`]'s:
+        /// either the whole journal loads, the record with exactly those
+        /// columns, or the record is torn and only those before it load.
+        fn load_columns(i: usize, sets: usize, accesses: usize, rows: &Rows) -> bool {
+            let originals = &real_journal().1;
+            let mut body = body_before_trace(i);
+            body.extend(raw_trace(sets, accesses, rows));
+            let loaded = load("columns", &reframed(i, &body), usize::MAX);
+            if loaded.len() == i {
+                assert_eq!(loaded[..], originals[..i]);
+                return false;
+            }
+            assert_eq!(loaded.len(), originals.len());
+            let trace = &loaded[i].run.trace;
+            assert_eq!(trace.len(), rows.len());
+            let mut ends: Vec<u64> = rows.iter().skip(1).map(|r| r.0).collect();
+            ends.push(accesses as u64);
+            for ((step, &(offset, lockset)), end) in trace.iter().zip(rows).zip(ends) {
+                assert_eq!(step.accesses().len() as u64, end - offset);
+                let held: Vec<LockId> = (lockset > 0)
+                    .then(|| LockId(lockset as u16 - 1))
+                    .into_iter()
+                    .collect();
+                assert_eq!(step.locks_held(), &held[..]);
+            }
+            true
+        }
+
+        #[test]
+        fn out_of_range_lockset_ids_and_access_offsets_are_torn() {
+            let cases: [(usize, usize, &Rows); 9] = [
+                (1, 2, &[(0, 0), (1, 1)]),
+                (1, 2, &[(0, 2)]),
+                (0, 0, &[(0, 1)]),
+                (1, 2, &[(0, u64::from(u8::MAX) + 1)]),
+                (1, 2, &[(0, 0), (3, 0)]),
+                (1, 2, &[(1, 0)]),
+                (1, 3, &[(0, 0), (2, 0), (1, 0)]),
+                (0, 0, &[(0, 0), (u64::from(u32::MAX) + 1, 0)]),
+                (CHUNK + 1, 0, &[(0, 0)]),
+            ];
+            for (k, (sets, accesses, rows)) in cases.into_iter().enumerate() {
+                let i = k % real_journal().1.len();
+                let loaded = load_columns(i, sets, accesses, rows);
+                assert_eq!(loaded, readable(sets, accesses, rows), "case {k}");
+                assert_eq!(loaded, k == 0, "case {k}");
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1761,6 +1926,22 @@ mod tests {
                         prop_assert!(*record == originals[k]);
                     }
                 }
+            }
+
+            /// A trace section of arbitrary lockset ids and access offsets
+            /// decodes exactly when a step view could read every step.
+            #[test]
+            fn trace_columns_decode_exactly_when_readable(
+                which in 0..usize::MAX,
+                sets in 0usize..3,
+                accesses in 0usize..4,
+                rows in prop::collection::vec((0u64..6, 0u64..5), 1..6),
+            ) {
+                let i = which % real_journal().1.len();
+                prop_assert_eq!(
+                    load_columns(i, sets, accesses, &rows),
+                    readable(sets, accesses, &rows)
+                );
             }
 
             /// A length field at `MAX_RECORD_LEN` or above tears the file

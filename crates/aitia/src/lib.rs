@@ -73,11 +73,12 @@
 
 #![warn(missing_docs)]
 
+use ksim::fxhash;
+
 pub mod campaign;
 pub mod causality;
 pub mod enforce;
 pub mod exec;
-mod fxhash;
 pub mod journal;
 pub mod lifs;
 mod lru;

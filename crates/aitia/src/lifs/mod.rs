@@ -61,11 +61,13 @@ use crate::{
     simtime::SimCost,
 };
 use ksim::{
+    trace::Projection,
     Addr,
     Failure,
     InstrAddr,
     Program,
-    StepRecord,
+    Step,
+    StepEvent,
     ThreadId,
     Trace, //
 };
@@ -293,8 +295,8 @@ pub struct FailingRun {
     /// pending-second races.
     pub races: Vec<ObservedRace>,
     /// Per-thread solo traces from serial runs (control-flow projections
-    /// for pending-tail scheduling).
-    pub solo: HashMap<ThreadSel, Vec<StepRecord>>,
+    /// for pending-tail scheduling), sharing the serial runs' chunks.
+    pub solo: HashMap<ThreadSel, Projection>,
     /// Final thread states of the failing run.
     pub finals: Vec<ThreadFinal>,
     /// Runtime-thread → selector map for the failing run.
@@ -368,14 +370,14 @@ struct Knowledge {
     /// Conflict-order signatures of executed runs.
     signatures: HashSet<u64>,
     /// Latest complete solo-ish trace per thread.
-    solo: HashMap<ThreadSel, Vec<StepRecord>>,
+    solo: HashMap<ThreadSel, Projection>,
     /// Per-thread projection of a serial run in which the thread ran
     /// *first* (uninterrupted from the initial state) — the exact
     /// prediction of a count-1 plan's pre-preemption prefix, which is what
     /// the DPOR rules validate against. Absent when every serial run with
     /// the thread first failed, in which case no DPOR rule may fire for
     /// that victim.
-    solo_first: HashMap<ThreadSel, Vec<StepRecord>>,
+    solo_first: HashMap<ThreadSel, Projection>,
     /// Write-aware per-thread address sets over every absorbed run; the
     /// static conflict index the DPOR rules query.
     conflicts: crate::race::ConflictIndex,
@@ -402,15 +404,15 @@ impl Knowledge {
     /// run's conflict signature was new.
     fn absorb(&mut self, run: &RunResult, sel_of: &HashMap<ThreadId, ThreadSel>) -> bool {
         // Group the steps per thread once, in first-seen order.
-        let mut groups: Vec<(ThreadSel, Vec<&StepRecord>)> = Vec::new();
+        let mut groups: Vec<(ThreadSel, Vec<Step<'_>>)> = Vec::new();
         let mut group_of_tid: Vec<Option<usize>> = Vec::new();
         for rec in run.trace.iter() {
-            let t = rec.tid.0 as usize;
+            let t = rec.tid().0 as usize;
             if group_of_tid.len() <= t {
                 group_of_tid.resize(t + 1, None);
             }
             let g = *group_of_tid[t].get_or_insert_with(|| {
-                let sel = sel_of[&rec.tid];
+                let sel = sel_of[&rec.tid()];
                 groups
                     .iter()
                     .position(|(s, _)| *s == sel)
@@ -429,19 +431,18 @@ impl Knowledge {
             let mut footprint = Vec::new();
             let mut synced = false;
             for rec in &steps {
-                synced |= rec.spawned.is_some()
-                    || rec.lock_event.is_some()
-                    || self.rcu_edges.contains(&rec.at);
-                if rec.accesses.is_empty() {
+                let at = rec.at();
+                synced |= rec.event() != StepEvent::None || self.rcu_edges.contains(&at);
+                if rec.accesses().is_empty() {
                     continue;
                 }
-                let nth = *counts.entry(rec.at).and_modify(|c| *c += 1).or_insert(0);
-                points.push((rec.at, nth));
+                let nth = *counts.entry(at).and_modify(|c| *c += 1).or_insert(0);
+                points.push((at, nth));
                 if std::mem::take(&mut synced) {
-                    self.after_sync.insert((sel, rec.at, nth));
+                    self.after_sync.insert((sel, at, nth));
                 }
-                let addrs = self.point_addrs.entry((sel, rec.at, nth)).or_default();
-                for acc in &rec.accesses {
+                let addrs = self.point_addrs.entry((sel, at, nth)).or_default();
+                for acc in rec.accesses() {
                     addrs.insert(acc.addr);
                     footprint.push(acc.addr);
                 }
@@ -636,7 +637,7 @@ struct TargetCtx {
 /// Victims without a `solo_first` projection (their serial run failed) get
 /// no context and no DPOR pruning.
 struct DporCtx<'a> {
-    solo: &'a [StepRecord],
+    solo: &'a Projection,
     /// Candidate point `(at, nth)` → index into the solo trace.
     pos: HashMap<(InstrAddr, u32), usize>,
     /// Clean and commuting with the target-independent shared set
@@ -657,16 +658,16 @@ impl<'a> DporCtx<'a> {
         victim: ThreadSel,
         initial: &'a [ThreadSel],
     ) -> Option<Self> {
-        let solo = k.solo_first.get(&victim)?.as_slice();
+        let solo = k.solo_first.get(&victim)?;
         let vpos = initial.iter().position(|&s| s == victim)?;
         let mut pos = HashMap::new();
         let mut counts: HashMap<InstrAddr, u32> = HashMap::new();
         for (i, rec) in solo.iter().enumerate() {
-            if rec.accesses.is_empty() {
+            if rec.accesses().is_empty() {
                 continue;
             }
-            let nth = *counts.entry(rec.at).and_modify(|c| *c += 1).or_insert(0);
-            pos.insert((rec.at, nth), i);
+            let nth = *counts.entry(rec.at()).and_modify(|c| *c += 1).or_insert(0);
+            pos.insert((rec.at(), nth), i);
         }
         // Threads whose blocks sit between a moved segment's two possible
         // positions regardless of target: spawned background threads (they
@@ -692,14 +693,14 @@ impl<'a> DporCtx<'a> {
         let base_ok: Vec<bool> = solo
             .iter()
             .map(|rec| {
-                rec.locks_held.is_empty()
-                    && rec.lock_event.is_none()
-                    && rec.spawned.is_none()
-                    && !k.rcu_edges.contains(&rec.at)
-                    && rec.accesses.iter().all(|a| {
+                let at = rec.at();
+                rec.locks_held().is_empty()
+                    && rec.event() == StepEvent::None
+                    && !k.rcu_edges.contains(&at)
+                    && rec.accesses().iter().all(|a| {
                         shared
                             .iter()
-                            .all(|&s| !k.conflicts.may_conflict(a.addr, a.kind, rec.at, s))
+                            .all(|&s| !k.conflicts.may_conflict(a.addr, a.kind, at, s))
                     })
             })
             .collect();
@@ -721,10 +722,11 @@ impl<'a> DporCtx<'a> {
                 .iter()
                 .zip(&self.base_ok)
                 .map(|(rec, &base)| {
-                    base && rec
-                        .accesses
-                        .iter()
-                        .all(|a| !self.conflicts.may_conflict(a.addr, a.kind, rec.at, target))
+                    base && rec.accesses().iter().all(|a| {
+                        !self
+                            .conflicts
+                            .may_conflict(a.addr, a.kind, rec.at(), target)
+                    })
                 })
                 .collect();
             let mut run_start = vec![0usize; ok.len()];
@@ -1302,8 +1304,11 @@ impl Lifs {
                 races.push(r);
             }
         }
-        let executed: HashSet<(ThreadSel, InstrAddr)> =
-            run.trace.iter().map(|r| (sel_of[&r.tid], r.at)).collect();
+        let executed: HashSet<(ThreadSel, InstrAddr)> = run
+            .trace
+            .iter()
+            .map(|r| (sel_of[&r.tid()], r.at()))
+            .collect();
         // Pending races: known racing pairs whose executed end is the
         // failing thread's *last memory access* while the other end is
         // still ahead of a suspended thread — Figure 6's `B17 ⇒ A12`,
@@ -1314,43 +1319,40 @@ impl Lifs {
         // failing thread until the pending instruction executes) is
         // meaningful. Pending ends deeper in any thread's unexecuted
         // future are not part of the failure-causing sequence.
-        let failure_adjacent: Vec<InstrAddr> = run
-            .failure
-            .as_ref()
-            .map(|f| {
-                let mut adj = Vec::new();
-                // The failing access itself, when it touches memory...
-                if run
-                    .trace
-                    .iter()
-                    .any(|r| r.at == f.at && !r.accesses.is_empty())
-                {
-                    adj.push(f.at);
-                }
-                // ...and the failing thread's last memory access before it.
-                if let Some(prev) = run
-                    .trace
-                    .iter()
-                    .rev()
-                    .find(|r| r.tid == f.tid && r.at != f.at && !r.accesses.is_empty())
-                {
-                    adj.push(prev.at);
-                }
-                adj
-            })
-            .unwrap_or_default();
+        let failure_adjacent: Vec<InstrAddr> =
+            run.failure
+                .as_ref()
+                .map(|f| {
+                    let mut adj = Vec::new();
+                    // The failing access itself, when it touches memory...
+                    if run
+                        .trace
+                        .iter()
+                        .any(|r| r.at() == f.at && !r.accesses().is_empty())
+                    {
+                        adj.push(f.at);
+                    }
+                    // ...and the failing thread's last memory access before it.
+                    if let Some(prev) =
+                        run.trace.iter().rev().find(|r| {
+                            r.tid() == f.tid && r.at() != f.at && !r.accesses().is_empty()
+                        })
+                    {
+                        adj.push(prev.at());
+                    }
+                    adj
+                })
+                .unwrap_or_default();
         for &(i, j) in &knowledge.known_pairs {
             for (done, pending) in [(i, j), (j, i)] {
                 if !failure_adjacent.contains(&done) {
                     continue;
                 }
-                let done_evt = run.trace.iter().rev().find_map(|r| {
-                    if r.at == done && r.accesses.iter().any(|_| true) {
-                        Some(r.clone())
-                    } else {
-                        None
-                    }
-                });
+                let done_evt = run
+                    .trace
+                    .iter()
+                    .rev()
+                    .find(|r| r.at() == done && !r.accesses().is_empty());
                 let Some(done_rec) = done_evt else { continue };
                 // The pending end's thread.
                 let Some(pend_final) = run.threads.iter().find(|f| f.sel.prog == pending.prog)
@@ -1368,22 +1370,22 @@ impl Lifs {
                 if !ahead {
                     continue;
                 }
-                let first_access = done_rec.accesses.first().copied();
+                let first_access = done_rec.accesses().first().copied();
                 let Some(acc) = first_access else { continue };
                 let pend_tid = run
                     .trace
                     .iter()
-                    .map(|r| r.tid)
+                    .map(|r| r.tid())
                     .find(|t| sel_of[t] == pend_final.sel)
-                    .unwrap_or(done_rec.tid);
+                    .unwrap_or(done_rec.tid());
                 let race = ObservedRace {
                     first: crate::race::AccessEvt {
-                        seq: done_rec.seq,
-                        tid: done_rec.tid,
-                        at: done_rec.at,
+                        seq: done_rec.seq(),
+                        tid: done_rec.tid(),
+                        at: done_rec.at(),
                         addr: acc.addr,
                         is_write: acc.kind.is_write(),
-                        locks: done_rec.locks_held.clone(),
+                        locks: done_rec.locks_held().to_vec(),
                     },
                     second: RaceEnd::Pending {
                         tid: pend_tid,
@@ -1524,22 +1526,21 @@ fn store_solo_first(
     if k.solo_first.contains_key(&first) {
         return;
     }
-    let steps: Vec<StepRecord> = run
-        .trace
+    let tid = sel_of
         .iter()
-        .filter(|rec| sel_of[&rec.tid] == first)
-        .cloned()
-        .collect();
+        .find(|&(_, &sel)| sel == first)
+        .map(|(&t, _)| t);
+    let steps = tid.map_or_else(Projection::default, |t| run.trace.project(t));
     k.solo_first.insert(first, steps);
 }
 
 /// Stores per-thread projections of a serial run as solo traces.
 fn store_solo(k: &mut Knowledge, run: &RunResult, sel_of: &HashMap<ThreadId, ThreadSel>) {
-    let mut per: HashMap<ThreadSel, Vec<StepRecord>> = HashMap::new();
-    for rec in &run.trace {
-        per.entry(sel_of[&rec.tid]).or_default().push(rec.clone());
-    }
-    for (sel, steps) in per {
+    for (&tid, &sel) in sel_of {
+        let steps = run.trace.project(tid);
+        if steps.is_empty() {
+            continue;
+        }
         let entry = k.solo.entry(sel).or_default();
         if steps.len() > entry.len() {
             *entry = steps;
@@ -1584,14 +1585,12 @@ mod tests {
     /// memory)` in trace order.
     fn run_of(steps: &[(u32, usize, bool)]) -> RunResult {
         let mut trace = Trace::new();
-        for (seq, &(tid, index, touches)) in steps.iter().enumerate() {
-            trace.push(Arc::new(StepRecord {
-                seq,
-                tid: ThreadId(tid),
-                at: InstrAddr {
-                    prog: ksim::ThreadProgId(tid as u16),
-                    index,
-                },
+        for &(tid, index, touches) in steps {
+            let at = InstrAddr {
+                prog: ksim::ThreadProgId(tid as u16),
+                index,
+            };
+            trace.push(&ksim::StepRecord {
                 accesses: if touches {
                     vec![ksim::MemAccess {
                         addr: Addr(0x1000_0000 + 8 * index as u64),
@@ -1600,12 +1599,8 @@ mod tests {
                 } else {
                     vec![]
                 },
-                branch_taken: None,
-                lock_event: None,
-                locks_held: vec![],
-                spawned: None,
-                next_pc: Some(index + 1),
-            }));
+                ..ksim::StepRecord::new(ThreadId(tid), at)
+            });
         }
         RunResult {
             steps: trace.len(),

@@ -24,7 +24,7 @@ use ksim::{
     Addr,
     InstrAddr,
     MemAccess,
-    StepRecord,
+    Step,
     ThreadId,
     Trace, //
 };
@@ -178,14 +178,14 @@ impl ObservedRace {
 pub fn accesses(trace: &Trace) -> Vec<AccessEvt> {
     let mut out = Vec::new();
     for rec in trace {
-        for acc in &rec.accesses {
+        for acc in rec.accesses() {
             out.push(AccessEvt {
-                seq: rec.seq,
-                tid: rec.tid,
-                at: rec.at,
+                seq: rec.seq(),
+                tid: rec.tid(),
+                at: rec.at(),
                 addr: acc.addr,
                 is_write: acc.kind.is_write(),
-                locks: rec.locks_held.clone(),
+                locks: rec.locks_held().to_vec(),
             });
         }
     }
@@ -200,18 +200,18 @@ pub fn step_clocks(trace: &Trace) -> Vec<VClock> {
     let mut lock_clocks: HashMap<ksim::LockId, VClock> = HashMap::new();
     let mut out = Vec::with_capacity(trace.len());
     for rec in trace {
-        let clock = thread_clocks.entry(rec.tid).or_default();
-        if let Some(LockEvent::Acquired(l)) = rec.lock_event {
+        let clock = thread_clocks.entry(rec.tid()).or_default();
+        if let Some(LockEvent::Acquired(l)) = rec.lock_event() {
             if let Some(lc) = lock_clocks.get(&l) {
                 clock.join(&lc.clone());
             }
         }
-        clock.tick(rec.tid);
+        clock.tick(rec.tid());
         let snapshot = clock.clone();
-        if let Some(LockEvent::Released(l)) = rec.lock_event {
+        if let Some(LockEvent::Released(l)) = rec.lock_event() {
             lock_clocks.insert(l, snapshot.clone());
         }
-        if let Some(child) = rec.spawned {
+        if let Some(child) = rec.spawned() {
             let mut child_clock = snapshot.clone();
             child_clock.tick(child);
             thread_clocks.insert(child, child_clock);
@@ -375,24 +375,24 @@ pub fn trace_conflicts(trace: &Trace) -> TraceConflicts {
     let mut sites: FxHashMap<Addr, Vec<Shape<'_>>> = FxHashMap::default();
     let mut out = TraceConflicts::default();
     for rec in trace.iter() {
-        let t = rec.tid.0 as usize;
+        let t = rec.tid().0 as usize;
         if threads.len() <= t {
             threads.resize_with(t + 1, VClock::default);
         }
-        if let Some(LockEvent::Acquired(l)) = rec.lock_event {
+        if let Some(LockEvent::Acquired(l)) = rec.lock_event() {
             if let Some(lc) = lock_clocks.get(&l) {
                 threads[t].join(lc);
             }
         }
-        threads[t].tick(rec.tid);
-        for acc in &rec.accesses {
+        threads[t].tick(rec.tid());
+        for acc in rec.accesses() {
             let shapes = sites.entry(acc.addr).or_default();
             fold_access(shapes, &threads[t], rec, acc, &mut out);
         }
-        if let Some(LockEvent::Released(l)) = rec.lock_event {
+        if let Some(LockEvent::Released(l)) = rec.lock_event() {
             lock_clocks.entry(l).or_default().clone_from(&threads[t]);
         }
-        if let Some(child) = rec.spawned {
+        if let Some(child) = rec.spawned() {
             let mut child_clock = threads[t].clone();
             child_clock.tick(child);
             let c = child.0 as usize;
@@ -414,23 +414,21 @@ pub fn trace_conflicts(trace: &Trace) -> TraceConflicts {
 fn fold_access<'a>(
     shapes: &mut Vec<Shape<'a>>,
     clock: &VClock,
-    rec: &'a StepRecord,
+    rec: Step<'a>,
     acc: &MemAccess,
     out: &mut TraceConflicts,
 ) {
     let is_write = acc.kind.is_write();
     let component = |tid: ThreadId| clock.0.get(tid.0 as usize).copied().unwrap_or(0);
     let unordered = |a: InstrAddr, b: InstrAddr| if a <= b { (a, b) } else { (b, a) };
-    let locks = rec.locks_held.as_slice();
+    let (tid, at, locks) = (rec.tid(), rec.at(), rec.locks_held());
     let y = shapes
         .iter()
-        .position(|s| {
-            s.tid == rec.tid && s.at == rec.at && s.is_write == is_write && s.locks == locks
-        })
+        .position(|s| s.tid == tid && s.at == at && s.is_write == is_write && s.locks == locks)
         .unwrap_or_else(|| {
             shapes.push(Shape {
-                tid: rec.tid,
-                at: rec.at,
+                tid,
+                at,
                 is_write,
                 locks,
                 last: 0,
@@ -441,12 +439,12 @@ fn fold_access<'a>(
         });
     let mut pending = std::mem::take(&mut shapes[y].pending);
     for (x, s) in shapes.iter().enumerate().skip(shapes[y].seen) {
-        if s.tid == rec.tid || !(s.is_write || is_write) {
+        if s.tid == tid || !(s.is_write || is_write) {
             continue;
         }
-        out.order.push((s.at, rec.at, acc.addr));
+        out.order.push((s.at, at, acc.addr));
         if s.locks.iter().any(|l| locks.contains(l)) {
-            out.pairs.push(unordered(s.at, rec.at));
+            out.pairs.push(unordered(s.at, at));
         } else {
             pending.push(x);
         }
@@ -455,7 +453,7 @@ fn fold_access<'a>(
         let s = &shapes[x];
         let concurrent = s.last > component(s.tid);
         if concurrent {
-            out.pairs.push(unordered(s.at, rec.at));
+            out.pairs.push(unordered(s.at, at));
         }
         !concurrent
     });
@@ -463,7 +461,7 @@ fn fold_access<'a>(
     let shape = &mut shapes[y];
     shape.pending = pending;
     shape.seen = n;
-    shape.last = component(rec.tid);
+    shape.last = component(tid);
 }
 
 /// Whether race `outer` *surrounds* race `inner` (paper Figure 7): the
@@ -495,27 +493,27 @@ pub fn surrounds(outer: &ObservedRace, inner: &ObservedRace) -> bool {
 #[must_use]
 pub fn critical_section_span(trace: &Trace, seq: usize) -> Option<(usize, usize)> {
     let rec = trace.get(seq)?;
-    let outer = *rec.locks_held.first()?;
-    let tid = rec.tid;
+    let outer = *rec.locks_held().first()?;
+    let tid = rec.tid();
     // Scan backward for the acquisition of `outer` by this thread.
     let mut start = seq;
-    for r in (0..=seq).rev().map(|i| &trace[i]) {
-        if r.tid != tid {
+    for r in trace.iter().take(seq + 1).rev() {
+        if r.tid() != tid {
             continue;
         }
-        start = r.seq;
-        if r.lock_event == Some(LockEvent::Acquired(outer)) {
+        start = r.seq();
+        if r.lock_event() == Some(LockEvent::Acquired(outer)) {
             break;
         }
     }
     // Scan forward for the release.
     let mut end = seq;
     for r in trace.iter_from(seq) {
-        if r.tid != tid {
+        if r.tid() != tid {
             continue;
         }
-        end = r.seq;
-        if r.lock_event == Some(LockEvent::Released(outer)) {
+        end = r.seq();
+        if r.lock_event() == Some(LockEvent::Released(outer)) {
             break;
         }
     }
@@ -603,15 +601,11 @@ impl ConflictIndex {
     }
 
     /// Folds one thread's executed steps into the index.
-    pub fn add_steps<'a>(
-        &mut self,
-        sel: ThreadSel,
-        steps: impl IntoIterator<Item = &'a StepRecord>,
-    ) {
+    pub fn add_steps<'a>(&mut self, sel: ThreadSel, steps: impl IntoIterator<Item = Step<'a>>) {
         let (mut reads, mut writes, mut adds) = (Vec::new(), Vec::new(), Vec::new());
         for rec in steps {
-            for acc in &rec.accesses {
-                match self.classify(rec.at, acc.kind) {
+            for acc in rec.accesses() {
+                match self.classify(rec.at(), acc.kind) {
                     AccessClass::Read => reads.push(acc.addr),
                     AccessClass::Write => writes.push(acc.addr),
                     AccessClass::Add => adds.push(acc.addr),
@@ -1025,15 +1019,15 @@ mod conflict_index_tests {
         let mut e = Engine::new(Arc::clone(&prog));
         e.run_all_serial();
         let mut idx = ConflictIndex::for_program(&prog);
-        let trace = e.trace().to_vec();
+        let trace = e.trace();
         for (i, s) in [sel(0), sel(1)].into_iter().enumerate() {
-            idx.add_steps(s, trace.iter().filter(|r| r.tid == ThreadId(i as u32)));
+            idx.add_steps(s, trace.iter().filter(|r| r.tid() == ThreadId(i as u32)));
         }
         let addr_of = |tid: u32, pred: fn(&MemAccess) -> bool| {
             trace
                 .iter()
-                .filter(|r| r.tid == ThreadId(tid))
-                .flat_map(|r| r.accesses.iter())
+                .filter(|r| r.tid() == ThreadId(tid))
+                .flat_map(|r| r.accesses().iter())
                 .find(|a| pred(a))
                 .unwrap()
                 .addr

@@ -33,7 +33,11 @@ pub struct Conciseness {
 /// Computes the conciseness statistics from a failing run and its analysis.
 #[must_use]
 pub fn conciseness(run: &FailingRun, result: &CausalityResult) -> Conciseness {
-    let mem_instrs = run.trace.iter().filter(|r| !r.accesses.is_empty()).count();
+    let mem_instrs = run
+        .trace
+        .iter()
+        .filter(|r| !r.accesses().is_empty())
+        .count();
     Conciseness {
         mem_instrs,
         races_detected: races_in_trace(&run.trace).len(),

@@ -77,11 +77,11 @@ fn patterns_in(trace: &Trace) -> HashSet<Pattern> {
     // Accesses grouped per address, in execution order.
     let mut per_addr: HashMap<Addr, Vec<(usize, ksim::ThreadId, InstrAddr, bool)>> = HashMap::new();
     for rec in trace {
-        for acc in &rec.accesses {
+        for acc in rec.accesses() {
             per_addr.entry(acc.addr).or_default().push((
-                rec.seq,
-                rec.tid,
-                rec.at,
+                rec.seq(),
+                rec.tid(),
+                rec.at(),
                 acc.kind.is_write(),
             ));
         }

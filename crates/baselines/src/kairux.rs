@@ -28,7 +28,7 @@ pub struct InflectionPoint {
 }
 
 fn projection(trace: &Trace) -> Vec<InstrAddr> {
-    trace.iter().map(|r| r.at).collect()
+    trace.iter().map(|r| r.at()).collect()
 }
 
 fn lcp(a: &[InstrAddr], b: &[InstrAddr]) -> usize {

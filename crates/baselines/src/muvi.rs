@@ -39,8 +39,8 @@ pub fn correlations(samples: &[SampledRun], window: usize) -> HashMap<(Addr, Add
         // Per-thread access streams.
         let mut streams: HashMap<ksim::ThreadId, Vec<Addr>> = HashMap::new();
         for rec in &run.trace {
-            for acc in &rec.accesses {
-                streams.entry(rec.tid).or_default().push(acc.addr);
+            for acc in rec.accesses() {
+                streams.entry(rec.tid()).or_default().push(acc.addr);
             }
         }
         for stream in streams.values() {

@@ -292,7 +292,7 @@ mod tests {
         assert!(run
             .trace
             .iter()
-            .any(|r| run.sel(r.tid).prog != run.sel(run.trace[0].tid).prog));
+            .any(|r| run.sel(r.tid()).prog != run.sel(run.trace.first().unwrap().tid()).prog));
         assert!(res.chain.race_count() >= 2, "{}", res.chain);
     }
 
@@ -443,7 +443,7 @@ mod extension_tests {
         assert!(run
             .trace
             .iter()
-            .any(|r| prog.instr_name(r.at).starts_with('I')));
+            .any(|r| prog.instr_name(r.at()).starts_with('I')));
         let res = CausalityAnalysis::new(CausalityConfig::default()).analyze(&run);
         let s = res.chain.to_string();
         assert!(s.contains("I2") || s.contains("I1"), "{s}");

@@ -22,13 +22,14 @@ use crate::{
         AccessKind,
         LockEvent,
         MemAccess,
-        StepOutcome,
-        StepRecord, //
+        StepEvent,
+        StepOutcome, //
     },
     failure::{
         Failure,
         FailureKind, //
     },
+    fxhash::FxHashMap,
     instr::{
         AddrExpr,
         Instr,
@@ -53,10 +54,7 @@ use crate::{
     },
     trace::Trace,
 };
-use std::{
-    collections::HashMap,
-    sync::Arc, //
-};
+use std::sync::Arc;
 
 /// Errors returned by [`Engine::step`] for invalid scheduling requests.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,10 +96,10 @@ struct SnapshotData {
     mem: Memory,
     lists: Lists,
     threads: Vec<Thread>,
-    lock_owner: HashMap<LockId, ThreadId>,
+    lock_owner: FxHashMap<LockId, ThreadId>,
     failure: Option<Failure>,
     trace: Trace,
-    spawn_counts: HashMap<ThreadProgId, u32>,
+    spawn_counts: FxHashMap<ThreadProgId, u32>,
     grace_waiters: Vec<(ThreadId, Vec<ThreadId>)>,
     halted: bool,
 }
@@ -113,10 +111,10 @@ pub struct Engine {
     mem: Memory,
     lists: Lists,
     threads: Vec<Thread>,
-    lock_owner: HashMap<LockId, ThreadId>,
+    lock_owner: FxHashMap<LockId, ThreadId>,
     failure: Option<Failure>,
     trace: Trace,
-    spawn_counts: HashMap<ThreadProgId, u32>,
+    spawn_counts: FxHashMap<ThreadProgId, u32>,
     static_obj_addrs: Vec<Addr>,
     /// RCU callbacks waiting for a grace period, with the read-side
     /// sections (threads) that must end first.
@@ -126,6 +124,9 @@ pub struct Engine {
     /// is deliberately not part of snapshots: restoring a checkpoint
     /// rewinds execution state, not the machine's service history.
     reboots: u64,
+    /// The accesses of the step in progress: a buffer that lives as long
+    /// as the engine, so a step reuses it instead of allocating.
+    accesses: Vec<MemAccess>,
 }
 
 impl Engine {
@@ -146,7 +147,7 @@ impl Engine {
             mem.write_raw(crate::addr::GlobalId(i as u32).addr(), val);
         }
         let mut threads = Vec::new();
-        let mut spawn_counts: HashMap<ThreadProgId, u32> = HashMap::new();
+        let mut spawn_counts: FxHashMap<ThreadProgId, u32> = FxHashMap::default();
         for &pid in &program.initial {
             let occ = *spawn_counts.entry(pid).and_modify(|c| *c += 1).or_insert(0);
             let tp = program.prog(pid);
@@ -164,7 +165,7 @@ impl Engine {
             mem,
             lists: Lists::new(),
             threads,
-            lock_owner: HashMap::new(),
+            lock_owner: FxHashMap::default(),
             failure: None,
             trace: Trace::new(),
             spawn_counts,
@@ -172,6 +173,7 @@ impl Engine {
             grace_waiters: Vec::new(),
             halted: false,
             reboots: 0,
+            accesses: Vec::new(),
         }
     }
 
@@ -494,33 +496,37 @@ impl Engine {
             prog: prog_id,
             index: pc,
         };
-        // Fetch by reference: cloning the `Arc<Program>` (one refcount
-        // bump) keeps the borrow checker happy across `&mut self` calls
-        // without copying the fetched instruction itself.
-        let program = Arc::clone(&self.program);
-        let instr = &program.prog(prog_id).instrs[pc];
-
-        let mut record = StepRecord {
-            seq: self.trace.len(),
-            tid,
-            at,
-            accesses: Vec::new(),
-            branch_taken: None,
-            lock_event: None,
-            locks_held: self.threads[tid.0 as usize].locks_held.clone(),
-            spawned: None,
-            next_pc: None,
-        };
+        // Copy the instruction out of the program: it holds no heap data,
+        // and a copy leaves `self` free for the `&mut self` calls below
+        // without touching the reference count of the `Arc<Program>` that
+        // every worker's engine shares.
+        let instr = self.program.prog(prog_id).instrs[pc];
+        self.accesses.clear();
+        let mut event = StepEvent::None;
+        // An `Unlock`'s step still holds the lock it releases: the lock
+        // leaves the thread's lockset only once the step is recorded.
+        let mut released = None;
         let mut next_pc = pc + 1;
         let mut exited = false;
 
-        // The record is pushed to the trace exactly once, behind an `Arc`
-        // shared with the returned outcome — never deep-cloned.
+        // Appends the step to the trace — exactly once per executed
+        // instruction — with the locks the thread holds right now.
+        macro_rules! record {
+            () => {
+                self.trace.push_step(
+                    tid,
+                    at,
+                    &self.accesses,
+                    &self.threads[tid.0 as usize].locks_held,
+                    event,
+                )
+            };
+        }
+
         macro_rules! fail_step {
             () => {{
-                let rec = Arc::new(record);
-                self.trace.push(Arc::clone(&rec));
-                return Ok(StepOutcome::Failed(rec));
+                record!();
+                return Ok(StepOutcome::Failed);
             }};
         }
 
@@ -536,57 +542,55 @@ impl Engine {
             };
         }
 
+        macro_rules! access {
+            ($addr:expr, $kind:ident) => {
+                self.accesses.push(MemAccess {
+                    addr: $addr,
+                    kind: AccessKind::$kind,
+                })
+            };
+        }
+
         match instr {
             Instr::Load { dst, addr } => {
-                let a = self.addr_of(tid, *addr);
-                record.accesses.push(MemAccess {
-                    addr: a,
-                    kind: AccessKind::Read,
-                });
+                let a = self.addr_of(tid, addr);
+                access!(a, Read);
                 let v = check!(self.mem.read(a));
-                self.set_reg(tid, *dst, v);
+                self.set_reg(tid, dst, v);
             }
             Instr::Store { addr, src } => {
-                let a = self.addr_of(tid, *addr);
-                let v = self.operand(tid, *src);
-                record.accesses.push(MemAccess {
-                    addr: a,
-                    kind: AccessKind::Write,
-                });
+                let a = self.addr_of(tid, addr);
+                let v = self.operand(tid, src);
+                access!(a, Write);
                 check!(self.mem.write(a, v));
             }
             Instr::FetchAdd { dst, addr, val } => {
-                let a = self.addr_of(tid, *addr);
-                let inc = self.operand(tid, *val);
-                record.accesses.push(MemAccess {
-                    addr: a,
-                    kind: AccessKind::Rmw,
-                });
+                let a = self.addr_of(tid, addr);
+                let inc = self.operand(tid, val);
+                access!(a, Rmw);
                 let old = check!(self.mem.read(a));
                 check!(self.mem.write(a, old.wrapping_add(inc)));
                 if let Some(d) = dst {
-                    self.set_reg(tid, *d, old);
+                    self.set_reg(tid, d, old);
                 }
             }
             Instr::Mov { dst, src } => {
-                let v = self.operand(tid, *src);
-                self.set_reg(tid, *dst, v);
+                let v = self.operand(tid, src);
+                self.set_reg(tid, dst, v);
             }
             Instr::Op { dst, op, lhs, rhs } => {
-                let l = self.operand(tid, *lhs);
-                let r = self.operand(tid, *rhs);
-                self.set_reg(tid, *dst, op.apply(l, r));
+                let l = self.operand(tid, lhs);
+                let r = self.operand(tid, rhs);
+                self.set_reg(tid, dst, op.apply(l, r));
             }
             Instr::Jmp { target } => {
-                next_pc = *target;
+                next_pc = target;
             }
             Instr::JmpIf { cond, target } => {
                 let l = self.operand(tid, cond.lhs);
                 let r = self.operand(tid, cond.rhs);
-                let taken = cond.eval(l, r);
-                record.branch_taken = Some(taken);
-                if taken {
-                    next_pc = *target;
+                if cond.eval(l, r) {
+                    next_pc = target;
                 }
             }
             Instr::Alloc {
@@ -594,11 +598,11 @@ impl Engine {
                 size,
                 must_free,
             } => {
-                let base = self.mem.alloc(*size, *must_free, "");
-                self.set_reg(tid, *dst, base.0);
+                let base = self.mem.alloc(size, must_free, "");
+                self.set_reg(tid, dst, base.0);
             }
             Instr::Free { ptr } => {
-                let base = Addr(self.operand(tid, *ptr));
+                let base = Addr(self.operand(tid, ptr));
                 // Freeing invalidates the whole object: report a write to
                 // every word so races against any field are observable (the
                 // kfree/store race of Figure 9).
@@ -606,51 +610,40 @@ impl Engine {
                     if a.base == base {
                         let words = a.size / 8;
                         for w in 0..words {
-                            record.accesses.push(MemAccess {
-                                addr: base.offset(w * 8),
-                                kind: AccessKind::Write,
-                            });
+                            access!(base.offset(w * 8), Write);
                         }
                     }
                 }
-                if record.accesses.is_empty() {
-                    record.accesses.push(MemAccess {
-                        addr: base,
-                        kind: AccessKind::Write,
-                    });
+                if self.accesses.is_empty() {
+                    access!(base, Write);
                 }
                 check!(self.mem.free(base));
             }
-            Instr::Lock { lock } => {
-                let lock = *lock;
-                match self.lock_owner.get(&lock).copied() {
-                    None => {
-                        self.lock_owner.insert(lock, tid);
-                        let th = &mut self.threads[tid.0 as usize];
-                        th.status = ThreadStatus::Runnable;
-                        th.locks_held.push(lock);
-                        record.lock_event = Some(LockEvent::Acquired(lock));
-                        record.locks_held = th.locks_held.clone();
-                    }
-                    Some(owner) if owner == tid => {
-                        // Self-deadlock on a non-recursive kernel lock.
-                        self.fail(
-                            tid,
-                            at,
-                            FailureKind::HungTask,
-                            None,
-                            format!("recursive acquisition of lock {lock:?}"),
-                        );
-                        fail_step!();
-                    }
-                    Some(_) => {
-                        self.threads[tid.0 as usize].status = ThreadStatus::Blocked { on: lock };
-                        return Ok(StepOutcome::Blocked { on: lock });
-                    }
+            Instr::Lock { lock } => match self.lock_owner.get(&lock).copied() {
+                None => {
+                    self.lock_owner.insert(lock, tid);
+                    let th = &mut self.threads[tid.0 as usize];
+                    th.status = ThreadStatus::Runnable;
+                    th.locks_held.push(lock);
+                    event = StepEvent::Lock(LockEvent::Acquired(lock));
                 }
-            }
+                Some(owner) if owner == tid => {
+                    // Self-deadlock on a non-recursive kernel lock.
+                    self.fail(
+                        tid,
+                        at,
+                        FailureKind::HungTask,
+                        None,
+                        format!("recursive acquisition of lock {lock:?}"),
+                    );
+                    fail_step!();
+                }
+                Some(_) => {
+                    self.threads[tid.0 as usize].status = ThreadStatus::Blocked { on: lock };
+                    return Ok(StepOutcome::Blocked { on: lock });
+                }
+            },
             Instr::Unlock { lock } => {
-                let lock = *lock;
                 if self.lock_owner.get(&lock) != Some(&tid) {
                     self.fail(
                         tid,
@@ -662,9 +655,8 @@ impl Engine {
                     fail_step!();
                 }
                 self.lock_owner.remove(&lock);
-                let th = &mut self.threads[tid.0 as usize];
-                th.locks_held.retain(|&l| l != lock);
-                record.lock_event = Some(LockEvent::Released(lock));
+                released = Some(lock);
+                event = StepEvent::Lock(LockEvent::Released(lock));
                 // Wake every waiter; they re-race for the lock when stepped.
                 for t in &mut self.threads {
                     if t.status == (ThreadStatus::Blocked { on: lock }) {
@@ -673,52 +665,37 @@ impl Engine {
                 }
             }
             Instr::ListAdd { list, item } => {
-                let head = self.addr_of(tid, *list);
-                let it = self.operand(tid, *item);
-                record.accesses.push(MemAccess {
-                    addr: head,
-                    kind: AccessKind::Rmw,
-                });
+                let head = self.addr_of(tid, list);
+                let it = self.operand(tid, item);
+                access!(head, Rmw);
                 check!(self.mem.check_access(head));
                 check!(self.lists.add(head, it));
             }
             Instr::ListDel { list, item } => {
-                let head = self.addr_of(tid, *list);
-                let it = self.operand(tid, *item);
-                record.accesses.push(MemAccess {
-                    addr: head,
-                    kind: AccessKind::Rmw,
-                });
+                let head = self.addr_of(tid, list);
+                let it = self.operand(tid, item);
+                access!(head, Rmw);
                 check!(self.mem.check_access(head));
                 check!(self.lists.del(head, it));
             }
             Instr::ListContains { dst, list, item } => {
-                let head = self.addr_of(tid, *list);
-                let it = self.operand(tid, *item);
-                record.accesses.push(MemAccess {
-                    addr: head,
-                    kind: AccessKind::Read,
-                });
+                let head = self.addr_of(tid, list);
+                let it = self.operand(tid, item);
+                access!(head, Read);
                 check!(self.mem.check_access(head));
                 let v = u64::from(self.lists.contains(head, it));
-                self.set_reg(tid, *dst, v);
+                self.set_reg(tid, dst, v);
             }
             Instr::ListFirst { dst, list } => {
-                let head = self.addr_of(tid, *list);
-                record.accesses.push(MemAccess {
-                    addr: head,
-                    kind: AccessKind::Read,
-                });
+                let head = self.addr_of(tid, list);
+                access!(head, Read);
                 check!(self.mem.check_access(head));
                 let v = self.lists.first(head).unwrap_or(0);
-                self.set_reg(tid, *dst, v);
+                self.set_reg(tid, dst, v);
             }
             Instr::RefGet { addr } => {
-                let a = self.addr_of(tid, *addr);
-                record.accesses.push(MemAccess {
-                    addr: a,
-                    kind: AccessKind::Rmw,
-                });
+                let a = self.addr_of(tid, addr);
+                access!(a, Rmw);
                 let old = check!(self.mem.read(a));
                 if old == 0 {
                     self.fail(
@@ -733,11 +710,8 @@ impl Engine {
                 check!(self.mem.write(a, old + 1));
             }
             Instr::RefPut { dst, addr } => {
-                let a = self.addr_of(tid, *addr);
-                record.accesses.push(MemAccess {
-                    addr: a,
-                    kind: AccessKind::Rmw,
-                });
+                let a = self.addr_of(tid, addr);
+                access!(a, Rmw);
                 let old = check!(self.mem.read(a));
                 if old == 0 {
                     self.fail(
@@ -751,7 +725,7 @@ impl Engine {
                 }
                 check!(self.mem.write(a, old - 1));
                 if let Some(d) = dst {
-                    self.set_reg(tid, *d, u64::from(old - 1 == 0));
+                    self.set_reg(tid, d, u64::from(old - 1 == 0));
                 }
             }
             Instr::BugOn { cond, msg } => {
@@ -763,20 +737,20 @@ impl Engine {
                         at,
                         FailureKind::AssertionViolation,
                         None,
-                        (*msg).to_string(),
+                        msg.to_string(),
                     );
                     fail_step!();
                 }
             }
             Instr::QueueWork { prog, arg } => {
                 let a = arg.map(|op| self.operand(tid, op));
-                let id = self.spawn(*prog, a, tid);
-                record.spawned = Some(id);
+                let id = self.spawn(prog, a, tid);
+                event = StepEvent::Spawned(id);
             }
             Instr::CallRcu { prog, arg } => {
                 let a = arg.map(|op| self.operand(tid, op));
-                let id = self.spawn(*prog, a, tid);
-                record.spawned = Some(id);
+                let id = self.spawn(prog, a, tid);
+                event = StepEvent::Spawned(id);
                 // The callback waits for the grace period: it may only run
                 // once every read-side section active right now has ended.
                 let readers: Vec<ThreadId> = self
@@ -817,7 +791,11 @@ impl Engine {
             }
         }
 
+        record!();
         let th = &mut self.threads[tid.0 as usize];
+        if let Some(lock) = released {
+            th.locks_held.retain(|&l| l != lock);
+        }
         if exited {
             th.status = ThreadStatus::Exited;
             if th.rcu_depth > 0 {
@@ -826,13 +804,11 @@ impl Engine {
             }
         } else {
             th.pc = next_pc;
-            record.next_pc = Some(next_pc);
         }
-        let rec = Arc::new(record);
-        self.trace.push(Arc::clone(&rec));
 
         if exited {
-            // End-of-run leak check once every thread has finished.
+            // End-of-run leak check once every thread has finished. The
+            // exiting step is already recorded; the leak is its failure.
             if self.program.check_leaks && self.all_done() && self.failure.is_none() {
                 let leaked_base = self.mem.leaked().first().map(|l| l.base);
                 if let Some(base) = leaked_base {
@@ -843,13 +819,12 @@ impl Engine {
                         Some(base),
                         "object never freed".into(),
                     );
-                    self.trace.push(Arc::clone(&rec));
-                    return Ok(StepOutcome::Failed(rec));
+                    return Ok(StepOutcome::Failed);
                 }
             }
-            return Ok(StepOutcome::Exited(rec));
+            return Ok(StepOutcome::Exited);
         }
-        Ok(StepOutcome::Executed(rec))
+        Ok(StepOutcome::Executed)
     }
 
     /// Runs `tid` until it exits, blocks, or the engine halts. Returns the
@@ -866,8 +841,8 @@ impl Engine {
                 _ => return n,
             }
             match self.step(tid) {
-                Ok(StepOutcome::Executed(_)) => n += 1,
-                Ok(StepOutcome::Exited(_)) | Ok(StepOutcome::Failed(_)) => return n + 1,
+                Ok(StepOutcome::Executed) => n += 1,
+                Ok(StepOutcome::Exited | StepOutcome::Failed) => return n + 1,
                 Ok(StepOutcome::Blocked { .. }) => return n,
                 Err(_) => return n,
             }
@@ -948,7 +923,7 @@ mod tests {
         let prog = two_thread_program();
         let mut e = Engine::new(prog);
         e.run_all_serial();
-        let seqs: Vec<usize> = e.trace().iter().map(|r| r.seq).collect();
+        let seqs: Vec<usize> = e.trace().iter().map(|r| r.seq()).collect();
         assert_eq!(seqs, (0..e.trace().len()).collect::<Vec<_>>());
         assert_eq!(e.trace().len(), 4);
     }
@@ -1061,9 +1036,10 @@ mod tests {
         assert!(e.threads()[1].is_runnable());
         // B can now acquire.
         match e.step(ThreadId(1)).unwrap() {
-            StepOutcome::Executed(r) => {
-                assert_eq!(r.lock_event, Some(LockEvent::Acquired(l)));
-                assert_eq!(r.locks_held, vec![l]);
+            StepOutcome::Executed => {
+                let r = e.trace().last().unwrap();
+                assert_eq!(r.lock_event(), Some(LockEvent::Acquired(l)));
+                assert_eq!(r.locks_held(), vec![l]);
             }
             o => panic!("expected Executed, got {o:?}"),
         }
@@ -1117,9 +1093,9 @@ mod tests {
         }
         let prog = Arc::new(p.build().unwrap());
         let mut e = Engine::new(prog);
-        let out = e.step(ThreadId(0)).unwrap();
-        let rec = out.record().unwrap();
-        let wid = rec.spawned.expect("spawned");
+        assert_eq!(e.step(ThreadId(0)), Ok(StepOutcome::Executed));
+        let rec = e.trace().last().unwrap();
+        let wid = rec.spawned().expect("spawned");
         assert!(e.thread(wid).unwrap().is_runnable());
         e.run_to_completion(wid);
         assert_eq!(e.peek(x.addr()), 7);
@@ -1205,10 +1181,10 @@ mod tests {
         let prog = Arc::new(p.build().unwrap());
         let mut e = Engine::new(prog);
         e.step(ThreadId(0)).unwrap();
-        let out = e.step(ThreadId(0)).unwrap();
-        let rec = out.record().unwrap();
-        assert_eq!(rec.accesses.len(), 3);
-        assert!(rec.accesses.iter().all(|a| a.kind == AccessKind::Write));
+        assert_eq!(e.step(ThreadId(0)), Ok(StepOutcome::Executed));
+        let rec = e.trace().last().unwrap();
+        assert_eq!(rec.accesses().len(), 3);
+        assert!(rec.accesses().iter().all(|a| a.kind == AccessKind::Write));
     }
 
     #[test]
@@ -1310,8 +1286,8 @@ mod rcu_tests {
         // Reader enters its section.
         e.step(ThreadId(0)).unwrap();
         // Writer queues the callback: it must be gated.
-        let out = e.step(ThreadId(1)).unwrap();
-        let cb_tid = out.record().unwrap().spawned.unwrap();
+        assert_eq!(e.step(ThreadId(1)), Ok(StepOutcome::Executed));
+        let cb_tid = e.trace().last().unwrap().spawned().unwrap();
         assert_eq!(e.thread(cb_tid).unwrap().status, ThreadStatus::WaitingGrace);
         assert!(e.step(cb_tid).is_err(), "gated callback cannot be stepped");
         // Reader leaves the section: the callback becomes runnable.
@@ -1339,8 +1315,8 @@ mod rcu_tests {
         }
         let prog = Arc::new(p.build().unwrap());
         let mut e = Engine::new(prog);
-        let out = e.step(ThreadId(0)).unwrap();
-        let cb_tid = out.record().unwrap().spawned.unwrap();
+        assert_eq!(e.step(ThreadId(0)), Ok(StepOutcome::Executed));
+        let cb_tid = e.trace().last().unwrap().spawned().unwrap();
         assert!(e.thread(cb_tid).unwrap().is_runnable());
     }
 
@@ -1382,8 +1358,8 @@ mod rcu_tests {
         let prog = Arc::new(p.build().unwrap());
         let mut e = Engine::new(prog);
         e.step(ThreadId(0)).unwrap(); // rcu_read_lock
-        let out = e.step(ThreadId(1)).unwrap();
-        let cb_tid = out.record().unwrap().spawned.unwrap();
+        assert_eq!(e.step(ThreadId(1)), Ok(StepOutcome::Executed));
+        let cb_tid = e.trace().last().unwrap().spawned().unwrap();
         assert_eq!(e.thread(cb_tid).unwrap().status, ThreadStatus::WaitingGrace);
         e.step(ThreadId(0)).unwrap(); // reader exits
         assert!(e.thread(cb_tid).unwrap().is_runnable());

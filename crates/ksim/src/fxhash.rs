@@ -1,11 +1,15 @@
-//! A fast, non-cryptographic hasher for the analysis hot paths.
+//! A fast, non-cryptographic hasher for the engine's and the analysis's
+//! hot paths.
 //!
-//! LIFS folds every executed trace into its knowledge base, hashing small
+//! Every `Load` and `Store` looks up its memory page by number, and LIFS
+//! folds every executed trace into its knowledge base, hashing small
 //! integer keys (addresses, instruction addresses, occurrence counters)
 //! once or twice per step. The standard library's SipHash spends most of
-//! that time resisting crafted collisions, but these keys are addresses and
-//! instruction positions the simulator assigns, never bytes from outside
-//! the program. This is the multiply-rotate hash rustc uses for the same
+//! that time resisting crafted collisions, but these keys are page
+//! numbers, lock ids, addresses and instruction positions the simulator
+//! assigns, never bytes from outside the program. Hash order reaches no
+//! result: no map keyed through this hasher is iterated where its order
+//! could show. This is the multiply-rotate hash rustc uses for the same
 //! purpose; the final rotation moves the well-mixed high bits of the
 //! product into the low bits the table indexes by, so aligned addresses
 //! still spread.
@@ -19,11 +23,11 @@ use std::{
 };
 
 /// A `HashMap` keyed through [`FxHasher`].
-pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// The multiply-rotate hasher behind [`FxHashMap`].
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 impl FxHasher {
     fn add(&mut self, word: u64) {

@@ -146,8 +146,9 @@ impl BinOp {
 /// One kernel instruction.
 ///
 /// Branch targets are resolved instruction indices within the owning thread
-/// program (the builder resolves labels).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// program (the builder resolves labels). An instruction holds no heap
+/// data, so the engine copies each one out of the shared program.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Instr {
     /// `dst = *addr` — an 8-byte shared-memory read.
     Load {

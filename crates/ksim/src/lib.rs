@@ -57,6 +57,7 @@ pub mod builder;
 pub mod engine;
 pub mod events;
 pub mod failure;
+pub mod fxhash;
 pub mod instr;
 pub mod list;
 pub mod memory;
@@ -77,6 +78,7 @@ pub use engine::{
 pub use events::{
     AccessKind,
     MemAccess,
+    StepEvent,
     StepOutcome,
     StepRecord, //
 };
@@ -100,4 +102,7 @@ pub use thread::{
     ThreadId,
     ThreadStatus, //
 };
-pub use trace::Trace;
+pub use trace::{
+    Step,
+    Trace, //
+};

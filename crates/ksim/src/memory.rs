@@ -24,10 +24,8 @@ use crate::addr::{
     REDZONE, //
 };
 use crate::failure::FailureKind;
-use std::collections::{
-    BTreeMap,
-    HashMap, //
-};
+use crate::fxhash::FxHashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Lifecycle state of a heap allocation.
@@ -116,7 +114,9 @@ impl Page {
 /// snapshots, the copy-on-write discipline a hypervisor gets from its MMU.
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Arc<Page>>,
+    /// Pages by number, hashed with [`crate::fxhash`]: every access looks
+    /// one up.
+    pages: FxHashMap<u64, Arc<Page>>,
     /// Allocations ordered by base address; bases strictly increase and are
     /// never reused, so a range query finds the allocation nearest an
     /// address.
@@ -130,7 +130,7 @@ impl Memory {
     #[must_use]
     pub fn new(n_globals: u32) -> Self {
         Memory {
-            pages: HashMap::new(),
+            pages: FxHashMap::default(),
             allocs: Arc::new(BTreeMap::new()),
             next_heap: HEAP_BASE + REDZONE,
             n_globals,

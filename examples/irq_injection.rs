@@ -40,7 +40,7 @@ fn main() {
     let irq_steps = run
         .trace
         .iter()
-        .filter(|r| program.instr_name(r.at).starts_with('I'))
+        .filter(|r| program.instr_name(r.at()).starts_with('I'))
         .count();
     println!("interrupt handler executed {irq_steps} instruction(s) in the failing run");
     assert!(irq_steps > 0);

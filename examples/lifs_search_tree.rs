@@ -48,8 +48,8 @@ fn main() {
     let named: Vec<String> = run
         .trace
         .iter()
-        .filter(|r| program.meta_at(r.at).is_some_and(|m| m.name.is_some()))
-        .map(|r| program.instr_name(r.at))
+        .filter(|r| program.meta_at(r.at()).is_some_and(|m| m.name.is_some()))
+        .map(|r| program.instr_name(r.at()))
         .collect();
     println!("  {}", named.join(" ⇒ "));
 

@@ -199,6 +199,17 @@ printf 'AITIAJNL\001\000\000\000{"fp":0}' > "$SMOKE_JOURNAL"
 resume_matches_reference "version 1 journal" 0.05
 grep -q 'unrecognized header' target/ci-resume-resumed.err \
     || { echo "FAIL: a version 1 journal did not cold-start with a warning" >&2; exit 1; }
+# So does a journal of format version 2 (one encoded record per trace
+# step): the header and one record of Figure 1's failing run, as that
+# format wrote them.
+V2_JOURNAL=41495449414a4e4c02000000880000004454ebe63060776ad04a2ec55b2f0083\
+b3029e40c09a0c000100000002000001000002000000010100000000080002000003000100030008\
+000000200180808080010100010000012001888080800100000200000220019080808002000003000003\
+000000010100200180808080010000010101012100000201010220018880808001010003010103000000
+printf '%b' "$(printf '%s' "$V2_JOURNAL" | sed 's/../\\x&/g')" > "$SMOKE_JOURNAL"
+resume_matches_reference "version 2 journal" 0.05
+grep -q 'unrecognized header' target/ci-resume-resumed.err \
+    || { echo "FAIL: a version 2 journal did not cold-start with a warning" >&2; exit 1; }
 # SIGKILL a journaled run partway through and resume over what survived.
 # At scale 1.0 the cold run takes about 0.6 s on 2 hardware threads (at
 # the default levels; 0.1 s at scale 0.2), so the kill at 0.1 s lands

@@ -4,6 +4,10 @@
 //! reboot-resets-everything, and observed-access stability across
 //! snapshot boundaries.
 
+use aitia_repro::aitia::{
+    enforce,
+    Lifs, //
+};
 use aitia_repro::corpus;
 use aitia_repro::ksim;
 use ksim::builder::ProgramBuilder;
@@ -67,7 +71,11 @@ fn observed_accesses(engine: &Engine) -> BTreeSet<(ThreadId, Addr, ksim::AccessK
     engine
         .trace()
         .iter()
-        .flat_map(|rec| rec.accesses.iter().map(move |a| (rec.tid, a.addr, a.kind)))
+        .flat_map(|rec| {
+            rec.accesses()
+                .iter()
+                .map(move |a| (rec.tid(), a.addr, a.kind))
+        })
         .collect()
 }
 
@@ -233,5 +241,26 @@ fn table2_serial_runs_pass() {
             "{}: replayed serial run diverged",
             bug.id
         );
+    }
+}
+
+/// The engine records each executed instruction exactly once, so an
+/// enforced run's step count equals its trace's length. Replaying every
+/// corpus bug's failing schedule covers every failure the corpus
+/// manifests, the end-of-run leak check of Syzkaller #9 included, which
+/// once recorded its exiting step twice.
+#[test]
+fn failing_replays_record_each_step_once() {
+    for bug in corpus::all_bugs() {
+        let config = bug.lifs_config();
+        let failing = Lifs::new(bug.program_scaled(0.02), config.clone())
+            .search()
+            .failing
+            .unwrap_or_else(|| panic!("{} did not reproduce", bug.id));
+        let mut engine = Engine::new(Arc::clone(&failing.program));
+        let replay = enforce::run(&mut engine, &failing.schedule, &config.enforce);
+        assert!(replay.failure.is_some(), "{}: replay did not fail", bug.id);
+        assert_eq!(replay.steps, replay.trace.len(), "{}", bug.id);
+        assert_eq!(replay.trace, failing.trace, "{}: replay diverged", bug.id);
     }
 }

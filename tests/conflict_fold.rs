@@ -334,7 +334,7 @@ fn orders_learned_transitively_through_a_third_thread() {
     assert!(!got.pairs.contains(&pair(at(0, 0), at(2, 2))));
     assert!(got
         .order
-        .contains(&(at(0, 0), at(2, 2), trace[0].accesses[0].addr)));
+        .contains(&(at(0, 0), at(2, 2), trace.get(0).unwrap().accesses()[0].addr)));
 }
 
 /// `kfree` writes every word of the object in one step: a step with two
@@ -362,7 +362,7 @@ fn a_step_with_two_accesses() {
         e.step(tid).unwrap();
     }
     let trace = e.trace().clone();
-    assert!(trace.iter().any(|r| r.accesses.len() == 2));
+    assert!(trace.iter().any(|r| r.accesses().len() == 2));
     assert_fold_matches(&trace, "two-access step");
     let got = race::trace_conflicts(&trace);
     assert!(got.pairs.contains(&pair(at(0, 2), at(1, 1))));
@@ -450,15 +450,10 @@ fn an_access_in_the_releasing_step_is_ordered_before_the_acquirer() {
     let l = LockId(0);
     let x = Addr(0x1000_0000);
     let step = |seq: usize, tid: u32, lock_event, locks_held: Vec<LockId>, accesses| StepRecord {
-        seq,
-        tid: ThreadId(tid),
-        at: at(tid as u16, seq),
         accesses,
-        branch_taken: None,
         lock_event,
         locks_held,
-        spawned: None,
-        next_pc: Some(seq + 1),
+        ..StepRecord::new(ThreadId(tid), at(tid as u16, seq))
     };
     let store = vec![MemAccess {
         addr: x,
@@ -476,7 +471,7 @@ fn an_access_in_the_releasing_step_is_ordered_before_the_acquirer() {
         step(3, 1, Some(LockEvent::Released(l)), vec![l], vec![]),
         step(4, 1, None, vec![], load),
     ] {
-        trace.push(Arc::new(rec));
+        trace.push(&rec);
     }
     assert_fold_matches(&trace, "releasing step");
     let got = race::trace_conflicts(&trace);

@@ -51,8 +51,8 @@ fn fig5_failing_sequence_interleaves_k_before_a_resumes() {
     let named: Vec<String> = run
         .trace
         .iter()
-        .filter(|r| prog.meta_at(r.at).is_some_and(|m| m.name.is_some()))
-        .map(|r| prog.instr_name(r.at))
+        .filter(|r| prog.meta_at(r.at()).is_some_and(|m| m.name.is_some()))
+        .map(|r| prog.instr_name(r.at()))
         .collect();
     let pos = |n: &str| named.iter().position(|x| x == n);
     let (a1, b1, b3, k1, a3) = (

@@ -115,20 +115,20 @@ mod reference {
         let mut order: Vec<(ThreadSel, InstrAddr)> = Vec::new();
         let mut delayed: Vec<(ThreadSel, InstrAddr)> = Vec::new();
         for rec in trace {
-            let sel = run.sel(rec.tid);
+            let sel = run.sel(rec.tid());
             let in_window =
-                rec.seq >= window_start && rec.seq <= resume_after && rec.tid == first_tid;
+                rec.seq() >= window_start && rec.seq() <= resume_after && rec.tid() == first_tid;
             if in_window {
-                delayed.push((sel, rec.at));
-            } else if rec.seq < window_start || rec.seq <= resume_after {
-                order.push((sel, rec.at));
+                delayed.push((sel, rec.at()));
+            } else if rec.seq() < window_start || rec.seq() <= resume_after {
+                order.push((sel, rec.at()));
             }
         }
         order.extend(pending_tail.iter().copied());
         order.append(&mut delayed);
         for rec in trace {
-            if rec.seq > resume_after {
-                order.push((run.sel(rec.tid), rec.at));
+            if rec.seq() > resume_after {
+                order.push((run.sel(rec.tid()), rec.at()));
             }
         }
         let mut also_flipped = Vec::new();
@@ -161,30 +161,30 @@ mod reference {
         let Some(solo) = run.solo.get(&sel) else {
             return vec![(sel, until)];
         };
-        let executed = run.trace.iter().filter(|r| run.sel(r.tid) == sel).count();
+        let executed = run.trace.iter().filter(|r| run.sel(r.tid()) == sel).count();
         let start = if executed <= solo.len()
             && run
                 .trace
                 .iter()
-                .filter(|r| run.sel(r.tid) == sel)
+                .filter(|r| run.sel(r.tid()) == sel)
                 .zip(solo.iter())
-                .all(|(a, b)| a.at == b.at)
+                .all(|(a, b)| a.at() == b.at())
         {
             executed
         } else {
             match run.pending_next().get(&sel) {
                 Some(next) => solo
                     .iter()
-                    .position(|r| r.at == *next)
+                    .position(|r| r.at() == *next)
                     .unwrap_or(solo.len()),
                 None => solo.len(),
             }
         };
         let mut tail = Vec::new();
         let mut hit = false;
-        for rec in &solo[start.min(solo.len())..] {
-            tail.push((sel, rec.at));
-            if rec.at == until {
+        for rec in solo.iter_from(start) {
+            tail.push((sel, rec.at()));
+            if rec.at() == until {
                 hit = true;
                 break;
             }
@@ -258,8 +258,8 @@ mod reference {
     ) -> Vec<(InstrAddr, InstrAddr)> {
         let executed: HashSet<InstrAddr> = trace
             .iter()
-            .filter(|r| !r.accesses.is_empty())
-            .map(|r| r.at)
+            .filter(|r| !r.accesses().is_empty())
+            .map(|r| r.at())
             .collect();
         let occurred: HashSet<(InstrAddr, InstrAddr)> = run
             .races
@@ -323,7 +323,7 @@ fn divergence(failing: &Trace, flip: &Trace) -> usize {
     failing
         .iter()
         .zip(flip)
-        .position(|(a, b)| (a.tid, a.at) != (b.tid, b.at))
+        .position(|(a, b)| (a.tid(), a.at()) != (b.tid(), b.at()))
         .unwrap_or(failing.len().min(flip.len()))
 }
 
@@ -493,21 +493,21 @@ fn plans_and_vanished_races_match_the_reference_on_every_generated_race() {
 /// took part in the run.
 fn synthetic_races(run: &FailingRun) -> Vec<ObservedRace> {
     let evt = |seq: usize| {
-        let rec = &run.trace[seq];
+        let rec = run.trace.get(seq).unwrap();
         AccessEvt {
             seq,
-            tid: rec.tid,
-            at: rec.at,
+            tid: rec.tid(),
+            at: rec.at(),
             addr: Addr(0x1000),
             is_write: true,
-            locks: rec.locks_held.clone(),
+            locks: rec.locks_held().to_vec(),
         }
     };
     let n = run.trace.len();
     let mut races = Vec::new();
     for i in 0..n {
         for j in i + 1..n {
-            if run.trace[i].tid != run.trace[j].tid {
+            if run.trace.get(i).unwrap().tid() != run.trace.get(j).unwrap().tid() {
                 races.push(ObservedRace {
                     first: evt(i),
                     second: RaceEnd::Executed(evt(j)),
@@ -563,16 +563,16 @@ fn parked_threads(run: &FailingRun) -> impl Iterator<Item = (Vec<InstrAddr>, Vec
             let executed = run
                 .trace
                 .iter()
-                .filter(|r| run.sel(r.tid) == f.sel)
-                .map(|r| r.at)
+                .filter(|r| run.sel(r.tid()) == f.sel)
+                .map(|r| r.at())
                 .collect();
-            Some((executed, solo.iter().map(|r| r.at).collect()))
+            Some((executed, solo.iter().map(|r| r.at()).collect()))
         })
 }
 
 /// The number of maximal single-thread stretches in the trace.
 fn segments(trace: &Trace) -> usize {
-    let tids: Vec<ThreadId> = trace.iter().map(|r| r.tid).collect();
+    let tids: Vec<ThreadId> = trace.iter().map(|r| r.tid()).collect();
     tids.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!tids.is_empty())
 }
 
